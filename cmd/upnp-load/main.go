@@ -10,7 +10,7 @@
 //	upnp-load [-scenario smoke|steady|churn|zoned|fleet|fanout|http-smoke] [-things N] [-shape wide|deep|branches|zones]
 //	          [-rate R | -workers W -think D] [-mix read=60,write=10,...]
 //	          [-warmup D] [-duration D] [-cooldown D] [-seed S] [-loss P]
-//	          [-zones Z] [-shard-workers W] [-lookahead pair|global]
+//	          [-zones Z] [-shard-workers W]
 //	          [-deployments N] [-managers M] [-fail-at D]
 //	          [-realtime] [-timescale X] [-clients N] [-out FILE]
 //	          [-target http://HOST:PORT [-ops N]]
@@ -73,11 +73,9 @@ func main() {
 		loss         = flag.Float64("loss", 0, "per-hop frame loss probability")
 		zones        = flag.Int("zones", 0, "override zone-sharded lane count (>1 runs the parallel clock; virtual mode only)")
 		shardWorkers = flag.Int("shard-workers", 0, "sharded round parallelism: 0 = GOMAXPROCS, 1 = the sequential single-loop schedule (determinism cross-check mode)")
-		lookahead    = flag.String("lookahead", "pair", "sharded barrier window policy: pair (per-lane-pair topology matrix) | global (conservative one-hop quantum)")
 		deployments  = flag.Int("deployments", 0, "federate this many virtual deployments behind one Fleet (>1; virtual open-loop only)")
 		managers     = flag.Int("managers", 0, "per-deployment anycast manager redundancy (default 1)")
 		failAt       = flag.Duration("fail-at", 0, "crash manager 0 of deployment 0 this far into the workload (virtual; needs -managers >= 2)")
-		interp       = flag.Bool("interp", false, "pin driver execution to the reference bytecode interpreter instead of the compiled engine (transcript-identical; virtual-mode results stay byte-identical)")
 		realtime     = flag.Bool("realtime", false, "run on the wall clock (concurrent runtime) instead of the deterministic virtual clock")
 		timescale    = flag.Float64("timescale", 0, "virtual seconds per wall second in -realtime mode (preset default 50)")
 		target       = flag.String("target", "", "HTTP client mode: drive a running cmd/upnp-gateway at this base URL instead of an in-process deployment")
@@ -148,14 +146,6 @@ func main() {
 	if *shardWorkers > 0 {
 		cfg.ShardWorkers = *shardWorkers
 	}
-	switch *lookahead {
-	case "pair", "":
-	case "global":
-		cfg.GlobalLookahead = true
-	default:
-		fmt.Fprintf(os.Stderr, "upnp-load: unknown lookahead policy %q (want pair or global)\n", *lookahead)
-		os.Exit(2)
-	}
 	if *deployments > 0 {
 		cfg.Deployments = *deployments
 	}
@@ -165,7 +155,6 @@ func main() {
 	if *failAt > 0 {
 		cfg.ManagerFailAt = *failAt
 	}
-	cfg.InterpDrivers = *interp
 	cfg.Realtime = *realtime
 	if *timescale > 0 {
 		cfg.TimeScale = *timescale

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	upnp-sim [-things N] [-hops H] [-loss P] [-churn K] [-seed S] [-realtime] [-timescale X]
-//	         [-zones Z] [-shard-workers W] [-lookahead pair|global]
+//	         [-zones Z] [-shard-workers W]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // Flags:
@@ -29,9 +29,6 @@
 //	-shard-workers
 //	           sharded round parallelism: 0 = GOMAXPROCS (default),
 //	           1 = the sequential single-loop schedule
-//	-lookahead sharded barrier window policy: pair (default — per-lane-pair
-//	           topology lookahead matrix) or global (the conservative
-//	           one-hop quantum)
 //	-cpuprofile / -memprofile
 //	           write pprof profiles of the scenario — the quickest way to
 //	           diagnose a regression the benchgate CI gate flagged:
@@ -60,8 +57,6 @@ func main() {
 	timescale := flag.Float64("timescale", 60, "virtual seconds per wall second in -realtime mode")
 	zones := flag.Int("zones", 0, "zone-sharded lane count (>1 enables the parallel clock; virtual mode only)")
 	shardWorkers := flag.Int("shard-workers", 0, "sharded round parallelism: 0 = GOMAXPROCS, 1 = sequential single-loop schedule")
-	lookahead := flag.String("lookahead", "pair", "sharded barrier window policy: pair (per-lane-pair topology matrix) | global (conservative one-hop quantum)")
-	interp := flag.Bool("interp", false, "pin driver execution to the reference bytecode interpreter instead of the compiled engine (transcript-identical)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the scenario to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the scenario) to this file")
 	flag.Parse()
@@ -80,17 +75,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	globalLA := false
-	switch *lookahead {
-	case "pair", "":
-	case "global":
-		globalLA = true
-	default:
-		fmt.Fprintf(os.Stderr, "upnp-sim: unknown lookahead policy %q (want pair or global)\n", *lookahead)
-		os.Exit(2)
-	}
-
-	if err := run(*nThings, *hops, *loss, *churn, *seed, *realtime, *timescale, *zones, *shardWorkers, globalLA, *interp); err != nil {
+	if err := run(*nThings, *hops, *loss, *churn, *seed, *realtime, *timescale, *zones, *shardWorkers); err != nil {
 		fmt.Fprintln(os.Stderr, "upnp-sim:", err)
 		os.Exit(1)
 	}
@@ -110,11 +95,8 @@ func main() {
 	}
 }
 
-func run(nThings, hops int, loss float64, churn int, seed int64, realtime bool, timescale float64, zones, shardWorkers int, globalLA, interp bool) error {
+func run(nThings, hops int, loss float64, churn int, seed int64, realtime bool, timescale float64, zones, shardWorkers int) error {
 	opts := []micropnp.Option{micropnp.WithLossRate(loss), micropnp.WithSeed(seed)}
-	if interp {
-		opts = append(opts, micropnp.WithCompiledDrivers(false))
-	}
 	if realtime {
 		opts = append(opts, micropnp.WithRealTime(), micropnp.WithTimeScale(timescale))
 		zones = 0 // the sharded clock is a virtual-mode construct
@@ -123,9 +105,6 @@ func run(nThings, hops int, loss float64, churn int, seed int64, realtime bool, 
 		opts = append(opts, micropnp.WithZones(zones))
 		if shardWorkers > 0 {
 			opts = append(opts, micropnp.WithShardWorkers(shardWorkers))
-		}
-		if globalLA {
-			opts = append(opts, micropnp.WithGlobalLookahead())
 		}
 	}
 	d, err := micropnp.NewDeployment(opts...)

@@ -194,12 +194,15 @@ func TestPagingStableUnderChurn(t *testing.T) {
 
 	// Writer: refreshes the stable population in a rolling window while the
 	// clock marches on. One full pass takes 64 × 50ms = 3.2s of the 5s TTL,
-	// so stable entries never expire and no key is ever (re-)inserted.
+	// so stable entries never expire and no key is ever (re-)inserted. The
+	// writer finishes at least one full pass however early the readers stop,
+	// so no stable entry still carries its t=0 registration when the final
+	// nudge past the TTL lands.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		i := 0
-		for ctx.Err() == nil {
+		for ctx.Err() == nil || i < 64 {
 			i++
 			clk.Advance(50 * time.Millisecond)
 			now := clk.Now()

@@ -323,30 +323,39 @@ func (c *Client) timeoutOr(t time.Duration) time.Duration {
 	return t
 }
 
-// register inserts a pending request and arms its expiry as a typed clock
-// event (netsim.Expirer) — no closure, no allocation. It returns the
-// sequence number and the entry's generation; both are packed into the
-// event's seq cookie and checked on firing, so neither a recycled sequence
-// number nor a recycled pool entry can expire a newer request.
-func (c *Client) register(p *pending, timeout time.Duration) (uint16, uint64) {
+// register inserts a pending request and returns its sequence number and
+// the entry's generation. The caller sends the request, then arms its
+// deadline with arm: armed before the send, the deadline could pass before
+// the request left whenever another goroutine drives the virtual clock in
+// between.
+func (c *Client) register(p *pending) (uint16, uint64) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	seq := c.nextSeqLocked()
-	gen := p.gen
 	c.pending[seq] = p
-	c.mu.Unlock()
+	return seq, p.gen
+}
+
+// arm schedules a registered request's expiry as a typed clock event
+// (netsim.Expirer) — no closure, no allocation. The sequence number and the
+// entry's generation are packed into the event's seq cookie and checked on
+// firing, so neither a recycled sequence number nor a recycled pool entry
+// can expire a newer request. A nil p (fire-and-forget) arms nothing.
+func (c *Client) arm(seq uint16, gen uint64, p *pending, timeout time.Duration) {
+	if p == nil {
+		return
+	}
 	ref := c.node.ScheduleExpiry(c.timeoutOr(timeout), c, uint64(seq)|gen<<16, p)
 	c.mu.Lock()
 	if cur, ok := c.pending[seq]; ok && cur == p && p.gen == gen {
 		p.expiry = ref
 		c.mu.Unlock()
-		return seq, gen
+		return
 	}
 	c.mu.Unlock()
-	// The request already terminated (possible under the realtime clock when
-	// the deadline fires between scheduling and this registration): the ref
-	// is orphaned — cancelling the already-fired event is a no-op.
+	// The request already terminated (a reply or a retract can land between
+	// the send and this call): the ref is orphaned.
 	ref.Cancel()
-	return seq, gen
 }
 
 // ExpireEvent implements netsim.Expirer: the typed deadline of a pending
@@ -464,12 +473,13 @@ func (c *Client) DiscoverInZone(zone uint16, id hw.DeviceID, timeout time.Durati
 
 func (c *Client) discoverGroup(group netip.Addr, timeout time.Duration, done func([]Advert), filter []proto.TLV) (retract func()) {
 	var seq uint16
+	var gen uint64
+	var p *pending
 	retract = noRetract
 	if done != nil {
-		p := pendingPool.Get().(*pending)
+		p = pendingPool.Get().(*pending)
 		p.kind, p.onDiscover = pendingDiscover, done
-		var gen uint64
-		seq, gen = c.register(p, timeout)
+		seq, gen = c.register(p)
 		retract = func() { c.retract(seq, gen, p) }
 	} else {
 		c.mu.Lock()
@@ -477,6 +487,7 @@ func (c *Client) discoverGroup(group netip.Addr, timeout time.Duration, done fun
 		c.mu.Unlock()
 	}
 	c.send(group, &proto.Message{Type: proto.MsgDiscovery, Seq: seq, Filter: filter})
+	c.arm(seq, gen, p, timeout)
 	return retract
 }
 
@@ -513,7 +524,7 @@ func (c *Client) read(thing netip.Addr, id hw.DeviceID, scratch []int32, hasScra
 		p = pendingPool.Get().(*pending)
 		p.kind, p.thing, p.id = pendingRead, thing, id
 		p.onRead, p.scratch, p.hasScratch = cb, scratch, hasScratch
-		seq, gen = c.register(p, timeout)
+		seq, gen = c.register(p)
 		retract = func() { c.retract(seq, gen, p) }
 	} else {
 		c.mu.Lock()
@@ -527,10 +538,12 @@ func (c *Client) read(thing netip.Addr, id hw.DeviceID, scratch []int32, hasScra
 	if p != nil && c.retry.enabled() {
 		m := &proto.Message{Type: proto.MsgRead, Seq: seq, DeviceID: id}
 		c.send(thing, m)
+		c.arm(seq, gen, p, timeout)
 		c.armRetransmit(seq, gen, p, thing, m, 1)
 	} else {
 		m := proto.Message{Type: proto.MsgRead, Seq: seq, DeviceID: id}
 		c.send(thing, &m)
+		c.arm(seq, gen, p, timeout)
 	}
 	return retract
 }
@@ -551,7 +564,7 @@ func (c *Client) Write(thing netip.Addr, id hw.DeviceID, vals []int32, timeout t
 	if cb != nil {
 		p = pendingPool.Get().(*pending)
 		p.kind, p.onWrite = pendingWrite, cb
-		seq, gen = c.register(p, timeout)
+		seq, gen = c.register(p)
 		retract = func() { c.retract(seq, gen, p) }
 	} else {
 		c.mu.Lock()
@@ -561,10 +574,12 @@ func (c *Client) Write(thing netip.Addr, id hw.DeviceID, vals []int32, timeout t
 	if p != nil && c.retry.enabled() {
 		m := &proto.Message{Type: proto.MsgWrite, Seq: seq, DeviceID: id, Data: proto.Values32(vals)}
 		c.send(thing, m)
+		c.arm(seq, gen, p, timeout)
 		c.armRetransmit(seq, gen, p, thing, m, 1)
 	} else {
 		m := proto.Message{Type: proto.MsgWrite, Seq: seq, DeviceID: id, Data: proto.Values32(vals)}
 		c.send(thing, &m)
+		c.arm(seq, gen, p, timeout)
 	}
 	return retract
 }

@@ -65,22 +65,12 @@ type DeploymentConfig struct {
 	Workers int
 	// Zones partitions the network into that many address zones run by the
 	// zone-sharded conservative-PDES clock (see netsim.ShardedClock); 0 or 1
-	// keeps the single-loop virtual clock. Place Things in zones with
+	// runs it on one lane, event by event. Place Things in zones with
 	// AddThingInZone. Ignored in realtime mode.
 	Zones int
-	// GlobalLookahead pins the sharded clock to the single global one-hop
-	// lookahead quantum instead of the per-lane-pair matrix derived from the
-	// cross-zone topology (see netsim.Lookahead). Comparison/escape knob;
-	// ignored off the sharded clock.
-	GlobalLookahead bool
 	// Retry enables automatic retransmission of unanswered unicast client
 	// reads and writes (zero value disables).
 	Retry client.RetryPolicy
-	// InterpDrivers pins every Thing's installed drivers to the reference
-	// bytecode interpreter instead of the compiled engine (see
-	// thing.Config.InterpDrivers). Transcript-identical; the SDK exposes
-	// this as WithCompiledDrivers(false).
-	InterpDrivers bool
 	// Managers is the number of manager instances stood up behind the
 	// deployment's anycast address (Section 5 redundancy); 0 or 1 keeps the
 	// single border-router manager.
@@ -147,15 +137,14 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	net := netsim.New(netsim.Config{
-		LossRate:        cfg.LossRate,
-		ProcJitter:      cfg.ProcJitter,
-		Rng:             rng,
-		Realtime:        cfg.Realtime,
-		TimeScale:       cfg.TimeScale,
-		Workers:         cfg.Workers,
-		Zones:           cfg.Zones,
-		Seed:            cfg.Seed,
-		GlobalLookahead: cfg.GlobalLookahead,
+		LossRate:   cfg.LossRate,
+		ProcJitter: cfg.ProcJitter,
+		Rng:        rng,
+		Realtime:   cfg.Realtime,
+		TimeScale:  cfg.TimeScale,
+		Workers:    cfg.Workers,
+		Zones:      cfg.Zones,
+		Seed:       cfg.Seed,
 	})
 	prefix := SitePrefix(cfg.Site)
 	mgrAddr := netsim.UnicastAddr(prefix, 0, 1) // site 0: the classic 2001:db8::1
@@ -325,7 +314,6 @@ func (d *Deployment) AddThingAt(name string, parent *netsim.Node) (*thing.Thing,
 		StreamPeriod:       d.cfg.StreamPeriod,
 		Units:              driver.UnitsTable(),
 		PendingReadTimeout: d.cfg.RequestTimeout,
-		InterpDrivers:      d.cfg.InterpDrivers,
 	})
 }
 
@@ -347,7 +335,6 @@ func (d *Deployment) AddThingInZone(name string, zone uint16, parent *netsim.Nod
 		StreamPeriod:       d.cfg.StreamPeriod,
 		Units:              driver.UnitsTable(),
 		PendingReadTimeout: d.cfg.RequestTimeout,
-		InterpDrivers:      d.cfg.InterpDrivers,
 	})
 }
 
@@ -368,7 +355,6 @@ func (d *Deployment) AddZonedThing(name string, zone uint16) (*thing.Thing, erro
 		StructuredNamespace: true,
 		Units:               driver.UnitsTable(),
 		PendingReadTimeout:  d.cfg.RequestTimeout,
-		InterpDrivers:       d.cfg.InterpDrivers,
 	})
 }
 

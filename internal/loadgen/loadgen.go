@@ -230,16 +230,10 @@ func deployOpts(cfg Config, seed int64, site int) []micropnp.Option {
 	if cfg.LossRate > 0 {
 		opts = append(opts, micropnp.WithLossRate(cfg.LossRate))
 	}
-	if cfg.InterpDrivers {
-		opts = append(opts, micropnp.WithCompiledDrivers(false))
-	}
 	if cfg.Zones > 1 && !cfg.Realtime {
 		opts = append(opts, micropnp.WithZones(cfg.Zones))
 		if cfg.ShardWorkers > 0 {
 			opts = append(opts, micropnp.WithShardWorkers(cfg.ShardWorkers))
-		}
-		if cfg.GlobalLookahead {
-			opts = append(opts, micropnp.WithGlobalLookahead())
 		}
 	}
 	if cfg.Realtime {

@@ -227,13 +227,6 @@ type Config struct {
 	Zones        int
 	ShardWorkers int
 
-	// GlobalLookahead pins the sharded clock's barrier windows to the
-	// conservative global quantum instead of the per-lane-pair topology
-	// matrix (the default). A window-policy knob only: it reshapes rounds,
-	// not the op schedule, so it is deliberately not recorded in the result
-	// JSON.
-	GlobalLookahead bool
-
 	// Deployments > 1 federates that many virtual deployments (sites
 	// 0..N-1, distinct /48 prefixes) behind one micropnp.Fleet and routes
 	// every workload operation through the fleet surface. Things spread
@@ -248,14 +241,6 @@ type Config struct {
 	Deployments   int
 	Managers      int
 	ManagerFailAt time.Duration
-
-	// InterpDrivers pins driver execution to the reference bytecode
-	// interpreter instead of the compiled engine. The engines are
-	// transcript-identical, so with the same seed and config a virtual-mode
-	// run produces byte-identical results either way — the engine is
-	// deliberately not recorded in the result JSON so the cross-engine
-	// byte comparison can assert exactly that.
-	InterpDrivers bool
 
 	// Target switches Run to the HTTP client mode: operations are issued as
 	// REST calls against a running gateway (cmd/upnp-gateway) at this base

@@ -9,10 +9,12 @@ import (
 // Clock is the time-advancement engine behind a Network. Two implementations
 // exist:
 //
-//   - VirtualClock: the deterministic discrete-event clock. Time advances
+//   - ShardedClock: the deterministic discrete-event clock. Time advances
 //     only while a caller drives Step/RunUntilIdle/RunUntil; handlers execute
-//     inline on the driving goroutine. This is the default and keeps
-//     simulations byte-for-byte reproducible.
+//     on the driving goroutine (or, for zoned networks, on its barrier-
+//     synchronized lane workers). This is the default and keeps simulations
+//     byte-for-byte reproducible. An unzoned network runs on one lane, which
+//     executes events one at a time in (timestamp, schedule order).
 //   - RealtimeClock: a wall-clock runtime. The event loop runs on its own
 //     goroutine, fires timers via time.Timer (optionally compressed by a
 //     time-scale factor), and dispatches handlers from a bounded worker
@@ -30,9 +32,10 @@ type Clock interface {
 	// advances time to its timestamp. Cancelling after the event fired, or
 	// cancelling twice, is a no-op.
 	ScheduleCancelable(delay time.Duration, fn func()) (cancel func())
-	// Stop releases the clock's resources (loop goroutine and worker pool
-	// for the realtime clock; a no-op for the virtual clock). Events still
-	// queued are discarded. Stop is idempotent.
+	// Stop releases the clock's resources: the realtime clock's loop
+	// goroutine and worker pool (events still queued are discarded), the
+	// sharded clock's round workers (later rounds run inline). Stop is
+	// idempotent.
 	Stop()
 }
 
@@ -333,181 +336,4 @@ func extractFiring(h *eventHeap, ev *scheduled) (firing, bool) {
 	pool := ev.poolable
 	h.retire(ev)
 	return f, pool
-}
-
-// VirtualClock is the deterministic discrete-event clock: time advances only
-// while a caller drives it, handlers run inline on the driving goroutine,
-// and event order is total (timestamp, then schedule order), so runs are
-// byte-for-byte reproducible.
-type VirtualClock struct {
-	mu  sync.Mutex
-	now time.Duration
-	eh  eventHeap
-}
-
-// NewVirtualClock builds a virtual clock starting at time zero.
-func NewVirtualClock() *VirtualClock { return &VirtualClock{} }
-
-// Now returns the virtual time.
-func (c *VirtualClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Schedule runs fn at Now()+delay (virtual).
-func (c *VirtualClock) Schedule(delay time.Duration, fn func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.eh.pushAt(c.now+delay, fn)
-}
-
-// scheduleDelivery queues a pooled packet delivery at Now()+delay.
-func (c *VirtualClock) scheduleDelivery(delay time.Duration, del *delivery) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.eh.pushDeliveryAt(c.now+delay, del)
-}
-
-// ScheduleCancelable runs fn at Now()+delay and returns a cancel function.
-// A cancelled event is dropped entirely: it neither runs nor advances the
-// clock to its timestamp — request deadlines use this so completed
-// requests leave no dead time behind. Cancelling after the event fired (or
-// cancelling twice) is a no-op. Cancellation is O(1): the event is marked
-// dead and skipped when it surfaces, and the queue compacts when dead
-// events dominate, so cancelled entries do not pin the backing array.
-func (c *VirtualClock) ScheduleCancelable(delay time.Duration, fn func()) (cancel func()) {
-	c.mu.Lock()
-	ev, gen := c.eh.pushCancelableAt(c.now+delay, fn)
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.eh.cancel(ev, gen)
-	}
-}
-
-// scheduleExpiry queues a typed expiry event at Now()+delay: cancellation
-// semantics match ScheduleCancelable, but neither the schedule nor the cancel
-// handle allocates.
-func (c *VirtualClock) scheduleExpiry(delay time.Duration, e Expirer, seq uint64, tok any) ExpiryRef {
-	c.mu.Lock()
-	ev, gen := c.eh.pushExpiryAt(c.now+delay, e, seq, tok)
-	c.mu.Unlock()
-	return ExpiryRef{c: c, ev: ev, gen: gen}
-}
-
-// cancelExpiry implements expiryCanceler.
-func (c *VirtualClock) cancelExpiry(ev *scheduled, gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.eh.cancel(ev, gen)
-}
-
-// Stop implements Clock; the virtual clock owns no resources.
-func (c *VirtualClock) Stop() {}
-
-// Step executes the next scheduled event, advancing the clock. It reports
-// whether an event ran.
-func (c *VirtualClock) Step() bool {
-	c.mu.Lock()
-	ev := c.eh.pop()
-	if ev == nil {
-		c.mu.Unlock()
-		return false
-	}
-	if ev.at > c.now {
-		c.now = ev.at
-	}
-	f, pool := extractFiring(&c.eh, ev)
-	c.mu.Unlock()
-	if pool {
-		recycleEvent(ev)
-	}
-	f.run()
-	return true
-}
-
-// RunUntilIdle steps until no events remain (bounded by maxSteps; 0 means
-// the 1e6 default). It returns the number of steps.
-func (c *VirtualClock) RunUntilIdle(maxSteps int) int {
-	if maxSteps <= 0 {
-		maxSteps = 1_000_000
-	}
-	steps := 0
-	for steps < maxSteps && c.Step() {
-		steps++
-	}
-	return steps
-}
-
-// RunUntil processes events up to (and including) the given virtual
-// deadline, then advances the clock to the deadline. Use this to drive
-// self-rescheduling activities such as streams, which never go idle.
-func (c *VirtualClock) RunUntil(deadline time.Duration) int {
-	steps := 0
-	for {
-		c.mu.Lock()
-		next := c.eh.peek()
-		if next == nil || next.at > deadline {
-			if c.now < deadline {
-				c.now = deadline
-			}
-			c.mu.Unlock()
-			return steps
-		}
-		ev := c.eh.pop()
-		if ev.at > c.now {
-			c.now = ev.at
-		}
-		f, pool := extractFiring(&c.eh, ev)
-		c.mu.Unlock()
-		if pool {
-			recycleEvent(ev)
-		}
-		f.run()
-		steps++
-	}
-}
-
-// RunUntilQuiesced processes events up to (and including) the given virtual
-// deadline, reporting whether the queue drained before reaching it — the
-// bounded companion of RunUntilIdle for networks that can never go idle
-// (active streams reschedule themselves forever). On a drain the clock stays
-// at the last event's time, like RunUntilIdle; otherwise it advances exactly
-// to the deadline, like RunUntil, and the remaining events stay queued.
-func (c *VirtualClock) RunUntilQuiesced(deadline time.Duration) bool {
-	for {
-		c.mu.Lock()
-		next := c.eh.peek()
-		if next == nil {
-			c.mu.Unlock()
-			return true
-		}
-		if next.at > deadline {
-			if c.now < deadline {
-				c.now = deadline
-			}
-			c.mu.Unlock()
-			return false
-		}
-		ev := c.eh.pop()
-		if ev.at > c.now {
-			c.now = ev.at
-		}
-		f, pool := extractFiring(&c.eh, ev)
-		c.mu.Unlock()
-		if pool {
-			recycleEvent(ev)
-		}
-		f.run()
-	}
-}
-
-// queueCap exposes the event queue's backing capacity; leak tests assert it
-// stays bounded across long schedule/cancel/step runs.
-func (c *VirtualClock) queueCap() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return cap(c.eh.queue)
 }

@@ -32,8 +32,7 @@ import (
 //     distinct-root combinations is exact by the usual two-best argument.
 //
 // An entry with no node pair yet is unknown (-1) and snapshots to the
-// conservative one-hop global quantum, so a lane the matrix cannot bound
-// falls back to exactly the pre-matrix behaviour.
+// conservative one-hop quantum, the bound that holds for any lane pair.
 type Lookahead struct {
 	mu    sync.Mutex
 	lanes int

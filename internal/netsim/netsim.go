@@ -5,13 +5,15 @@
 // datagrams; per-packet latency models the 250 kbit/s 802.15.4 wire rate,
 // 6LoWPAN fragmentation and the embedded stack's per-packet processing cost.
 //
-// Time-advancement is pluggable (see Clock). Under the default VirtualClock
-// the simulator is deterministic: Send schedules deliveries, Run/RunUntilIdle
-// advance time, handlers execute inline at delivery time and may send
-// further messages. Under the RealtimeClock (Config.Realtime) the event loop
-// runs on its own goroutine against the wall clock and handlers dispatch
-// from a bounded worker pool, so many client goroutines can block on
-// in-flight requests concurrently.
+// Time-advancement is pluggable (see Clock). Under the default virtual clock
+// (ShardedClock: one lane for an unzoned network, one lane per address zone
+// otherwise) the simulator is deterministic: Send schedules deliveries,
+// Run/RunUntilIdle advance time, handlers execute at delivery time on the
+// driving goroutine (or its lane workers) and may send further messages.
+// Under the RealtimeClock (Config.Realtime) the event loop runs on its own
+// goroutine against the wall clock and handlers dispatch from a bounded
+// worker pool, so many client goroutines can block on in-flight requests
+// concurrently.
 //
 // The implementation is built to stay fast at thousands of nodes and many
 // concurrent handlers, and to keep the steady-state message path free of
@@ -124,17 +126,12 @@ type Config struct {
 	// Zones partitions the network into that many address zones, each with
 	// its own event heap, RNG stream and lock domain, run by the sharded
 	// conservative-PDES clock (see ShardedClock). Node zone = the address's
-	// zone field (bytes 10..11) modulo Zones. 0 or 1 keeps the single-loop
-	// VirtualClock; ignored in realtime mode.
+	// zone field (bytes 10..11) modulo Zones. 0 or 1 runs the clock on one
+	// lane, event by event; ignored in realtime mode.
 	Zones int
 	// Seed derives the per-zone RNG streams when Zones > 1 (0 = the fixed
 	// default). The single-zone clock uses Rng as before.
 	Seed int64
-	// GlobalLookahead pins the sharded clock to the single global one-hop
-	// lookahead quantum instead of the per-lane-pair matrix derived from the
-	// cross-zone topology (see Lookahead). The global quantum is the
-	// conservative pre-matrix behaviour; this is the comparison/escape knob.
-	GlobalLookahead bool
 }
 
 // Stats counts network activity.
@@ -176,8 +173,7 @@ func (c *counters) snapshot() Stats {
 type Network struct {
 	cfg   Config
 	clock Clock
-	// Exactly one of vclock/sclock/rclock is set, aliasing clock.
-	vclock *VirtualClock
+	// Exactly one of sclock/rclock is set, aliasing clock.
 	sclock *ShardedClock
 	rclock *RealtimeClock
 
@@ -203,10 +199,9 @@ type Network struct {
 	// members indexes multicast group membership so sends visit only
 	// members, never the full node table.
 	members map[netip.Addr]map[*Node]struct{}
-	// lookahead is the per-lane-pair lookahead matrix feeding the sharded
-	// clock's barrier windows; nil on single-zone/realtime networks and when
-	// Config.GlobalLookahead pins the global quantum. Maintained under topoMu
-	// (AddNode only; topology never shrinks).
+	// lookahead is the sharded clock's per-lane-pair lookahead matrix feeding
+	// its barrier windows; nil on single-zone/realtime networks. Maintained
+	// under topoMu (AddNode only; topology never shrinks).
 	lookahead *Lookahead
 
 	// Route caches. Parent links are immutable after AddNode; both caches
@@ -257,8 +252,8 @@ type memberMut struct {
 }
 
 // New creates an empty network running on the clock Config selects: the
-// deterministic virtual clock by default, the wall-clock runtime when
-// cfg.Realtime is set.
+// deterministic virtual clock (a ShardedClock with one lane per zone) by
+// default, the wall-clock runtime when cfg.Realtime is set.
 func New(cfg Config) *Network {
 	rng := cfg.Rng
 	if rng == nil {
@@ -273,18 +268,16 @@ func New(cfg Config) *Network {
 		dists:   map[nodePair]int{},
 		plans:   map[netip.Addr]*groupPlans{},
 	}
-	switch {
-	case cfg.Realtime:
+	if cfg.Realtime {
 		n.rclock = NewRealtimeClock(RealtimeConfig{TimeScale: cfg.TimeScale, Workers: cfg.Workers})
 		n.clock = n.rclock
-	case cfg.Zones > 1:
-		n.sclock = NewShardedClock(cfg.Zones, cfg.Workers, ShardQuantum(cfg.ProcJitter))
+		return n
+	}
+	n.sclock = NewShardedClock(cfg.Zones, cfg.Workers, ShardQuantum(cfg.ProcJitter))
+	n.clock = n.sclock
+	if cfg.Zones > 1 {
 		n.sclock.postRound = n.flushDeferredMembership
-		if !cfg.GlobalLookahead {
-			n.lookahead = newLookahead(n.sclock.Lanes())
-			n.sclock.setLookahead(n.lookahead)
-		}
-		n.clock = n.sclock
+		n.lookahead = n.sclock.lookahead
 		seed := cfg.Seed
 		if seed == 0 {
 			seed = 0x6030
@@ -296,22 +289,22 @@ func New(cfg Config) *Network {
 			n.zoneRngs[z].r = rand.New(rand.NewSource(seed ^ int64(uint64(z+1)*0x9e3779b97f4a7c15)))
 		}
 		n.zoneMuts = make([]zoneMutQueue, cfg.Zones)
-	default:
-		n.vclock = NewVirtualClock()
-		n.clock = n.vclock
 	}
 	return n
 }
 
-// Sharded reports whether the network runs on the zone-sharded clock, and if
-// so with how many zone lanes and whether rounds execute sequentially (the
-// single-loop schedule).
+// Sharded reports whether the network runs on the zone-sharded clock with two
+// or more lanes, and if so with how many zone lanes and whether rounds
+// execute sequentially (the single-loop schedule).
 func (n *Network) Sharded() (zones int, sequential bool, ok bool) {
-	if n.sclock == nil {
+	if !n.zoned() {
 		return 0, false, false
 	}
 	return n.sclock.Lanes(), n.sclock.Sequential(), true
 }
+
+// zoned reports whether the network runs on two or more clock lanes.
+func (n *Network) zoned() bool { return n.sclock != nil && n.sclock.Lanes() > 1 }
 
 // Clock returns the network's time-advancement engine.
 func (n *Network) Clock() Clock { return n.clock }
@@ -330,7 +323,8 @@ func (n *Network) TimeScale() float64 {
 
 // Close stops the clock: in realtime mode it terminates the event loop and
 // the worker pool (handlers already running finish first) and discards
-// queued events; on the virtual clock it is a no-op. Close is idempotent.
+// queued events; on the virtual clock it retires the round workers of a
+// zoned network. Close is idempotent.
 // Do not call Close from inside a handler.
 func (n *Network) Close() { n.clock.Stop() }
 
@@ -443,9 +437,6 @@ func (nd *Node) ScheduleExpiry(delay time.Duration, e Expirer, seq uint64, tok a
 	if n.sclock != nil {
 		return n.sclock.scheduleExpiryLane(nd.lane, delay, e, seq, tok)
 	}
-	if n.vclock != nil {
-		return n.vclock.scheduleExpiry(delay, e, seq, tok)
-	}
 	return n.rclock.scheduleExpiry(delay, e, seq, tok)
 }
 
@@ -475,8 +466,9 @@ func (nd *Node) Unbind(port uint16) {
 // applied there in (zone lane, emission) order: mid-window the change would
 // race concurrently executing lanes' plan lookups, making the delivered set
 // depend on worker interleaving. The deferral makes the semantics uniform —
-// on the sharded clock, membership changes take effect at the next window
-// boundary (at most one lookahead quantum later) in every execution mode.
+// on a zoned network, membership changes take effect at the next window
+// boundary in every execution mode. An unzoned network has no rounds, so
+// its changes apply immediately.
 func (nd *Node) JoinGroup(g netip.Addr) {
 	n := nd.net
 	if n.deferMembership(nd, g, true) {
@@ -1007,14 +999,11 @@ func (n *Network) deliver(src, dst *Node, msg Message, pb *Buf, hops int, multic
 // On the sharded clock the event lands on the DESTINATION's lane, timed from
 // the SOURCE's lane-local clock.
 func (n *Network) scheduleDelivery(src *Node, delay time.Duration, d *delivery) {
-	switch {
-	case n.vclock != nil:
-		n.vclock.scheduleDelivery(delay, d)
-	case n.sclock != nil:
+	if n.sclock != nil {
 		n.sclock.scheduleDelivery(src.lane, d.dst.lane, delay, d)
-	default:
-		n.rclock.scheduleDelivery(delay, d)
+		return
 	}
+	n.rclock.scheduleDelivery(delay, d)
 }
 
 // Schedule runs fn at Now()+delay (virtual).
@@ -1038,9 +1027,6 @@ func (n *Network) ScheduleCancelable(delay time.Duration, fn func()) (cancel fun
 // closure-only). On a stopped realtime clock the returned ref is inert and
 // the event never fires.
 func (n *Network) ScheduleExpiry(delay time.Duration, e Expirer, seq uint64, tok any) ExpiryRef {
-	if n.vclock != nil {
-		return n.vclock.scheduleExpiry(delay, e, seq, tok)
-	}
 	if n.sclock != nil {
 		return n.sclock.scheduleExpiryLane(0, delay, e, seq, tok)
 	}
@@ -1050,53 +1036,43 @@ func (n *Network) ScheduleExpiry(delay time.Duration, e Expirer, seq uint64, tok
 // queueCap exposes the event queue's backing capacity; leak tests assert it
 // stays bounded across long schedule/cancel/step runs.
 func (n *Network) queueCap() int {
-	if n.vclock != nil {
-		return n.vclock.queueCap()
-	}
 	if n.sclock != nil {
 		return n.sclock.queueCap()
 	}
 	return n.rclock.queueCap()
 }
 
-// Step executes the next scheduled event, advancing the virtual clock; on
-// the sharded clock one Step is one barrier round (up to a lookahead quantum
-// of virtual time). It reports whether an event ran. On the realtime clock
+// Step executes the next scheduled event, advancing the virtual clock; on a
+// zoned network one Step is one barrier round (up to a lookahead window of
+// virtual time). It reports whether an event ran. On the realtime clock
 // there is nothing for the caller to drive — the loop goroutine fires
 // events — so Step always reports false.
 func (n *Network) Step() bool {
-	if n.vclock != nil {
-		return n.vclock.Step()
-	}
 	if n.sclock != nil {
 		return n.sclock.Step()
 	}
 	return false
 }
 
-// StepUntil advances the network by one bounded slice of work: on the sharded
-// clock it executes at most one barrier round whose windows are clamped to
-// the deadline (inclusive), on the virtual clock it runs events up to the
+// StepUntil advances the network by one bounded slice of work: on a zoned
+// network it executes at most one barrier round whose windows are clamped to
+// the deadline (inclusive), on an unzoned one it runs events up to the
 // deadline, and on the realtime clock it is a no-op (the loop goroutine
 // advances on its own). It reports whether any event ran; when no pending
 // event is due by the deadline the clock simply advances to it. Cooperative
 // drivers (the SDK's conducted strands) use the round granularity to re-check
 // wake conditions between rounds without overshooting their next deadline.
 func (n *Network) StepUntil(deadline time.Duration) bool {
-	switch {
-	case n.sclock != nil:
+	if n.sclock != nil {
 		return n.sclock.StepUntil(deadline)
-	case n.vclock != nil:
-		return n.vclock.RunUntil(deadline) > 0
-	default:
-		return false
 	}
+	return false
 }
 
 // ShardStats returns the sharded clock's barrier telemetry, reporting ok
-// false on non-sharded networks.
+// false on networks with fewer than two zone lanes.
 func (n *Network) ShardStats() (ShardStats, bool) {
-	if n.sclock == nil {
+	if !n.zoned() {
 		return ShardStats{}, false
 	}
 	return n.sclock.Stats(), true
@@ -1109,9 +1085,6 @@ func (n *Network) ShardStats() (ShardStats, bool) {
 // returns 0; self-rescheduling activities (active streams) never go idle,
 // so bound those waits with RunUntil instead.
 func (n *Network) RunUntilIdle(maxSteps int) int {
-	if n.vclock != nil {
-		return n.vclock.RunUntilIdle(maxSteps)
-	}
 	if n.sclock != nil {
 		return n.sclock.RunUntilIdle(maxSteps)
 	}
@@ -1127,9 +1100,6 @@ func (n *Network) RunUntilIdle(maxSteps int) int {
 // clock the call blocks until the runtime drains or the deadline passes on
 // the (scaled) wall clock.
 func (n *Network) RunUntilQuiesced(deadline time.Duration) bool {
-	if n.vclock != nil {
-		return n.vclock.RunUntilQuiesced(deadline)
-	}
 	if n.sclock != nil {
 		return n.sclock.RunUntilQuiesced(deadline)
 	}
@@ -1142,9 +1112,6 @@ func (n *Network) RunUntilQuiesced(deadline time.Duration) bool {
 // the call simply blocks (sleeping on the wall clock, compressed by the
 // time scale) until the deadline passes on the loop goroutine.
 func (n *Network) RunUntil(deadline time.Duration) int {
-	if n.vclock != nil {
-		return n.vclock.RunUntil(deadline)
-	}
 	if n.sclock != nil {
 		return n.sclock.RunUntil(deadline)
 	}

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// TestVirtualRunUntilQuiesced: the bounded drain runs everything due inside
-// the horizon, reports idle only when the queue actually drained, and
-// leaves later events queued.
+// TestVirtualRunUntilQuiesced: on the one-lane virtual clock, the bounded
+// drain runs everything due inside the horizon, reports idle only when the
+// queue actually drained, and leaves later events queued.
 func TestVirtualRunUntilQuiesced(t *testing.T) {
-	c := NewVirtualClock()
+	c := NewShardedClock(1, 1, 0)
 	var ran []int
 	c.Schedule(1*time.Second, func() { ran = append(ran, 1) })
 	c.Schedule(2*time.Second, func() { ran = append(ran, 2) })
@@ -43,7 +43,7 @@ func TestVirtualRunUntilQuiesced(t *testing.T) {
 // TestVirtualQuiesceSelfRescheduling: an event that reschedules itself (the
 // stream-tick shape) can never drain; the quiesce must stop at the horizon.
 func TestVirtualQuiesceSelfRescheduling(t *testing.T) {
-	c := NewVirtualClock()
+	c := NewShardedClock(1, 1, 0)
 	ticks := 0
 	var tick func()
 	tick = func() {

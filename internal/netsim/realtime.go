@@ -33,7 +33,8 @@ type RealtimeConfig struct {
 // Virtual timestamps remain the scheduling currency: Now() is the wall time
 // elapsed since the clock started, multiplied by the time scale. Runs are
 // NOT deterministic — wall-clock jitter reorders same-window events and
-// handlers race in the pool. Use the VirtualClock for reproducibility.
+// handlers race in the pool. Use the virtual ShardedClock for
+// reproducibility.
 type RealtimeClock struct {
 	scale   float64
 	workers int

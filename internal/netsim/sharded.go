@@ -36,9 +36,8 @@ import (
 // m'_j, hence anything it emits into lane i arrives at or after w_i: events
 // below w_i in lane i's post-merge heap are complete, and the window is safe.
 // Zones far apart in the routing tree thus run many quanta ahead of each
-// other instead of advancing in lock-step one-hop windows; with the matrix
-// absent (Config.GlobalLookahead, or no topology information) every window
-// falls back to the global bound m + Quantum.
+// other instead of advancing in lock-step one-hop windows; a lane pair the
+// matrix has no node pair for yet falls back to the one-hop Quantum.
 //
 // Determinism: lane execution order is fixed by each lane's own (timestamp,
 // sequence) heap order; cross-lane events buffer in per-source-lane outboxes
@@ -50,6 +49,11 @@ import (
 // membership (see Network), a parallel run is bit-identical to the
 // sequential (Workers=1) run of the same program: same delivery order per
 // lane, same stats, same payload bytes.
+//
+// A one-lane clock (an unzoned network) has no barrier at all: Step runs
+// exactly one event, the drivers run events one at a time in (timestamp,
+// sequence) order, Now tracks the last executed event, and no round state —
+// scratch, worker pool, inRound — ever exists.
 type ShardedClock struct {
 	lanes   []*shardLane
 	quantum time.Duration
@@ -65,9 +69,9 @@ type ShardedClock struct {
 	// Network applies deferred membership mutations here).
 	postRound func()
 
-	// lookahead is the per-lane-pair hop matrix (nil = global-quantum mode);
-	// laNs is its barrier snapshot in effective nanoseconds, refreshed when
-	// laVersion trails the matrix version.
+	// lookahead is the per-lane-pair hop matrix (nil on one lane); laNs is
+	// its barrier snapshot in effective nanoseconds, refreshed when laVersion
+	// trails the matrix version.
 	lookahead *Lookahead
 	laNs      []int64
 	laVersion uint64
@@ -102,6 +106,11 @@ type ShardedClock struct {
 	laneRounds  atomic.Int64
 	crossMerged atomic.Int64
 	causalViol  atomic.Int64
+
+	// lane0 and laneBuf back lanes on a one-lane clock, so an unzoned
+	// network's clock costs a single allocation.
+	lane0   shardLane
+	laneBuf [1]*shardLane
 }
 
 // laneFar marks an empty lane's heap minimum; far enough to act as infinity,
@@ -149,11 +158,15 @@ func ShardQuantum(procJitter float64) time.Duration {
 // NewShardedClock builds a sharded clock with the given number of zone lanes.
 // workers bounds round parallelism: 0 means GOMAXPROCS, 1 forces the
 // sequential single-loop schedule (bit-identical to any parallel run).
-// Windows use the global quantum until setLookahead installs a topology
-// matrix.
+// With two or more lanes, windows derive from a per-lane-pair lookahead
+// matrix that starts empty (every pair at the one-hop quantum); Network
+// feeds it the topology through AddNode.
 func NewShardedClock(lanes int, workers int, quantum time.Duration) *ShardedClock {
-	if lanes < 1 {
-		lanes = 1
+	if lanes <= 1 {
+		c := &ShardedClock{workers: 1}
+		c.laneBuf[0] = &c.lane0
+		c.lanes = c.laneBuf[:]
+		return c
 	}
 	if quantum <= 0 {
 		quantum = ShardQuantum(0)
@@ -166,6 +179,8 @@ func NewShardedClock(lanes int, workers int, quantum time.Duration) *ShardedCloc
 		quantum:    quantum,
 		workers:    workers,
 		stopCh:     make(chan struct{}),
+		lookahead:  newLookahead(lanes),
+		laNs:       make([]int64, lanes*lanes),
 		minAt:      make([]int64, lanes),
 		relaxed:    make([]int64, lanes),
 		visited:    make([]bool, lanes),
@@ -177,19 +192,8 @@ func NewShardedClock(lanes int, workers int, quantum time.Duration) *ShardedCloc
 	for i := range c.lanes {
 		c.lanes[i] = &shardLane{}
 	}
+	c.laVersion = c.lookahead.snapshotNs(quantum, c.laNs)
 	return c
-}
-
-// setLookahead installs the per-lane-pair hop matrix; windows switch from the
-// global quantum to matrix-derived bounds at the next barrier. Only
-// meaningful before the clock starts running rounds (Network.New wires it).
-func (c *ShardedClock) setLookahead(la *Lookahead) {
-	if la == nil || len(c.lanes) < 2 {
-		return
-	}
-	c.lookahead = la
-	c.laNs = make([]int64, len(c.lanes)*len(c.lanes))
-	c.laVersion = la.snapshotNs(c.quantum, c.laNs)
 }
 
 // Lanes returns the number of zone lanes.
@@ -198,10 +202,6 @@ func (c *ShardedClock) Lanes() int { return len(c.lanes) }
 // Sequential reports whether rounds execute lanes in order on the driving
 // goroutine (the single-loop schedule) rather than on the worker pool.
 func (c *ShardedClock) Sequential() bool { return c.workers == 1 }
-
-// PairLookahead reports whether windows derive from the per-lane-pair matrix
-// rather than the global quantum.
-func (c *ShardedClock) PairLookahead() bool { return c.lookahead != nil }
 
 // ShardStats is the clock's barrier telemetry. All counts are deterministic
 // for a given schedule: windows derive from heap state and topology only, so
@@ -235,8 +235,17 @@ func (c *ShardedClock) Stats() ShardStats {
 }
 
 // Now returns the barrier-synchronized global virtual time. During a round,
-// handlers should consult their node's lane-local Now (Node.Now) instead.
-func (c *ShardedClock) Now() time.Duration { return time.Duration(c.now.Load()) }
+// handlers should consult their node's lane-local Now (Node.Now) instead. On
+// one lane there is no barrier, and Now is the lane's own time.
+func (c *ShardedClock) Now() time.Duration {
+	if c.oneLane() {
+		return c.laneNow(0)
+	}
+	return time.Duration(c.now.Load())
+}
+
+// oneLane reports whether this is the barrier-free one-lane clock.
+func (c *ShardedClock) oneLane() bool { return len(c.lanes) == 1 }
 
 // laneNow returns a lane's local virtual time.
 func (c *ShardedClock) laneNow(lane int32) time.Duration {
@@ -272,7 +281,10 @@ func (c *ShardedClock) scheduleLane(lane int32, delay time.Duration, fn func()) 
 }
 
 // ScheduleCancelable runs fn at Now()+delay on the control lane and returns a
-// cancel function (semantics match VirtualClock.ScheduleCancelable).
+// cancel function. A cancelled event is dropped entirely: it neither runs nor
+// advances the clock to its timestamp. Cancellation is O(1): the event is
+// marked dead and skipped when it surfaces, and the heap compacts when dead
+// events dominate.
 func (c *ShardedClock) ScheduleCancelable(delay time.Duration, fn func()) (cancel func()) {
 	return c.scheduleCancelableLane(0, delay, fn)
 }
@@ -334,9 +346,12 @@ func (c *ShardedClock) scheduleDelivery(srcLane, dstLane int32, delay time.Durat
 }
 
 // Stop retires the worker pool (helpers park between rounds, so this never
-// interrupts a window); subsequent rounds execute inline. Idempotent.
+// interrupts a window); subsequent rounds execute inline. Idempotent, and a
+// no-op on one lane, which has no pool.
 func (c *ShardedClock) Stop() {
-	c.stopOnce.Do(func() { close(c.stopCh) })
+	if c.stopCh != nil {
+		c.stopOnce.Do(func() { close(c.stopCh) })
+	}
 }
 
 // stopped reports whether Stop retired the pool.
@@ -460,22 +475,11 @@ func (c *ShardedClock) scanMinima() (int64, bool) {
 	return g, g < laneFar
 }
 
-// computeWindows fills winNs for a round starting at global minimum g,
-// bounded by limit (exclusive). In matrix mode each lane's bound is
-// w_i = min over j≠i of (m'_j + L(j→i)) with m' the min-plus closure of the
-// heap minima over the matrix; otherwise every lane gets g + quantum.
-func (c *ShardedClock) computeWindows(g, limit int64) {
+// computeWindows fills winNs for a round, bounded by limit (exclusive): each
+// lane's bound is w_i = min over j≠i of (m'_j + L(j→i)) with m' the min-plus
+// closure of the heap minima over the matrix.
+func (c *ShardedClock) computeWindows(limit int64) {
 	n := len(c.lanes)
-	if c.lookahead == nil || n < 2 {
-		w := g + int64(c.quantum)
-		if w > limit {
-			w = limit
-		}
-		for i := range c.winNs {
-			c.winNs[i] = w
-		}
-		return
-	}
 	if v := c.lookahead.version.Load(); v != c.laVersion {
 		c.laVersion = c.lookahead.snapshotNs(c.quantum, c.laNs)
 	}
@@ -520,11 +524,12 @@ func (c *ShardedClock) computeWindows(g, limit int64) {
 	}
 }
 
-// runWindow executes events with timestamps in [*, w1) on one lane, in heap
-// order, advancing the lane-local clock. Returns the number executed.
-func (sl *shardLane) runWindow(w1 time.Duration) int {
+// runWindow executes up to maxEvents events with timestamps in [*, w1) on one
+// lane, in heap order, advancing the lane-local clock. Returns the number
+// executed.
+func (sl *shardLane) runWindow(w1 time.Duration, maxEvents int) int {
 	steps := 0
-	for {
+	for steps < maxEvents {
 		sl.mu.Lock()
 		ev := sl.eh.peek()
 		if ev == nil || ev.at >= w1 {
@@ -543,6 +548,14 @@ func (sl *shardLane) runWindow(w1 time.Duration) int {
 		f.run()
 		steps++
 	}
+	return steps
+}
+
+// empty reports whether the lane has no pending event.
+func (sl *shardLane) empty() bool {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	return sl.eh.peek() == nil
 }
 
 // ensurePool lazily spawns the workers-1 helper goroutines. They live until
@@ -581,18 +594,18 @@ func (c *ShardedClock) claimLanes() {
 			return
 		}
 		li := idx[k]
-		if n := c.lanes[li].runWindow(time.Duration(c.winNs[li])); n > 0 {
+		if n := c.lanes[li].runWindow(time.Duration(c.winNs[li]), math.MaxInt); n > 0 {
 			c.roundEvents.Add(int64(n))
 		}
 	}
 }
 
-// roundFrom executes one barrier round: windows from the minima recorded by
-// scanMinima (global minimum g), bounded by limit (exclusive); then the
-// barrier — merge outboxes, apply deferred network mutations, advance the
-// global clock. Returns the number of events executed.
-func (c *ShardedClock) roundFrom(g, limit int64) int {
-	c.computeWindows(g, limit)
+// round executes one barrier round: windows from the minima recorded by
+// scanMinima, bounded by limit (exclusive); then the barrier — merge
+// outboxes, apply deferred network mutations, advance the global clock.
+// Returns the number of events executed.
+func (c *ShardedClock) round(limit int64) int {
+	c.computeWindows(limit)
 	active := c.activeIdx[:0]
 	for i := range c.lanes {
 		if c.minAt[i] < c.winNs[i] {
@@ -604,7 +617,7 @@ func (c *ShardedClock) roundFrom(g, limit int64) int {
 	c.inRound.Store(true)
 	if c.workers == 1 || len(active) == 1 || c.stopped() {
 		for _, li := range active {
-			total += c.lanes[li].runWindow(time.Duration(c.winNs[li]))
+			total += c.lanes[li].runWindow(time.Duration(c.winNs[li]), math.MaxInt)
 		}
 	} else {
 		c.ensurePool()
@@ -646,13 +659,17 @@ func (c *ShardedClock) roundFrom(g, limit int64) int {
 // Step executes the next window of scheduled events (one barrier round),
 // advancing the clock. It reports whether any event ran. One sharded Step
 // covers up to a window of virtual time, not a single event — drivers that
-// step until a condition holds (the SDK's await loop) are unaffected.
+// step until a condition holds (the SDK's await loop) are unaffected. On one
+// lane Step executes exactly one event, so closed-loop callers re-check their
+// conditions after every event.
 func (c *ShardedClock) Step() bool {
-	g, ok := c.scanMinima()
-	if !ok {
+	if c.oneLane() {
+		return c.lane0.runWindow(math.MaxInt64, 1) > 0
+	}
+	if _, ok := c.scanMinima(); !ok {
 		return false
 	}
-	return c.roundFrom(g, laneFar) > 0
+	return c.round(laneFar) > 0
 }
 
 // StepUntil executes at most one barrier round whose windows are additionally
@@ -660,13 +677,17 @@ func (c *ShardedClock) Step() bool {
 // no pending event is due by the deadline the clock advances straight to it.
 // This is the cooperative-driver primitive: one call is one bounded slice of
 // parallel work, after which the caller can re-examine its wake conditions.
+// On one lane it is RunUntil(deadline) > 0.
 func (c *ShardedClock) StepUntil(deadline time.Duration) bool {
+	if c.oneLane() {
+		return c.RunUntil(deadline) > 0
+	}
 	g, ok := c.scanMinima()
 	if !ok || g > int64(deadline) {
 		c.advanceTo(deadline)
 		return false
 	}
-	return c.roundFrom(g, int64(deadline)+1) > 0
+	return c.round(int64(deadline)+1) > 0
 }
 
 // RunUntilIdle runs rounds until no events remain (bounded by maxSteps
@@ -675,13 +696,15 @@ func (c *ShardedClock) RunUntilIdle(maxSteps int) int {
 	if maxSteps <= 0 {
 		maxSteps = 1_000_000
 	}
+	if c.oneLane() {
+		return c.lane0.runWindow(math.MaxInt64, maxSteps)
+	}
 	total := 0
 	for total < maxSteps {
-		g, ok := c.scanMinima()
-		if !ok {
+		if _, ok := c.scanMinima(); !ok {
 			break
 		}
-		total += c.roundFrom(g, laneFar)
+		total += c.round(laneFar)
 	}
 	return total
 }
@@ -702,6 +725,13 @@ func (c *ShardedClock) advanceTo(deadline time.Duration) {
 // RunUntil processes events up to (and including) the virtual deadline, then
 // advances the clock to the deadline.
 func (c *ShardedClock) RunUntil(deadline time.Duration) int {
+	// Window bounds are exclusive; deadline+1 includes events at the
+	// deadline while keeping every lane's clock at or below it.
+	if c.oneLane() {
+		steps := c.lane0.runWindow(deadline+1, math.MaxInt)
+		c.advanceTo(deadline)
+		return steps
+	}
 	steps := 0
 	for {
 		g, ok := c.scanMinima()
@@ -709,9 +739,7 @@ func (c *ShardedClock) RunUntil(deadline time.Duration) int {
 			c.advanceTo(deadline)
 			return steps
 		}
-		// The window bound is exclusive; deadline+1 includes events at the
-		// deadline while keeping every lane's clock at or below it.
-		steps += c.roundFrom(g, int64(deadline)+1)
+		steps += c.round(int64(deadline) + 1)
 	}
 }
 
@@ -720,6 +748,14 @@ func (c *ShardedClock) RunUntil(deadline time.Duration) int {
 // clock stays at the last event's time (like RunUntilIdle); otherwise it
 // advances exactly to the deadline with the remaining events still queued.
 func (c *ShardedClock) RunUntilQuiesced(deadline time.Duration) bool {
+	if c.oneLane() {
+		c.lane0.runWindow(deadline+1, math.MaxInt)
+		if c.lane0.empty() {
+			return true
+		}
+		c.advanceTo(deadline)
+		return false
+	}
 	for {
 		g, ok := c.scanMinima()
 		if !ok {
@@ -729,7 +765,7 @@ func (c *ShardedClock) RunUntilQuiesced(deadline time.Duration) bool {
 			c.advanceTo(deadline)
 			return false
 		}
-		c.roundFrom(g, int64(deadline)+1)
+		c.round(int64(deadline) + 1)
 	}
 }
 

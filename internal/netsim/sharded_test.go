@@ -149,13 +149,16 @@ func TestShardedStormRace(t *testing.T) {
 	}
 }
 
-// TestShardedFallback: one (or zero) zones must select the classic
-// single-loop VirtualClock, not the sharded machinery.
+// TestShardedFallback: one (or zero) zones run the clock on a single lane,
+// which the network does not report as sharded.
 func TestShardedFallback(t *testing.T) {
 	for _, zones := range []int{0, 1} {
 		n := New(Config{Zones: zones})
 		if _, _, ok := n.Sharded(); ok {
-			t.Fatalf("Zones=%d: network reports sharded; want VirtualClock fallback", zones)
+			t.Fatalf("Zones=%d: network reports sharded; want the one-lane clock", zones)
+		}
+		if _, ok := n.ShardStats(); ok {
+			t.Fatalf("Zones=%d: network reports shard telemetry; want none on one lane", zones)
 		}
 		nodes := buildLine(t, n, 2)
 		var got int

@@ -147,11 +147,6 @@ type Config struct {
 	// late driver return must go to the next read rather than be sent with
 	// a stale sequence number the client will discard.
 	PendingReadTimeout time.Duration
-	// InterpDrivers pins installed drivers to the reference bytecode
-	// interpreter instead of the compiled engine built at install time.
-	// The two are transcript-identical; this is the escape hatch and
-	// differential-testing knob.
-	InterpDrivers bool
 }
 
 // netScheduler adapts the network's clock to vm.Scheduler. Scheduled driver
@@ -515,9 +510,6 @@ func (t *Thing) activate(channel int, code []byte, trace *PluginTrace) {
 		if err != nil {
 			t.mu.Unlock()
 			return
-		}
-		if t.cfg.InterpDrivers {
-			rt.Machine().SetInterp(true)
 		}
 		// Drivers run on the network's clock so that timeouts, sensor
 		// conversions and protocol traffic advance coherently.

@@ -80,8 +80,7 @@ type Machine struct {
 	// computed under; Run recosts when Time was reassigned.
 	costModel AVRTimeModel
 	// interp forces the reference interpreter even when compiled forms
-	// exist (the oracle side of differential tests, and the
-	// WithCompiledDrivers(false) escape hatch).
+	// exist (the oracle side of differential tests).
 	interp bool
 
 	// MaxStack bounds the operand stack (default 64 cells).
@@ -151,7 +150,7 @@ func NewMachine(prog *bytecode.Program) (*Machine, error) {
 
 // SetInterp forces (or releases) the reference interpreter for all handler
 // runs. Differential tests pin one Machine of a pair to the oracle this
-// way; deployments reach it through WithCompiledDrivers(false).
+// way.
 func (m *Machine) SetInterp(on bool) { m.interp = on }
 
 // Compiled reports whether the compiled engine serves Run: the program

@@ -144,18 +144,6 @@ func WithShardWorkers(n int) Option {
 	return func(c *config) { c.core.Workers = n }
 }
 
-// WithGlobalLookahead pins the zone-sharded clock to the single global
-// one-hop lookahead quantum instead of the per-lane-pair lookahead matrix it
-// derives from the cross-zone topology by default. The matrix lets zones far
-// apart in the routing tree run many quanta ahead of each other per barrier
-// round (fewer rounds, better scaling) while runs stay bit-identical across
-// worker counts; the global quantum is the conservative pre-matrix behaviour
-// and the comparison knob (the upnp-load/upnp-sim -lookahead flag). Ignored
-// off the sharded clock.
-func WithGlobalLookahead() Option {
-	return func(c *config) { c.core.GlobalLookahead = true }
-}
-
 // WithRetryPolicy enables automatic retransmission of unanswered unicast
 // reads and writes (the ARQ layer the paper defers): when no reply arrived
 // baseBackoff of virtual time after a transmission, the request is resent,
@@ -167,17 +155,6 @@ func WithRetryPolicy(attempts int, baseBackoff time.Duration) Option {
 	return func(c *config) {
 		c.core.Retry = client.RetryPolicy{Attempts: attempts, BaseBackoff: baseBackoff}
 	}
-}
-
-// WithCompiledDrivers selects the driver execution engine. Drivers compile
-// to a pre-decoded block-threaded form at install time (the default);
-// passing false pins the reference bytecode interpreter instead. The two
-// engines are transcript-identical — same results, traps, signal order and
-// emulated time — so this only trades execution speed, never behaviour;
-// false is the escape hatch and the differential-testing knob (the
-// upnp-sim/upnp-load -interp flag).
-func WithCompiledDrivers(enabled bool) Option {
-	return func(c *config) { c.core.InterpDrivers = !enabled }
 }
 
 // WithManagers stands the deployment up with n manager instances behind the
@@ -349,30 +326,6 @@ func (d *Deployment) AddThing(name string, opts ...ThingOption) (*Thing, error) 
 		}
 	}
 	return t, nil
-}
-
-// AddThingUnder creates a Thing attached below an existing Thing in the
-// routing tree.
-//
-// Deprecated: use AddThing(name, Under(parent)).
-func (d *Deployment) AddThingUnder(name string, parent *Thing) (*Thing, error) {
-	return d.AddThing(name, Under(parent))
-}
-
-// AddThingInZone creates a Thing whose address carries the given zone, one
-// hop from the manager.
-//
-// Deprecated: use AddThing(name, InZone(zone)).
-func (d *Deployment) AddThingInZone(name string, zone uint16) (*Thing, error) {
-	return d.AddThing(name, InZone(zone))
-}
-
-// AddThingInZoneUnder creates a Thing in a zone attached below an existing
-// Thing in the routing tree.
-//
-// Deprecated: use AddThing(name, InZone(zone), Under(parent)).
-func (d *Deployment) AddThingInZoneUnder(name string, zone uint16, parent *Thing) (*Thing, error) {
-	return d.AddThing(name, InZone(zone), Under(parent))
 }
 
 // AddZonedThing creates a Thing placed in a location zone with the
