@@ -15,9 +15,14 @@
 //	          [-realtime] [-timescale X] [-clients N] [-out FILE]
 //	          [-target http://HOST:PORT [-ops N]]
 //
+// -zones > 1 runs the deployment on the zone-sharded clock, -shard-workers
+// bounding its round parallelism (1 = the sequential single-loop schedule);
+// the result JSON is byte-identical at every -shard-workers value.
+//
 // -deployments > 1 federates that many virtual deployments (distinct sites)
 // behind one micropnp.Fleet and routes the whole workload through the fleet
-// surface, member clocks stepped round-robin by the conductor — still
+// surface: one arrival loop waits for each arrival by stepping the member
+// clocks round-robin in 250ms quanta (the fleet conductor) — still
 // bit-deterministic per (scenario, seed), at any -shard-workers value.
 // -managers sets per-deployment anycast manager redundancy, and -fail-at
 // crashes manager 0 of deployment 0 that far into the workload (the
@@ -31,10 +36,13 @@
 // virtual-mode gateway the single-lane http-smoke scenario is deterministic
 // and CI gates its p99s (LOAD_http_baseline.json).
 //
-// Virtual-mode runs (the default) are deterministic: the same scenario and
-// seed reproduce the op schedule and every histogram bit for bit, on any
-// machine — which is what lets CI gate latency percentiles against a
-// committed baseline. -realtime runs the same schedule concurrently against
+// Virtual-mode runs (the default) are deterministic: a single deployment's
+// ops issue from cooperative strands under Deployment.Conduct (one per zone
+// lane group for an open loop, one for a closed loop), which interleave by
+// virtual time and strand index only, so the same scenario and seed
+// reproduce the op schedule and every histogram bit for bit, on any machine
+// — which is what lets CI gate latency percentiles against a committed
+// baseline. -realtime runs the same schedule concurrently against
 // the wall clock (compressed by -timescale) and measures real latencies.
 //
 // Examples:

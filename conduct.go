@@ -19,7 +19,8 @@ import (
 // time and completion state — never by goroutine scheduling — a conducted
 // program is bit-deterministic like a single-goroutine one, while zone-aware
 // workloads issue ops from one strand per zone group between rounds instead
-// of a single thread feeding all lanes (the loadgen zoned engine).
+// of a single thread feeding all lanes. internal/loadgen plays every
+// single-deployment virtual run this way.
 //
 // Constraints: virtual mode only (panics in realtime mode — plain goroutines
 // are the right tool there); strand functions must make SDK calls with

@@ -102,7 +102,8 @@ func TestFleetPreset(t *testing.T) {
 }
 
 // TestFleetConfigValidation pins the fleet mode's constraints: virtual-mode
-// open-loop only, and a crash needs an anycast survivor.
+// open-loop only, a crash needs an anycast survivor, and a crash needs a
+// single arrival strand to inject it.
 func TestFleetConfigValidation(t *testing.T) {
 	base := miniFleetCfg()
 
@@ -124,9 +125,9 @@ func TestFleetConfigValidation(t *testing.T) {
 		t.Fatal("ManagerFailAt without a survivor must not normalize")
 	}
 
-	conducted := base
-	conducted.Deployments = 1
-	if err := conducted.normalize(); err == nil {
-		t.Fatal("ManagerFailAt on the conducted zoned engine must not normalize")
+	split := base
+	split.Deployments = 1
+	if err := split.normalize(); err == nil {
+		t.Fatal("ManagerFailAt on a zoned single deployment must not normalize: its arrivals split across lane-group strands, and only a single arrival strand injects the crash")
 	}
 }

@@ -7,10 +7,14 @@
 //
 // Two execution models match the deployment's two clock modes:
 //
-//   - Virtual (deterministic): operations execute one at a time on the
-//     simulated timeline, latencies are exact virtual-time spans, and the
-//     whole run — op schedule, histograms, percentiles — is a pure function
-//     of (scenario, seed). This is what CI gates on.
+//   - Virtual (deterministic): operations are issued from cooperative
+//     strands under Deployment.Conduct (one per zone lane group for an open
+//     loop, one for a closed loop; a fleet run's single arrival loop steps
+//     its member clocks through a conductor), so ops on different lanes
+//     overlap in flight but interleave only by strand index and virtual
+//     time. Latencies are exact virtual-time spans, and the whole run — op
+//     schedule, histograms, percentiles — is a pure function of (scenario,
+//     seed). This is what CI gates on.
 //   - Realtime (concurrent): a dispatcher (open loop) or a worker pool
 //     (closed loop) issues genuinely overlapping requests against the
 //     wall-clock runtime; the op schedule stays seed-deterministic but

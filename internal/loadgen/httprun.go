@@ -286,31 +286,10 @@ func (r *httpRunner) result(gwMode string, virtualSpan time.Duration, wall time.
 	if secs <= 0 {
 		secs = wall.Seconds()
 	}
-	for op := Op(0); op < opKinds; op++ {
-		st := &r.stats[op]
-		if st.issued.Load() == 0 {
-			continue
+	for op := range r.stats {
+		if r.stats[op].issued.Load() > 0 {
+			res.addOp(Op(op), &r.stats[op], secs)
 		}
-		o := &OpResult{
-			Issued:   st.issued.Load(),
-			Count:    st.completed.Load(),
-			Errors:   st.errors.Load(),
-			Timeouts: st.timeouts.Load(),
-			MeanNs:   st.hist.Mean(),
-			P50Ns:    st.hist.Quantile(0.5),
-			P90Ns:    st.hist.Quantile(0.9),
-			P99Ns:    st.hist.Quantile(0.99),
-			P999Ns:   st.hist.Quantile(0.999),
-			MaxNs:    st.hist.Max(),
-		}
-		if secs > 0 {
-			o.ThroughputPerSec = float64(o.Count) / secs
-		}
-		res.Issued += o.Issued
-		res.Completed += o.Count
-		res.Errors += o.Errors
-		res.Timeouts += o.Timeouts
-		res.Ops[op.String()] = o
 	}
 	return res
 }

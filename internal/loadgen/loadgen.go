@@ -25,6 +25,16 @@ type opStats struct {
 	hist      Histogram
 }
 
+// backend is the SDK surface a workload op issues through: a deployment's
+// *micropnp.Client, or a *micropnp.Fleet routing by prefix to its members
+// (the four methods gateway.Backend names).
+type backend interface {
+	ReadInto(ctx context.Context, thing netip.Addr, id micropnp.DeviceID, scratch []int32) (micropnp.Reading, error)
+	Write(ctx context.Context, thing netip.Addr, id micropnp.DeviceID, vals []int32) error
+	Discover(ctx context.Context, id micropnp.DeviceID) ([]micropnp.Advert, error)
+	Subscribe(ctx context.Context, thing netip.Addr, id micropnp.DeviceID, onReading func(micropnp.Reading)) (*micropnp.Subscription, error)
+}
+
 // plan is one operation fully drawn from the schedule rng before execution,
 // so realtime op goroutines never touch a shared random stream and the op
 // schedule stays seed-deterministic in every mode.
@@ -32,14 +42,9 @@ type plan struct {
 	op   Op
 	tgt  *target
 	wr   *target
-	cl   *micropnp.Client
+	cl   backend
 	val  int32
 	disc micropnp.DeviceID
-	// sink, when set, receives the held subscription a successful OpSubscribe
-	// opens instead of the runner's shared list — the conducted zoned engine
-	// points it at the issuing strand's own hold list so each strand services
-	// its closes on its own timeline.
-	sink *[]heldSub
 }
 
 // swapPending is one hot-swap awaiting the new peripheral's advertisement.
@@ -51,7 +56,7 @@ type swapPending struct {
 	st     *opStats
 }
 
-// heldSub is an open subscription the virtual loop closes at closeAt; dep is
+// heldSub is an open subscription a virtual player closes at closeAt; dep is
 // the fleet member whose clock the close rides on (0 outside fleet runs).
 type heldSub struct {
 	sub     *micropnp.Subscription
@@ -68,11 +73,12 @@ type runner struct {
 	cfg Config
 	// Single-deployment runs drive d directly; fleet runs (cfg.Deployments
 	// > 1) drive deps through fleet instead and leave d nil — depClock
-	// resolves the right clock either way.
+	// resolves the right clock either way. clients holds the Clients
+	// requests spread across; in fleet runs every slot is the fleet itself.
 	d         *micropnp.Deployment
 	deps      []*micropnp.Deployment
 	fleet     *micropnp.Fleet
-	clients   []*micropnp.Client
+	clients   []backend
 	targets   []*target
 	writables []*target
 
@@ -95,8 +101,9 @@ type runner struct {
 	swapMu sync.Mutex
 	swaps  map[netip.Addr]*swapPending
 
-	// openSubs is the virtual loop's hold list (single goroutine, no lock);
-	// realtime holds run on goroutines coordinated by subWG/stopCh.
+	// openSubs collects the holds virtual players leave open for teardown
+	// (players append in turn, never concurrently); realtime holds run on
+	// goroutines coordinated by subWG/stopCh.
 	openSubs []heldSub
 	subWG    sync.WaitGroup
 	stopCh   chan struct{}
@@ -151,7 +158,7 @@ func run(cfg Config) (*runner, *Result, error) {
 	if cfg.Deployments > 1 {
 		// Fleet mode: one deployment per site, federated behind a Fleet; the
 		// fleet's own per-member clients carry the workload, so the runner
-		// adds none of its own.
+		// adds none of its own — every client slot routes through the fleet.
 		r.deps = make([]*micropnp.Deployment, cfg.Deployments)
 		for i := range r.deps {
 			if r.deps[i], err = micropnp.NewDeployment(deployOpts(cfg, cfg.Seed+int64(i)*104729, i)...); err != nil {
@@ -160,6 +167,9 @@ func run(cfg Config) (*runner, *Result, error) {
 		}
 		if r.fleet, err = micropnp.NewFleet(r.deps...); err != nil {
 			return nil, nil, err
+		}
+		for range cfg.Clients {
+			r.clients = append(r.clients, r.fleet)
 		}
 		if r.targets, r.writables, err = buildFleetTopology(r.deps, cfg); err != nil {
 			return nil, nil, err
@@ -187,17 +197,18 @@ func run(cfg Config) (*runner, *Result, error) {
 		if r.targets, r.writables, err = buildTopology(d, cfg); err != nil {
 			return nil, nil, err
 		}
-		r.clients = make([]*micropnp.Client, cfg.Clients)
-		for i := range r.clients {
-			if r.clients[i], err = d.AddClient(); err != nil {
-				return nil, nil, err
+		for range cfg.Clients {
+			cl, cerr := d.AddClient()
+			if cerr != nil {
+				return nil, nil, cerr
 			}
+			r.clients = append(r.clients, cl)
 		}
 		// Let every plug-in sequence (identify, OTA driver install, advertise)
 		// drain before the workload starts; no streams are active yet, so Run
 		// terminates in both modes.
 		d.Run()
-		r.clients[0].OnAdvert(r.onAdvert)
+		r.clients[0].(*micropnp.Client).OnAdvert(r.onAdvert)
 		r.start = d.Now()
 	}
 	r.measureStart = r.start + cfg.Warmup
@@ -316,12 +327,10 @@ func (r *runner) drawPlan(rng *rand.Rand, lane int, intended time.Duration, open
 		p.tgt = r.targets[tgtIdx]
 		clIdx = tgtIdx % r.cfg.Clients
 	}
-	// Fleet runs carry every op through the fleet's own per-member clients;
-	// the drawn client index still folds into the schedule hash so single-
-	// and fleet-mode schedules stay comparable draw for draw.
-	if r.fleet == nil {
-		p.cl = r.clients[clIdx]
-	}
+	// In fleet runs every client slot is the fleet; the drawn client index
+	// still folds into the schedule hash so single- and fleet-mode schedules
+	// stay comparable draw for draw.
+	p.cl = r.clients[clIdx]
 	h := fnvMix(r.laneHash[lane], uint64(p.op), uint64(tgtIdx+1), uint64(wrIdx+1), uint64(clIdx))
 	if openLane {
 		// Hash the offset from the workload start: the absolute instant the
@@ -359,9 +368,12 @@ func (r *runner) recordable(t time.Duration) bool {
 // intended arrival instant (counting backlog delay — the coordinated
 // omission correction); closed-loop latency from the actual issue time. The
 // op's clock is its target's deployment — in fleet runs each member keeps its
-// own virtual timeline and ops route through the fleet surface.
-func (r *runner) exec(lane int, p plan, intended time.Duration, openLoop bool) {
-	d := r.depClock(r.planDep(p))
+// own virtual timeline and ops route through the fleet surface. A successful
+// subscribe returns its hold, due SubHold after establishment on the
+// target's clock; the caller keeps it open until then.
+func (r *runner) exec(lane int, p plan, intended time.Duration, openLoop bool) heldSub {
+	dep := r.planDep(p)
+	d := r.depClock(dep)
 	from := d.Now()
 	if openLoop {
 		from = intended
@@ -376,52 +388,26 @@ func (r *runner) exec(lane int, p plan, intended time.Duration, openLoop bool) {
 	switch p.op {
 	case OpRead:
 		buf := r.bufs.Get().(*[]int32)
-		var rd micropnp.Reading
-		var err error
-		if r.fleet != nil {
-			rd, err = r.fleet.ReadInto(ctx, p.tgt.addr, p.tgt.device(), *buf)
-		} else {
-			rd, err = p.cl.ReadInto(ctx, p.tgt.addr, p.tgt.device(), *buf)
-		}
+		rd, err := p.cl.ReadInto(ctx, p.tgt.addr, p.tgt.device(), *buf)
 		if err == nil && rd.Values != nil {
 			*buf = rd.Values[:0] // recycle the (possibly grown) scratch
 		}
 		r.bufs.Put(buf)
 		r.finish(d, st, rec, from, err)
 	case OpWrite:
-		var err error
-		if r.fleet != nil {
-			err = r.fleet.Write(ctx, p.wr.addr, micropnp.Relay, []int32{p.val})
-		} else {
-			err = p.cl.Write(ctx, p.wr.addr, micropnp.Relay, []int32{p.val})
-		}
+		err := p.cl.Write(ctx, p.wr.addr, micropnp.Relay, []int32{p.val})
 		r.finish(d, st, rec, from, err)
 	case OpDiscover:
-		var err error
-		if r.fleet != nil {
-			_, err = r.fleet.Discover(ctx, p.disc)
-		} else {
-			_, err = p.cl.Discover(ctx, p.disc)
-		}
+		_, err := p.cl.Discover(ctx, p.disc)
 		r.finish(d, st, rec, from, err)
 	case OpSubscribe:
-		var sub *micropnp.Subscription
-		var err error
-		if r.fleet != nil {
-			sub, err = r.fleet.Subscribe(ctx, p.tgt.addr, p.tgt.device(), r.onReading)
-		} else {
-			sub, err = p.cl.Subscribe(ctx, p.tgt.addr, p.tgt.device(), r.onReading)
-		}
+		sub, err := p.cl.Subscribe(ctx, p.tgt.addr, p.tgt.device(), r.onReading)
 		r.finish(d, st, rec, from, err)
 		if err == nil {
 			r.pairMu.Lock()
 			r.pairs[pairKey{p.tgt.addr, sub.Device()}] = p.tgt.thing
 			r.pairMu.Unlock()
-			if p.sink != nil {
-				*p.sink = append(*p.sink, heldSub{sub: sub, closeAt: d.Now() + r.cfg.SubHold})
-			} else {
-				r.holdSub(sub, p.tgt.dep)
-			}
+			return heldSub{sub: sub, closeAt: d.Now() + r.cfg.SubHold, dep: dep}
 		}
 	case OpDrivers:
 		_, err := d.DiscoverDrivers(ctx, p.tgt.thing)
@@ -429,6 +415,7 @@ func (r *runner) exec(lane int, p plan, intended time.Duration, openLoop bool) {
 	case OpHotSwap:
 		r.execHotSwap(st, p, rec, from)
 	}
+	return heldSub{}
 }
 
 // finish records one synchronous operation outcome; d is the deployment clock
@@ -543,13 +530,10 @@ func (r *runner) onAdvert(ad micropnp.Advert) {
 	}
 }
 
-// holdSub keeps a freshly established subscription open for SubHold of
-// virtual time: the virtual loop services the close inline on its timeline
-// (dep names the owning fleet member's clock), realtime mode parks a
-// goroutine (cancelled at teardown via stopCh).
-func (r *runner) holdSub(sub *micropnp.Subscription, dep int) {
-	if !r.cfg.Realtime {
-		r.openSubs = append(r.openSubs, heldSub{sub: sub, closeAt: r.depClock(dep).Now() + r.cfg.SubHold, dep: dep})
+// holdSub keeps a realtime subscription open for SubHold on a parked
+// goroutine (cancelled at teardown via stopCh); nil is a no-op.
+func (r *runner) holdSub(sub *micropnp.Subscription) {
+	if sub == nil {
 		return
 	}
 	r.subWG.Add(1)
@@ -579,42 +563,174 @@ func (r *runner) leaveOp() { r.inflight.Add(-1) }
 // ---------------------------------------------------------------------------
 // Virtual mode: the whole run plays out on the simulated timeline, so
 // latencies are exact virtual-time spans and the run is bit-for-bit
-// reproducible; worker counts shape only the schedule. Non-zoned runs
-// execute operations one at a time from a single loop; zoned open-loop runs
-// divert to the conducted engine below, which overlaps ops across lane
-// groups while staying deterministic.
+// reproducible. Single-deployment runs issue their ops from cooperative
+// strands under Deployment.Conduct: an open loop from one strand per zone
+// lane group (one strand when unzoned), so ops bound for different zones
+// overlap in flight between barrier rounds; a closed loop from one strand for
+// its whole worker population. Conduct interleaves strands purely by strand
+// index, virtual time and completion state, so a run is bit-reproducible
+// across shard worker counts. A fleet run plays its arrivals on the calling
+// goroutine and steps the member clocks through the conductor.
 
-// advanceTo drives the simulation to virtual instant t, servicing
-// subscription closes that fall due on the way. Each close rides its own
-// deployment's clock; fleet runs then pull every member level via the
-// conductor.
-func (r *runner) advanceTo(t time.Duration) {
+func (r *runner) runVirtual() {
+	if r.cfg.Arrival == ArrivalClosed {
+		r.d.Conduct(r.closedLoop)
+		return
+	}
+	groups := r.drawArrivals()
+	if r.fleet != nil {
+		r.play(groups[0], r.runTo)
+		return
+	}
+	fns := make([]func(*micropnp.Strand), 0, len(groups))
+	for _, arr := range groups {
+		if len(arr) > 0 {
+			fns = append(fns, func(s *micropnp.Strand) { r.play(arr, strandWait(s)) })
+		}
+	}
+	r.d.Conduct(fns...)
+}
+
+// waitFn parks a virtual player until instant t: on fleet member dep's clock
+// for a subscription close, on every clock when dep < 0.
+type waitFn func(dep int, t time.Duration)
+
+// strandWait waits on a conducted strand; its deployment has one clock.
+func strandWait(s *micropnp.Strand) waitFn {
+	return func(_ int, t time.Duration) { s.Until(t) }
+}
+
+// arrival is one pre-drawn open-loop operation and its intended instant.
+type arrival struct {
+	p  plan
+	at time.Duration
+}
+
+// drawArrivals pre-draws the whole open-loop schedule from the one open-loop
+// rng (interarrival, plan, interarrival, ...) and splits it into player
+// groups. A zoned single deployment gets one group per clock lane:
+// target-bearing ops go by their target zone's lane (zone % Zones, the
+// simulator's zone-to-lane fold), client-side ops (discover) to group 0.
+// Every other run is one group.
+func (r *runner) drawArrivals() [][]arrival {
+	n := 1
+	if r.fleet == nil && r.cfg.Zones > 1 {
+		n = r.cfg.Zones
+	}
+	groups := make([][]arrival, n)
+	rng := r.laneRng(0)
+	for at := r.start + r.interarrival(rng); at < r.measureEnd; at += r.interarrival(rng) {
+		p := r.drawPlan(rng, 0, at, true)
+		g := 0
+		switch {
+		case p.wr != nil:
+			g = int(p.wr.zone) % n
+		case p.tgt != nil:
+			g = int(p.tgt.zone) % n
+		}
+		groups[g] = append(groups[g], arrival{p: p, at: at})
+	}
+	return groups
+}
+
+// play is the open-loop arrival player: it issues one group's arrivals in
+// time order, all charged to schedule lane 0 (the schedule is one open-loop
+// lane; groups are an execution detail). Before the first arrival at or past
+// the ManagerFailAt offset it injects the crash: the clocks reach exactly
+// that instant, then manager 0 of deployment 0 fails. Pinning the crash to a
+// virtual instant, not an arrival index, lands the failover identically in
+// every run of the config; normalize allows it only where one player carries
+// every arrival. Holds still open at the end pass to teardown.
+func (r *runner) play(arr []arrival, wait waitFn) {
+	failAt := r.start + r.cfg.ManagerFailAt
+	var subs []heldSub
+	for _, a := range arr {
+		if r.cfg.ManagerFailAt > 0 && !r.failedMgr && a.at >= failAt {
+			r.failedMgr = true
+			closeDue(&subs, failAt, wait)
+			wait(-1, failAt)
+			// normalize guarantees Managers >= 2, so instance 0 exists and a
+			// survivor remains; FailManager cannot fail here.
+			_ = r.depClock(0).FailManager(0)
+		}
+		r.issue(&subs, wait, a.at, 0, a.p, true)
+	}
+	r.openSubs = append(r.openSubs, subs...)
+}
+
+// closedLoop runs the closed-loop worker population on one strand: the
+// earliest-free worker (lowest index on ties) issues next, a think time after
+// its previous op completed.
+func (r *runner) closedLoop(s *micropnp.Strand) {
+	wait := strandWait(s)
+	rngs := make([]*rand.Rand, r.cfg.Workers)
+	nextFree := make([]time.Duration, r.cfg.Workers)
+	for w := range rngs {
+		rngs[w] = r.laneRng(w)
+		nextFree[w] = r.start
+	}
+	var subs []heldSub
+	for {
+		w := 0
+		for i := range nextFree {
+			if nextFree[i] < nextFree[w] {
+				w = i
+			}
+		}
+		if nextFree[w] >= r.measureEnd {
+			break
+		}
+		r.issue(&subs, wait, nextFree[w], w, r.drawPlan(rngs[w], w, 0, false), false)
+		nextFree[w] = s.Now() + r.cfg.Think
+	}
+	r.openSubs = append(r.openSubs, subs...)
+}
+
+// issue waits until instant t, closing the held subscriptions that fall due
+// first, then executes p and holds the subscription it opens.
+func (r *runner) issue(subs *[]heldSub, wait waitFn, t time.Duration, lane int, p plan, openLoop bool) {
+	closeDue(subs, t, wait)
+	wait(-1, t)
+	r.enterOp()
+	if hs := r.exec(lane, p, t, openLoop); hs.sub != nil {
+		*subs = append(*subs, hs)
+	}
+	r.leaveOp()
+}
+
+// closeDue closes the held subscriptions falling due at or before limit,
+// earliest first, waiting on each one's own clock for its close instant.
+func closeDue(subs *[]heldSub, limit time.Duration, wait waitFn) {
 	for {
 		due := -1
-		for i, hs := range r.openSubs {
-			if hs.closeAt <= t && (due < 0 || hs.closeAt < r.openSubs[due].closeAt) {
+		for i, hs := range *subs {
+			if hs.closeAt <= limit && (due < 0 || hs.closeAt < (*subs)[due].closeAt) {
 				due = i
 			}
 		}
 		if due < 0 {
-			break
+			return
 		}
-		hs := r.openSubs[due]
-		last := len(r.openSubs) - 1
-		r.openSubs[due] = r.openSubs[last]
-		r.openSubs = r.openSubs[:last]
-		dd := r.depClock(hs.dep)
-		if now := dd.Now(); now < hs.closeAt {
-			dd.RunFor(hs.closeAt - now)
-		}
+		hs := (*subs)[due]
+		last := len(*subs) - 1
+		(*subs)[due] = (*subs)[last]
+		*subs = (*subs)[:last]
+		wait(hs.dep, hs.closeAt)
 		hs.sub.Close()
 	}
-	if r.fleet != nil {
+}
+
+// runTo runs fleet member dep's clock up to virtual instant t, or every
+// member's through the conductor when dep < 0; a single deployment has one
+// clock for every dep.
+func (r *runner) runTo(dep int, t time.Duration) {
+	if r.fleet != nil && dep < 0 {
 		r.conductTo(t)
 		return
 	}
-	if now := r.d.Now(); now < t {
-		r.d.RunFor(t - now)
+	d := r.depClock(dep)
+	if now := d.Now(); now < t {
+		d.RunFor(t - now)
 	}
 }
 
@@ -627,7 +743,10 @@ const conductorQuantum = 250 * time.Millisecond
 // quantum, member 1 a quantum, ... until all reach t). The deployments share
 // no simulated links, so the interleave cannot change any member's event
 // order — it only keeps the clocks from drifting apart between workload
-// arrivals, and the fixed member order keeps the walk deterministic.
+// arrivals, and the fixed member order keeps the walk deterministic. Zoned
+// members apply membership changes at round boundaries, though, so the step
+// deadlines are part of the output: one strand per member, stepping to its
+// own deadlines, does not reproduce it.
 func (r *runner) conductTo(t time.Duration) {
 	for {
 		behind := false
@@ -646,173 +765,6 @@ func (r *runner) conductTo(t time.Duration) {
 		if !behind {
 			return
 		}
-	}
-}
-
-func (r *runner) runVirtual() {
-	if r.cfg.Arrival == ArrivalOpen {
-		// Fleet runs always use the sequential arrival loop below — each
-		// member may still shard internally (Zones > 1), but the conductor
-		// stays one goroutine; only the single-deployment zoned run diverts
-		// to the conducted strand engine.
-		if r.cfg.Zones > 1 && r.fleet == nil {
-			r.runConducted()
-			return
-		}
-		rng := r.laneRng(0)
-		next := r.start + r.interarrival(rng)
-		for next < r.measureEnd {
-			r.maybeFailManager(next)
-			r.advanceTo(next)
-			p := r.drawPlan(rng, 0, next, true)
-			r.enterOp()
-			r.exec(0, p, next, true)
-			r.leaveOp()
-			next += r.interarrival(rng)
-		}
-		return
-	}
-	lanes := r.cfg.Workers
-	rngs := make([]*rand.Rand, lanes)
-	nextFree := make([]time.Duration, lanes)
-	for w := range rngs {
-		rngs[w] = r.laneRng(w)
-		nextFree[w] = r.start
-	}
-	for {
-		w := 0
-		for i := 1; i < lanes; i++ {
-			if nextFree[i] < nextFree[w] {
-				w = i
-			}
-		}
-		if nextFree[w] >= r.measureEnd {
-			return
-		}
-		r.advanceTo(nextFree[w])
-		p := r.drawPlan(rngs[w], w, 0, false)
-		r.enterOp()
-		r.exec(w, p, 0, false)
-		r.leaveOp()
-		nextFree[w] = r.d.Now() + r.cfg.Think
-	}
-}
-
-// maybeFailManager injects the configured manager crash: once the next
-// arrival passes the ManagerFailAt offset, the clocks are conducted to
-// exactly that instant and manager 0 of deployment 0 is crashed. Pinning the
-// crash to a virtual instant (not an arrival index) makes the failover's
-// latency effects land identically in every run of the config.
-func (r *runner) maybeFailManager(next time.Duration) {
-	if r.cfg.ManagerFailAt <= 0 || r.failedMgr {
-		return
-	}
-	failAt := r.start + r.cfg.ManagerFailAt
-	if next < failAt {
-		return
-	}
-	r.failedMgr = true
-	r.advanceTo(failAt)
-	// normalize guarantees Managers >= 2, so instance 0 exists and a
-	// survivor remains; FailManager cannot fail here.
-	_ = r.depClock(0).FailManager(0)
-}
-
-// ---------------------------------------------------------------------------
-// Conducted zoned mode: open-loop arrivals on a sharded (zoned) simulator are
-// issued from one cooperative strand per lane group instead of a single
-// thread feeding all lanes, so ops bound for different zones overlap in
-// flight between barrier rounds. Determinism is preserved on two legs:
-//
-//   - The whole schedule is pre-drawn from the single open-loop rng in
-//     exactly the sequential engine's draw order (interarrival, plan,
-//     interarrival, ...), so the schedule hash and rng consumption are
-//     byte-identical to the non-zoned engine by construction.
-//   - Deployment.Conduct interleaves strands purely by strand index, virtual
-//     time, and completion state, so the run is bit-reproducible across
-//     worker counts and driver engines.
-
-// arrival is one pre-drawn open-loop operation and its intended instant.
-type arrival struct {
-	p  plan
-	at time.Duration
-}
-
-// strandGroup maps a drawn plan to its issuing strand: target-bearing ops
-// group by the target zone's clock lane (zone % Zones — mirroring the
-// simulator's zone-to-lane fold), client-side ops (discover) to group 0.
-func (r *runner) strandGroup(p plan) int {
-	switch {
-	case p.wr != nil:
-		return int(p.wr.zone) % r.cfg.Zones
-	case p.tgt != nil:
-		return int(p.tgt.zone) % r.cfg.Zones
-	}
-	return 0
-}
-
-func (r *runner) runConducted() {
-	// Pre-draw the full schedule; rng draw order matches the sequential
-	// open-loop engine exactly.
-	rng := r.laneRng(0)
-	groups := make([][]arrival, r.cfg.Zones)
-	next := r.start + r.interarrival(rng)
-	for next < r.measureEnd {
-		p := r.drawPlan(rng, 0, next, true)
-		g := r.strandGroup(p)
-		groups[g] = append(groups[g], arrival{p: p, at: next})
-		next += r.interarrival(rng)
-	}
-	fns := make([]func(*micropnp.Strand), 0, len(groups))
-	for _, arr := range groups {
-		if len(arr) == 0 {
-			continue
-		}
-		arr := arr
-		fns = append(fns, func(s *micropnp.Strand) { r.strandLoop(s, arr) })
-	}
-	r.d.Conduct(fns...)
-}
-
-// strandLoop plays one lane group's arrivals in time order, interleaving the
-// closes of the subscriptions this strand opened. Ops are charged to lane 0
-// like the sequential engine (the schedule is one open-loop lane; strands are
-// an execution detail), so LaneOps and the schedule hash are unchanged.
-func (r *runner) strandLoop(s *micropnp.Strand, arr []arrival) {
-	var subs []heldSub
-	for i := range arr {
-		a := &arr[i]
-		r.serviceStrandSubs(s, &subs, a.at)
-		s.Until(a.at)
-		a.p.sink = &subs
-		r.enterOp()
-		r.exec(0, a.p, a.at, true)
-		r.leaveOp()
-	}
-	// Hand leftover holds to the shared list for teardown; strands run one at
-	// a time under the Conduct baton, so the append is ordered.
-	r.openSubs = append(r.openSubs, subs...)
-}
-
-// serviceStrandSubs closes this strand's held subscriptions falling due at or
-// before limit, earliest first, parking until each close instant.
-func (r *runner) serviceStrandSubs(s *micropnp.Strand, subs *[]heldSub, limit time.Duration) {
-	for {
-		due := -1
-		for i, hs := range *subs {
-			if hs.closeAt <= limit && (due < 0 || hs.closeAt < (*subs)[due].closeAt) {
-				due = i
-			}
-		}
-		if due < 0 {
-			return
-		}
-		hs := (*subs)[due]
-		last := len(*subs) - 1
-		(*subs)[due] = (*subs)[last]
-		*subs = (*subs)[:last]
-		s.Until(hs.closeAt)
-		hs.sub.Close()
 	}
 }
 
@@ -861,7 +813,7 @@ func (r *runner) runRealtime() {
 					defer wg.Done()
 					r.enterOp()
 					defer r.leaveOp()
-					r.exec(0, p, intended, true)
+					r.holdSub(r.exec(0, p, intended, true).sub)
 				}()
 			}
 			next += r.interarrival(rng)
@@ -879,7 +831,7 @@ func (r *runner) runRealtime() {
 					}
 					p := r.drawPlan(rng, w, 0, false)
 					r.enterOp()
-					r.exec(w, p, 0, false)
+					r.holdSub(r.exec(w, p, 0, false).sub)
 					r.leaveOp()
 					select {
 					case <-time.After(think):
@@ -916,7 +868,12 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) bool {
 func (r *runner) teardown() {
 	close(r.stopCh)
 	if !r.cfg.Realtime {
-		r.advanceTo(r.measureEnd)
+		// Holds falling due inside the window close here, on their own
+		// clocks, after every player has returned: closing them inside the
+		// strands would move where zoned rounds end, and so the output. The
+		// rest close at the window's end.
+		closeDue(&r.openSubs, r.measureEnd, r.runTo)
+		r.runTo(-1, r.measureEnd)
 		for _, hs := range r.openSubs {
 			hs.sub.Close()
 		}
@@ -1030,30 +987,9 @@ func (r *runner) result() *Result {
 
 	secs := r.cfg.Duration.Seconds()
 	for op := range r.stats {
-		if r.cfg.Mix[op] == 0 {
-			continue
+		if r.cfg.Mix[op] != 0 {
+			res.addOp(Op(op), &r.stats[op], secs)
 		}
-		st := &r.stats[op]
-		o := &OpResult{
-			Issued:   st.issued.Load(),
-			Count:    st.completed.Load(),
-			Errors:   st.errors.Load(),
-			Timeouts: st.timeouts.Load(),
-			MeanNs:   st.hist.Mean(),
-			P50Ns:    st.hist.Quantile(0.50),
-			P90Ns:    st.hist.Quantile(0.90),
-			P99Ns:    st.hist.Quantile(0.99),
-			P999Ns:   st.hist.Quantile(0.999),
-			MaxNs:    st.hist.Max(),
-		}
-		if secs > 0 {
-			o.ThroughputPerSec = float64(o.Count) / secs
-		}
-		res.Ops[Op(op).String()] = o
-		res.Issued += o.Issued
-		res.Completed += o.Count
-		res.Errors += o.Errors
-		res.Timeouts += o.Timeouts
 	}
 	return res
 }

@@ -127,6 +127,31 @@ type ShardTelemetry struct {
 	CausalityViolations int64
 }
 
+// addOp summarizes one op kind's counters into Ops, with throughput over a
+// measure span of secs seconds, and adds them to the run totals.
+func (r *Result) addOp(op Op, st *opStats, secs float64) {
+	o := &OpResult{
+		Issued:   st.issued.Load(),
+		Count:    st.completed.Load(),
+		Errors:   st.errors.Load(),
+		Timeouts: st.timeouts.Load(),
+		MeanNs:   st.hist.Mean(),
+		P50Ns:    st.hist.Quantile(0.50),
+		P90Ns:    st.hist.Quantile(0.90),
+		P99Ns:    st.hist.Quantile(0.99),
+		P999Ns:   st.hist.Quantile(0.999),
+		MaxNs:    st.hist.Max(),
+	}
+	if secs > 0 {
+		o.ThroughputPerSec = float64(o.Count) / secs
+	}
+	r.Ops[op.String()] = o
+	r.Issued += o.Issued
+	r.Completed += o.Count
+	r.Errors += o.Errors
+	r.Timeouts += o.Timeouts
+}
+
 // WriteJSON writes the result, indented, to path ("-" for stdout). The
 // parent directory is created if missing, and the file lands via a
 // same-directory temp file renamed into place, so a reader (the CI gate) can

@@ -230,9 +230,11 @@ type Config struct {
 	// Deployments > 1 federates that many virtual deployments (sites
 	// 0..N-1, distinct /48 prefixes) behind one micropnp.Fleet and routes
 	// every workload operation through the fleet surface. Things spread
-	// round-robin across the members, and a fleet conductor steps the
-	// per-deployment virtual clocks round-robin in bounded quanta, so the
-	// run stays a pure function of the config (virtual, open-loop only).
+	// round-robin across the members. One arrival loop issues the whole
+	// schedule and waits for each arrival by stepping the member clocks
+	// round-robin in 250ms quanta (the fleet conductor), so the run stays a
+	// pure function of the config at any ShardWorkers (virtual, open-loop
+	// only).
 	// Managers sets the per-deployment manager redundancy (anycast
 	// instances; default 1). ManagerFailAt, when positive, crashes manager
 	// 0 of deployment 0 at exactly that offset into the workload — the
@@ -297,9 +299,9 @@ var presets = map[string]Config{
 	},
 	// zoned: the zone-sharded scenario — per-zone subtrees driven on the
 	// parallel sharded clock, with loss riding the per-zone RNG streams and
-	// hot-swaps churning group membership across zone boundaries. The CI
-	// determinism job runs it under the parallel and the single-loop
-	// schedule and byte-diffs the result JSON.
+	// hot-swaps churning group membership across zone boundaries. The
+	// golden test pins its result JSON digest at several shard worker
+	// counts, the single-loop schedule included.
 	"zoned": {
 		Things: 240, Shape: ShapeZones, Zones: 8, Rate: 6,
 		Warmup: 10 * time.Second, Duration: 180 * time.Second, Cooldown: 45 * time.Second,
@@ -311,8 +313,8 @@ var presets = map[string]Config{
 	// 0..2, two anycast manager instances each) behind one Fleet, zoned
 	// topologies inside every member, and a manager crash a third of the
 	// way into the measure window. The CI fleet job gates its latency
-	// percentiles (LOAD_fleet_baseline.json) and byte-diffs the result
-	// JSON across sharded-clock worker counts.
+	// percentiles (LOAD_fleet_baseline.json); the golden test pins its
+	// result JSON digest across sharded-clock worker counts.
 	"fleet": {
 		Deployments: 3, Managers: 2, ManagerFailAt: 60 * time.Second,
 		Things: 90, Shape: ShapeZones, Zones: 4, Rate: 3,
@@ -436,7 +438,7 @@ func (cfg *Config) normalize() error {
 			return fmt.Errorf("loadgen: ManagerFailAt needs open-loop arrivals")
 		}
 		if cfg.Deployments == 1 && cfg.Zones > 1 {
-			return fmt.Errorf("loadgen: ManagerFailAt is not supported on the single-deployment conducted zoned engine")
+			return fmt.Errorf("loadgen: ManagerFailAt needs a single arrival strand to inject the crash; a zoned single-deployment run splits its arrivals across one strand per lane group")
 		}
 	}
 	if cfg.Target != "" {
