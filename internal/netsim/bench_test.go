@@ -103,6 +103,61 @@ func BenchmarkChurnReplan(b *testing.B) {
 	}
 }
 
+// BenchmarkShardedCrossLane measures the sharded clock's cross-lane path on
+// an 8-zone tree: one op is a multicast from the root to members in every
+// zone, sent from an event on the root's lane so each copy bound for another
+// lane goes through the outbox and the barrier merge, plus a unicast reply
+// from every member back to the root, which crosses lanes the other way. The
+// sequential schedule (Workers 1) keeps the measurement on one core. A warm
+// op should allocate nothing.
+func BenchmarkShardedCrossLane(b *testing.B) {
+	const zones, perZone = 8, 16
+	n := New(Config{Zones: zones, Workers: 1})
+	defer n.Close()
+	prefix := PrefixFromAddr(addr("2001:db8::1"))
+	root, err := n.AddNode(UnicastAddr(prefix, 0, 1), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	group := MulticastAddr(prefix, 0xad1cbe01)
+	for z := 0; z < zones; z++ {
+		zr, err := n.AddNode(UnicastAddr(prefix, uint16(z), 2), root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < perZone; i++ {
+			nd, err := n.AddNode(UnicastAddr(prefix, uint16(z), uint32(3+i)), zr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nd.JoinGroup(group)
+			nd.Bind(Port6030, func(m Message) { nd.Send(m.Src, Port6030, m.Payload) })
+		}
+	}
+	replies := 0
+	root.Bind(Port6030, func(Message) { replies++ })
+	payload := []byte("adv")
+	fanOut := func() { root.Send(group, Port6030, payload) }
+	op := func() {
+		root.Schedule(0, fanOut)
+		n.RunUntilIdle(0)
+	}
+	op() // warm the plan, the pools and the outboxes
+	replies = 0
+	before, _ := n.ShardStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if want := b.N * zones * perZone; replies != want {
+		b.Fatalf("got %d replies, want %d", replies, want)
+	}
+	after, _ := n.ShardStats()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(after.Events-before.Events), "ns/event")
+}
+
 // benchTree builds an n-node 4-ary tree and returns the nodes (index 0 is
 // the root).
 func benchTree(b *testing.B, n *Network, count int) []*Node {

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -93,7 +92,6 @@ const (
 // longer matches the one the stale cancel captured, making it a no-op.
 type scheduled struct {
 	at  time.Duration
-	seq int
 	fn  func()
 	del *delivery
 	// exp/expSeq/expTok carry a typed expiry event (ScheduleExpiry); like
@@ -123,40 +121,30 @@ func recycleEvent(ev *scheduled) {
 	scheduledPool.Put(ev)
 }
 
-// eventQueue is a binary min-heap of events ordered by (at, seq); the seq
+// heapSlot is one event-heap entry. It carries the (at, seq) ordering key
+// inline, so sifting compares slots without dereferencing an event; the seq
 // tiebreaker makes delivery order deterministic and identical to the former
-// stable-sorted-slice implementation (the ordering key is total, so heap
-// pop order equals sorted order).
-type eventQueue []*scheduled
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// stable-sorted-slice implementation (the key is total, so heap pop order
+// equals sorted order).
+type heapSlot struct {
+	at  time.Duration
+	seq int
+	ev  *scheduled
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*scheduled)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil // release the slot so popped events do not pin the array
-	*q = old[:n-1]
-	return ev
+func (a *heapSlot) less(b *heapSlot) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // eventHeap is the lazy-deletion event heap both clock implementations build
 // on. It is not self-locking: the owning clock guards it with its own mutex.
 type eventHeap struct {
-	queue eventQueue
-	dead  int // cancelled events still in the heap (lazy deletion)
-	seq   int // tiebreaker for stable ordering
+	queue []heapSlot // binary min-heap on (at, seq)
+	dead  int        // cancelled events still in the heap (lazy deletion)
+	seq   int        // tiebreaker for stable ordering
 	// free is the intrusive freelist of retired cancelable events. Bounded
 	// by the high-water mark of concurrently pending cancelables.
 	free *scheduled
@@ -166,20 +154,18 @@ type eventHeap struct {
 // timestamp; it is recycled through the global pool once fired.
 func (h *eventHeap) pushAt(at time.Duration, fn func()) *scheduled {
 	ev := scheduledPool.Get().(*scheduled)
-	h.seq++
-	ev.at, ev.seq, ev.fn, ev.del = at, h.seq, fn, nil
+	ev.fn, ev.del = fn, nil
 	ev.state, ev.poolable = evPending, true
-	heap.Push(&h.queue, ev)
+	h.push(at, ev)
 	return ev
 }
 
 // pushDeliveryAt inserts a pooled packet delivery (plain, globally pooled).
 func (h *eventHeap) pushDeliveryAt(at time.Duration, del *delivery) {
 	ev := scheduledPool.Get().(*scheduled)
-	h.seq++
-	ev.at, ev.seq, ev.fn, ev.del = at, h.seq, nil, del
+	ev.fn, ev.del = nil, del
 	ev.state, ev.poolable = evPending, true
-	heap.Push(&h.queue, ev)
+	h.push(at, ev)
 }
 
 // pushCancelableAt inserts a cancelable event, reusing the heap's freelist.
@@ -194,10 +180,9 @@ func (h *eventHeap) pushCancelableAt(at time.Duration, fn func()) (*scheduled, u
 	} else {
 		ev = &scheduled{}
 	}
-	h.seq++
-	ev.at, ev.seq, ev.fn, ev.del = at, h.seq, fn, nil
+	ev.fn, ev.del = fn, nil
 	ev.state, ev.poolable = evPending, false
-	heap.Push(&h.queue, ev)
+	h.push(at, ev)
 	return ev, ev.gen
 }
 
@@ -211,11 +196,10 @@ func (h *eventHeap) pushExpiryAt(at time.Duration, e Expirer, seq uint64, tok an
 	} else {
 		ev = &scheduled{}
 	}
-	h.seq++
-	ev.at, ev.seq, ev.fn, ev.del = at, h.seq, nil, nil
+	ev.fn, ev.del = nil, nil
 	ev.exp, ev.expSeq, ev.expTok = e, seq, tok
 	ev.state, ev.poolable = evPending, false
-	heap.Push(&h.queue, ev)
+	h.push(at, ev)
 	return ev, ev.gen
 }
 
@@ -256,19 +240,75 @@ func (h *eventHeap) compact() {
 		return
 	}
 	live := h.queue[:0]
-	for _, ev := range h.queue {
-		if ev.state == evPending {
-			live = append(live, ev)
+	for _, s := range h.queue {
+		if s.ev.state == evPending {
+			live = append(live, s)
 		} else {
-			h.retire(ev)
+			h.retire(s.ev)
 		}
 	}
-	for i := len(live); i < len(h.queue); i++ {
-		h.queue[i] = nil
-	}
+	clear(h.queue[len(live):])
 	h.queue = live
-	heap.Init(&h.queue)
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	h.dead = 0
+}
+
+// push stamps an event with its timestamp and the next sequence number and
+// sifts it into the heap.
+func (h *eventHeap) push(at time.Duration, ev *scheduled) {
+	ev.at = at
+	h.seq++
+	h.queue = append(h.queue, heapSlot{at: at, seq: h.seq, ev: ev})
+	q := h.queue
+	j := len(q) - 1
+	s := q[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !s.less(&q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = s
+}
+
+// down sifts the slot at i towards the leaves.
+func (h *eventHeap) down(i int) {
+	q := h.queue
+	n := len(q)
+	s := q[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].less(&q[c]) {
+			c = r
+		}
+		if !q[c].less(&s) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = s
+}
+
+// popMin removes the heap's root slot and returns its event.
+func (h *eventHeap) popMin() *scheduled {
+	q := h.queue
+	last := len(q) - 1
+	ev := q[0].ev
+	q[0] = q[last]
+	q[last] = heapSlot{} // release the slot so popped events do not pin the array
+	h.queue = q[:last]
+	if last > 0 {
+		h.down(0)
+	}
+	return ev
 }
 
 // pop removes and returns the next live event, discarding (and retiring)
@@ -276,7 +316,7 @@ func (h *eventHeap) compact() {
 // fn/del and retires the fired event under the clock lock before running it.
 func (h *eventHeap) pop() *scheduled {
 	for len(h.queue) > 0 {
-		ev := heap.Pop(&h.queue).(*scheduled)
+		ev := h.popMin()
 		if ev.state == evCancelled {
 			h.dead--
 			h.retire(ev)
@@ -292,11 +332,11 @@ func (h *eventHeap) pop() *scheduled {
 // events from the top, or nil when the queue is drained.
 func (h *eventHeap) peek() *scheduled {
 	for len(h.queue) > 0 {
-		ev := h.queue[0]
+		ev := h.queue[0].ev
 		if ev.state != evCancelled {
 			return ev
 		}
-		heap.Pop(&h.queue)
+		h.popMin()
 		h.dead--
 		h.retire(ev)
 	}

@@ -21,17 +21,20 @@
 // explicit ownership hand-off (see Buf and SendBuf; handlers borrow
 // Message.Payload for the duration of the call), deliveries are pooled typed
 // events rather than per-datagram closures, the event queue is a binary heap
-// with lazy deletion (Schedule and Step are O(log n), cancelled events are
-// skipped on pop, compacted away when they dominate the queue, and recycled
-// through a per-clock freelist guarded by generation counters), multicast
-// sends consult a per-group membership index instead of scanning every node,
-// and tree routes are cached — per-pair hop distances, and per-(group,src)
-// SMRF plans that group churn maintains incrementally (JoinGroup/LeaveGroup
-// splice the member's path in O(depth) against a refcounted edge union)
-// rather than invalidating. Locks are sharded by role — topology (RWMutex,
-// read-mostly after setup), the per-group plan stripes, the distance cache,
-// loss/jitter sampling, atomic stats counters, and the clock's own lock — so
-// concurrent handlers do not serialize on one lock.
+// with lazy deletion (Schedule and Step are O(log n), heap slots carry the
+// (timestamp, sequence) key inline so sifting never touches an event,
+// cancelled events are skipped on pop, compacted away when they dominate
+// the queue, and recycled through a per-clock freelist guarded by
+// generation counters), multicast sends consult a per-group membership
+// index instead of scanning every node, unicast hop counts come from an
+// O(depth) lowest-common-ancestor walk with no cache and no map, and
+// per-(group,src) SMRF plans are cached and maintained incrementally by
+// group churn (JoinGroup/LeaveGroup splice the member's path in O(depth)
+// against a refcounted edge union) rather than invalidated. Locks are
+// sharded by role — topology (RWMutex, read-mostly after setup), the
+// per-group plan stripes, loss/jitter sampling, atomic stats counters, and
+// the clock's own lock — so concurrent handlers do not serialize on one
+// lock.
 package netsim
 
 import (
@@ -204,19 +207,17 @@ type Network struct {
 	// under topoMu (AddNode only; topology never shrinks).
 	lookahead *Lookahead
 
-	// Route caches. Parent links are immutable after AddNode; both caches
-	// are flushed on AddNode (new backbone roots change the disjoint-tree
-	// synthetic paths). distMu guards the per-pair hop-count cache
-	// (double-checked fill, a leaf lock). plansMu guards only the
+	// Plan cache. Parent links are immutable after AddNode, which flushes
+	// the plans (new backbone roots change the disjoint-tree synthetic
+	// paths). Unicast hop counts are not cached: a lowest-common-ancestor
+	// walk (meet) costs O(depth) and no lock. plansMu guards only the
 	// group→groupPlans table; each group carries its own lock, so realtime
 	// plan warmup for different groups never serializes on one mutex.
 	// Group churn (JoinGroup/LeaveGroup) no longer invalidates plans: the
 	// member's path is spliced into or out of every cached plan of the
 	// group incrementally (O(depth) per cached source, not
 	// O(members × depth) rebuilds). Lock order: topoMu → plansMu →
-	// groupPlans.mu → distMu.
-	distMu  sync.RWMutex
-	dists   map[nodePair]int
+	// groupPlans.mu.
 	plansMu sync.RWMutex
 	plans   map[netip.Addr]*groupPlans
 
@@ -265,7 +266,6 @@ func New(cfg Config) *Network {
 		nodes:   map[netip.Addr]*Node{},
 		anycast: map[netip.Addr][]*Node{},
 		members: map[netip.Addr]map[*Node]struct{}{},
-		dists:   map[nodePair]int{},
 		plans:   map[netip.Addr]*groupPlans{},
 	}
 	if cfg.Realtime {
@@ -377,15 +377,12 @@ func (n *Network) AddNode(addr netip.Addr, parent *Node) (*Node, error) {
 	return node, nil
 }
 
-// invalidateRoutes drops every cached route (topoMu held, so no plan builder
+// invalidateRoutes drops every cached plan (topoMu held, so no plan builder
 // can interleave). Topology only grows, but conservatively flushing on
-// AddNode keeps the caches trivially correct and costs nothing in steady
+// AddNode keeps the cache trivially correct and costs nothing in steady
 // state (nodes are added once, messages flow forever after). Group churn
 // does NOT come through here — it splices plans incrementally.
 func (n *Network) invalidateRoutes() {
-	n.distMu.Lock()
-	clear(n.dists)
-	n.distMu.Unlock()
 	n.plansMu.Lock()
 	clear(n.plans)
 	n.plansMu.Unlock()
@@ -581,9 +578,9 @@ func (n *Network) spliceMember(g netip.Addr, nd *Node, add bool) {
 			continue // a plan never targets its own source
 		}
 		if add {
-			plan.addMember(n, src, nd)
+			plan.addMember(src, nd)
 		} else {
-			plan.removeMember(n, src, nd)
+			plan.removeMember(src, nd)
 		}
 	}
 }
@@ -624,104 +621,30 @@ func (n *Network) LeaveAnycast(a netip.Addr, nd *Node) {
 	}
 }
 
-// nodePair keys the per-pair route caches.
-type nodePair [2]*Node
+// meet returns the lowest common ancestor of a and b in the DODAG, or nil
+// when they hang off disjoint trees (different backbone roots). It lifts the
+// deeper node to the other's depth, then steps both up together. parent and
+// depth are immutable after AddNode, so the walk needs no lock.
+func meet(a, b *Node) *Node {
+	for a.depth > b.depth {
+		a = a.parent
+	}
+	for b.depth > a.depth {
+		b = b.parent
+	}
+	for a != b {
+		a, b = a.parent, b.parent
+	}
+	return a
+}
 
 // treeDistance returns the hop count between two nodes through the DODAG.
-// parent/depth are immutable after AddNode, so the walk needs no lock.
 func treeDistance(a, b *Node) int {
-	seen := map[*Node]int{}
-	for d, x := 0, a; x != nil; d, x = d+1, x.parent {
-		seen[x] = d
-	}
-	for d, x := 0, b; x != nil; d, x = d+1, x.parent {
-		if up, ok := seen[x]; ok {
-			return up + d
-		}
+	if m := meet(a, b); m != nil {
+		return a.depth + b.depth - 2*m.depth
 	}
 	// Disjoint trees: treat as one hop over the backbone plus both depths.
 	return a.depth + b.depth + 1
-}
-
-// distance is treeDistance through the per-pair cache (anycast
-// nearest-member selection runs it for every member on every request).
-// Callers hold topoMu (read or write); the cache fill double-checks under
-// distMu so concurrent senders race benignly on identical values.
-func (n *Network) distance(a, b *Node) int {
-	if a == b {
-		return 0
-	}
-	key := nodePair{a, b}
-	n.distMu.RLock()
-	d, ok := n.dists[key]
-	n.distMu.RUnlock()
-	if ok {
-		return d
-	}
-	d = treeDistance(a, b)
-	n.warmDist(a, b, d)
-	return d
-}
-
-// warmDist stores a known pair distance in both directions.
-func (n *Network) warmDist(a, b *Node, d int) {
-	n.distMu.Lock()
-	n.dists[nodePair{a, b}] = d
-	n.dists[nodePair{b, a}] = d
-	n.distMu.Unlock()
-}
-
-// pathEntry is one computed tree route: hop count plus the ordered edge
-// list. Entries are scratch state for plan construction — the edge lists
-// live only until the plan's edge union is taken, while the durable caches
-// hold hop counts (dists) and finished plans.
-type pathEntry struct {
-	hops  int
-	edges [][2]*Node
-}
-
-// buildPath walks the tree path src->dst, recording its edges and hop
-// count. Disjoint trees route over a synthetic backbone edge between roots.
-// Pure tree-walk over immutable parent links; no locks required.
-func buildPath(src, dst *Node) *pathEntry {
-	anc := map[*Node]bool{}
-	for x := src; x != nil; x = x.parent {
-		anc[x] = true
-	}
-	var meet *Node
-	for x := dst; x != nil; x = x.parent {
-		if anc[x] {
-			meet = x
-			break
-		}
-	}
-	e := &pathEntry{}
-	if meet == nil {
-		rootA, rootB := src, dst
-		for rootA.parent != nil {
-			rootA = rootA.parent
-		}
-		for rootB.parent != nil {
-			rootB = rootB.parent
-		}
-		up := buildPath(src, rootA)
-		down := buildPath(rootB, dst)
-		e.hops = up.hops + 1 + down.hops
-		e.edges = make([][2]*Node, 0, len(up.edges)+1+len(down.edges))
-		e.edges = append(e.edges, up.edges...)
-		e.edges = append(e.edges, [2]*Node{rootA, rootB})
-		e.edges = append(e.edges, down.edges...)
-		return e
-	}
-	for x := src; x != meet; x = x.parent {
-		e.edges = append(e.edges, [2]*Node{x, x.parent})
-		e.hops++
-	}
-	for x := dst; x != meet; x = x.parent {
-		e.edges = append(e.edges, [2]*Node{x.parent, x})
-		e.hops++
-	}
-	return e
 }
 
 // mcastPlan is a cached SMRF dissemination for one (group, source) pair: the
@@ -740,38 +663,59 @@ type mcastTarget struct {
 	hops int
 }
 
+// countPath adds delta to the reference count of every edge on the tree
+// route src->dst and returns the route's hop count; an edge whose count
+// drops to zero leaves the union. Edges are keyed (from, to) in the
+// direction of travel: up from src to the meeting node, then down to dst.
+// Disjoint trees route over a synthetic backbone edge between their roots.
+func (p *mcastPlan) countPath(src, dst *Node, delta int) int {
+	m := meet(src, dst)
+	hops := 0
+	x, y := src, dst
+	for ; x != m && x.parent != nil; x = x.parent {
+		p.ref([2]*Node{x, x.parent}, delta)
+		hops++
+	}
+	for ; y != m && y.parent != nil; y = y.parent {
+		p.ref([2]*Node{y.parent, y}, delta)
+		hops++
+	}
+	if m == nil {
+		p.ref([2]*Node{x, y}, delta)
+		hops++
+	}
+	return hops
+}
+
+func (p *mcastPlan) ref(e [2]*Node, delta int) {
+	if c := p.edgeRefs[e] + delta; c == 0 {
+		delete(p.edgeRefs, e)
+	} else {
+		p.edgeRefs[e] = c
+	}
+}
+
 // addMember splices one member's path into the plan: O(path depth). The
 // caller holds topoMu (write) and the group's plan lock.
-func (p *mcastPlan) addMember(n *Network, src, member *Node) {
+func (p *mcastPlan) addMember(src, member *Node) {
 	if _, dup := p.index[member]; dup {
 		return
 	}
-	pe := buildPath(src, member)
-	for _, e := range pe.edges {
-		p.edgeRefs[e]++
-	}
+	hops := p.countPath(src, member, 1)
 	p.index[member] = len(p.targets)
-	p.targets = append(p.targets, mcastTarget{node: member, hops: pe.hops})
-	n.warmDist(src, member, pe.hops)
+	p.targets = append(p.targets, mcastTarget{node: member, hops: hops})
 }
 
 // removeMember splices one member's path out of the plan: O(path depth),
 // with a swap-remove of the target entry. Parent links are immutable, so
 // the path walked here is the same one addMember (or the initial build)
 // counted in.
-func (p *mcastPlan) removeMember(n *Network, src, member *Node) {
+func (p *mcastPlan) removeMember(src, member *Node) {
 	i, ok := p.index[member]
 	if !ok {
 		return
 	}
-	pe := buildPath(src, member)
-	for _, e := range pe.edges {
-		if c := p.edgeRefs[e] - 1; c == 0 {
-			delete(p.edgeRefs, e)
-		} else {
-			p.edgeRefs[e] = c
-		}
-	}
+	p.countPath(src, member, -1)
 	last := len(p.targets) - 1
 	p.targets[i] = p.targets[last]
 	p.targets[last] = mcastTarget{}
@@ -829,13 +773,8 @@ func (n *Network) buildPlan(src *Node, group netip.Addr) *mcastPlan {
 		if member == src {
 			continue
 		}
-		p := buildPath(src, member)
-		for _, edge := range p.edges {
-			plan.edgeRefs[edge]++
-		}
-		plan.targets = append(plan.targets, mcastTarget{node: member, hops: p.hops})
-		// The walk already knows the distance; warm the unicast cache too.
-		n.warmDist(src, member, p.hops)
+		hops := plan.countPath(src, member, 1)
+		plan.targets = append(plan.targets, mcastTarget{node: member, hops: hops})
 	}
 	sort.Slice(plan.targets, func(i, j int) bool {
 		a, b := plan.targets[i], plan.targets[j]
@@ -881,9 +820,9 @@ func (nd *Node) SendBuf(dst netip.Addr, port uint16, pb *Buf) {
 		n.stats.unicastSent.Add(1)
 		if members := n.anycast[dst]; len(members) > 0 {
 			best := members[0]
-			bestD := n.distance(nd, best)
+			bestD := treeDistance(nd, best)
 			for _, m := range members[1:] {
-				if d := n.distance(nd, m); d < bestD {
+				if d := treeDistance(nd, m); d < bestD {
 					best, bestD = m, d
 				}
 			}
@@ -896,7 +835,7 @@ func (nd *Node) SendBuf(dst netip.Addr, port uint16, pb *Buf) {
 			pb.Release()
 			return
 		}
-		n.deliver(nd, target, msg, pb, n.distance(nd, target), false)
+		n.deliver(nd, target, msg, pb, treeDistance(nd, target), false)
 	}
 }
 

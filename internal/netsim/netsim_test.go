@@ -583,7 +583,7 @@ func TestAnycastDistanceCacheAfterAddNode(t *testing.T) {
 	n.JoinAnycast(any, far)
 	gotFar, gotNear := 0, 0
 	far.Bind(Port6030, func(Message) { gotFar++ })
-	src.Send(any, Port6030, []byte("1")) // primes src->far distance
+	src.Send(any, Port6030, []byte("1")) // warms src's routes with far the only member
 	n.RunUntilIdle(0)
 
 	// A nearer member added after the caches were warm must win.

@@ -176,9 +176,8 @@ func TestPlanChurnTransmissionsMatch(t *testing.T) {
 }
 
 // TestStripedRouteLocksRace exercises the per-group plan stripes under -race:
-// concurrent senders warming plans for many groups, concurrent join/leave
-// churn splicing them, and anycast lookups hitting the distance cache, across
-// both clock modes.
+// concurrent senders warming plans for many groups and concurrent join/leave
+// churn splicing them, across both clock modes.
 func TestStripedRouteLocksRace(t *testing.T) {
 	for _, realtime := range []bool{false, true} {
 		name := "virtual"
@@ -225,5 +224,128 @@ func TestStripedRouteLocksRace(t *testing.T) {
 				n.RunUntilIdle(0)
 			}
 		})
+	}
+}
+
+// refRoute is the brute-force route reference: it collects src's ancestor
+// set, finds the first ancestor of dst in it, and lists the route's directed
+// edges (up from src, then down to dst). Disjoint trees route over one
+// backbone edge between their roots.
+func refRoute(src, dst *Node) (hops int, edges [][2]*Node) {
+	anc := map[*Node]bool{}
+	for x := src; x != nil; x = x.parent {
+		anc[x] = true
+	}
+	var lca *Node
+	for x := dst; x != nil; x = x.parent {
+		if anc[x] {
+			lca = x
+			break
+		}
+	}
+	x := src
+	for ; x != lca && x.parent != nil; x = x.parent {
+		edges = append(edges, [2]*Node{x, x.parent})
+	}
+	y := dst
+	for ; y != lca && y.parent != nil; y = y.parent {
+		edges = append(edges, [2]*Node{y.parent, y})
+	}
+	if lca == nil {
+		edges = append(edges, [2]*Node{x, y})
+	}
+	return len(edges), edges
+}
+
+// randomForest adds count nodes, each either a new root (a backbone node)
+// or the child of a random earlier node.
+func randomForest(t *testing.T, n *Network, rng *rand.Rand, count int) []*Node {
+	t.Helper()
+	nodes := make([]*Node, 0, count)
+	for i := 0; i < count; i++ {
+		var parent *Node
+		if i > 0 && rng.Intn(8) != 0 {
+			parent = nodes[rng.Intn(len(nodes))]
+		}
+		var b [16]byte
+		b[0], b[1] = 0x20, 0x01
+		b[14], b[15] = byte(i>>8), byte(i)
+		nd, err := n.AddNode(netip.AddrFrom16(b), parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+	}
+	return nodes
+}
+
+// TestRoutesMatchBruteForce checks the lowest-common-ancestor routing
+// against refRoute on seeded random forests with several disjoint roots:
+// treeDistance for every node pair, and for cached plans under random
+// membership churn, every target's hop count and the exact edge refcounts.
+func TestRoutesMatchBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := New(Config{})
+		nodes := randomForest(t, n, rng, 60+rng.Intn(60))
+		disjoint := 0
+		for _, a := range nodes {
+			for _, b := range nodes {
+				want, edges := refRoute(a, b)
+				if got := treeDistance(a, b); got != want {
+					t.Fatalf("seed %d: treeDistance(%v, %v) = %d, reference %d", seed, a.addr, b.addr, got, want)
+				}
+				if meet(a, b) == nil {
+					disjoint++
+					if e := edges[len(edges)-1]; e[0].parent != nil || e[1].parent != nil {
+						t.Fatalf("seed %d: disjoint route %v -> %v does not cross the backbone", seed, a.addr, b.addr)
+					}
+				}
+			}
+		}
+		if disjoint == 0 {
+			t.Fatalf("seed %d: forest has a single tree; the backbone case went untested", seed)
+		}
+
+		group := MulticastAddr(PrefixFromAddr(nodes[0].Addr()), 0xad1cbe01)
+		srcs := []*Node{nodes[0], nodes[rng.Intn(len(nodes))], nodes[len(nodes)-1]}
+		check := func(step int) {
+			n.topoMu.RLock()
+			defer n.topoMu.RUnlock()
+			for _, src := range srcs {
+				plan := n.multicastPlan(src, group)
+				wantRefs := map[[2]*Node]int{}
+				for m := range n.members[group] {
+					if m != src {
+						_, edges := refRoute(src, m)
+						for _, e := range edges {
+							wantRefs[e]++
+						}
+					}
+				}
+				if len(plan.edgeRefs) != len(wantRefs) {
+					t.Fatalf("seed %d step %d src %v: %d edges, reference %d", seed, step, src.addr, len(plan.edgeRefs), len(wantRefs))
+				}
+				for e, c := range wantRefs {
+					if plan.edgeRefs[e] != c {
+						t.Fatalf("seed %d step %d src %v: edge %v->%v refcount %d, reference %d", seed, step, src.addr, e[0].addr, e[1].addr, plan.edgeRefs[e], c)
+					}
+				}
+				for _, tg := range plan.targets {
+					if want, _ := refRoute(src, tg.node); tg.hops != want {
+						t.Fatalf("seed %d step %d src %v: target %v hops %d, reference %d", seed, step, src.addr, tg.node.addr, tg.hops, want)
+					}
+				}
+			}
+		}
+		for step := 0; step < 300; step++ {
+			nd := nodes[rng.Intn(len(nodes))]
+			if nd.InGroup(group) {
+				nd.LeaveGroup(group)
+			} else {
+				nd.JoinGroup(group)
+			}
+			check(step)
+		}
 	}
 }

@@ -377,11 +377,14 @@ func (c *ShardedClock) merge() {
 	for _, sl := range c.lanes {
 		sl.mu.Lock()
 		box := sl.outbox
-		sl.outbox = nil
-		sl.mu.Unlock()
 		if len(box) == 0 {
+			// An idle lane keeps its buffer, so the next round's appends
+			// reuse it instead of regrowing an array from nothing.
+			sl.mu.Unlock()
 			continue
 		}
+		sl.outbox = nil
+		sl.mu.Unlock()
 		c.mergeBox(box)
 		for i := range box {
 			box[i] = crossEvent{}

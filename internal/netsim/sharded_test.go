@@ -308,3 +308,49 @@ func TestShardedQueueCapBounded(t *testing.T) {
 		t.Fatalf("lane heap capacity kept growing: %d after warmup, %d after 8 rounds", capAfterWarm, got)
 	}
 }
+
+// TestShardedCrossLaneAllocFree asserts the sharded hot path allocates
+// nothing once warm: a unicast ping from zone 0 to zone 1 and the reply,
+// which is emitted mid-round and so crosses lanes through the outbox and the
+// barrier merge. An outbox dropped at an idle barrier regrows on the next
+// round's append, which shows up here as allocations.
+func TestShardedCrossLaneAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	n := New(Config{Zones: 2, Workers: 1})
+	defer n.Close()
+	prefix := PrefixFromAddr(addr("2001:db8::1"))
+	root, err := n.AddNode(UnicastAddr(prefix, 0, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := n.AddNode(UnicastAddr(prefix, 1, 2), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.lane == far.lane {
+		t.Fatalf("both nodes on lane %d; the test needs a cross-lane pair", root.lane)
+	}
+	replies := 0
+	far.Bind(Port6030, func(m Message) { far.Send(m.Src, Port6030, m.Payload) })
+	root.Bind(Port6030, func(Message) { replies++ })
+	payload := []byte("ping")
+	pingPong := func() {
+		root.Send(far.Addr(), Port6030, payload)
+		n.RunUntilIdle(0)
+	}
+	for i := 0; i < 8; i++ {
+		pingPong()
+	}
+	allocs := testing.AllocsPerRun(200, pingPong)
+	if replies != 8+201 {
+		t.Fatalf("got %d replies, want %d", replies, 8+201)
+	}
+	if ss, _ := n.ShardStats(); ss.CrossMerged == 0 {
+		t.Fatal("no event crossed lanes through the outbox")
+	}
+	if allocs != 0 {
+		t.Fatalf("cross-lane ping-pong allocates %v per round trip, want 0", allocs)
+	}
+}
