@@ -1,61 +1,59 @@
-// Command benchgate is the CI benchmark-regression gate: it parses `go test
-// -bench` output, reduces the -count repetitions of each benchmark to their
-// median ns/op and allocs/op, and compares against a committed JSON baseline.
-// The build fails when the geometric mean of the per-benchmark ratios
-// (new/baseline) exceeds the threshold — on either metric: wall time and
-// allocation count are gated independently, so a change that stays fast but
-// reintroduces per-message allocations still fails.
+// Command benchgate is the performance gate. It reads one measurement
+// (-input), finds the gates of the committed ledger (PERF_ledger.json) that
+// apply to it, and checks each against its rule and committed values. With
+// -update it writes the measured values back into the ledger instead of
+// failing on them.
 //
-// With -latency the gate instead compares a cmd/upnp-load result
-// (LOAD_result.json) against a committed latency baseline
-// (LOAD_baseline.json): the per-operation p99s are ratioed and the same
-// geomean-over-threshold rule applies. Virtual-mode load runs are
-// deterministic, so the committed baseline reproduces exactly on any
-// machine and the gate has no noise floor:
+// Which gates apply follows from the input alone:
 //
-//	go run ./cmd/upnp-load -scenario smoke -out LOAD_result.json
-//	go run ./cmd/benchgate -latency -baseline LOAD_baseline.json -input LOAD_result.json
-//	go run ./cmd/benchgate -latency -input LOAD_result.json -update -baseline LOAD_baseline.json
+//   - `go test -bench` output matches the bench gate when it holds any of
+//     the gate's benchmarks, and every speedup gate whose fast tag (for
+//     example clock=sharded) appears in a benchmark name;
+//   - a cmd/upnp-load result (its -out JSON) matches the load or slo gate
+//     with the same scenario and mode.
 //
-// Gate a run:
+// The four rules:
+//
+//   - bench: the median ns/op and allocs/op over the -count repetitions are
+//     ratioed against the committed values, and the geomean of each metric
+//     must stay within the gate's threshold (allocs smoothed as
+//     (new+1)/(committed+1), so zero-allocation entries stay comparable). A
+//     committed benchmark missing from the input fails. A failure prints
+//     ready-to-run `go test -cpuprofile/-memprofile` lines for the worst
+//     offenders.
+//   - load: the per-op p99s of a deterministic virtual run, under the same
+//     geomean rule (smoothed by 1 ms); the scenario, seed and mode are
+//     pinned. Virtual runs reproduce exactly, so this rule has no noise
+//     floor.
+//   - slo: absolute per-op p99 ceilings, for wall-clock runs that are too
+//     noisy for a relative rule.
+//   - speedup: every fast benchmark is paired with its slow twin (the same
+//     name with the slow tag). The geomean slow/fast ratio must reach the
+//     gate's floor, no ratio may fall below committed/threshold, and a fast
+//     benchmark with no twin or a committed pair missing from the input
+//     fails.
+//
+// Usage:
 //
 //	go test -run '^$' -bench <pattern> -benchtime 1x -count 6 ./... | tee bench.txt
-//	go run ./cmd/benchgate -baseline BENCH_baseline.json -input bench.txt
+//	go run ./cmd/benchgate -input bench.txt
+//	go run ./cmd/upnp-load -scenario smoke -out LOAD_result.json
+//	go run ./cmd/benchgate -input LOAD_result.json
+//	go run ./cmd/benchgate -input bench.txt -update
 //
-// With -speedup the gate instead pairs fast sub-benchmarks with their slow
-// twins (`-pair fast,slow`, default `clock=sharded,clock=single`) and gates
-// the slow/fast ns/op ratio against an absolute floor (-min-speedup) and the
-// committed baseline ratios (same >20% regression rule, applied to the
-// ratio). The parallel simulator and the compiled driver plane both gate
-// this way:
-//
-//	go test -run '^$' -bench BenchmarkScaleMulticast/zoned -benchtime 1x -count 6 ./internal/netsim | tee speedup.txt
-//	go run ./cmd/benchgate -speedup -input speedup.txt -min-speedup 2.0
-//
-//	go test -run '^$' -bench BenchmarkDriverExec -benchtime 200ms -count 6 ./internal/vm | tee driver.txt
-//	go run ./cmd/benchgate -speedup -pair driver=compiled,driver=interp -baseline SPEEDUP_driver.json -input driver.txt -min-speedup 2.0
-//
-// With -slo the gate asserts absolute per-op p99 ceilings from a committed
-// SLO file against a cmd/upnp-load result — no relative baseline involved,
-// which is what makes wall-clock (realtime) legs gateable at all:
-//
-//	go run ./cmd/benchgate -slo LOAD_steady_SLO.json -input LOAD_steady_realtime.json
-//
-// Refresh the baseline after an intentional performance change:
-//
-//	go run ./cmd/benchgate -input bench.txt -update -baseline BENCH_baseline.json
-//
-// Diagnose a regression the gate flagged (no Makefile needed): pass -profile
-// to print ready-to-run `go test -cpuprofile/-memprofile` command lines for
-// the worst offenders, or profile a scenario end to end with
-// `go run ./cmd/upnp-sim -cpuprofile cpu.pprof -memprofile mem.pprof`.
+// -update rewrites only the measured values (ns/op, allocs/op, p99s and
+// speedup ratios) that the matched gates already hold. Thresholds, floors,
+// SLO ceilings and pins change only by editing the ledger, and so does
+// adding an entry. Exit status: 0 when every matched gate passes, 1 when one
+// fails, 2 on bad input or when no gate applies.
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"regexp"
@@ -64,138 +62,52 @@ import (
 	"strings"
 )
 
-// Baseline is the committed benchmark reference.
-type Baseline struct {
-	// Note documents how to regenerate the file.
-	Note string `json:"note"`
-	// NsPerOp maps benchmark name (GOMAXPROCS suffix stripped) to the
-	// median ns/op of the baseline run.
-	NsPerOp map[string]float64 `json:"ns_per_op"`
-	// AllocsPerOp is the median allocs/op for benchmarks that report it
-	// (b.ReportAllocs or -benchmem).
+// Ledger is the committed performance record: every gate benchgate knows.
+type Ledger struct {
+	Note  string  `json:"note"`
+	Gates []*Gate `json:"gates"`
+}
+
+// Gate is one committed check: the inputs it applies to, its rule and
+// limits, and the measured values it compares against.
+type Gate struct {
+	Name string `json:"name"`
+	// Rule is bench, load, slo or speedup.
+	Rule string `json:"rule"`
+	Note string `json:"note,omitempty"`
+
+	// The selector. load and slo gates apply to cmd/upnp-load results of
+	// Scenario and Mode, and a load gate also pins Seed. A speedup gate
+	// applies to benchmarks carrying the fast tag of Pair ("fast,slow").
+	Scenario string `json:"scenario,omitempty"`
+	Mode     string `json:"mode,omitempty"`
+	Seed     int64  `json:"seed,omitempty"`
+	Pair     string `json:"pair,omitempty"`
+
+	// The limits, never written by -update.
+	Threshold float64            `json:"threshold,omitempty"`
+	Floor     float64            `json:"floor,omitempty"`
+	P99MaxNs  map[string]float64 `json:"p99_max_ns,omitempty"`
+
+	// The measured values, rewritten by -update.
+	NsPerOp     map[string]float64 `json:"ns_per_op,omitempty"`
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+	P99Ns       map[string]float64 `json:"p99_ns,omitempty"`
+	Speedup     map[string]float64 `json:"speedup,omitempty"`
 }
 
-var (
-	benchLine  = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-	allocsPart = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
-)
+// latencySmooth is added to both sides of every p99 ratio so zero-sample
+// operations stay comparable (1 ms, well under any real op latency in the
+// gated scenarios).
+const latencySmooth = 1e6
 
-// parseBench reduces a `go test -bench` output stream to median ns/op (and,
-// where reported, median allocs/op) per benchmark name.
-func parseBench(path string) (ns, allocs map[string]float64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	nsSamples := map[string][]float64{}
-	allocSamples := map[string][]float64{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad ns/op in %q: %v", line, err)
-		}
-		nsSamples[m[1]] = append(nsSamples[m[1]], v)
-		if am := allocsPart.FindStringSubmatch(line); am != nil {
-			a, err := strconv.ParseFloat(am[1], 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bad allocs/op in %q: %v", line, err)
-			}
-			allocSamples[m[1]] = append(allocSamples[m[1]], a)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
-	}
-	return medians(nsSamples), medians(allocSamples), nil
+// input is one measurement: go test -bench medians or an upnp-load result.
+type input struct {
+	ns, allocs map[string]float64
+	load       *loadResult
 }
 
-func medians(samples map[string][]float64) map[string]float64 {
-	out := map[string]float64{}
-	for name, vals := range samples {
-		sort.Float64s(vals)
-		n := len(vals)
-		if n%2 == 1 {
-			out[name] = vals[n/2]
-		} else {
-			out[name] = (vals[n/2-1] + vals[n/2]) / 2
-		}
-	}
-	return out
-}
-
-// compare prints a baseline-versus-run table for one metric and returns the
-// geomean ratio, how many benchmarks were compared and how many baseline
-// entries the run is missing. For allocs/op the ratio is smoothed as
-// (new+1)/(baseline+1) so zero-allocation baselines stay comparable (and a
-// 0→N regression still shows up as a large ratio).
-func compare(metric string, base, got map[string]float64, smooth float64) (geomean float64, compared, missing int, worst []string) {
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type row struct {
-		name  string
-		ratio float64
-	}
-	var rows []row
-	logSum := 0.0
-	fmt.Printf("%-55s %14s %14s %8s\n", metric, "baseline", "new", "ratio")
-	for _, name := range names {
-		g, ok := got[name]
-		if !ok {
-			fmt.Printf("%-55s %14.1f %14s %8s\n", name, base[name], "MISSING", "-")
-			missing++
-			continue
-		}
-		ratio := (g + smooth) / (base[name] + smooth)
-		fmt.Printf("%-55s %14.1f %14.1f %7.3fx\n", name, base[name], g, ratio)
-		logSum += math.Log(ratio)
-		compared++
-		rows = append(rows, row{name, ratio})
-	}
-	for name := range got {
-		if _, ok := base[name]; !ok {
-			fmt.Printf("%-55s %14s %14.1f %8s  (not in baseline; run -update)\n", name, "-", got[name], "-")
-		}
-	}
-	if compared == 0 {
-		return 1, 0, missing, nil
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ratio > rows[j].ratio })
-	for i := 0; i < len(rows) && i < 3; i++ {
-		if rows[i].ratio > 1 {
-			worst = append(worst, rows[i].name)
-		}
-	}
-	return math.Exp(logSum / float64(compared)), compared, missing, worst
-}
-
-// LatencyBaseline is the committed load-latency reference: the per-op p99s
-// of one deterministic virtual-mode cmd/upnp-load run.
-type LatencyBaseline struct {
-	Note string `json:"note"`
-	// Scenario and Seed pin the run the baseline came from; the gate
-	// refuses to compare a result from a different scenario or seed.
-	Scenario string `json:"scenario"`
-	Seed     int64  `json:"seed"`
-	Mode     string `json:"mode"`
-	// P99Ns maps operation name to its p99 latency in nanoseconds of
-	// virtual time.
-	P99Ns map[string]float64 `json:"p99_ns"`
-}
-
-// loadResult is the subset of cmd/upnp-load's LOAD_result.json the latency
-// gate consumes.
+// loadResult is the subset of a cmd/upnp-load result the gates read.
 type loadResult struct {
 	Scenario string `json:"scenario"`
 	Mode     string `json:"mode"`
@@ -205,117 +117,145 @@ type loadResult struct {
 	} `json:"ops"`
 }
 
-// latencySmooth is added to both sides of every p99 ratio so zero-sample
-// operations stay comparable (1ms, well under any real op latency in the
-// gated scenarios).
-const latencySmooth = 1e6
+var (
+	benchLine  = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	allocsPart = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+)
 
-// latencyGate implements -latency: gate (or -update) a LOAD_result.json
-// against a committed LOAD_baseline.json on per-op p99 geomean.
-func latencyGate(baselinePath, inputPath string, threshold float64, update bool) {
-	raw, err := os.ReadFile(inputPath)
+func readInput(path string) (*input, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
+		return nil, err
 	}
 	var res loadResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", inputPath, err)
-		os.Exit(2)
+	if json.Unmarshal(raw, &res) == nil {
+		if len(res.Ops) == 0 {
+			return nil, fmt.Errorf("no ops in %s", path)
+		}
+		return &input{load: &res}, nil
 	}
-	if len(res.Ops) == 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: no ops in %s\n", inputPath)
-		os.Exit(2)
-	}
-	p99s := map[string]float64{}
-	for name, op := range res.Ops {
-		p99s[name] = op.P99Ns
-	}
-
-	if update {
-		out, err := json.MarshalIndent(LatencyBaseline{
-			Note:     "per-op p99 (ns, virtual) from: go run ./cmd/upnp-load -scenario " + res.Scenario + " ; refresh with: go run ./cmd/benchgate -latency -input LOAD_result.json -update",
-			Scenario: res.Scenario,
-			Seed:     res.Seed,
-			Mode:     res.Mode,
-			P99Ns:    p99s,
-		}, "", "  ")
+	nsSamples := map[string][]float64{}
+	allocSamples := map[string][]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad ns/op in %q: %v", line, err)
 		}
-		if err := os.WriteFile(baselinePath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
+		nsSamples[m[1]] = append(nsSamples[m[1]], v)
+		if am := allocsPart.FindStringSubmatch(line); am != nil {
+			a, err := strconv.ParseFloat(am[1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad allocs/op in %q: %v", line, err)
+			}
+			allocSamples[m[1]] = append(allocSamples[m[1]], a)
 		}
-		fmt.Printf("benchgate: wrote %d op p99s (scenario %s, seed %d) to %s\n", len(p99s), res.Scenario, res.Seed, baselinePath)
-		return
 	}
+	if len(nsSamples) == 0 {
+		return nil, fmt.Errorf("%s holds neither go test -bench lines nor an upnp-load result", path)
+	}
+	return &input{ns: medians(nsSamples), allocs: medians(allocSamples)}, nil
+}
 
-	braw, err := os.ReadFile(baselinePath)
+func medians(samples map[string][]float64) map[string]float64 {
+	out := map[string]float64{}
+	for name, vals := range samples {
+		sort.Float64s(vals)
+		n := len(vals)
+		out[name] = (vals[(n-1)/2] + vals[n/2]) / 2
+	}
+	return out
+}
+
+func readLedger(path string) (*Ledger, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
+		return nil, err
 	}
-	var base LatencyBaseline
-	if err := json.Unmarshal(braw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", baselinePath, err)
-		os.Exit(2)
+	var l Ledger
+	if err := json.Unmarshal(raw, &l); err != nil {
+		return nil, fmt.Errorf("parsing %s: %v", path, err)
 	}
-	if base.Scenario != res.Scenario || base.Seed != res.Seed || (base.Mode != "" && base.Mode != res.Mode) {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — baseline is scenario %q seed %d mode %q but the run is scenario %q seed %d mode %q; latency ratios only mean something within one deterministic scenario\n",
-			base.Scenario, base.Seed, base.Mode, res.Scenario, res.Seed, res.Mode)
-		os.Exit(1)
+	for _, g := range l.Gates {
+		fast, slow, _ := strings.Cut(g.Pair, ",")
+		ok := map[string]bool{
+			"bench":   len(g.NsPerOp) > 0 && g.Threshold > 0,
+			"load":    g.Scenario != "" && g.Mode != "" && len(g.P99Ns) > 0 && g.Threshold > 0,
+			"slo":     g.Scenario != "" && g.Mode != "" && len(g.P99MaxNs) > 0,
+			"speedup": fast != "" && slow != "" && g.Floor > 0 && g.Threshold > 0,
+		}[g.Rule]
+		if !ok {
+			return nil, fmt.Errorf("%s: gate %q lacks what rule %q needs", path, g.Name, g.Rule)
+		}
 	}
-
-	geo, compared, missing, _ := compare("load latency (p99 ns)", base.P99Ns, p99s, latencySmooth)
-	fmt.Println()
-	fail := false
-	if missing > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — %d baseline op(s) missing from the run; update %s if the mix changed\n", missing, baselinePath)
-		fail = true
-	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: FAIL — nothing to compare")
-		fail = true
-	}
-	fmt.Printf("geomean p99 ratio over %d ops: %.3fx (threshold %.2fx)\n", compared, geo, threshold)
-	if geo > threshold {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — geomean p99 regression %.3fx exceeds %.2fx\n", geo, threshold)
-		fail = true
-	}
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: OK")
+	return &l, nil
 }
 
-// SpeedupBaseline is the committed speedup reference: the slow/fast ns/op
-// ratio per benchmark stem from one paired run (e.g. single-loop/sharded for
-// the parallel simulator, interp/compiled for the driver plane).
-type SpeedupBaseline struct {
-	Note string `json:"note"`
-	// Speedup maps benchmark stem (the name with the fast `-pair` component
-	// removed) to the median-ns/op ratio slow/fast.
-	Speedup map[string]float64 `json:"speedup"`
+// applies reports whether the gate checks this input.
+func (g *Gate) applies(in *input) bool {
+	switch g.Rule {
+	case "load", "slo":
+		return in.load != nil && in.load.Scenario == g.Scenario && in.load.Mode == g.Mode
+	case "speedup":
+		fast, _, _ := strings.Cut(g.Pair, ",")
+		for name := range in.ns {
+			if strings.Contains(name, "/"+fast) {
+				return true
+			}
+		}
+	case "bench":
+		for name := range in.ns {
+			if _, ok := g.NsPerOp[name]; ok {
+				return true
+			}
+		}
+		for name := range in.allocs {
+			if _, ok := g.AllocsPerOp[name]; ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
-// speedupRatios pairs every benchmark carrying the fast sub-benchmark tag
-// (e.g. `clock=sharded` or `driver=compiled`) with its slow twin (the same
-// name with the slow tag substituted) and returns the slow/fast median-ns/op
-// ratio per stem (the name with the `/fast` component removed). A fast
-// benchmark without a twin is an error: a lone half would silently un-gate
-// the speedup.
-func speedupRatios(ns map[string]float64, fastTag, slowTag string) (map[string]float64, error) {
-	fast := "/" + fastTag
-	slow := "/" + slowTag
+// measure reads the input in the gate's own fields: the values check
+// compares and -update writes. A broken seed pin or a fast benchmark with
+// no slow twin is an error.
+func (g *Gate) measure(in *input) (*Gate, error) {
+	switch g.Rule {
+	case "bench":
+		return &Gate{NsPerOp: in.ns, AllocsPerOp: in.allocs}, nil
+	case "speedup":
+		ratios, err := speedupRatios(in.ns, g.Pair)
+		return &Gate{Speedup: ratios}, err
+	}
+	if g.Rule == "load" && in.load.Seed != g.Seed {
+		return nil, fmt.Errorf("the gate pins seed %d but the run used seed %d; p99 ratios only mean something within one deterministic run", g.Seed, in.load.Seed)
+	}
+	p99 := map[string]float64{}
+	for name, op := range in.load.Ops {
+		p99[name] = op.P99Ns
+	}
+	return &Gate{P99Ns: p99}, nil
+}
+
+// speedupRatios pairs every benchmark carrying the fast tag of pair with its
+// slow twin (the same name with the slow tag) and returns the slow/fast
+// median ns/op ratio per stem (the name with the fast component removed).
+// A fast benchmark with no twin is an error: a lone half would silently
+// un-gate the speedup.
+func speedupRatios(ns map[string]float64, pair string) (map[string]float64, error) {
+	fastTag, slowTag, _ := strings.Cut(pair, ",")
+	fast, slow := "/"+fastTag, "/"+slowTag
 	ratios := map[string]float64{}
 	for name, fastNs := range ns {
 		if !strings.Contains(name, fast) {
 			continue
 		}
-		twin := strings.Replace(name, fast, slow, 1)
-		slowNs, ok := ns[twin]
+		slowNs, ok := ns[strings.Replace(name, fast, slow, 1)]
 		if !ok {
 			return nil, fmt.Errorf("%s has no %s twin in the run", name, slow)
 		}
@@ -327,330 +267,236 @@ func speedupRatios(ns map[string]float64, fastTag, slowTag string) (map[string]f
 	return ratios, nil
 }
 
-// speedupGate implements -speedup: gate (or -update) the speedup ratios of a
-// paired fast-vs-slow benchmark run — `/clock=sharded` vs `/clock=single` for
-// the parallel simulator, `/driver=compiled` vs `/driver=interp` for the
-// driver plane, or any other `-pair fast,slow` sub-benchmark twins. Two rules
-// apply: the geomean ratio over the pair set must reach the absolute
-// -min-speedup floor (the speedup must actually pay), and no individual
-// ratio may fall more than the threshold factor below the committed baseline
-// ratio (the >20% regression rule on the ratio itself).
-func speedupGate(baselinePath, inputPath, pair string, minSpeedup, threshold float64, update bool) {
-	fastTag, slowTag, ok := strings.Cut(pair, ",")
-	if !ok || fastTag == "" || slowTag == "" {
-		fmt.Fprintf(os.Stderr, "benchgate: -pair must be \"fast,slow\" sub-benchmark tags, got %q\n", pair)
-		os.Exit(2)
-	}
-	ns, _, err := parseBench(inputPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
-	}
-	ratios, err := speedupRatios(ns, fastTag, slowTag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — %v\n", err)
-		os.Exit(1)
-	}
-	if len(ratios) == 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: no /%s benchmarks found in %s\n", fastTag, inputPath)
-		os.Exit(2)
-	}
-
-	if update {
-		out, err := json.MarshalIndent(SpeedupBaseline{
-			Note: fmt.Sprintf("%s/%s ns/op ratios from the paired speedup benchmarks; refresh with: go run ./cmd/benchgate -speedup -pair %s -input bench.txt -update -baseline %s",
-				slowTag, fastTag, pair, baselinePath),
-			Speedup: ratios,
-		}, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
+// check prints the gate's committed-versus-measured tables to w and
+// returns why the measurement fails the gate, plus the worst bench
+// offenders to profile.
+func (g *Gate) check(w io.Writer, got *Gate) (fails, worst []string) {
+	switch g.Rule {
+	case "bench":
+		fails, worst = geomeanRule(w, "ns/op", g.NsPerOp, got.NsPerOp, 0, g.Threshold)
+		if len(g.AllocsPerOp) > 0 {
+			f, wst := geomeanRule(w, "allocs/op", g.AllocsPerOp, got.AllocsPerOp, 1, g.Threshold)
+			fails, worst = append(fails, f...), append(worst, wst...)
 		}
-		if err := os.WriteFile(baselinePath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
+	case "load":
+		fails, _ = geomeanRule(w, "p99 ns", g.P99Ns, got.P99Ns, latencySmooth, g.Threshold)
+	case "slo":
+		fmt.Fprintf(w, "%-30s %14s %14s\n", "op p99 SLO (ns)", "ceiling", "measured")
+		for _, name := range sortedKeys(g.P99MaxNs) {
+			ceiling := g.P99MaxNs[name]
+			p99, ok := got.P99Ns[name]
+			if !ok {
+				fmt.Fprintf(w, "%-30s %14.0f %14s\n", name, ceiling, "MISSING")
+				fails = append(fails, fmt.Sprintf("op %s has an SLO but is missing from the run", name))
+				continue
+			}
+			fmt.Fprintf(w, "%-30s %14.0f %14.0f\n", name, ceiling, p99)
+			if p99 > ceiling {
+				fails = append(fails, fmt.Sprintf("op %s p99 %.0fns exceeds the %.0fns SLO", name, p99, ceiling))
+			}
 		}
-		fmt.Printf("benchgate: wrote %d speedup ratio(s) to %s\n", len(ratios), baselinePath)
-		return
-	}
-
-	var base SpeedupBaseline
-	if braw, err := os.ReadFile(baselinePath); err == nil {
-		if err := json.Unmarshal(braw, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", baselinePath, err)
-			os.Exit(2)
+	case "speedup":
+		fast, slow, _ := strings.Cut(g.Pair, ",")
+		fmt.Fprintf(w, "%-55s %10s %10s\n", "speedup ("+slow+"/"+fast+" ns/op)", "committed", "measured")
+		logSum := 0.0
+		for _, name := range sortedKeys(got.Speedup) {
+			r := got.Speedup[name]
+			b, ok := g.Speedup[name]
+			committed := "-"
+			if ok {
+				committed = fmt.Sprintf("%.2fx", b)
+			}
+			fmt.Fprintf(w, "%-55s %10s %9.2fx\n", name, committed, r)
+			logSum += math.Log(r)
+			if ok && r < b/g.Threshold {
+				fails = append(fails, fmt.Sprintf("%s speedup %.2fx regressed more than %.0f%% from the committed %.2fx", name, r, (g.Threshold-1)*100, b))
+			}
 		}
-	} else if !os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
+		for _, name := range sortedKeys(g.Speedup) {
+			if _, ok := got.Speedup[name]; !ok {
+				fails = append(fails, fmt.Sprintf("committed speedup pair %s is missing from the run", name))
+			}
+		}
+		// The floor applies to the geomean over the pair set, not to each
+		// ratio: a pair set is one optimisation (one parallel simulator, one
+		// compiled driver plane) and the claim is that it pays overall,
+		// while single members (a signal-bound relay driver) may sit below.
+		geo := math.Exp(logSum / float64(len(got.Speedup)))
+		fmt.Fprintf(w, "geomean speedup over %d pair(s): %.2fx (floor %.2fx)\n", len(got.Speedup), geo, g.Floor)
+		if geo < g.Floor {
+			fails = append(fails, fmt.Sprintf("geomean speedup %.2fx is below the %.2fx floor", geo, g.Floor))
+		}
 	}
+	return fails, worst
+}
 
-	names := make([]string, 0, len(ratios))
-	for name := range ratios {
-		names = append(names, name)
+// geomeanRule prints one committed-versus-measured table and applies the
+// relative rule: every committed entry must be measured, and the geomean of
+// (measured+smooth)/(committed+smooth) must not exceed threshold. worst
+// names up to three entries above 1x, worst first.
+func geomeanRule(w io.Writer, metric string, committed, measured map[string]float64, smooth, threshold float64) (fails, worst []string) {
+	type row struct {
+		name  string
+		ratio float64
 	}
-	sort.Strings(names)
-	fail := false
+	var rows []row
 	logSum := 0.0
-	fmt.Printf("%-55s %10s %10s\n", fmt.Sprintf("speedup (%s/%s ns/op)", slowTag, fastTag), "baseline", "new")
-	for _, name := range names {
-		baseStr := "-"
-		if b, ok := base.Speedup[name]; ok {
-			baseStr = fmt.Sprintf("%.2fx", b)
-		}
-		fmt.Printf("%-55s %10s %9.2fx\n", name, baseStr, ratios[name])
-		logSum += math.Log(ratios[name])
-		if b, ok := base.Speedup[name]; ok && ratios[name] < b/threshold {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL — %s speedup %.2fx regressed more than %.0f%% from the %.2fx baseline\n",
-				name, ratios[name], (threshold-1)*100, b)
-			fail = true
-		}
-	}
-	// The absolute floor applies to the geomean over the pair set, not each
-	// ratio: a pair set is one optimization (one parallel simulator, one
-	// compiled driver plane) and the claim being gated is that it pays off
-	// overall, while individual members (a signal-bound relay driver, say)
-	// may legitimately sit below the floor. With a single pair the geomean
-	// is that pair's ratio, so the original clock=sharded gate is unchanged.
-	geo := math.Exp(logSum / float64(len(ratios)))
-	fmt.Printf("geomean speedup over %d pair(s): %.2fx (floor %.2fx)\n", len(ratios), geo, minSpeedup)
-	if geo < minSpeedup {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — geomean speedup %.2fx is below the %.2fx floor\n", geo, minSpeedup)
-		fail = true
-	}
-	for name := range base.Speedup {
-		if _, ok := ratios[name]; !ok {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL — baseline speedup pair %s missing from the run; update %s if it was renamed\n", name, baselinePath)
-			fail = true
-		}
-	}
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: OK")
-}
-
-// SLOFile is a committed set of absolute per-op p99 ceilings (wall or
-// virtual nanoseconds, matching the run's mode) for one load scenario.
-type SLOFile struct {
-	Note string `json:"note"`
-	// Scenario pins the run the ceilings apply to.
-	Scenario string `json:"scenario"`
-	// Mode guards against gating a virtual run with wall-clock ceilings.
-	Mode string `json:"mode,omitempty"`
-	// P99MaxNs maps operation name to its absolute p99 ceiling.
-	P99MaxNs map[string]float64 `json:"p99_max_ns"`
-}
-
-// sloGate implements -slo: assert a cmd/upnp-load result against absolute
-// per-op p99 ceilings. Unlike the relative -latency rule this needs no
-// baseline run to compare against, so it can gate wall-clock (realtime)
-// legs where a committed relative baseline would be all noise — the
-// ceilings just have to clear the characterized runner jitter.
-func sloGate(sloPath, inputPath string) {
-	raw, err := os.ReadFile(inputPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
-	}
-	var res loadResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", inputPath, err)
-		os.Exit(2)
-	}
-	sraw, err := os.ReadFile(sloPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
-	}
-	var slo SLOFile
-	if err := json.Unmarshal(sraw, &slo); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", sloPath, err)
-		os.Exit(2)
-	}
-	if len(slo.P99MaxNs) == 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: no p99_max_ns ceilings in %s\n", sloPath)
-		os.Exit(2)
-	}
-	if slo.Scenario != res.Scenario || (slo.Mode != "" && slo.Mode != res.Mode) {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — SLO file is for scenario %q mode %q but the run is scenario %q mode %q\n",
-			slo.Scenario, slo.Mode, res.Scenario, res.Mode)
-		os.Exit(1)
-	}
-	names := make([]string, 0, len(slo.P99MaxNs))
-	for name := range slo.P99MaxNs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fail := false
-	fmt.Printf("%-30s %14s %14s\n", "op p99 SLO (ns)", "ceiling", "measured")
-	for _, name := range names {
-		op, ok := res.Ops[name]
+	fmt.Fprintf(w, "%-55s %14s %14s %8s\n", metric, "committed", "measured", "ratio")
+	for _, name := range sortedKeys(committed) {
+		m, ok := measured[name]
 		if !ok {
-			fmt.Printf("%-30s %14.0f %14s\n", name, slo.P99MaxNs[name], "MISSING")
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL — op %s has an SLO but is missing from the run\n", name)
-			fail = true
+			fmt.Fprintf(w, "%-55s %14.1f %14s %8s\n", name, committed[name], "MISSING", "-")
+			fails = append(fails, fmt.Sprintf("%s of %s is missing from the input; edit the ledger if it was renamed", metric, name))
 			continue
 		}
-		fmt.Printf("%-30s %14.0f %14.0f\n", name, slo.P99MaxNs[name], op.P99Ns)
-		if op.P99Ns > slo.P99MaxNs[name] {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL — op %s p99 %.0fns exceeds the %.0fns SLO\n", name, op.P99Ns, slo.P99MaxNs[name])
-			fail = true
+		r := (m + smooth) / (committed[name] + smooth)
+		fmt.Fprintf(w, "%-55s %14.1f %14.1f %7.3fx\n", name, committed[name], m, r)
+		logSum += math.Log(r)
+		rows = append(rows, row{name, r})
+	}
+	for _, name := range sortedKeys(measured) {
+		if _, ok := committed[name]; !ok {
+			fmt.Fprintf(w, "%-55s %14s %14.1f %8s  (not in the ledger)\n", name, "-", measured[name], "-")
 		}
 	}
-	if fail {
-		os.Exit(1)
+	if len(rows) == 0 {
+		return fails, nil
 	}
-	fmt.Println("benchgate: OK")
+	geo := math.Exp(logSum / float64(len(rows)))
+	fmt.Fprintf(w, "geomean %s ratio over %d: %.3fx (threshold %.2fx)\n\n", metric, len(rows), geo, threshold)
+	if geo > threshold {
+		fails = append(fails, fmt.Sprintf("geomean %s regression %.3fx exceeds %.2fx", metric, geo, threshold))
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].ratio > rows[j].ratio })
+	for i := 0; i < len(rows) && i < 3 && rows[i].ratio > 1; i++ {
+		worst = append(worst, rows[i].name)
+	}
+	return fails, worst
+}
+
+// update copies the measured values into the entries the gate already
+// holds and returns how many it wrote. Limits are not measured values, so
+// they never change here.
+func (g *Gate) update(got *Gate) (n int) {
+	for _, m := range [][2]map[string]float64{
+		{g.NsPerOp, got.NsPerOp}, {g.AllocsPerOp, got.AllocsPerOp},
+		{g.P99Ns, got.P99Ns}, {g.Speedup, got.Speedup},
+	} {
+		for name := range m[0] {
+			if v, ok := m[1][name]; ok {
+				m[0][name] = v
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// printProfileHint prints go test profiling lines for the worst offenders
+// of a failed bench gate.
+func printProfileHint(w io.Writer, worst []string) {
+	fmt.Fprintln(w, "\nprofile the worst offenders:")
+	seen := map[string]bool{}
+	for _, name := range worst {
+		root, _, _ := strings.Cut(name, "/")
+		if !seen[root] {
+			seen[root] = true
+			fmt.Fprintf(w, "  go test -run '^$' -bench '^%s$' -benchtime 10x -cpuprofile cpu.pprof -memprofile mem.pprof ./...\n", root)
+		}
+	}
+	fmt.Fprintln(w, "  go tool pprof -top cpu.pprof   # or: -alloc_objects mem.pprof")
+	fmt.Fprintln(w, "  go run ./cmd/upnp-sim -cpuprofile cpu.pprof -memprofile mem.pprof -things 100   # a scenario end to end")
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	inputPath := fs.String("input", "", "go test -bench output, or a cmd/upnp-load result JSON")
+	ledgerPath := fs.String("ledger", "PERF_ledger.json", "the committed performance ledger")
+	update := fs.Bool("update", false, "write the measured values of the matched gates into the ledger instead of failing on them")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *inputPath == "" {
+		fmt.Fprintln(stderr, "benchgate: -input is required")
+		fs.Usage()
+		return 2
+	}
+	ledger, err := readLedger(*ledgerPath)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
+	}
+	in, err := readInput(*inputPath)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
+	}
+	matched, failed := 0, false
+	for _, g := range ledger.Gates {
+		if !g.applies(in) {
+			continue
+		}
+		matched++
+		fmt.Fprintf(stdout, "== gate %s (%s)\n", g.Name, g.Rule)
+		got, err := g.measure(in)
+		if err != nil {
+			fmt.Fprintf(stderr, "benchgate: FAIL %s — %v\n", g.Name, err)
+			failed = true
+			continue
+		}
+		fails, worst := g.check(stdout, got)
+		for _, f := range fails {
+			fmt.Fprintf(stderr, "benchgate: FAIL %s — %s\n", g.Name, f)
+		}
+		if *update {
+			fmt.Fprintf(stdout, "benchgate: %s: wrote %d measured value(s)\n", g.Name, g.update(got))
+			continue
+		}
+		if len(fails) > 0 {
+			failed = true
+			if g.Rule == "bench" {
+				printProfileHint(stderr, worst)
+			}
+		}
+	}
+	if matched == 0 {
+		fmt.Fprintf(stderr, "benchgate: no gate in %s applies to %s\n", *ledgerPath, *inputPath)
+		return 2
+	}
+	if *update {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(ledger); err != nil {
+			fmt.Fprintf(stderr, "benchgate: %v\n", err)
+			return 2
+		}
+		if err := os.WriteFile(*ledgerPath, buf.Bytes(), 0o644); err != nil {
+			fmt.Fprintf(stderr, "benchgate: %v\n", err)
+			return 2
+		}
+		fmt.Fprintf(stdout, "benchgate: updated %s (the check above is not enforced with -update)\n", *ledgerPath)
+	}
+	if failed {
+		return 1
+	}
+	if !*update {
+		fmt.Fprintln(stdout, "benchgate: OK")
+	}
+	return 0
 }
 
 func main() {
-	var (
-		baselinePath = flag.String("baseline", "BENCH_baseline.json", "baseline JSON path")
-		inputPath    = flag.String("input", "", "benchmark output file (from go test -bench), or a LOAD_result.json with -latency")
-		threshold    = flag.Float64("threshold", 1.20, "fail when a geomean ratio (new/baseline) exceeds this")
-		update       = flag.Bool("update", false, "write the baseline from -input instead of comparing")
-		profile      = flag.Bool("profile", false, "on regression, print go test -cpuprofile/-memprofile commands for the worst benchmarks")
-		latency      = flag.Bool("latency", false, "gate cmd/upnp-load latency percentiles (p99 geomean) instead of go test -bench output")
-		speedup      = flag.Bool("speedup", false, "gate the speedup of paired fast-vs-slow sub-benchmarks (see -pair)")
-		pair         = flag.String("pair", "clock=sharded,clock=single", "with -speedup: \"fast,slow\" sub-benchmark tags to twin, e.g. driver=compiled,driver=interp")
-		minSpeedup   = flag.Float64("min-speedup", 1.0, "with -speedup: fail when any slow/fast ratio is below this floor")
-		sloPath      = flag.String("slo", "", "gate a LOAD_result.json against absolute per-op p99 ceilings from this SLO file")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: go run ./cmd/benchgate -input bench.txt [-baseline BENCH_baseline.json] [-threshold 1.20] [-update] [-profile]\n"+
-			"       go run ./cmd/benchgate -latency -input LOAD_result.json [-baseline LOAD_baseline.json] [-threshold 1.20] [-update]\n"+
-			"       go run ./cmd/benchgate -speedup -input bench.txt [-pair fast,slow] [-baseline SPEEDUP_baseline.json] [-min-speedup 2.0] [-update]\n"+
-			"       go run ./cmd/benchgate -slo LOAD_steady_SLO.json -input LOAD_steady_realtime.json\n\n"+
-			"Gates both ns/op and allocs/op medians against the committed baseline;\n"+
-			"-latency gates a cmd/upnp-load run's per-op p99s instead.\n"+
-			"Diagnose a flagged regression without any Makefile:\n"+
-			"  go run ./cmd/benchgate -input bench.txt -profile\n"+
-			"  go run ./cmd/upnp-sim -cpuprofile cpu.pprof -memprofile mem.pprof -things 100\n\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *inputPath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -input is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *sloPath != "" {
-		sloGate(*sloPath, *inputPath)
-		return
-	}
-	if *speedup {
-		baselineSet := false
-		flag.Visit(func(f *flag.Flag) { baselineSet = baselineSet || f.Name == "baseline" })
-		if !baselineSet {
-			*baselinePath = "SPEEDUP_baseline.json"
-		}
-		speedupGate(*baselinePath, *inputPath, *pair, *minSpeedup, *threshold, *update)
-		return
-	}
-	if *latency {
-		baselineSet := false
-		flag.Visit(func(f *flag.Flag) { baselineSet = baselineSet || f.Name == "baseline" })
-		if !baselineSet {
-			*baselinePath = "LOAD_baseline.json"
-		}
-		latencyGate(*baselinePath, *inputPath, *threshold, *update)
-		return
-	}
-	ns, allocs, err := parseBench(*inputPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
-	}
-	if len(ns) == 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: no benchmark lines found in %s\n", *inputPath)
-		os.Exit(2)
-	}
-
-	if *update {
-		out, err := json.MarshalIndent(Baseline{
-			Note:        "median ns/op and allocs/op from: go test -run '^$' -bench <gate pattern> -benchtime 1x -count 6; refresh with: go run ./cmd/benchgate -input bench.txt -update",
-			NsPerOp:     ns,
-			AllocsPerOp: allocs,
-		}, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(*baselinePath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("benchgate: wrote %d benchmarks (%d with allocs/op) to %s\n", len(ns), len(allocs), *baselinePath)
-		return
-	}
-
-	raw, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
-	}
-	var base Baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", *baselinePath, err)
-		os.Exit(2)
-	}
-
-	nsGeo, nsCompared, nsMissing, nsWorst := compare("benchmark (ns/op)", base.NsPerOp, ns, 0)
-	fmt.Println()
-	allocGeo, allocCompared, allocMissing, allocWorst := compare("benchmark (allocs/op)", base.AllocsPerOp, allocs, 1)
-	fmt.Println()
-
-	fail := false
-	if nsMissing > 0 || allocMissing > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — %d ns/op and %d allocs/op baseline benchmark(s) missing from the run; update %s if they were renamed\n",
-			nsMissing, allocMissing, *baselinePath)
-		fail = true
-	}
-	if nsCompared == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: FAIL — nothing to compare")
-		fail = true
-	}
-	fmt.Printf("geomean ns/op ratio over %d benchmarks: %.3fx (threshold %.2fx)\n", nsCompared, nsGeo, *threshold)
-	if allocCompared > 0 {
-		fmt.Printf("geomean allocs/op ratio over %d benchmarks: %.3fx (threshold %.2fx)\n", allocCompared, allocGeo, *threshold)
-	}
-	var regressed []string
-	if nsGeo > *threshold {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — geomean ns/op regression %.3fx exceeds %.2fx\n", nsGeo, *threshold)
-		regressed = append(regressed, nsWorst...)
-		fail = true
-	}
-	if allocCompared > 0 && allocGeo > *threshold {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — geomean allocs/op regression %.3fx exceeds %.2fx\n", allocGeo, *threshold)
-		regressed = append(regressed, allocWorst...)
-		fail = true
-	}
-	if fail {
-		if *profile && len(regressed) > 0 {
-			fmt.Fprintln(os.Stderr, "\nprofile the worst offenders:")
-			seen := map[string]bool{}
-			for _, name := range regressed {
-				if seen[name] {
-					continue
-				}
-				seen[name] = true
-				fmt.Fprintf(os.Stderr, "  go test -run '^$' -bench '^%s$' -benchtime 10x -cpuprofile cpu.pprof -memprofile mem.pprof ./...\n", benchRootName(name))
-			}
-			fmt.Fprintln(os.Stderr, "  go tool pprof -top cpu.pprof   # or: -alloc_objects mem.pprof")
-		}
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: OK")
-}
-
-// benchRootName strips a sub-benchmark suffix ("BenchmarkX/depth=10") down to
-// the function name `go test -bench` can anchor on.
-func benchRootName(name string) string {
-	for i, r := range name {
-		if r == '/' {
-			return name[:i]
-		}
-	}
-	return name
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -3,7 +3,7 @@
 // population with think time) arrivals over a weighted mix of SDK
 // operations — and reports per-operation latency percentiles, throughput
 // and error counters, as a human-readable table and as machine-readable
-// JSON (LOAD_result.json) for the CI latency gate (cmd/benchgate -latency).
+// JSON (LOAD_result.json) for the CI latency gate (cmd/benchgate).
 //
 // Usage:
 //
@@ -34,7 +34,7 @@
 // issued as REST calls against a running cmd/upnp-gateway, and latency is
 // the gateway's X-Upnp-Virtual-Ns virtual-time span. Against a quiet
 // virtual-mode gateway the single-lane http-smoke scenario is deterministic
-// and CI gates its p99s (LOAD_http_baseline.json).
+// and CI gates its p99s (the load-http-smoke gate of PERF_ledger.json).
 //
 // Virtual-mode runs (the default) are deterministic: a single deployment's
 // ops issue from cooperative strands under Deployment.Conduct (one per zone
@@ -50,7 +50,7 @@
 //	go run ./cmd/upnp-load -scenario smoke -out LOAD_result.json
 //	go run ./cmd/upnp-load -scenario smoke -realtime -timescale 50
 //	go run ./cmd/upnp-load -scenario steady -workers 8 -think 100ms
-//	go run ./cmd/benchgate -latency -baseline LOAD_baseline.json -input LOAD_result.json
+//	go run ./cmd/benchgate -input LOAD_result.json
 package main
 
 import (

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -92,20 +93,28 @@ func TestTable4Statistics(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
+	// Each phase mean lies within 5% of the paper's Table 4. Measured at 5
+	// and at 128 runs: 2.59 / 5.44 / 52.97 / 57.86 / 46.70 ms, the worst
+	// being Advertise at +2.9%.
+	paper := []float64{2.59, 5.44, 53.91, 59.50, 45.37} // ms
 	var sum time.Duration
-	for _, r := range res.Rows {
-		if r.Mean <= 0 {
-			t.Errorf("%s mean = %v", r.Operation, r.Mean)
+	paperSum := 0.0
+	for i, r := range res.Rows {
+		if got := float64(r.Mean) / 1e6; math.Abs(got/paper[i]-1) > 0.05 {
+			t.Errorf("%s mean = %.2f ms, want within 5%% of the paper's %.2f ms", r.Operation, got, paper[i])
 		}
 		sum += r.Mean
+		paperSum += paper[i]
 	}
 	// Phase means must sum to the network total.
 	if diff := res.Total.Mean - sum; diff < -time.Millisecond || diff > time.Millisecond {
 		t.Errorf("total %v != phase sum %v", res.Total.Mean, sum)
 	}
-	// One-hop total lands in the paper's regime (188.53 ms there).
-	if res.Total.Mean < 120*time.Millisecond || res.Total.Mean > 260*time.Millisecond {
-		t.Errorf("network total = %v, want roughly 190 ms", res.Total.Mean)
+	// The total lies within 3% of the paper's phase sum, 166.81 ms (165.55
+	// ms here). The paper's own "total time" row, 188.53 ms, is not the sum
+	// of its own phases, so the phase sum is the reference.
+	if got := float64(res.Total.Mean) / 1e6; math.Abs(got/paperSum-1) > 0.03 {
+		t.Errorf("network total = %.2f ms, want within 3%% of the paper's phase sum %.2f ms", got, paperSum)
 	}
 	// End-to-end includes hardware identification (paper: 488.53 ms).
 	if res.EndToEnd.Mean < 350*time.Millisecond || res.EndToEnd.Mean > 600*time.Millisecond {

@@ -29,7 +29,7 @@ type rig struct {
 
 // newRig boots nThings Things (TMP36 on channel 0, the first Thing also a
 // Relay on channel 1) behind a gateway.
-func newRig(t *testing.T, nThings int, ttl time.Duration, opts ...micropnp.Option) *rig {
+func newRig(t testing.TB, nThings int, ttl time.Duration, opts ...micropnp.Option) *rig {
 	t.Helper()
 	d, err := micropnp.NewDeployment(opts...)
 	if err != nil {

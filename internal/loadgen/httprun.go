@@ -31,8 +31,8 @@ import (
 // deterministic: the op schedule is a pure function of the seed and every
 // virtual span is a constant of the (op, target) pair, so the percentile
 // report reproduces bit for bit — what the CI gateway-smoke job gates with
-// benchgate -latency. Multi-lane runs and realtime gateways keep the
-// schedule deterministic but measure real interleavings.
+// benchgate. Multi-lane runs and realtime gateways keep the schedule
+// deterministic but measure real interleavings.
 //
 // HTTP mode is count-based (HTTPOps operations split across Workers lanes)
 // rather than time-based: the gateway owns the virtual clock, so the runner
@@ -254,7 +254,7 @@ func (r *httpRunner) execOne(rng *rand.Rand, lane int) error {
 	return nil
 }
 
-// result assembles the Result in the shape benchgate -latency gates.
+// result assembles the Result in the shape benchgate gates.
 func (r *httpRunner) result(gwMode string, virtualSpan time.Duration, wall time.Duration) *Result {
 	res := &Result{
 		Scenario:  r.cfg.Scenario,

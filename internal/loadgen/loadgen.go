@@ -249,9 +249,6 @@ func deployOpts(cfg Config, seed int64, site int) []micropnp.Option {
 	}
 	if cfg.Realtime {
 		opts = append(opts, micropnp.WithRealTime(), micropnp.WithTimeScale(cfg.TimeScale))
-		if cfg.PoolWorkers > 0 {
-			opts = append(opts, micropnp.WithWorkers(cfg.PoolWorkers))
-		}
 	}
 	return opts
 }

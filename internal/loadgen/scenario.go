@@ -198,10 +198,9 @@ type Config struct {
 	Mix  Mix
 
 	// Realtime runs the deployment on the wall clock (TimeScale compresses
-	// virtual time; PoolWorkers bounds the network handler pool).
-	Realtime    bool
-	TimeScale   float64
-	PoolWorkers int
+	// virtual time).
+	Realtime  bool
+	TimeScale float64
 
 	// Deployment knobs: StreamPeriod for subscription streams,
 	// RequestTimeout for request deadlines (and hence the discovery
@@ -313,8 +312,8 @@ var presets = map[string]Config{
 	// 0..2, two anycast manager instances each) behind one Fleet, zoned
 	// topologies inside every member, and a manager crash a third of the
 	// way into the measure window. The CI fleet job gates its latency
-	// percentiles (LOAD_fleet_baseline.json); the golden test pins its
-	// result JSON digest across sharded-clock worker counts.
+	// percentiles (the load-fleet gate of PERF_ledger.json); the golden
+	// test pins its result JSON digest across sharded-clock worker counts.
 	"fleet": {
 		Deployments: 3, Managers: 2, ManagerFailAt: 60 * time.Second,
 		Things: 90, Shape: ShapeZones, Zones: 4, Rate: 3,

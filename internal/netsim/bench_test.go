@@ -227,9 +227,9 @@ func BenchmarkScaleMulticast(b *testing.B) {
 	// parallel sharded schedule (clock=sharded) and the sequential single-loop
 	// schedule (clock=single) of the same topology and seed. Bit-determinism
 	// makes the two runs execute the same events, so the single/sharded ns/op
-	// ratio is pure parallel speedup; `benchgate -speedup` gates it. The CI
-	// scale-100k job sets MICROPNP_SCALE_100K=1 for the gated 50,000-node
-	// tier; the default size keeps local runs quick.
+	// ratio is pure parallel speedup; benchgate's speedup-clock gate checks
+	// it. The CI scale-100k job sets MICROPNP_SCALE_100K=1 for the gated
+	// 50,000-node tier; the default size keeps local runs quick.
 	count := 2000
 	if os.Getenv("MICROPNP_SCALE_100K") != "" {
 		count = 50000

@@ -25,7 +25,7 @@ type testBed struct {
 	mgrInbox []*proto.Message
 }
 
-func newTestBed(t *testing.T) *testBed {
+func newTestBed(t testing.TB) *testBed {
 	t.Helper()
 	n := netsim.New(netsim.Config{})
 	root, err := n.AddNode(addr("2001:db8::1"), nil)
@@ -55,7 +55,7 @@ func newTestBed(t *testing.T) *testBed {
 	return tb
 }
 
-func tmp36Source(t *testing.T) []byte {
+func tmp36Source(t testing.TB) []byte {
 	t.Helper()
 	repo, err := driver.StandardRepository()
 	if err != nil {
@@ -76,7 +76,7 @@ func (d *adcDevice) Attach(ic *Interconnects) error {
 }
 func (d *adcDevice) Detach(ic *Interconnects) { ic.ADC.Connect(nil) }
 
-func plugTMP36(t *testing.T, tb *testBed, ch int) {
+func plugTMP36(t testing.TB, tb *testBed, ch int) {
 	t.Helper()
 	p, err := hw.NewPeripheral(hw.PeripheralSpec{ID: driver.IDTMP36, Bus: hw.BusADC})
 	if err != nil {

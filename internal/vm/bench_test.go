@@ -58,8 +58,8 @@ func driverCycles() map[string][]benchCall {
 }
 
 // BenchmarkDriverExec pairs the compiled engine against the interpreter
-// oracle on every embedded driver's sample cycle. benchgate -speedup
-// -pair driver=compiled,driver=interp gates the geomean ratio in CI.
+// oracle on every embedded driver's sample cycle. benchgate gates the
+// geomean ratio in CI (the speedup-driver gate of PERF_ledger.json).
 //
 // The driver loop is OUTER and the engine loop INNER so `go test -count N`
 // runs each compiled sub-benchmark immediately before its interp twin:

@@ -115,13 +115,6 @@ func WithTimeScale(s float64) Option {
 	return func(c *config) { c.core.TimeScale = s }
 }
 
-// WithWorkers bounds the real-time handler worker pool: at most n network
-// handlers run concurrently (0 = min(GOMAXPROCS, 8)). Ignored by the
-// virtual clock, which executes handlers inline on the driving goroutine.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.core.Workers = n }
-}
-
 // WithZones partitions the deployment into n address zones, each run on its
 // own event heap, RNG stream and lock domain by the zone-sharded
 // conservative-PDES virtual clock (classic conservative synchronization with
@@ -139,7 +132,8 @@ func WithZones(n int) Option {
 // WithShardWorkers bounds the sharded clock's per-round parallelism: 1
 // forces the sequential single-loop schedule (bit-identical to any parallel
 // run — the determinism cross-check mode), 0 means GOMAXPROCS. In real-time
-// mode the same knob bounds the handler worker pool (see WithWorkers).
+// mode the same knob bounds the handler worker pool: at most n network
+// handlers run concurrently (0 = min(GOMAXPROCS, 8)).
 func WithShardWorkers(n int) Option {
 	return func(c *config) { c.core.Workers = n }
 }
