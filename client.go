@@ -49,7 +49,10 @@ func (c *Client) OnAdvert(fn func(Advert)) {
 		c.cl.OnAdvert(nil)
 		return
 	}
-	c.cl.OnAdvert(func(a client.Advert) { fn(advertFrom(a)) })
+	c.cl.OnAdvert(func(a client.Advert) {
+		c.d.noteDriver()
+		fn(advertFrom(a))
+	})
 }
 
 // AddAdvertHook registers an additional advertisement listener. Unlike
@@ -63,7 +66,10 @@ func (c *Client) AddAdvertHook(fn func(Advert)) {
 	if fn == nil {
 		return
 	}
-	c.cl.AddAdvertHook(func(a client.Advert) { fn(advertFrom(a)) })
+	c.cl.AddAdvertHook(func(a client.Advert) {
+		c.d.noteDriver()
+		fn(advertFrom(a))
+	})
 }
 
 // units resolves the unit string for a peripheral type: what the Thing
@@ -324,6 +330,7 @@ func (c *Client) Subscribe(ctx context.Context, thing netip.Addr, id DeviceID, o
 				cb := sub.onRead
 				sub.mu.Unlock()
 				if cb != nil {
+					c.d.noteDriver()
 					cb(r)
 				}
 			},

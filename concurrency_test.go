@@ -238,63 +238,104 @@ func TestRealtimeThroughput(t *testing.T) {
 }
 
 // TestNestedSDKCallFromCallbackVirtual guards the reentrant pump path: an
-// SDK call issued from inside a simulator-driven callback (here a Write
-// from OnReading) must pump the simulator recursively, exactly as the
-// pre-runtime inline Step loop did, instead of parking on the driver —
-// which is this same goroutine, blocked inside its own handler.
+// SDK call issued from inside a simulator-driven callback (here a Write)
+// must pump the simulator recursively, exactly as the pre-runtime inline
+// Step loop did, instead of parking on the driver — which is this same
+// goroutine, blocked inside its own handler. Each SDK entry point that runs
+// a user callback records the driver's goroutine for this check, so every
+// one of them is covered.
 func TestNestedSDKCallFromCallbackVirtual(t *testing.T) {
-	d, err := micropnp.NewDeployment(micropnp.WithStreamPeriod(time.Second))
-	if err != nil {
-		t.Fatal(err)
+	type rig struct {
+		d     *micropnp.Deployment
+		cl    *micropnp.Client
+		th    *micropnp.Thing // streams a TMP36
+		late  *micropnp.Thing // plugged after arming, so it advertises
+		ctx   context.Context
+		fired func() // the callback body: one nested Write
 	}
-	th := plugFleet(t, d, 1)[0]
-	relayThing, err := d.AddThing("relays")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		arm  func(t *testing.T, r rig)
+	}{
+		{"Subscribe", func(t *testing.T, r rig) {
+			sub, err := r.cl.Subscribe(r.ctx, r.th.Addr(), micropnp.TMP36, func(micropnp.Reading) { r.fired() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(sub.Close)
+		}},
+		{"OnAdvert", func(t *testing.T, r rig) {
+			r.cl.OnAdvert(func(micropnp.Advert) { r.fired() })
+			if err := r.late.PlugTMP36(0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"AddAdvertHook", func(t *testing.T, r rig) {
+			r.cl.AddAdvertHook(func(micropnp.Advert) { r.fired() })
+			if err := r.late.PlugTMP36(0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ScheduleAfter", func(t *testing.T, r rig) {
+			r.d.ScheduleAfter(time.Second, r.fired)
+		}},
 	}
-	relay, err := relayThing.PlugRelay(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := d.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := micropnp.NewDeployment(micropnp.WithStreamPeriod(time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := plugFleet(t, d, 1)[0]
+			relayThing, err := d.AddThing("relays")
+			if err != nil {
+				t.Fatal(err)
+			}
+			relay, err := relayThing.PlugRelay(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			late, err := d.AddThing("late")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := d.AddClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Run()
 
-	ctx := context.Background()
-	var nestedErr error
-	nested := false
-	sub, err := cl.Subscribe(ctx, th.Addr(), micropnp.TMP36, func(r micropnp.Reading) {
-		if nested {
-			return
-		}
-		nested = true
-		// A blocking SDK call from inside the delivery callback.
-		nestedErr = cl.Write(ctx, relayThing.Addr(), micropnp.Relay, []int32{0b11})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	done := make(chan struct{})
-	go func() {
-		d.RunFor(3 * time.Second)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("nested SDK call deadlocked the virtual pump")
-	}
-	if !nested {
-		t.Fatal("stream never delivered; nested call untested")
-	}
-	if nestedErr != nil {
-		t.Fatalf("nested write failed: %v", nestedErr)
-	}
-	if got := relay.State(); got != 0b11 {
-		t.Fatalf("relay state = %08b after nested write", got)
+			ctx := context.Background()
+			var nestedErr error
+			nested := false
+			tc.arm(t, rig{d: d, cl: cl, th: th, late: late, ctx: ctx, fired: func() {
+				if nested {
+					return
+				}
+				nested = true
+				// A blocking SDK call from inside the callback.
+				nestedErr = cl.Write(ctx, relayThing.Addr(), micropnp.Relay, []int32{0b11})
+			}})
+			done := make(chan struct{})
+			go func() {
+				d.RunFor(3 * time.Second)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("nested SDK call deadlocked the virtual pump")
+			}
+			if !nested {
+				t.Fatal("callback never ran; nested call untested")
+			}
+			if nestedErr != nil {
+				t.Fatalf("nested write failed: %v", nestedErr)
+			}
+			if got := relay.State(); got != 0b11 {
+				t.Fatalf("relay state = %08b after nested write", got)
+			}
+		})
 	}
 }
 

@@ -34,16 +34,12 @@ func (d *Deployment) Conduct(fns ...func(*Strand)) {
 	if len(fns) == 0 {
 		return
 	}
-	self := gid()
 	d.waiters.Add(1)
 	defer d.waiters.Add(-1)
 	d.pumpMu.Lock()
-	d.driverGid.Store(self)
 	defer func() {
 		d.conduct.Store(nil)
-		d.driverGid.Store(0)
-		d.pumpMu.Unlock()
-		d.broadcastStep()
+		d.unlockPump()
 	}()
 	c := &conductor{byGid: make(map[int64]*Strand, len(fns))}
 	for _, fn := range fns {
@@ -107,13 +103,14 @@ type conductor struct {
 }
 
 // conductedStrand returns the Strand owning the calling goroutine, or nil
-// when no Conduct is active or the goroutine is not a strand.
-func (d *Deployment) conductedStrand(self int64) *Strand {
+// when no Conduct is active or the goroutine is not a strand. Only the
+// active case pays for the goroutine-id lookup.
+func (d *Deployment) conductedStrand() *Strand {
 	c := d.conduct.Load()
 	if c == nil {
 		return nil
 	}
-	return c.byGid[self]
+	return c.byGid[gid()]
 }
 
 type strandState int

@@ -26,12 +26,21 @@
 // The catalog is safe for concurrent use: reads take an RWMutex snapshot,
 // listings are paged and deterministically ordered, and hit/miss/expiry
 // counters are atomic.
+//
+// Costs: beside its map the catalog keeps every key in one slice, ordered by
+// (Thing, peripheral) and re-sorted lazily, at most once after each change to
+// the key set that breaks the order. A refresh of a known entry is a map
+// update. An unfiltered List page costs O(limit), a filtered one a single
+// scan of the keys that copies only the page, Thing is a binary search plus
+// its entries, and a Sweep compacts the key slice only when it drops
+// entries.
 package catalog
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,6 +129,11 @@ type Catalog struct {
 
 	mu      sync.RWMutex
 	entries map[Key]Entry
+	// keys holds every key of entries, in compareKeys order unless unsorted
+	// is set: a new key is appended, and only one landing out of order
+	// marks the slice for the next reader to sort (rlockSorted).
+	keys     []Key
+	unsorted bool
 
 	observed atomic.Uint64
 	hits     atomic.Uint64
@@ -198,6 +212,10 @@ func (c *Catalog) observe(feed int, a micropnp.Advert) {
 	e, ok := c.entries[k]
 	if !ok {
 		e = Entry{Thing: a.Thing, Device: a.Device, Channel: -1, FirstSeen: a.At}
+		if n := len(c.keys); !c.unsorted && n > 0 && compareKeys(c.keys[n-1], k) > 0 {
+			c.unsorted = true
+		}
+		c.keys = append(c.keys, k)
 	}
 	// Adverts may omit optional TLVs; never let a terse refresh erase
 	// metadata a richer advert already provided.
@@ -233,14 +251,43 @@ func (c *Catalog) Get(thing netip.Addr, device micropnp.DeviceID) (Entry, bool) 
 	return e, ok
 }
 
-// Thing returns every live entry of one Thing, ordered by peripheral type.
-func (c *Catalog) Thing(thing netip.Addr) []Entry {
+// compareKeys orders keys by Thing address, then peripheral type: the
+// order of every listing.
+func compareKeys(a, b Key) int {
+	if c := a.Thing.Compare(b.Thing); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Device, b.Device)
+}
+
+// rlockSorted read-locks the catalog with c.keys in order, sorting them
+// first when a new key landed out of order since the last sort. A writer
+// can slip in between the sort and the read lock, hence the loop.
+func (c *Catalog) rlockSorted() {
 	c.mu.RLock()
-	var out []Entry
-	for k, e := range c.entries {
-		if k.Thing == thing {
-			out = append(out, e)
+	for c.unsorted {
+		c.mu.RUnlock()
+		c.mu.Lock()
+		if c.unsorted {
+			slices.SortFunc(c.keys, compareKeys)
+			c.unsorted = false
 		}
+		c.mu.Unlock()
+		c.mu.RLock()
+	}
+}
+
+// Thing returns every live entry of one Thing, ordered by peripheral type:
+// a binary search over the ordered keys, then one lookup per entry.
+func (c *Catalog) Thing(thing netip.Addr) []Entry {
+	c.rlockSorted()
+	i, _ := slices.BinarySearchFunc(c.keys, thing, func(k Key, t netip.Addr) int { return k.Thing.Compare(t) })
+	var out []Entry
+	for _, k := range c.keys[i:] {
+		if k.Thing != thing {
+			break
+		}
+		out = append(out, c.entries[k])
 	}
 	c.mu.RUnlock()
 	if len(out) == 0 {
@@ -248,7 +295,6 @@ func (c *Catalog) Thing(thing netip.Addr) []Entry {
 		return nil
 	}
 	c.hits.Add(1)
-	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
 	return out
 }
 
@@ -263,17 +309,18 @@ type Filter struct {
 	Thing netip.Addr
 }
 
-func (f Filter) matches(e Entry) bool {
-	if f.Device != 0 && f.Device != micropnp.AllPeripherals && e.Device != f.Device {
+// matchesKey applies the filter's key fields (Device, Thing); Units needs
+// the entry.
+func (f Filter) matchesKey(k Key) bool {
+	if f.Device != 0 && f.Device != micropnp.AllPeripherals && k.Device != f.Device {
 		return false
 	}
-	if f.Units != "" && e.Units != f.Units {
-		return false
-	}
-	if f.Thing.IsValid() && e.Thing != f.Thing {
-		return false
-	}
-	return true
+	return !f.Thing.IsValid() || k.Thing == f.Thing
+}
+
+// all reports whether the filter matches every entry.
+func (f Filter) all() bool {
+	return (f.Device == 0 || f.Device == micropnp.AllPeripherals) && f.Units == "" && !f.Thing.IsValid()
 }
 
 // List returns one page of the filtered catalog plus the total number of
@@ -286,38 +333,44 @@ func (f Filter) matches(e Entry) bool {
 // walk's cursor shifts later pages right, so such a walk can legitimately
 // see an entry twice; callers that need exactly-once enumeration under
 // insert churn should fetch one unpaged snapshot (limit <= 0) instead.
+//
+// An unfiltered page costs O(limit): it is cut straight from the ordered
+// keys. A filtered page is one scan of the keys that counts every match and
+// copies only the page's entries. Neither sorts, except for the one lazy
+// sort after the key set changed out of order.
 func (c *Catalog) List(f Filter, offset, limit int) (page []Entry, total int) {
-	c.mu.RLock()
-	matched := make([]Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		if f.matches(e) {
-			matched = append(matched, e)
+	offset = max(offset, 0)
+	c.rlockSorted()
+	if f.all() {
+		total = len(c.keys)
+		if offset < total {
+			end := total
+			if limit > 0 && limit < total-offset {
+				end = offset + limit
+			}
+			page = make([]Entry, 0, end-offset)
+			for _, k := range c.keys[offset:end] {
+				page = append(page, c.entries[k])
+			}
+		}
+	} else {
+		for _, k := range c.keys {
+			if !f.matchesKey(k) || f.Units != "" && c.entries[k].Units != f.Units {
+				continue
+			}
+			if total >= offset && (limit <= 0 || len(page) < limit) {
+				page = append(page, c.entries[k])
+			}
+			total++
 		}
 	}
 	c.mu.RUnlock()
-	if len(matched) == 0 {
+	if total == 0 {
 		c.misses.Add(1)
 	} else {
 		c.hits.Add(1)
 	}
-	sort.Slice(matched, func(i, j int) bool {
-		if matched[i].Thing != matched[j].Thing {
-			return matched[i].Thing.Less(matched[j].Thing)
-		}
-		return matched[i].Device < matched[j].Device
-	})
-	total = len(matched)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset >= total {
-		return nil, total
-	}
-	matched = matched[offset:]
-	if limit > 0 && limit < len(matched) {
-		matched = matched[:limit]
-	}
-	return matched, total
+	return page, total
 }
 
 // Size returns the number of live entries.
@@ -341,13 +394,19 @@ func (c *Catalog) Sweep() int {
 	c.feedMu.RUnlock()
 	c.sweeps.Add(1)
 	c.mu.Lock()
-	dropped := 0
-	for k, e := range c.entries {
-		if e.Expires <= nows[e.Feed] {
-			delete(c.entries, k)
-			dropped++
+	// DeleteFunc moves keys only from the first drop on, so a sweep that
+	// drops nothing leaves the slice untouched; the survivors keep their
+	// order.
+	n := len(c.keys)
+	c.keys = slices.DeleteFunc(c.keys, func(k Key) bool {
+		e := c.entries[k]
+		if e.Expires > nows[e.Feed] {
+			return false
 		}
-	}
+		delete(c.entries, k)
+		return true
+	})
+	dropped := n - len(c.keys)
 	c.mu.Unlock()
 	if dropped > 0 {
 		c.expired.Add(uint64(dropped))
@@ -386,16 +445,18 @@ func (c *Catalog) Start(interval time.Duration) (stop func()) {
 
 // Stats returns a snapshot of the counters.
 func (c *Catalog) Stats() Stats {
-	c.mu.RLock()
-	size := len(c.entries)
-	things := map[netip.Addr]struct{}{}
-	for k := range c.entries {
-		things[k.Thing] = struct{}{}
+	c.rlockSorted()
+	size := len(c.keys)
+	things := 0
+	for i, k := range c.keys {
+		if i == 0 || k.Thing != c.keys[i-1].Thing {
+			things++
+		}
 	}
 	c.mu.RUnlock()
 	return Stats{
 		Size:     size,
-		Things:   len(things),
+		Things:   things,
 		Observed: c.observed.Load(),
 		Hits:     c.hits.Load(),
 		Misses:   c.misses.Load(),

@@ -174,30 +174,42 @@ type slotState struct {
 }
 
 // pendingRead is one read awaiting a driver return value. Entries are
-// pooled; gen is bumped on every release (under Thing.opsMu) so a stale
-// expiry event whose entry was answered and recycled into a newer read fails
-// its generation check (pointer identity alone cannot catch that ABA).
+// recycled through their Thing's own free list; gen is bumped on every
+// release so a stale expiry event whose entry was answered and recycled
+// into a newer read fails its generation check (pointer identity alone
+// cannot catch that ABA). An entry never leaves its Thing, so every field
+// is guarded by that Thing's opsMu: a process-wide pool would hand an entry
+// to another Thing while a late expiry of the first still reads it.
 type pendingRead struct {
 	seq    uint16
 	client netip.Addr
 	// expiry retracts the typed deadline once the read was answered.
 	expiry netsim.ExpiryRef
-	// gen guards pooled reuse. Written only under Thing.opsMu.
-	gen uint64
+	gen    uint64
 }
 
-var pendingReadPool = sync.Pool{New: func() any { return new(pendingRead) }}
+// newPendingReadLocked takes an entry off the free list, or allocates one
+// when the list is empty (opsMu held).
+func (t *Thing) newPendingReadLocked() *pendingRead {
+	n := len(t.freeReads)
+	if n == 0 {
+		return new(pendingRead)
+	}
+	pr := t.freeReads[n-1]
+	t.freeReads = t.freeReads[:n-1]
+	return pr
+}
 
 // releasePendingRead recycles an entry after it left the pending table; the
 // caller must hold the only live reference.
 func (t *Thing) releasePendingRead(pr *pendingRead) {
 	t.opsMu.Lock()
 	pr.gen++
-	t.opsMu.Unlock()
 	pr.seq = 0
 	pr.client = netip.Addr{}
 	pr.expiry = netsim.ExpiryRef{}
-	pendingReadPool.Put(pr)
+	t.freeReads = append(t.freeReads, pr)
+	t.opsMu.Unlock()
 }
 
 type streamState struct {
@@ -209,13 +221,14 @@ type streamState struct {
 // Thing is one simulated µPnP Thing.
 //
 // Locking: mu guards slots/installed/awaiting/traces; opsMu guards the
-// pending-read and stream tables; vmMu serializes every driver-runtime
-// execution (vm.Runtime is not itself safe for concurrent use — one MCU,
-// one thread of control), which matters when the network's realtime clock
-// dispatches handlers from a worker pool. Driver runtimes may call back
-// into driverReturned while vmMu is held, so driverReturned takes only
-// opsMu. mu and opsMu are never held while acquiring vmMu's predecessors:
-// the order is mu → opsMu, and both are released before vmMu is taken.
+// pending-read table with its free list, and the stream table; vmMu
+// serializes every driver-runtime execution (vm.Runtime is not itself safe
+// for concurrent use — one MCU, one thread of control), which matters when
+// the network's realtime clock dispatches handlers from a worker pool.
+// Driver runtimes may call back into driverReturned while vmMu is held, so
+// driverReturned takes only opsMu. mu and opsMu are never held while
+// acquiring vmMu's predecessors: the order is mu → opsMu, and both are
+// released before vmMu is taken.
 type Thing struct {
 	cfg    Config
 	node   *netsim.Node
@@ -229,9 +242,10 @@ type Thing struct {
 	awaiting  map[hw.DeviceID]*PluginTrace
 	traces    []*PluginTrace
 
-	opsMu   sync.Mutex
-	pending map[hw.DeviceID][]*pendingRead
-	streams map[hw.DeviceID]*streamState
+	opsMu     sync.Mutex
+	pending   map[hw.DeviceID][]*pendingRead
+	freeReads []*pendingRead
+	streams   map[hw.DeviceID]*streamState
 
 	vmMu sync.Mutex
 	// dataScratch is the reusable payload buffer driverReturned packs return
@@ -856,9 +870,9 @@ func (t *Thing) handleRead(msg netsim.Message, m *proto.Message) {
 	}
 	// id is copied out: the expiry event outlives the borrowed decode.
 	id := m.DeviceID
-	pr := pendingReadPool.Get().(*pendingRead)
-	pr.seq, pr.client = m.Seq, msg.Src
 	t.opsMu.Lock()
+	pr := t.newPendingReadLocked()
+	pr.seq, pr.client = m.Seq, msg.Src
 	gen := pr.gen
 	t.pending[id] = append(t.pending[id], pr)
 	t.opsMu.Unlock()

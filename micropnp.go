@@ -187,10 +187,15 @@ type Deployment struct {
 	// broadcast simulation progress to parked waiters (the channel is closed
 	// and replaced on each broadcast). waiters counts goroutines that may
 	// park on stepCh, so the driver skips the broadcast entirely in the
-	// common single-goroutine case. driverGid records the driver's
-	// goroutine, letting SDK calls made from inside a simulator-driven
-	// callback (OnReading, OnAdvert, ScheduleAfter closures) detect the
-	// reentrancy and pump directly instead of parking on themselves.
+	// common single-goroutine case. driverGid is the goroutine id of the
+	// pumpMu holder, but only once it has entered a user callback: the SDK's
+	// callback wrappers (ScheduleAfter closures, OnAdvert, AddAdvertHook,
+	// Subscribe's onReading) record it on their first call in a lock tenure
+	// (noteDriver), and releasing pumpMu clears it. An SDK call from inside
+	// such a callback finds its own id there and pumps directly instead of
+	// parking on itself; every other driver never computes its id. Lane
+	// events of a zoned deployment with parallel shard workers may run on
+	// worker goroutines, whose callbacks must not make blocking SDK calls.
 	pumpMu    sync.Mutex
 	stepMu    sync.Mutex
 	stepCh    chan struct{}
@@ -396,25 +401,51 @@ func (d *Deployment) Quiesce(horizon time.Duration) bool {
 }
 
 // pump runs a virtual-mode drive function as the elected driver: it takes
-// the driver lock, records its goroutine so nested SDK calls from inside
-// handlers pump reentrantly instead of deadlocking, and broadcasts progress
-// to parked await waiters afterwards. Called from a handler the current
-// driver is running, it drives the core directly — the election is already
-// held further up this goroutine's stack.
+// the driver lock and broadcasts progress to parked await waiters
+// afterwards. Called from a user callback the current driver is running, it
+// drives the core directly — the election is already held further up this
+// goroutine's stack. Only a caller that finds the lock held pays for the
+// goroutine-id lookup that tells the two apart.
 func (d *Deployment) pump(drive func()) {
-	self := gid()
-	if d.driverGid.Load() == self {
-		drive()
-		return
-	}
 	d.waiters.Add(1)
 	defer d.waiters.Add(-1)
-	d.pumpMu.Lock()
-	d.driverGid.Store(self)
+	if !d.pumpMu.TryLock() {
+		if d.isDriver() {
+			drive()
+			return
+		}
+		d.pumpMu.Lock()
+	}
 	drive()
+	d.unlockPump()
+}
+
+// unlockPump ends a pumpMu tenure: it forgets the driver's id, releases the
+// lock and then broadcasts progress. Broadcasting after the release matters:
+// a goroutine whose TryLock failed while the lock was held sampled its
+// progress channel before this point, and the broadcast closes it.
+func (d *Deployment) unlockPump() {
 	d.driverGid.Store(0)
 	d.pumpMu.Unlock()
 	d.broadcastStep()
+}
+
+// noteDriver runs at the top of every SDK wrapper around a user callback.
+// In virtual mode the callback runs on the goroutine holding pumpMu, so the
+// first callback of a lock tenure records that goroutine's id for isDriver;
+// later ones find it set and skip the lookup.
+func (d *Deployment) noteDriver() {
+	if !d.realtime && d.driverGid.Load() == 0 {
+		d.driverGid.Store(gid())
+	}
+}
+
+// isDriver reports whether the calling goroutine holds pumpMu and is
+// running one of its user callbacks. Outside callbacks driverGid is zero,
+// so the answer costs one atomic load and no goroutine-id lookup.
+func (d *Deployment) isDriver() bool {
+	id := d.driverGid.Load()
+	return id != 0 && id == gid()
 }
 
 // Now returns the current virtual time.
@@ -424,7 +455,10 @@ func (d *Deployment) Now() time.Duration { return d.core.Network.Now() }
 // device-side stimuli — card swipes, environment changes — that should
 // occur while a synchronous call is driving the simulator.
 func (d *Deployment) ScheduleAfter(delay time.Duration, fn func()) {
-	d.core.Network.Schedule(delay, fn)
+	d.core.Network.Schedule(delay, func() {
+		d.noteDriver()
+		fn()
+	})
 }
 
 // SetEnvironment updates the shared physical conditions every sensor
@@ -582,10 +616,21 @@ func (d *Deployment) RemoveDriver(ctx context.Context, th *Thing, id DeviceID) e
 // In real-time mode the block is a plain channel wait — the event loop and
 // worker pool advance the network, and the registration's expiry timer
 // guarantees completion. In virtual mode nothing advances the clock unless
-// a caller does, so the blocked goroutines elect a driver: whoever acquires
-// pumpMu steps the simulator (completing everyone's requests, not just its
-// own) and broadcasts progress; the rest park until the next step or their
-// own completion. Every request arms a virtual-time expiry event at
+// a caller does, and a call takes one of three paths:
+//
+//   - strand park: while a Conduct runs, a call made on one of its strands
+//     hands the baton back to the orchestrator (Strand.parkAwait);
+//   - driver election: the blocked goroutines elect a driver — whoever
+//     acquires pumpMu steps the simulator (completing everyone's requests,
+//     not just its own) and broadcasts progress; the rest park until the
+//     next step or their own completion;
+//   - reentrant pump: a call made from a user callback the driver is
+//     running finds pumpMu held by its own goroutine and steps directly.
+//
+// Goroutine identity (gid) is computed only to tell these apart when it
+// matters: for the strand lookup while a Conduct is active, and after a
+// failed TryLock while the holder is inside a user callback. An uncontended
+// call never computes it. Every request arms a virtual-time expiry event at
 // registration, so a drained queue without completion cannot happen in
 // practice; it is reported as a timeout defensively.
 // On success await returns the fired completion WITHOUT recycling it: the
@@ -616,11 +661,10 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 			return nil, ErrClosed
 		}
 	}
-	self := gid()
 	// A conducted strand never joins the driver election: the Conduct
 	// orchestrator owns the simulator and resumes the strand when its
 	// completion has fired.
-	if s := d.conductedStrand(self); s != nil {
+	if s := d.conductedStrand(); s != nil {
 		if err := s.parkAwait(cpl); err != nil {
 			return nil, err
 		}
@@ -647,14 +691,8 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 		// strand us on a channel nobody closes.
 		progress := d.stepChan()
 		if d.pumpMu.TryLock() {
-			d.driverGid.Store(self)
 			stepped := d.core.Network.Step()
-			d.driverGid.Store(0)
-			d.pumpMu.Unlock()
-			// Broadcast AFTER releasing pumpMu: a goroutine whose TryLock
-			// failed while we held the lock sampled its channel before this
-			// point, and this broadcast closes it.
-			d.broadcastStep()
+			d.unlockPump()
 			if !stepped {
 				select {
 				case <-cpl.ch:
@@ -664,7 +702,7 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 					return nil, ErrTimeout
 				}
 			}
-		} else if d.driverGid.Load() == self {
+		} else if d.isDriver() {
 			// We ARE the driver, reentered from inside a handler it is
 			// running (an SDK call in an OnReading/OnAdvert callback or a
 			// ScheduleAfter closure). Pump directly, as the pre-runtime
@@ -742,10 +780,18 @@ func (c *completion) recycle() {
 	completionPool.Put(c)
 }
 
-// gid returns the current goroutine's id (parsed from runtime.Stack; there
-// is no cheaper portable way). Called once per blocking SDK call, not per
-// simulation step.
+// gidCalls counts gid calls; tests read it to pin the paths that never
+// need goroutine identity.
+var gidCalls atomic.Int64
+
+// gid returns the current goroutine's id, parsed from runtime.Stack: there
+// is no cheaper portable way, and the cost grows with the caller's stack
+// depth. The SDK calls it only where identity is needed: an SDK call made
+// while a Conduct runs (strand lookup), a caller that found pumpMu held
+// while the holder is inside a user callback, the first user callback of
+// each lock tenure, and each strand once at start.
 func gid() int64 {
+	gidCalls.Add(1)
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	// The header is "goroutine <id> [...".
