@@ -27,8 +27,9 @@ type Client struct {
 // Addr returns the client's unicast IPv6 address.
 func (c *Client) Addr() netip.Addr { return c.cl.Addr() }
 
-// Adverts returns every advertisement the client observed so far,
-// unsolicited ones included.
+// Adverts returns the latest advert per (Thing, peripheral) the client has
+// seen, unsolicited ones included, in the order each pair was first
+// sighted. For the advert flow itself use AddAdvertHook.
 func (c *Client) Adverts() []Advert { return advertsFrom(c.cl.Adverts()) }
 
 // Things returns the distinct Things that advertised a peripheral type
@@ -41,23 +42,8 @@ func (c *Client) Things(id DeviceID) []netip.Addr { return c.cl.Things(hw.Device
 // immediately rather than letting it expire at its deadline.
 func (c *Client) InFlight() int { return c.cl.Pending() }
 
-// OnAdvert registers a callback invoked for every incoming advertisement,
-// replacing any callback registered before. For composable listeners use
-// AddAdvertHook.
-func (c *Client) OnAdvert(fn func(Advert)) {
-	if fn == nil {
-		c.cl.OnAdvert(nil)
-		return
-	}
-	c.cl.OnAdvert(func(a client.Advert) {
-		c.d.noteDriver()
-		fn(advertFrom(a))
-	})
-}
-
-// AddAdvertHook registers an additional advertisement listener. Unlike
-// OnAdvert it composes: every registered hook fires for every advert,
-// alongside the OnAdvert callback, so independent consumers — a catalog
+// AddAdvertHook registers an advertisement listener. Every registered hook
+// fires for every incoming advert, so independent consumers — a catalog
 // feeding on the advert flow, an application callback — can coexist without
 // clobbering each other. Hooks cannot be removed; they live as long as the
 // client. Hooks run on the goroutine delivering the advert (a pool worker in
@@ -72,10 +58,10 @@ func (c *Client) AddAdvertHook(fn func(Advert)) {
 	})
 }
 
-// units resolves the unit string for a peripheral type: what the Thing
+// units resolves the unit string for a Thing's peripheral: what the Thing
 // advertised, falling back to the shipped-driver registry.
-func (c *Client) units(id DeviceID) string {
-	if u := c.cl.Units(hw.DeviceID(id)); u != "" {
+func (c *Client) units(thing netip.Addr, id DeviceID) string {
+	if u := c.cl.Units(thing, hw.DeviceID(id)); u != "" {
 		return u
 	}
 	return driver.UnitsFor(hw.DeviceID(id))
@@ -115,7 +101,7 @@ func (c *Client) Read(ctx context.Context, thing netip.Addr, id DeviceID) (Readi
 		Thing:  thing,
 		Device: id,
 		Values: vals,
-		Units:  c.units(id),
+		Units:  c.units(thing, id),
 		At:     at,
 	}, nil
 }
@@ -158,7 +144,7 @@ func (c *Client) ReadInto(ctx context.Context, thing netip.Addr, id DeviceID, sc
 		Thing:  thing,
 		Device: id,
 		Values: vals,
-		Units:  c.units(id),
+		Units:  c.units(thing, id),
 		At:     at,
 	}, nil
 }
@@ -187,31 +173,22 @@ func (c *Client) Write(ctx context.Context, thing netip.Addr, id DeviceID, vals 
 // request timeout otherwise. An empty result is not an error; the network
 // may genuinely serve no such peripheral.
 func (c *Client) Discover(ctx context.Context, id DeviceID) ([]Advert, error) {
-	return c.runDiscovery(ctx, discoverByType, id, 0, 0)
+	return c.runDiscovery(ctx, id, -1)
 }
 
-// discoverKind selects the discovery flavour.
-const (
-	discoverByType = iota
-	discoverByClass
-	discoverByZone
-)
-
-func (c *Client) runDiscovery(ctx context.Context, kind int, id DeviceID, class uint8, zone uint16) ([]Advert, error) {
+// runDiscovery runs one discovery window for a peripheral type, scoped to a
+// location zone when zone is not negative.
+func (c *Client) runDiscovery(ctx context.Context, id DeviceID, zone int) ([]Advert, error) {
 	var got []Advert
 	cpl, err := c.d.await(ctx, func(timeout time.Duration, cpl *completion) (retract func()) {
 		collect := func(adverts []client.Advert) {
 			got = advertsFrom(adverts)
 			cpl.complete()
 		}
-		switch kind {
-		case discoverByClass:
-			return c.cl.DiscoverClass(class, timeout, collect)
-		case discoverByZone:
-			return c.cl.DiscoverInZone(zone, hw.DeviceID(id), timeout, collect)
-		default:
-			return c.cl.Discover(hw.DeviceID(id), timeout, collect)
+		if zone >= 0 {
+			return c.cl.DiscoverInZone(uint16(zone), hw.DeviceID(id), timeout, collect)
 		}
+		return c.cl.Discover(hw.DeviceID(id), timeout, collect)
 	})
 	if err != nil {
 		return nil, err
@@ -224,13 +201,13 @@ func (c *Client) runDiscovery(ctx context.Context, kind int, id DeviceID, class 
 // vendor or product (Section 9 hierarchical typing). Only Things running
 // the structured namespace respond.
 func (c *Client) DiscoverClass(ctx context.Context, class uint8) ([]Advert, error) {
-	return c.runDiscovery(ctx, discoverByClass, 0, class, 0)
+	return c.runDiscovery(ctx, DeviceID(hw.ClassWildcard(class)), -1)
 }
 
 // DiscoverInZone discovers a peripheral type within a location zone
 // (Section 9 location-aware multicast).
 func (c *Client) DiscoverInZone(ctx context.Context, zone uint16, id DeviceID) ([]Advert, error) {
-	return c.runDiscovery(ctx, discoverByZone, id, 0, zone)
+	return c.runDiscovery(ctx, id, int(zone))
 }
 
 // ---------------------------------------------------------------------------
@@ -316,7 +293,7 @@ func (c *Client) Subscribe(ctx context.Context, thing netip.Addr, id DeviceID, o
 					Thing:  thing,
 					Device: id,
 					Values: vals,
-					Units:  c.units(id),
+					Units:  c.units(thing, id),
 					At:     c.d.Now(),
 				}
 				sub.mu.Lock()

@@ -165,7 +165,7 @@ func run(nThings, hops int, loss float64, churn int, seed int64, realtime bool, 
 	if err != nil {
 		return err
 	}
-	cl.OnAdvert(func(a micropnp.Advert) {
+	cl.AddAdvertHook(func(a micropnp.Advert) {
 		kind := "unsolicited"
 		if a.Solicited {
 			kind = "solicited"

@@ -264,12 +264,6 @@ func TestNestedSDKCallFromCallbackVirtual(t *testing.T) {
 			}
 			t.Cleanup(sub.Close)
 		}},
-		{"OnAdvert", func(t *testing.T, r rig) {
-			r.cl.OnAdvert(func(micropnp.Advert) { r.fired() })
-			if err := r.late.PlugTMP36(0); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"AddAdvertHook", func(t *testing.T, r rig) {
 			r.cl.AddAdvertHook(func(micropnp.Advert) { r.fired() })
 			if err := r.late.PlugTMP36(0); err != nil {

@@ -158,13 +158,26 @@ type Client struct {
 	mu             sync.Mutex
 	retryRng       *rand.Rand // backoff jitter; guarded by mu
 	seq            uint16
-	adverts        []Advert
 	pending        map[uint16]*pending
 	streams        map[hw.DeviceID][]*Stream
 	pendingStreams map[uint16]*Stream
-	units          map[hw.DeviceID]string
-	onAdvert       func(Advert)
-	advertHooks    []func(Advert)
+	// view is the latest advert per (Thing, peripheral) in first-sighting
+	// order, bounded by Things × peripherals however many adverts arrive.
+	// slots locates each pair's advert in view and keeps the last units
+	// string the pair advertised, so a terse refresh never erases it.
+	view        []Advert
+	slots       map[advertKey]slot
+	advertHooks []func(Advert)
+}
+
+type advertKey struct {
+	thing netip.Addr
+	id    hw.DeviceID
+}
+
+type slot struct {
+	i     int
+	units string
 }
 
 // Config configures a client.
@@ -210,7 +223,7 @@ func New(cfg Config) (*Client, error) {
 		pending:        map[uint16]*pending{},
 		streams:        map[hw.DeviceID][]*Stream{},
 		pendingStreams: map[uint16]*Stream{},
-		units:          map[hw.DeviceID]string{},
+		slots:          map[advertKey]slot{},
 	}
 	node.JoinGroup(netsim.AllClientsAddr(c.prefix))
 	node.Bind(netsim.Port6030, c.handle)
@@ -223,26 +236,19 @@ func (c *Client) Addr() netip.Addr { return c.node.Addr() }
 // Node exposes the network node.
 func (c *Client) Node() *netsim.Node { return c.node }
 
-// Adverts returns every advertisement observed so far.
+// Adverts returns the latest advert per (Thing, peripheral), in the order
+// each pair was first sighted.
 func (c *Client) Adverts() []Advert {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Advert(nil), c.adverts...)
+	return append([]Advert(nil), c.view...)
 }
 
-// OnAdvert registers the callback for incoming advertisements, replacing any
-// previous one (the original single-listener surface).
-func (c *Client) OnAdvert(fn func(Advert)) {
-	c.mu.Lock()
-	c.onAdvert = fn
-	c.mu.Unlock()
-}
-
-// AddAdvertHook registers an additional advertisement listener. Unlike
-// OnAdvert it composes: every hook fires for every advert, alongside the
-// OnAdvert callback, so independent consumers (a catalog, an application
-// callback) can observe the advert flow without clobbering each other.
-// Hooks cannot be removed; they live as long as the client.
+// AddAdvertHook registers an advertisement listener: every hook fires for
+// every incoming advert, solicited or not, so independent consumers (a
+// catalog, an application callback) can observe the advert flow without
+// clobbering each other. Hooks cannot be removed; they live as long as the
+// client.
 func (c *Client) AddAdvertHook(fn func(Advert)) {
 	if fn == nil {
 		return
@@ -252,25 +258,24 @@ func (c *Client) AddAdvertHook(fn func(Advert)) {
 	c.mu.Unlock()
 }
 
-// Units returns the unit string a peripheral type advertised, or "".
-func (c *Client) Units(id hw.DeviceID) string {
+// Units returns the unit string a Thing advertised for one of its
+// peripherals, or "".
+func (c *Client) Units(thing netip.Addr, id hw.DeviceID) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.units[id]
+	return c.slots[advertKey{thing, id}].units
 }
 
 // Things returns the distinct Things that advertised a given peripheral
-// type (hw.DeviceIDAllPeripherals matches any type).
+// type (hw.DeviceIDAllPeripherals matches any type), in first-sighting
+// order.
 func (c *Client) Things(id hw.DeviceID) []netip.Addr {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	seen := map[netip.Addr]bool{}
 	var out []netip.Addr
-	for _, a := range c.adverts {
-		if id != hw.DeviceIDAllPeripherals && a.Peripheral.ID != id {
-			continue
-		}
-		if !seen[a.Thing] {
+	for _, a := range c.view {
+		if (id == hw.DeviceIDAllPeripherals || a.Peripheral.ID == id) && !seen[a.Thing] {
 			seen[a.Thing] = true
 			out = append(out, a.Thing)
 		}
@@ -451,7 +456,7 @@ func noRetract() {}
 // Things serving the given peripheral type. When done is non-nil it fires
 // once the discovery window (timeout, 0 = the default) closes, with every
 // solicited advertisement the request gathered; a nil done is
-// fire-and-forget — observe results via Adverts/Things/OnAdvert. The
+// fire-and-forget — observe results via Adverts/Things/AddAdvertHook. The
 // returned retract withdraws the request without firing done (see retract).
 func (c *Client) Discover(id hw.DeviceID, timeout time.Duration, done func([]Advert), filter ...proto.TLV) (retract func()) {
 	return c.discoverGroup(netsim.MulticastAddr(c.prefix, id), timeout, done, filter)
@@ -956,23 +961,30 @@ func (c *Client) completeRead(p *pending, m *proto.Message) {
 	p.onRead(vals, nil)
 }
 
-// handleAdvert records advertisements, captures advertised units, routes
-// solicited replies to their discovery collector, and fires OnAdvert.
+// handleAdvert folds advertisements into the view, routes solicited replies
+// to their discovery collector, and fires the advert hooks.
 func (c *Client) handleAdvert(msg netsim.Message, m *proto.Message) {
 	solicited := m.Type == proto.MsgSolicitedAdvert
 	c.mu.Lock()
-	cb := c.onAdvert
 	hooks := c.advertHooks
 	var fired []Advert
 	for _, p := range m.Peripherals {
 		// Clone: the decoded TLVs alias the datagram buffer, which the
 		// network recycles after this handler returns, while adverts are
-		// retained indefinitely.
+		// retained by the view, collectors and hooks.
 		a := Advert{Thing: msg.Src, Peripheral: p.Clone(), Solicited: solicited, At: c.node.Now()}
-		c.adverts = append(c.adverts, a)
-		if u, ok := p.TLVString(proto.TLVUnits); ok {
-			c.units[p.ID] = u
+		k := advertKey{a.Thing, p.ID}
+		s, seen := c.slots[k]
+		if seen {
+			c.view[s.i] = a
+		} else {
+			s.i = len(c.view)
+			c.view = append(c.view, a)
 		}
+		if u, ok := p.TLVString(proto.TLVUnits); ok && u != "" {
+			s.units = u
+		}
+		c.slots[k] = s
 		if solicited {
 			if pd, ok := c.pending[m.Seq]; ok && pd.kind == pendingDiscover {
 				pd.adverts = append(pd.adverts, a)
@@ -982,9 +994,6 @@ func (c *Client) handleAdvert(msg netsim.Message, m *proto.Message) {
 	}
 	c.mu.Unlock()
 	for _, a := range fired {
-		if cb != nil {
-			cb(a)
-		}
 		for _, hook := range hooks {
 			hook(a)
 		}

@@ -134,7 +134,7 @@ func TestClientDiscoverEmptyWindow(t *testing.T) {
 func TestClientReceivesUnsolicited(t *testing.T) {
 	n, cl, ft := setup(t)
 	var cbGot []Advert
-	cl.OnAdvert(func(a Advert) { cbGot = append(cbGot, a) })
+	cl.AddAdvertHook(func(a Advert) { cbGot = append(cbGot, a) })
 
 	// Thing broadcasts an unsolicited advertisement to all clients.
 	ft.send(netsim.AllClientsAddr(netsim.PrefixFromAddr(ft.node.Addr())),
@@ -147,6 +147,78 @@ func TestClientReceivesUnsolicited(t *testing.T) {
 	}
 	if len(cbGot) != 1 {
 		t.Fatalf("callback fired %d times", len(cbGot))
+	}
+}
+
+// advertise makes the fake Thing multicast an unsolicited advert of its
+// peripheral carrying the given TLVs.
+func (f *fakeThing) advertise(tlvs ...proto.TLV) {
+	f.send(netsim.AllClientsAddr(netsim.PrefixFromAddr(f.node.Addr())),
+		&proto.Message{Type: proto.MsgUnsolicitedAdvert, Seq: 1,
+			Peripherals: []proto.PeripheralInfo{{ID: f.served, TLVs: tlvs}}})
+}
+
+// TestClientAdvertViewKeepsLatestPerPeripheral repeats a wildcard discovery:
+// the view holds one advert per (Thing, peripheral) however many replies
+// arrive, each slot holding the latest advert, and Things keeps the order
+// in which the Things were first sighted.
+func TestClientAdvertViewKeepsLatestPerPeripheral(t *testing.T) {
+	n, cl, a := setup(t)
+	b := newFakeThing(t, n, a.node, addr("2001:db8::4"), 0x9999)
+	// b advertises first, so it leads the first-sighting order although
+	// its address sorts after a's.
+	b.advertise()
+	n.RunUntilIdle(0)
+	a.advertise()
+	n.RunUntilIdle(0)
+	want := []netip.Addr{b.node.Addr(), a.node.Addr()}
+	for k := 1; k <= 3; k++ {
+		var got []Advert
+		cl.Discover(hw.DeviceIDAllPeripherals, 0, func(as []Advert) { got = as })
+		n.RunUntilIdle(0)
+		if len(got) != 2 {
+			t.Fatalf("round %d: discovery collected %d adverts, want 2", k, len(got))
+		}
+		view := cl.Adverts()
+		if len(view) != 2 {
+			t.Fatalf("round %d: view holds %d adverts, want one per (Thing, peripheral): %+v", k, len(view), view)
+		}
+		for i, adv := range view {
+			if adv.Thing != want[i] || !adv.Solicited {
+				t.Fatalf("round %d: view[%d] = %+v, want the latest (solicited) advert of %v", k, i, adv, want[i])
+			}
+		}
+		if things := cl.Things(hw.DeviceIDAllPeripherals); len(things) != 2 || things[0] != want[0] || things[1] != want[1] {
+			t.Fatalf("round %d: things = %v, want first-sighting order %v", k, things, want)
+		}
+	}
+}
+
+// TestClientTerseRefreshKeepsUnits checks that a terse advert — the fake
+// Thing's discovery reply carries no TLVs — replaces the latest advert but
+// does not erase the units an earlier advert of the same peripheral gave.
+func TestClientTerseRefreshKeepsUnits(t *testing.T) {
+	n, cl, ft := setup(t)
+	thing := ft.node.Addr()
+	ft.advertise(proto.TLV{Type: proto.TLVUnits, Value: []byte("0.1°C")})
+	n.RunUntilIdle(0)
+	if u := cl.Units(thing, 0xad1cbe01); u != "0.1°C" {
+		t.Fatalf("units = %q, want 0.1°C", u)
+	}
+	cl.Discover(0xad1cbe01, 0, nil)
+	n.RunUntilIdle(0)
+	view := cl.Adverts()
+	if len(view) != 1 || !view[0].Solicited {
+		t.Fatalf("view = %+v, want the terse solicited reply as the latest advert", view)
+	}
+	if _, ok := view[0].Peripheral.TLVString(proto.TLVUnits); ok {
+		t.Fatalf("latest advert = %+v, want the terse reply as received", view[0])
+	}
+	if u := cl.Units(thing, 0xad1cbe01); u != "0.1°C" {
+		t.Fatalf("units after a terse refresh = %q, want 0.1°C kept", u)
+	}
+	if u := cl.Units(addr("2001:db8::99"), 0xad1cbe01); u != "" {
+		t.Fatalf("units of a Thing that never advertised = %q, want none", u)
 	}
 }
 

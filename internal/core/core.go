@@ -293,8 +293,9 @@ func (d *Deployment) nextAddrInZone(zone uint16) netip.Addr {
 }
 
 // Close stops the network's clock: in realtime mode it terminates the event
-// loop and the worker pool; on the virtual clock it is a no-op. Close is
-// idempotent.
+// loop and the worker pool; on a zoned virtual clock it retires the shard
+// workers (which a deployment dropped without Close also releases once it
+// is collected). Close is idempotent.
 func (d *Deployment) Close() { d.Network.Close() }
 
 // AddThing creates a Thing one hop from the manager.

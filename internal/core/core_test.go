@@ -124,24 +124,23 @@ func TestDiscoveryFiltersByType(t *testing.T) {
 	}
 	d.Run()
 
-	before := len(cl.Adverts()) // unsolicited adverts from both plugs
-	cl.Discover(driver.IDBMP180, 0, nil)
+	var got []client.Advert
+	cl.Discover(driver.IDBMP180, 0, func(as []client.Advert) { got = as })
 	d.Run()
 
-	got := 0
-	for _, a := range cl.Adverts()[before:] {
-		if a.Solicited {
-			got++
-			if a.Thing != t1.Addr() {
-				t.Errorf("solicited advert from wrong thing %v", a.Thing)
-			}
-			if a.Peripheral.ID != driver.IDBMP180 {
-				t.Errorf("solicited advert for wrong peripheral %v", a.Peripheral.ID)
-			}
+	for _, a := range got {
+		if !a.Solicited {
+			t.Errorf("discovery collected an unsolicited advert from %v", a.Thing)
+		}
+		if a.Thing != t1.Addr() {
+			t.Errorf("solicited advert from wrong thing %v", a.Thing)
+		}
+		if a.Peripheral.ID != driver.IDBMP180 {
+			t.Errorf("solicited advert for wrong peripheral %v", a.Peripheral.ID)
 		}
 	}
-	if got != 1 {
-		t.Fatalf("solicited adverts = %d, want 1", got)
+	if len(got) != 1 {
+		t.Fatalf("solicited adverts = %d, want 1", len(got))
 	}
 }
 
@@ -321,7 +320,8 @@ func TestUnplugTearsDown(t *testing.T) {
 		t.Fatal("driver must be active")
 	}
 
-	before := len(cl.Adverts())
+	fired := 0
+	cl.AddAdvertHook(func(client.Advert) { fired++ })
 	if err := th.Unplug(0); err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +330,9 @@ func TestUnplugTearsDown(t *testing.T) {
 		t.Fatal("driver must be stopped after unplug")
 	}
 	// Disconnection triggers an advertisement update (now empty).
-	if len(cl.Adverts()) != before {
-		// the empty advert carries no peripherals, so no new Advert entries
-		t.Fatalf("unexpected advert entries: %d -> %d", before, len(cl.Adverts()))
+	if fired != 0 {
+		// the empty advert carries no peripherals, so no Advert fires
+		t.Fatalf("unexpected adverts after unplug: %d", fired)
 	}
 	// Reads now surface the absent-peripheral error.
 	var readErr error

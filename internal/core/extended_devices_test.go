@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"micropnp/internal/client"
 	"micropnp/internal/driver"
 	"micropnp/internal/hw"
 )
@@ -101,12 +102,12 @@ func TestClassDiscoveryFindsExtensionDevices(t *testing.T) {
 	}
 	d.Run()
 
-	before := len(cl.Adverts())
-	cl.DiscoverClass(hw.ClassAccelerometer, 0, nil)
+	var got []client.Advert
+	cl.DiscoverClass(hw.ClassAccelerometer, 0, func(as []client.Advert) { got = as })
 	d.Run()
 	found := false
-	for _, a := range cl.Adverts()[before:] {
-		if a.Solicited && a.Peripheral.ID == driver.IDADXL345 {
+	for _, a := range got {
+		if a.Peripheral.ID == driver.IDADXL345 {
 			found = true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"micropnp/internal/bus"
+	"micropnp/internal/client"
 	"micropnp/internal/driver"
 	"micropnp/internal/dsl"
 	"micropnp/internal/hw"
@@ -74,15 +75,12 @@ func TestClassDiscovery(t *testing.T) {
 	}
 	d.Run()
 
-	before := len(cl.Adverts())
-	cl.DiscoverClass(hw.ClassTemperature, 0, nil)
+	var got []client.Advert
+	cl.DiscoverClass(hw.ClassTemperature, 0, func(as []client.Advert) { got = as })
 	d.Run()
 
 	var fromA, fromB bool
-	for _, a := range cl.Adverts()[before:] {
-		if !a.Solicited {
-			continue
-		}
+	for _, a := range got {
 		switch a.Thing {
 		case t1.Addr():
 			fromA = true
@@ -95,11 +93,10 @@ func TestClassDiscovery(t *testing.T) {
 	}
 
 	// A vendor-exact discovery still only reaches that vendor's sensor.
-	before = len(cl.Adverts())
-	cl.Discover(idA, 0, nil)
+	cl.Discover(idA, 0, func(as []client.Advert) { got = as })
 	d.Run()
-	for _, a := range cl.Adverts()[before:] {
-		if a.Solicited && a.Thing == t2.Addr() {
+	for _, a := range got {
+		if a.Thing == t2.Addr() {
 			t.Fatal("exact discovery must not reach the other vendor")
 		}
 	}
@@ -125,37 +122,28 @@ func TestZoneDiscovery(t *testing.T) {
 	d.Run()
 
 	// Zone-scoped all-peripherals discovery: only zone 1's thing answers.
-	before := len(cl.Adverts())
-	cl.DiscoverInZone(1, hw.DeviceIDAllPeripherals, 0, nil)
+	var got []client.Advert
+	cl.DiscoverInZone(1, hw.DeviceIDAllPeripherals, 0, func(as []client.Advert) { got = as })
 	d.Run()
-	solicited := 0
-	for _, a := range cl.Adverts()[before:] {
-		if a.Solicited {
-			solicited++
-			if a.Thing != hall.Addr() {
-				t.Fatalf("zone 1 discovery answered by %v", a.Thing)
-			}
+	for _, a := range got {
+		if a.Thing != hall.Addr() {
+			t.Fatalf("zone 1 discovery answered by %v", a.Thing)
 		}
 	}
-	if solicited != 1 {
-		t.Fatalf("zone discovery got %d solicited adverts, want 1", solicited)
+	if len(got) != 1 {
+		t.Fatalf("zone discovery got %d solicited adverts, want 1", len(got))
 	}
 
 	// Zone + class discovery composes.
-	before = len(cl.Adverts())
-	cl.DiscoverInZone(2, hw.ClassWildcard(hw.ClassTemperature), 0, nil)
+	cl.DiscoverInZone(2, hw.ClassWildcard(hw.ClassTemperature), 0, func(as []client.Advert) { got = as })
 	d.Run()
-	solicited = 0
-	for _, a := range cl.Adverts()[before:] {
-		if a.Solicited {
-			solicited++
-			if a.Thing != lab.Addr() {
-				t.Fatalf("zone 2 class discovery answered by %v", a.Thing)
-			}
+	for _, a := range got {
+		if a.Thing != lab.Addr() {
+			t.Fatalf("zone 2 class discovery answered by %v", a.Thing)
 		}
 	}
-	if solicited != 1 {
-		t.Fatalf("zone+class discovery got %d adverts, want 1", solicited)
+	if len(got) != 1 {
+		t.Fatalf("zone+class discovery got %d adverts, want 1", len(got))
 	}
 }
 

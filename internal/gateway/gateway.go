@@ -72,9 +72,9 @@ type Config struct {
 	// the owning member's clock (members keep independent timelines).
 	Fleet *micropnp.Fleet
 	// Catalog is the lease registry backing the listing endpoints. The
-	// caller owns wiring (Client.AddAdvertHook(Catalog.Observe), or one
-	// catalog.AddFeed per fleet member) and the sweep goroutine; the
-	// gateway only reads it.
+	// caller owns wiring — Client.AddAdvertHook(Catalog.Observe) feeds it
+	// the whole advert flow, or one catalog.AddFeed per fleet member — and
+	// the sweep goroutine; the gateway only reads it.
 	Catalog *catalog.Catalog
 	// StreamBuffer is the per-client SSE queue depth (0 = DefaultStreamBuffer).
 	// A reading arriving at a full queue is shed.

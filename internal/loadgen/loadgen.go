@@ -208,7 +208,7 @@ func run(cfg Config) (*runner, *Result, error) {
 		// drain before the workload starts; no streams are active yet, so Run
 		// terminates in both modes.
 		d.Run()
-		r.clients[0].(*micropnp.Client).OnAdvert(r.onAdvert)
+		r.clients[0].(*micropnp.Client).AddAdvertHook(r.onAdvert)
 		r.start = d.Now()
 	}
 	r.measureStart = r.start + cfg.Warmup

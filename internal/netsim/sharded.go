@@ -87,15 +87,13 @@ type ShardedClock struct {
 	mergeStart []int32
 	mergeOrder []int32
 
-	// Persistent worker pool: workers-1 helper goroutines park on workCh
-	// tokens; each token is one round participation (claim lanes off cursor
-	// until drained, then partWG.Done). The driving goroutine participates
-	// too and waits for every woken helper before reusing round state, so
-	// rounds allocate nothing and no helper ever reads stale scratch.
-	poolOnce    sync.Once
-	workCh      chan struct{}
-	stopCh      chan struct{}
-	stopOnce    sync.Once
+	// Persistent worker pool (nil with one lane or one worker): workers-1
+	// helper goroutines park on the pool's channel; each token carries the
+	// clock and is one round participation (claim lanes off cursor until
+	// drained, then partWG.Done). The driving goroutine participates too and
+	// waits for every woken helper before reusing round state, so rounds
+	// allocate nothing and no helper ever reads stale scratch.
+	pool        *workerPool
 	cursor      atomic.Int64
 	partWG      sync.WaitGroup
 	roundEvents atomic.Int64
@@ -178,7 +176,6 @@ func NewShardedClock(lanes int, workers int, quantum time.Duration) *ShardedCloc
 		lanes:      make([]*shardLane, lanes),
 		quantum:    quantum,
 		workers:    workers,
-		stopCh:     make(chan struct{}),
 		lookahead:  newLookahead(lanes),
 		laNs:       make([]int64, lanes*lanes),
 		minAt:      make([]int64, lanes),
@@ -191,6 +188,9 @@ func NewShardedClock(lanes int, workers int, quantum time.Duration) *ShardedCloc
 	}
 	for i := range c.lanes {
 		c.lanes[i] = &shardLane{}
+	}
+	if workers > 1 {
+		c.pool = newWorkerPool(workers - 1)
 	}
 	c.laVersion = c.lookahead.snapshotNs(quantum, c.laNs)
 	return c
@@ -346,21 +346,11 @@ func (c *ShardedClock) scheduleDelivery(srcLane, dstLane int32, delay time.Durat
 }
 
 // Stop retires the worker pool (helpers park between rounds, so this never
-// interrupts a window); subsequent rounds execute inline. Idempotent, and a
-// no-op on one lane, which has no pool.
+// interrupts a window); subsequent rounds run on the driving goroutine
+// alone. Idempotent, and a no-op on a clock without a pool.
 func (c *ShardedClock) Stop() {
-	if c.stopCh != nil {
-		c.stopOnce.Do(func() { close(c.stopCh) })
-	}
-}
-
-// stopped reports whether Stop retired the pool.
-func (c *ShardedClock) stopped() bool {
-	select {
-	case <-c.stopCh:
-		return true
-	default:
-		return false
+	if c.pool != nil {
+		c.pool.close()
 	}
 }
 
@@ -561,28 +551,58 @@ func (sl *shardLane) empty() bool {
 	return sl.eh.peek() == nil
 }
 
-// ensurePool lazily spawns the workers-1 helper goroutines. They live until
-// Stop; between rounds they park on the token channel, so an idle clock
-// costs nothing per round beyond the token sends.
-func (c *ShardedClock) ensurePool() {
-	c.poolOnce.Do(func() {
-		n := c.workers - 1
-		c.workCh = make(chan struct{}, n)
-		for i := 0; i < n; i++ {
-			go c.helper()
-		}
-	})
+// workerPool is the clock's handle on its helpers, which hold only its
+// channel and never the clock, so a clock dropped without Stop is collected:
+// the handle, referenced by the clock alone, goes with it and its finalizer
+// ends the helpers. (The clock sits in a cycle through the network's
+// postRound, so a finalizer on the clock itself would never run.)
+type workerPool struct {
+	mu sync.Mutex
+	// work holds one round's tokens at most (the previous round waited for
+	// its helpers), so sends under mu never block. Nil once closed.
+	work chan *ShardedClock
 }
 
-func (c *ShardedClock) helper() {
-	for {
-		select {
-		case <-c.stopCh:
-			return
-		case <-c.workCh:
-			c.claimLanes()
-			c.partWG.Done()
+func newWorkerPool(helpers int) *workerPool {
+	p := &workerPool{work: make(chan *ShardedClock, helpers)}
+	for i := 0; i < helpers; i++ {
+		go helper(p.work)
+	}
+	runtime.SetFinalizer(p, (*workerPool).close)
+	return p
+}
+
+// close ends the helpers once they drained the tokens already sent.
+// Idempotent.
+func (p *workerPool) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.work != nil {
+		close(p.work)
+		p.work = nil
+	}
+}
+
+// wake hands a round token to n helpers, or to none once the pool is closed
+// (the driving goroutine then claims every lane). Sends and close share the
+// lock, so Stop racing a round never sends on a closed channel.
+func (c *ShardedClock) wake(n int) {
+	p := c.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.work != nil {
+		c.partWG.Add(n)
+		for i := 0; i < n; i++ {
+			p.work <- c
 		}
+	}
+}
+
+// helper runs one round participation per token until the pool closes.
+func helper(work <-chan *ShardedClock) {
+	for c := range work {
+		c.claimLanes()
+		c.partWG.Done()
 	}
 }
 
@@ -618,22 +638,14 @@ func (c *ShardedClock) round(limit int64) int {
 	c.activeIdx = active
 	total := 0
 	c.inRound.Store(true)
-	if c.workers == 1 || len(active) == 1 || c.stopped() {
+	if c.pool == nil || len(active) == 1 {
 		for _, li := range active {
 			total += c.lanes[li].runWindow(time.Duration(c.winNs[li]), math.MaxInt)
 		}
 	} else {
-		c.ensurePool()
 		c.cursor.Store(0)
 		c.roundEvents.Store(0)
-		helpers := c.workers - 1
-		if h := len(active) - 1; h < helpers {
-			helpers = h
-		}
-		c.partWG.Add(helpers)
-		for i := 0; i < helpers; i++ {
-			c.workCh <- struct{}{}
-		}
+		c.wake(min(c.workers, len(active)) - 1)
 		c.claimLanes()
 		// Wait for every woken helper, not just for the work to drain: a
 		// helper that found the cursor exhausted may still be reading round

@@ -189,8 +189,8 @@ type Deployment struct {
 	// park on stepCh, so the driver skips the broadcast entirely in the
 	// common single-goroutine case. driverGid is the goroutine id of the
 	// pumpMu holder, but only once it has entered a user callback: the SDK's
-	// callback wrappers (ScheduleAfter closures, OnAdvert, AddAdvertHook,
-	// Subscribe's onReading) record it on their first call in a lock tenure
+	// callback wrappers (ScheduleAfter closures, AddAdvertHook, Subscribe's
+	// onReading) record it on their first call in a lock tenure
 	// (noteDriver), and releasing pumpMu clears it. An SDK call from inside
 	// such a callback finds its own id there and pumps directly instead of
 	// parking on itself; every other driver never computes its id. Lane
@@ -244,9 +244,9 @@ func NewDeployment(opts ...Option) (*Deployment, error) {
 // Close releases the deployment's runtime resources: in real-time mode it
 // stops the network event loop and the worker pool (a handler already
 // running finishes first) and discards scheduled events; in virtual mode
-// only the bookkeeping applies. Close is idempotent. Calls blocked on
-// in-flight requests when Close runs fail with ErrClosed (their expiry
-// events die with the clock, so they could never complete).
+// it retires a zoned deployment's shard workers. Close is idempotent.
+// Calls blocked on in-flight requests when Close runs fail with ErrClosed
+// (their expiry events die with the clock, so they could never complete).
 func (d *Deployment) Close() {
 	d.closeOnce.Do(func() { close(d.closeCh) })
 	d.core.Close()
@@ -704,7 +704,7 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 			}
 		} else if d.isDriver() {
 			// We ARE the driver, reentered from inside a handler it is
-			// running (an SDK call in an OnReading/OnAdvert callback or a
+			// running (an SDK call in an OnReading/advert-hook callback or a
 			// ScheduleAfter closure). Pump directly, as the pre-runtime
 			// SDK's inline Step loop did — parking would deadlock on
 			// ourselves.
