@@ -81,6 +81,66 @@ func TestConcurrentReadsVirtual(t *testing.T) {
 	}
 }
 
+// TestConcurrentSubscribeAndDriverCallsVirtual races stream subscriptions
+// and manager driver discoveries against each other on a lossless virtual
+// deployment. Every request must arm its deadline after its send: armed
+// before, another goroutine driving the virtual clock in between can run
+// the deadline out before the request ever leaves, a spurious ErrTimeout.
+// The window is narrow, so the test repeats many short rounds.
+func TestConcurrentSubscribeAndDriverCallsVirtual(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		d, err := micropnp.NewDeployment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		things := plugFleet(t, d, 4)
+		cl, err := d.AddClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Run()
+
+		const goroutines, per = 24, 5
+		var wg sync.WaitGroup
+		var failures atomic.Int32
+		var firstErr atomic.Value
+		fail := func(err error) {
+			failures.Add(1)
+			firstErr.CompareAndSwap(nil, err)
+		}
+		ctx := context.Background()
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < per; k++ {
+					th := things[(g+k)%len(things)]
+					if g%2 == 0 {
+						sub, err := cl.Subscribe(ctx, th.Addr(), micropnp.TMP36, nil)
+						if err != nil {
+							fail(err)
+							continue
+						}
+						sub.Close()
+						continue
+					}
+					if ids, err := d.DiscoverDrivers(ctx, th); err != nil {
+						fail(err)
+					} else if len(ids) != 1 || ids[0] != micropnp.TMP36 {
+						fail(fmt.Errorf("DiscoverDrivers = %v, want [TMP36]", ids))
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		d.Close()
+		if n := failures.Load(); n != 0 {
+			t.Fatalf("round %d: %d/%d concurrent subscribe/driver calls failed, first: %v",
+				round, n, goroutines*per, firstErr.Load())
+		}
+	}
+}
+
 // TestConcurrentMixedOpsRealtime exercises parallel Read, Write, Discover,
 // Subscribe and Close against a realtime deployment.
 func TestConcurrentMixedOpsRealtime(t *testing.T) {

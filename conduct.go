@@ -89,7 +89,7 @@ func (d *Deployment) Conduct(fns ...func(*Strand)) {
 		}
 		// Every live strand waits on a completion; one bounded round fires
 		// the earliest pending events. Every SDK request arms a virtual-time
-		// expiry at registration, so a drained queue here cannot happen.
+		// expiry right after its send, so a drained queue here cannot happen.
 		if !net.Step() {
 			panic("micropnp: conducted strands blocked on a drained simulator")
 		}

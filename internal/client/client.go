@@ -64,7 +64,7 @@ const (
 )
 
 // pending is one in-flight request. Exactly one of the completion paths
-// fires: the matching reply, or the deadline expiry scheduled at send time.
+// fires: the matching reply, or the deadline expiry armed after the send.
 //
 // Entries are pooled: the completion/expiry/retract path that removes the
 // entry from the table releases it back to pendingPool. gen survives
@@ -75,12 +75,15 @@ const (
 // number (the identity check alone cannot catch that ABA).
 type pending struct {
 	kind pendingKind
-	// thing and id identify the peer and peripheral a read was addressed
-	// to: a data message only completes the read when both match (stream
-	// data multicast on a shared group may carry a colliding sequence
-	// number chosen by another client).
+	// thing and id identify the peer and peripheral a read or write was
+	// addressed to: a data message only completes the read when both match
+	// (stream data multicast on a shared group may carry a colliding
+	// sequence number chosen by another client). With typ and data (a
+	// write's payload) they are also everything a retransmission resends.
 	thing      netip.Addr
 	id         hw.DeviceID
+	typ        proto.MsgType
+	data       []byte
 	onRead     func([]int32, error)
 	onWrite    func(error)
 	onDiscover func([]Advert)
@@ -93,13 +96,30 @@ type pending struct {
 	hasScratch bool
 	// expiry retracts the typed deadline event once a reply completed the
 	// request, so finished requests leave no dead deadline in the queue.
-	expiry netsim.ExpiryRef
-	// cancelRetx retracts the pending retransmission (RetryPolicy) when the
-	// request completes or expires. Guarded by Client.mu.
-	cancelRetx func()
+	// retx is the next retransmission (RetryPolicy), retracted when the
+	// request completes or expires; attempt counts the retransmissions
+	// armed so far. All three are written only under Client.mu while the
+	// entry is in the table.
+	expiry  netsim.ExpiryRef
+	retx    netsim.ExpiryRef
+	attempt int
 	// gen guards pooled reuse (see above). Written only under Client.mu.
 	gen uint64
 }
+
+// disarm cancels the entry's deadline and retransmission. The caller has
+// removed the entry from the table, so no arm can race it.
+func (p *pending) disarm() {
+	p.expiry.Cancel()
+	p.retx.Cancel()
+}
+
+// The seq cookie of a request's expiry event packs the sequence number (low
+// 16 bits), the retransmission flag and the pooled entry's generation.
+const (
+	cookieRetx     = 1 << 16
+	cookieGenShift = 17
+)
 
 var pendingPool = sync.Pool{New: func() any { return new(pending) }}
 
@@ -112,13 +132,11 @@ func (c *Client) release(p *pending) {
 	p.gen++
 	c.mu.Unlock()
 	p.kind = 0
-	p.thing = netip.Addr{}
-	p.id = 0
+	p.thing, p.id, p.typ, p.data = netip.Addr{}, 0, 0, nil
 	p.onRead, p.onWrite, p.onDiscover = nil, nil, nil
 	p.adverts = nil // handed to the callback, possibly retained: do not reuse
 	p.scratch, p.hasScratch = nil, false
-	p.expiry = netsim.ExpiryRef{}
-	p.cancelRetx = nil
+	p.expiry, p.retx, p.attempt = netsim.ExpiryRef{}, netsim.ExpiryRef{}, 0
 	pendingPool.Put(p)
 }
 
@@ -328,11 +346,15 @@ func (c *Client) timeoutOr(t time.Duration) time.Duration {
 	return t
 }
 
+// nextSeq allocates a sequence number for a fire-and-forget request.
+func (c *Client) nextSeq() uint16 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nextSeqLocked()
+}
+
 // register inserts a pending request and returns its sequence number and
-// the entry's generation. The caller sends the request, then arms its
-// deadline with arm: armed before the send, the deadline could pass before
-// the request left whenever another goroutine drives the virtual clock in
-// between.
+// the entry's generation. The caller sends the request, then arms it.
 func (c *Client) register(p *pending) (uint16, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -341,48 +363,86 @@ func (c *Client) register(p *pending) (uint16, uint64) {
 	return seq, p.gen
 }
 
-// arm schedules a registered request's expiry as a typed clock event
-// (netsim.Expirer) — no closure, no allocation. The sequence number and the
-// entry's generation are packed into the event's seq cookie and checked on
-// firing, so neither a recycled sequence number nor a recycled pool entry
-// can expire a newer request. A nil p (fire-and-forget) arms nothing.
+// pendingLocked reports whether p is still the table's entry for seq at
+// generation gen (c.mu held).
+func (c *Client) pendingLocked(seq uint16, gen uint64, p *pending) bool {
+	cur, ok := c.pending[seq]
+	return ok && cur == p && p.gen == gen
+}
+
+// arm schedules a registered request's deadline and, under a RetryPolicy,
+// a unicast request's first retransmission, as typed clock events
+// (netsim.Expirer) — no closure, no allocation. It runs after the send:
+// armed before, the deadline could pass before the request left whenever
+// another goroutine drives the virtual clock in between. It arms under c.mu
+// and only while the entry is still pending (a reply or a retract can land
+// between the send and this call), so no orphan event is left behind;
+// events never run under a clock lock, so c.mu → clock cannot deadlock. The
+// sequence number and the entry's generation travel in the event's seq
+// cookie and are checked on firing, so neither a recycled sequence number
+// nor a recycled pool entry can expire a newer request.
 func (c *Client) arm(seq uint16, gen uint64, p *pending, timeout time.Duration) {
-	if p == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.pendingLocked(seq, gen, p) {
 		return
 	}
-	ref := c.node.ScheduleExpiry(c.timeoutOr(timeout), c, uint64(seq)|gen<<16, p)
+	p.expiry = c.node.ScheduleExpiry(c.timeoutOr(timeout), c, uint64(seq)|gen<<cookieGenShift, p)
+	if p.kind != pendingDiscover {
+		c.armRetransmitLocked(seq, gen, p)
+	}
+}
+
+// armRetransmitLocked schedules the next retransmission of a pending unicast
+// request (c.mu held): attempt k fires BaseBackoff<<(k-1), jittered ±50%,
+// after the previous transmission, up to RetryPolicy.Attempts.
+func (c *Client) armRetransmitLocked(seq uint16, gen uint64, p *pending) {
+	if !c.retry.enabled() || p.attempt >= c.retry.Attempts {
+		return
+	}
+	shift := min(p.attempt, maxBackoffShift)
+	p.attempt++
+	jitter := 0.5 + c.retryRng.Float64()
+	delay := time.Duration(float64(c.retry.BaseBackoff<<shift) * jitter)
+	p.retx = c.node.ScheduleExpiry(delay, c, uint64(seq)|cookieRetx|gen<<cookieGenShift, p)
+}
+
+// ExpireEvent implements netsim.Expirer for the client's three timers: a
+// stream's establishment deadline (tok *Stream, cookie = the subscribe
+// sequence number), and a pending request's deadline or retransmission (tok
+// *pending, cookie as packed by arm).
+func (c *Client) ExpireEvent(cookie uint64, tok any) {
+	if s, ok := tok.(*Stream); ok {
+		c.expireStream(uint16(cookie), s)
+		return
+	}
+	p := tok.(*pending)
+	seq := uint16(cookie)
+	gen := cookie >> cookieGenShift
 	c.mu.Lock()
-	if cur, ok := c.pending[seq]; ok && cur == p && p.gen == gen {
-		p.expiry = ref
+	if !c.pendingLocked(seq, gen, p) {
 		c.mu.Unlock()
 		return
 	}
-	c.mu.Unlock()
-	// The request already terminated (a reply or a retract can land between
-	// the send and this call): the ref is orphaned.
-	ref.Cancel()
-}
-
-// ExpireEvent implements netsim.Expirer: the typed deadline of a pending
-// request. seqgen packs the sequence number (low 16 bits) and the pooled
-// entry's generation (upper bits).
-func (c *Client) ExpireEvent(seqgen uint64, tok any) {
-	p := tok.(*pending)
-	seq := uint16(seqgen)
-	gen := seqgen >> 16
-	c.mu.Lock()
-	cur, ok := c.pending[seq]
-	if !ok || cur != p || p.gen != gen {
+	if cookie&cookieRetx != 0 {
+		// Resend the identical datagram — same sequence number, so a late
+		// reply to any transmission completes the request — then arm the
+		// next attempt.
+		dst := p.thing
+		m := proto.Message{Type: p.typ, Seq: seq, DeviceID: p.id, Data: p.data}
+		c.mu.Unlock()
+		c.send(dst, &m)
+		c.mu.Lock()
+		if c.pendingLocked(seq, gen, p) {
+			c.armRetransmitLocked(seq, gen, p)
+		}
 		c.mu.Unlock()
 		return
 	}
 	delete(c.pending, seq)
 	adverts := p.adverts
-	cancelRetx := p.cancelRetx
 	c.mu.Unlock()
-	if cancelRetx != nil {
-		cancelRetx()
-	}
+	p.retx.Cancel()
 	switch p.kind {
 	case pendingRead:
 		if p.onRead != nil {
@@ -418,8 +478,9 @@ func (c *Client) send(dst netip.Addr, m *proto.Message) {
 }
 
 // Pending returns the number of in-flight requests (reads, writes and
-// discoveries awaiting completion). Streams pending establishment are not
-// counted.
+// discoveries awaiting completion), each counted from its registration,
+// just before its send, until a reply, its deadline or a retract removes
+// it. Streams pending establishment are not counted.
 func (c *Client) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -439,12 +500,8 @@ func (c *Client) retract(seq uint16, gen uint64, p *pending) {
 		return
 	}
 	delete(c.pending, seq)
-	ref, cancelRetx := p.expiry, p.cancelRetx
 	c.mu.Unlock()
-	ref.Cancel()
-	if cancelRetx != nil {
-		cancelRetx()
-	}
+	p.disarm()
 	c.release(p)
 }
 
@@ -477,23 +534,19 @@ func (c *Client) DiscoverInZone(zone uint16, id hw.DeviceID, timeout time.Durati
 }
 
 func (c *Client) discoverGroup(group netip.Addr, timeout time.Duration, done func([]Advert), filter []proto.TLV) (retract func()) {
-	var seq uint16
-	var gen uint64
-	var p *pending
-	retract = noRetract
-	if done != nil {
-		p = pendingPool.Get().(*pending)
-		p.kind, p.onDiscover = pendingDiscover, done
-		seq, gen = c.register(p)
-		retract = func() { c.retract(seq, gen, p) }
-	} else {
-		c.mu.Lock()
-		seq = c.nextSeqLocked()
-		c.mu.Unlock()
+	m := proto.Message{Type: proto.MsgDiscovery, Filter: filter}
+	if done == nil {
+		m.Seq = c.nextSeq()
+		c.send(group, &m)
+		return noRetract
 	}
-	c.send(group, &proto.Message{Type: proto.MsgDiscovery, Seq: seq, Filter: filter})
+	p := pendingPool.Get().(*pending)
+	p.kind, p.onDiscover = pendingDiscover, done
+	seq, gen := c.register(p)
+	m.Seq = seq
+	c.send(group, &m)
 	c.arm(seq, gen, p, timeout)
-	return retract
+	return func() { c.retract(seq, gen, p) }
 }
 
 // Read requests a single value from a peripheral (messages 10/11). The
@@ -521,36 +574,12 @@ func (c *Client) ReadInto(thing netip.Addr, id hw.DeviceID, scratch []int32, tim
 }
 
 func (c *Client) read(thing netip.Addr, id hw.DeviceID, scratch []int32, hasScratch bool, timeout time.Duration, cb func([]int32, error)) (retract func()) {
-	var seq uint16
-	var gen uint64
 	var p *pending
-	retract = noRetract
 	if cb != nil {
 		p = pendingPool.Get().(*pending)
-		p.kind, p.thing, p.id = pendingRead, thing, id
-		p.onRead, p.scratch, p.hasScratch = cb, scratch, hasScratch
-		seq, gen = c.register(p)
-		retract = func() { c.retract(seq, gen, p) }
-	} else {
-		c.mu.Lock()
-		seq = c.nextSeqLocked()
-		c.mu.Unlock()
+		p.kind, p.onRead, p.scratch, p.hasScratch = pendingRead, cb, scratch, hasScratch
 	}
-	// Two message paths, two variables: the retransmit arm retains its
-	// message, so sharing one variable across both branches would force the
-	// no-retry message onto the heap too. Kept separate, the hot no-retry
-	// send stack-allocates.
-	if p != nil && c.retry.enabled() {
-		m := &proto.Message{Type: proto.MsgRead, Seq: seq, DeviceID: id}
-		c.send(thing, m)
-		c.arm(seq, gen, p, timeout)
-		c.armRetransmit(seq, gen, p, thing, m, 1)
-	} else {
-		m := proto.Message{Type: proto.MsgRead, Seq: seq, DeviceID: id}
-		c.send(thing, &m)
-		c.arm(seq, gen, p, timeout)
-	}
-	return retract
+	return c.unicast(p, proto.MsgRead, thing, id, nil, timeout)
 }
 
 // Write sends a value to a peripheral, e.g. an actuator (messages 16/17).
@@ -562,73 +591,30 @@ func (c *Client) read(thing netip.Addr, id hw.DeviceID, scratch []int32, hasScra
 // application matters should not enable retries. The returned retract
 // withdraws the request without firing cb (see retract).
 func (c *Client) Write(thing netip.Addr, id hw.DeviceID, vals []int32, timeout time.Duration, cb func(error)) (retract func()) {
-	var seq uint16
-	var gen uint64
 	var p *pending
-	retract = noRetract
 	if cb != nil {
 		p = pendingPool.Get().(*pending)
 		p.kind, p.onWrite = pendingWrite, cb
-		seq, gen = c.register(p)
-		retract = func() { c.retract(seq, gen, p) }
-	} else {
-		c.mu.Lock()
-		seq = c.nextSeqLocked()
-		c.mu.Unlock()
 	}
-	if p != nil && c.retry.enabled() {
-		m := &proto.Message{Type: proto.MsgWrite, Seq: seq, DeviceID: id, Data: proto.Values32(vals)}
-		c.send(thing, m)
-		c.arm(seq, gen, p, timeout)
-		c.armRetransmit(seq, gen, p, thing, m, 1)
-	} else {
-		m := proto.Message{Type: proto.MsgWrite, Seq: seq, DeviceID: id, Data: proto.Values32(vals)}
-		c.send(thing, &m)
-		c.arm(seq, gen, p, timeout)
-	}
-	return retract
+	return c.unicast(p, proto.MsgWrite, thing, id, proto.Values32(vals), timeout)
 }
 
-// armRetransmit schedules the attempt-th retransmission of an unanswered
-// unicast request: attempt k fires BaseBackoff<<(k-1) (jittered ±50%) after
-// the previous transmission, resends the identical datagram — same sequence
-// number, so a late reply to any transmission completes the request — and
-// arms the next attempt. Completion and expiry retract the pending
-// retransmission through pending.cancelRetx.
-func (c *Client) armRetransmit(seq uint16, gen uint64, p *pending, dst netip.Addr, m *proto.Message, attempt int) {
-	if p == nil || !c.retry.enabled() || attempt > c.retry.Attempts {
-		return
+// unicast sends a read or write request to a Thing. A non-nil p is tracked:
+// registered before the send and armed after it (see arm); a nil p is
+// fire-and-forget.
+func (c *Client) unicast(p *pending, typ proto.MsgType, thing netip.Addr, id hw.DeviceID, data []byte, timeout time.Duration) (retract func()) {
+	m := proto.Message{Type: typ, DeviceID: id, Data: data}
+	if p == nil {
+		m.Seq = c.nextSeq()
+		c.send(thing, &m)
+		return noRetract
 	}
-	shift := attempt - 1
-	if shift > maxBackoffShift {
-		shift = maxBackoffShift
-	}
-	base := c.retry.BaseBackoff << shift
-	c.mu.Lock()
-	jitter := 0.5 + c.retryRng.Float64()
-	c.mu.Unlock()
-	delay := time.Duration(float64(base) * jitter)
-	cancel := c.node.ScheduleCancelable(delay, func() {
-		c.mu.Lock()
-		cur, ok := c.pending[seq]
-		if !ok || cur != p || p.gen != gen {
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-		c.send(dst, m)
-		c.armRetransmit(seq, gen, p, dst, m, attempt+1)
-	})
-	c.mu.Lock()
-	if cur, ok := c.pending[seq]; ok && cur == p && p.gen == gen {
-		p.cancelRetx = cancel
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	// The request completed between scheduling and registration (possible
-	// under the realtime clock): retract the orphaned retransmission.
-	cancel()
+	p.thing, p.id, p.typ, p.data = thing, id, typ, data
+	seq, gen := c.register(p)
+	m.Seq = seq
+	c.send(thing, &m)
+	c.arm(seq, gen, p, timeout)
+	return func() { c.retract(seq, gen, p) }
 }
 
 // ---------------------------------------------------------------------------
@@ -652,10 +638,12 @@ type Stream struct {
 	closed      bool
 	onData      func([]int32)
 	onClosed    func()
-	// onEstablishedHook fires once on establishment; cleared afterwards.
+	// onEstablishedHook fires once on establishment or expiry; cleared
+	// afterwards.
 	onEstablishedHook func(error)
-	// cancelExpiry retracts the establishment deadline once established.
-	cancelExpiry func()
+	// expiry is the establishment deadline, retracted once established or
+	// closed. Guarded by Client.mu.
+	expiry netsim.ExpiryRef
 }
 
 // SubscribeOptions configures a stream subscription.
@@ -706,28 +694,34 @@ func (c *Client) Subscribe(thing netip.Addr, id hw.DeviceID, opts SubscribeOptio
 	s.seq = seq
 	c.pendingStreams[seq] = s
 	c.mu.Unlock()
-	onEst := opts.OnEstablished
-	cancel := c.node.ScheduleCancelable(c.timeoutOr(opts.Timeout), func() {
-		c.mu.Lock()
-		cur, ok := c.pendingStreams[seq]
-		if !ok || cur != s {
-			c.mu.Unlock()
-			return
-		}
-		delete(c.pendingStreams, seq)
-		c.mu.Unlock()
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		if onEst != nil {
-			onEst(ErrTimeout)
-		}
-	})
-	s.mu.Lock()
-	s.cancelExpiry = cancel
-	s.mu.Unlock()
 	c.send(thing, &proto.Message{Type: proto.MsgStream, Seq: seq, DeviceID: id})
+	// Armed after the send and only while still pending, like a request's
+	// deadline (see arm).
+	c.mu.Lock()
+	if c.pendingStreams[seq] == s {
+		s.expiry = c.node.ScheduleExpiry(c.timeoutOr(opts.Timeout), c, uint64(seq), s)
+	}
+	c.mu.Unlock()
 	return s
+}
+
+// expireStream ends a subscription whose establishment deadline passed.
+func (c *Client) expireStream(seq uint16, s *Stream) {
+	c.mu.Lock()
+	if c.pendingStreams[seq] != s {
+		c.mu.Unlock()
+		return
+	}
+	delete(c.pendingStreams, seq)
+	c.mu.Unlock()
+	s.mu.Lock()
+	s.closed = true
+	onEst := s.onEstablishedHook
+	s.onEstablishedHook = nil
+	s.mu.Unlock()
+	if onEst != nil {
+		onEst(ErrTimeout)
+	}
 }
 
 // closeStream detaches a handle; thingClosed distinguishes the Thing's close
@@ -751,18 +745,14 @@ func (c *Client) closeStream(s *Stream, thingClosed bool) {
 			delete(c.pendingStreams, seq)
 		}
 	}
+	s.expiry.Cancel()
 	s.mu.Lock()
 	alreadyClosed := s.closed
 	s.closed = true
 	group := s.group
 	joined := s.established
 	onClosed := s.onClosed
-	cancel := s.cancelExpiry
-	s.cancelExpiry = nil
 	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 	leave := joined && group.IsValid() && !c.groupStillNeededLocked(group)
 	c.mu.Unlock()
 	if leave {
@@ -812,12 +802,8 @@ func (c *Client) handle(msg netsim.Message) {
 		if p, ok := c.pending[m.Seq]; ok && p.kind == pendingRead &&
 			!msg.Dst.IsMulticast() && msg.Src == p.thing && m.DeviceID == p.id {
 			delete(c.pending, m.Seq)
-			ref, cancelRetx := p.expiry, p.cancelRetx
 			c.mu.Unlock()
-			ref.Cancel()
-			if cancelRetx != nil {
-				cancelRetx()
-			}
+			p.disarm()
 			c.completeRead(p, m)
 			c.release(p)
 			return
@@ -833,18 +819,13 @@ func (c *Client) handle(msg netsim.Message) {
 	case proto.MsgWriteAck:
 		c.mu.Lock()
 		p, ok := c.pending[m.Seq]
-		var ref netsim.ExpiryRef
-		var cancelRetx func()
-		if ok && p.kind == pendingWrite {
+		ok = ok && p.kind == pendingWrite
+		if ok {
 			delete(c.pending, m.Seq)
-			ref, cancelRetx = p.expiry, p.cancelRetx
 		}
 		c.mu.Unlock()
-		if ok && p.kind == pendingWrite {
-			ref.Cancel()
-			if cancelRetx != nil {
-				cancelRetx()
-			}
+		if ok {
+			p.disarm()
 			if p.onWrite != nil {
 				if m.Status == 0 {
 					p.onWrite(nil)
@@ -865,6 +846,7 @@ func (c *Client) handle(msg netsim.Message) {
 		if ok {
 			delete(c.pendingStreams, m.Seq)
 			c.streams[s.id] = append(c.streams[s.id], s)
+			s.expiry.Cancel()
 		}
 		c.mu.Unlock()
 		if !ok {
@@ -875,12 +857,7 @@ func (c *Client) handle(msg netsim.Message) {
 		s.established = true
 		onEst := s.onEstablishedHook
 		s.onEstablishedHook = nil
-		cancel := s.cancelExpiry
-		s.cancelExpiry = nil
 		s.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
 		c.node.JoinGroup(group)
 		if onEst != nil {
 			onEst(nil)

@@ -55,8 +55,9 @@ type mgmtReq struct {
 	dev        hw.DeviceID
 	onDiscover func([]hw.DeviceID, error)
 	onRemoval  func(error)
-	// cancel retracts the expiry event once a reply completed the request.
-	cancel func()
+	// expiry retracts the deadline once a reply completed the request.
+	// Guarded by Manager.mu.
+	expiry netsim.ExpiryRef
 }
 
 // PendingRequest is one management request drained from a failed manager's
@@ -152,32 +153,48 @@ func (m *Manager) nextSeq() uint16 {
 	return m.nextSeqLocked()
 }
 
-// register inserts a pending management request and arms its expiry timer;
-// the expiry compares entries by identity so a recycled sequence number can
-// never cancel a newer request.
-func (m *Manager) register(req *mgmtReq, timeout time.Duration) uint16 {
+// request stamps msg with a fresh sequence number and sends it to dst. A
+// non-nil req is tracked: it enters the pending table before the send, and
+// its deadline is armed after it — armed before, the deadline could pass
+// before the request left whenever another goroutine drives the virtual
+// clock in between. A nil req is fire-and-forget.
+func (m *Manager) request(dst netip.Addr, msg *proto.Message, req *mgmtReq, timeout time.Duration) (retract func()) {
+	if req == nil {
+		msg.Seq = m.nextSeq()
+		m.send(dst, msg)
+		return noRetract
+	}
 	m.mu.Lock()
 	seq := m.nextSeqLocked()
 	m.pending[seq] = req
 	m.mu.Unlock()
+	msg.Seq = seq
+	m.send(dst, msg)
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	cancel := m.node.ScheduleCancelable(timeout, func() { m.expire(seq, req) })
+	// Armed under m.mu and only while the request is still pending, so a
+	// reply or a retract racing the send leaves no orphan event (events
+	// never run under a clock lock, so m.mu → clock cannot deadlock).
 	m.mu.Lock()
-	req.cancel = cancel
+	if m.pending[seq] == req {
+		req.expiry = m.node.ScheduleExpiry(timeout, m, uint64(seq), req)
+	}
 	m.mu.Unlock()
-	return seq
+	return func() { m.retract(seq, req) }
 }
 
-func (m *Manager) expire(seq uint16, req *mgmtReq) {
+// ExpireEvent implements netsim.Expirer: the deadline of the pending request
+// req registered under seq. The entry is compared by identity, so a recycled
+// sequence number can never expire a newer request.
+func (m *Manager) ExpireEvent(seq uint64, tok any) {
+	req := tok.(*mgmtReq)
 	m.mu.Lock()
-	cur, ok := m.pending[seq]
-	if !ok || cur != req {
+	if m.pending[uint16(seq)] != req {
 		m.mu.Unlock()
 		return
 	}
-	delete(m.pending, seq)
+	delete(m.pending, uint16(seq))
 	m.mu.Unlock()
 	if req.onDiscover != nil {
 		req.onDiscover(nil, reqerr.ErrTimeout)
@@ -233,28 +250,22 @@ func (m *Manager) Fail() []PendingRequest {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	drained := make([]PendingRequest, 0, len(seqs))
-	cancels := make([]func(), 0, len(seqs))
 	for _, seq := range seqs {
 		req := m.pending[seq]
 		delete(m.pending, seq)
+		req.expiry.Cancel()
 		drained = append(drained, PendingRequest{
 			Thing:      req.thing,
 			Device:     req.dev,
 			OnDiscover: req.onDiscover,
 			OnRemoval:  req.onRemoval,
 		})
-		if req.cancel != nil {
-			cancels = append(cancels, req.cancel)
-		}
 	}
 	m.mu.Unlock()
 	if m.anycast.IsValid() {
 		m.net.LeaveAnycast(m.anycast, m.node)
 	}
 	m.node.Unbind(netsim.Port6030)
-	for _, cancel := range cancels {
-		cancel()
-	}
 	return drained
 }
 
@@ -276,11 +287,8 @@ func (m *Manager) retract(seq uint16, req *mgmtReq) {
 		return
 	}
 	delete(m.pending, seq)
-	cancel := req.cancel
+	req.expiry.Cancel()
 	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 }
 
 // noRetract is returned for fire-and-forget requests.
@@ -291,17 +299,11 @@ func noRetract() {}
 // reqerr.ErrTimeout when no advertisement arrives within the timeout
 // (0 = DefaultTimeout). A nil callback sends fire-and-forget.
 func (m *Manager) DiscoverDrivers(thing netip.Addr, timeout time.Duration, cb func([]hw.DeviceID, error)) (retract func()) {
-	var seq uint16
-	retract = noRetract
+	var req *mgmtReq
 	if cb != nil {
-		req := &mgmtReq{thing: thing, onDiscover: cb}
-		seq = m.register(req, timeout)
-		retract = func() { m.retract(seq, req) }
-	} else {
-		seq = m.nextSeq()
+		req = &mgmtReq{thing: thing, onDiscover: cb}
 	}
-	m.send(thing, &proto.Message{Type: proto.MsgDriverDiscovery, Seq: seq})
-	return retract
+	return m.request(thing, &proto.Message{Type: proto.MsgDriverDiscovery}, req, timeout)
 }
 
 // RemoveDriver removes a driver from a Thing (messages 8/9). The callback
@@ -309,17 +311,11 @@ func (m *Manager) DiscoverDrivers(thing netip.Addr, timeout time.Duration, cb fu
 // a negative acknowledgement, reqerr.ErrTimeout on expiry. A nil callback
 // sends fire-and-forget.
 func (m *Manager) RemoveDriver(thing netip.Addr, id hw.DeviceID, timeout time.Duration, cb func(error)) (retract func()) {
-	var seq uint16
-	retract = noRetract
+	var req *mgmtReq
 	if cb != nil {
-		req := &mgmtReq{thing: thing, dev: id, onRemoval: cb}
-		seq = m.register(req, timeout)
-		retract = func() { m.retract(seq, req) }
-	} else {
-		seq = m.nextSeq()
+		req = &mgmtReq{thing: thing, dev: id, onRemoval: cb}
 	}
-	m.send(thing, &proto.Message{Type: proto.MsgDriverRemovalReq, Seq: seq, DeviceID: id})
-	return retract
+	return m.request(thing, &proto.Message{Type: proto.MsgDriverRemovalReq, DeviceID: id}, req, timeout)
 }
 
 // handle processes protocol messages addressed to the manager. Decoding
@@ -370,16 +366,12 @@ func (m *Manager) handle(msg netsim.Message) {
 		m.discovered[msg.Src] = drivers
 		req := m.pending[pm.Seq]
 		match := req != nil && req.onDiscover != nil && req.thing == msg.Src
-		var cancel func()
 		if match {
 			delete(m.pending, pm.Seq)
-			cancel = req.cancel
+			req.expiry.Cancel()
 		}
 		m.mu.Unlock()
 		if match {
-			if cancel != nil {
-				cancel()
-			}
 			req.onDiscover(drivers, nil)
 		}
 
@@ -387,16 +379,12 @@ func (m *Manager) handle(msg netsim.Message) {
 		m.mu.Lock()
 		req := m.pending[pm.Seq]
 		match := req != nil && req.onRemoval != nil && req.thing == msg.Src
-		var cancel func()
 		if match {
 			delete(m.pending, pm.Seq)
-			cancel = req.cancel
+			req.expiry.Cancel()
 		}
 		m.mu.Unlock()
 		if match {
-			if cancel != nil {
-				cancel()
-			}
 			if pm.Status == 0 {
 				req.onRemoval(nil)
 			} else {

@@ -38,9 +38,9 @@ func BenchmarkNetsimSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkNetsimScheduleCancel measures the ScheduleCancelable + cancel
-// round trip under backlog (schedBatch cycles per op): cancellation is O(1)
-// with lazy deletion, so the cost must not grow with queue depth.
+// BenchmarkNetsimScheduleCancel measures the ScheduleExpiry + Cancel round
+// trip under backlog (schedBatch cycles per op): cancellation is O(1) with
+// lazy deletion, so the cost must not grow with queue depth.
 func BenchmarkNetsimScheduleCancel(b *testing.B) {
 	for _, depth := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
@@ -48,12 +48,12 @@ func BenchmarkNetsimScheduleCancel(b *testing.B) {
 			for i := 0; i < depth; i++ {
 				n.Schedule(24*time.Hour+time.Duration(i)*time.Millisecond, func() {})
 			}
+			rec := &expRecorder{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < schedBatch; j++ {
-					cancel := n.ScheduleCancelable(time.Hour, func() {})
-					cancel()
+					n.ScheduleExpiry(time.Hour, rec, 0, nil).Cancel()
 					n.Schedule(time.Microsecond, func() {})
 					n.Step()
 				}

@@ -5,45 +5,13 @@ import (
 	"time"
 )
 
-// Clock is the time-advancement engine behind a Network. Two implementations
-// exist:
-//
-//   - ShardedClock: the deterministic discrete-event clock. Time advances
-//     only while a caller drives Step/RunUntilIdle/RunUntil; handlers execute
-//     on the driving goroutine (or, for zoned networks, on its barrier-
-//     synchronized lane workers). This is the default and keeps simulations
-//     byte-for-byte reproducible. An unzoned network runs on one lane, which
-//     executes events one at a time in (timestamp, schedule order).
-//   - RealtimeClock: a wall-clock runtime. The event loop runs on its own
-//     goroutine, fires timers via time.Timer (optionally compressed by a
-//     time-scale factor), and dispatches handlers from a bounded worker
-//     pool, so many callers can block on in-flight requests concurrently.
-//
-// All scheduling is expressed in virtual time; the clock decides how virtual
-// time maps onto the caller's world.
-type Clock interface {
-	// Now returns the current virtual time.
-	Now() time.Duration
-	// Schedule runs fn at Now()+delay.
-	Schedule(delay time.Duration, fn func())
-	// ScheduleCancelable runs fn at Now()+delay and returns a cancel
-	// function. A cancelled event neither runs nor (on the virtual clock)
-	// advances time to its timestamp. Cancelling after the event fired, or
-	// cancelling twice, is a no-op.
-	ScheduleCancelable(delay time.Duration, fn func()) (cancel func())
-	// Stop releases the clock's resources: the realtime clock's loop
-	// goroutine and worker pool (events still queued are discarded), the
-	// sharded clock's round workers (later rounds run inline). Stop is
-	// idempotent.
-	Stop()
-}
-
-// Expirer receives typed expiry events: a deadline scheduled through
-// ScheduleExpiry fires as ExpireEvent(seq, tok) instead of a closure call.
-// Like pooled deliveries, this keeps the request hot path from allocating a
-// closure (and its captures) per scheduled timeout. seq is an opaque caller
-// cookie (callers pack sequence numbers and generation counters into it);
-// tok is the caller's per-request state.
+// Expirer receives typed expiry events, the only cancelable timer: a deadline
+// or retransmission scheduled through ScheduleExpiry fires as
+// ExpireEvent(seq, tok) instead of a closure call. Like pooled deliveries,
+// this keeps the request hot path from allocating a closure (and its
+// captures) per scheduled timeout. seq is an opaque caller cookie (callers
+// pack sequence numbers, generation counters and flags into it); tok is the
+// caller's per-request state.
 type Expirer interface {
 	ExpireEvent(seq uint64, tok any)
 }
@@ -55,9 +23,9 @@ type expiryCanceler interface {
 }
 
 // ExpiryRef is the cancel handle for a typed expiry event. It is a plain
-// value (no allocation); the zero value is inert. Cancelling after the event
-// fired, or cancelling twice, is a no-op — exactly like the closures returned
-// by ScheduleCancelable.
+// value (no allocation); the zero value is inert. A cancelled event neither
+// fires nor (on the virtual clock) advances time to its timestamp.
+// Cancelling after the event fired, or cancelling twice, is a no-op.
 type ExpiryRef struct {
 	c   expiryCanceler
 	ev  *scheduled
@@ -79,17 +47,17 @@ const (
 	evFired
 )
 
-// scheduled is one queued event: either a plain closure (fn) or a pooled
-// packet delivery (del) — the typed variant lets the hot path schedule a
-// delivery without allocating a closure per datagram copy.
+// scheduled is one queued event: a plain closure (fn), a pooled packet
+// delivery (del) or a typed expiry (exp) — the typed variants let the hot
+// path schedule a delivery or a deadline without allocating a closure.
 //
 // Events are recycled along two paths. Plain events (Schedule, deliveries)
 // go through the global scheduledPool: nothing references them after they
-// fire. Cancelable events instead return to their heap's freelist: their
-// cancel closure retains the pointer indefinitely, so they must never
-// migrate to another clock (a stale cancel would race the new owner's lock),
-// and reuse is guarded by the generation counter — a recycled event's gen no
-// longer matches the one the stale cancel captured, making it a no-op.
+// fire. Expiry events instead return to their heap's freelist: their
+// ExpiryRef retains the pointer indefinitely, so they must never migrate to
+// another clock (a stale Cancel would race the new owner's lock), and reuse
+// is guarded by the generation counter — a recycled event's gen no longer
+// matches the one the stale ref captured, making its Cancel a no-op.
 type scheduled struct {
 	at  time.Duration
 	fn  func()
@@ -102,7 +70,7 @@ type scheduled struct {
 	expSeq uint64
 	expTok any
 	state  eventState
-	// poolable marks plain events (global pool); cancelable events carry
+	// poolable marks plain events (global pool); expiry events carry
 	// gen/next for the per-heap freelist instead.
 	poolable bool
 	gen      uint64
@@ -145,8 +113,8 @@ type eventHeap struct {
 	queue []heapSlot // binary min-heap on (at, seq)
 	dead  int        // cancelled events still in the heap (lazy deletion)
 	seq   int        // tiebreaker for stable ordering
-	// free is the intrusive freelist of retired cancelable events. Bounded
-	// by the high-water mark of concurrently pending cancelables.
+	// free is the intrusive freelist of retired expiry events. Bounded by
+	// the high-water mark of concurrently pending expiries.
 	free *scheduled
 }
 
@@ -168,26 +136,9 @@ func (h *eventHeap) pushDeliveryAt(at time.Duration, del *delivery) {
 	h.push(at, ev)
 }
 
-// pushCancelableAt inserts a cancelable event, reusing the heap's freelist.
-// The returned generation must be captured by the cancel closure and passed
-// back to cancel: it is what makes a stale cancel of a recycled event a
-// no-op.
-func (h *eventHeap) pushCancelableAt(at time.Duration, fn func()) (*scheduled, uint64) {
-	ev := h.free
-	if ev != nil {
-		h.free = ev.next
-		ev.next = nil
-	} else {
-		ev = &scheduled{}
-	}
-	ev.fn, ev.del = fn, nil
-	ev.state, ev.poolable = evPending, false
-	h.push(at, ev)
-	return ev, ev.gen
-}
-
-// pushExpiryAt inserts a typed expiry event (cancelable, per-heap freelist —
-// same lifecycle as pushCancelableAt, without the per-call closure).
+// pushExpiryAt inserts a typed expiry event, reusing the heap's freelist.
+// The returned generation goes into the event's ExpiryRef and back to
+// cancel: it is what makes a stale Cancel of a recycled event a no-op.
 func (h *eventHeap) pushExpiryAt(at time.Duration, e Expirer, seq uint64, tok any) (*scheduled, uint64) {
 	ev := h.free
 	if ev != nil {
@@ -196,7 +147,6 @@ func (h *eventHeap) pushExpiryAt(at time.Duration, e Expirer, seq uint64, tok an
 	} else {
 		ev = &scheduled{}
 	}
-	ev.fn, ev.del = nil, nil
 	ev.exp, ev.expSeq, ev.expTok = e, seq, tok
 	ev.state, ev.poolable = evPending, false
 	h.push(at, ev)
@@ -204,7 +154,7 @@ func (h *eventHeap) pushExpiryAt(at time.Duration, e Expirer, seq uint64, tok an
 }
 
 // retire recycles an event that left the queue (fired or discarded while
-// cancelled). Cancelable events return to the freelist with their generation
+// cancelled). Expiry events return to the freelist with their generation
 // bumped; plain events are left for the caller to hand to the global pool
 // once outside the clock lock.
 func (h *eventHeap) retire(ev *scheduled) {
@@ -212,7 +162,6 @@ func (h *eventHeap) retire(ev *scheduled) {
 		return
 	}
 	ev.gen++
-	ev.fn = nil
 	ev.exp, ev.expTok = nil, nil
 	ev.next = h.free
 	h.free = ev
@@ -226,8 +175,7 @@ func (h *eventHeap) cancel(ev *scheduled, gen uint64) bool {
 		return false
 	}
 	ev.state = evCancelled
-	ev.fn = nil // release the closure right away
-	ev.exp, ev.expTok = nil, nil
+	ev.exp, ev.expTok = nil, nil // release the owner's state right away
 	h.dead++
 	h.compact()
 	return true

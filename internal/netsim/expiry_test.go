@@ -20,6 +20,16 @@ func (r *expRecorder) ExpireEvent(seq uint64, tok any) {
 	r.mu.Unlock()
 }
 
+// fnExpirer runs its token, a func(), when the expiry fires.
+type fnExpirer struct{}
+
+func (fnExpirer) ExpireEvent(_ uint64, tok any) { tok.(func())() }
+
+// scheduleFn arms a typed expiry that runs fn and returns its cancel.
+func scheduleFn(n *Network, delay time.Duration, fn func()) (cancel func()) {
+	return n.ScheduleExpiry(delay, fnExpirer{}, 0, fn).Cancel
+}
+
 func TestScheduleExpiryFiresTyped(t *testing.T) {
 	n := New(Config{})
 	rec := &expRecorder{}

@@ -5,9 +5,9 @@
 // datagrams; per-packet latency models the 250 kbit/s 802.15.4 wire rate,
 // 6LoWPAN fragmentation and the embedded stack's per-packet processing cost.
 //
-// Time-advancement is pluggable (see Clock). Under the default virtual clock
-// (ShardedClock: one lane for an unzoned network, one lane per address zone
-// otherwise) the simulator is deterministic: Send schedules deliveries,
+// One of two clocks advances time, chosen by Config. Under the default virtual
+// clock (ShardedClock: one lane for an unzoned network, one lane per address
+// zone otherwise) the simulator is deterministic: Send schedules deliveries,
 // Run/RunUntilIdle advance time, handlers execute at delivery time on the
 // driving goroutine (or its lane workers) and may send further messages.
 // Under the RealtimeClock (Config.Realtime) the event loop runs on its own
@@ -174,9 +174,8 @@ func (c *counters) snapshot() Stats {
 
 // Network is the simulated internetwork.
 type Network struct {
-	cfg   Config
-	clock Clock
-	// Exactly one of sclock/rclock is set, aliasing clock.
+	cfg Config
+	// Exactly one of sclock/rclock is set.
 	sclock *ShardedClock
 	rclock *RealtimeClock
 
@@ -270,11 +269,9 @@ func New(cfg Config) *Network {
 	}
 	if cfg.Realtime {
 		n.rclock = NewRealtimeClock(RealtimeConfig{TimeScale: cfg.TimeScale, Workers: cfg.Workers})
-		n.clock = n.rclock
 		return n
 	}
 	n.sclock = NewShardedClock(cfg.Zones, cfg.Workers, ShardQuantum(cfg.ProcJitter))
-	n.clock = n.sclock
 	if cfg.Zones > 1 {
 		n.sclock.postRound = n.flushDeferredMembership
 		n.lookahead = n.sclock.lookahead
@@ -306,9 +303,6 @@ func (n *Network) Sharded() (zones int, sequential bool, ok bool) {
 // zoned reports whether the network runs on two or more clock lanes.
 func (n *Network) zoned() bool { return n.sclock != nil && n.sclock.Lanes() > 1 }
 
-// Clock returns the network's time-advancement engine.
-func (n *Network) Clock() Clock { return n.clock }
-
 // Realtime reports whether the network runs on the wall clock.
 func (n *Network) Realtime() bool { return n.rclock != nil }
 
@@ -326,10 +320,21 @@ func (n *Network) TimeScale() float64 {
 // queued events; on the virtual clock it retires the round workers of a
 // zoned network. Close is idempotent.
 // Do not call Close from inside a handler.
-func (n *Network) Close() { n.clock.Stop() }
+func (n *Network) Close() {
+	if n.sclock != nil {
+		n.sclock.Stop()
+		return
+	}
+	n.rclock.Stop()
+}
 
 // Now returns the virtual time.
-func (n *Network) Now() time.Duration { return n.clock.Now() }
+func (n *Network) Now() time.Duration {
+	if n.sclock != nil {
+		return n.sclock.Now()
+	}
+	return n.rclock.Now()
+}
 
 // Stats returns a snapshot of the counters.
 func (n *Network) Stats() Stats { return n.stats.snapshot() }
@@ -406,7 +411,7 @@ func (nd *Node) Now() time.Duration {
 	if sc := nd.net.sclock; sc != nil {
 		return sc.laneNow(nd.lane)
 	}
-	return nd.net.clock.Now()
+	return nd.net.rclock.Now()
 }
 
 // Schedule runs fn at the node's Now()+delay, on the node's zone lane.
@@ -415,16 +420,7 @@ func (nd *Node) Schedule(delay time.Duration, fn func()) {
 		sc.scheduleLane(nd.lane, delay, fn)
 		return
 	}
-	nd.net.clock.Schedule(delay, fn)
-}
-
-// ScheduleCancelable runs fn at the node's Now()+delay on the node's zone
-// lane and returns a cancel function (see Clock.ScheduleCancelable).
-func (nd *Node) ScheduleCancelable(delay time.Duration, fn func()) (cancel func()) {
-	if sc := nd.net.sclock; sc != nil {
-		return sc.scheduleCancelableLane(nd.lane, delay, fn)
-	}
-	return nd.net.clock.ScheduleCancelable(delay, fn)
+	nd.net.rclock.Schedule(delay, fn)
 }
 
 // ScheduleExpiry queues a typed expiry event on the node's zone lane (see
@@ -933,8 +929,7 @@ func (n *Network) deliver(src, dst *Node, msg Message, pb *Buf, hops int, multic
 	n.scheduleDelivery(src, delay, d)
 }
 
-// scheduleDelivery routes a pooled delivery to the concrete clock (the Clock
-// interface stays closure-only; deliveries are a package-internal fast path).
+// scheduleDelivery routes a pooled delivery to the network's clock.
 // On the sharded clock the event lands on the DESTINATION's lane, timed from
 // the SOURCE's lane-local clock.
 func (n *Network) scheduleDelivery(src *Node, delay time.Duration, d *delivery) {
@@ -947,24 +942,20 @@ func (n *Network) scheduleDelivery(src *Node, delay time.Duration, d *delivery) 
 
 // Schedule runs fn at Now()+delay (virtual).
 func (n *Network) Schedule(delay time.Duration, fn func()) {
-	n.clock.Schedule(delay, fn)
-}
-
-// ScheduleCancelable runs fn at Now()+delay and returns a cancel function.
-// A cancelled event is dropped entirely: it neither runs nor advances the
-// clock to its timestamp — request deadlines use this so completed
-// requests leave no dead time behind. Cancelling after the event fired (or
-// cancelling twice) is a no-op.
-func (n *Network) ScheduleCancelable(delay time.Duration, fn func()) (cancel func()) {
-	return n.clock.ScheduleCancelable(delay, fn)
+	if n.sclock != nil {
+		n.sclock.Schedule(delay, fn)
+		return
+	}
+	n.rclock.Schedule(delay, fn)
 }
 
 // ScheduleExpiry queues a typed expiry event at Now()+delay: the clock calls
 // e.ExpireEvent(seq, tok) instead of a closure, so request deadlines on the
-// hot path cost no allocation to arm and none to cancel. Routed to the
-// concrete clock like scheduleDelivery (the Clock interface stays
-// closure-only). On a stopped realtime clock the returned ref is inert and
-// the event never fires.
+// hot path cost no allocation to arm and none to cancel. A cancelled event is
+// dropped entirely: it neither fires nor advances the clock to its timestamp,
+// so completed requests leave no dead time behind. Cancelling after the event
+// fired (or cancelling twice) is a no-op. On a stopped realtime clock the
+// returned ref is inert and the event never fires.
 func (n *Network) ScheduleExpiry(delay time.Duration, e Expirer, seq uint64, tok any) ExpiryRef {
 	if n.sclock != nil {
 		return n.sclock.scheduleExpiryLane(0, delay, e, seq, tok)

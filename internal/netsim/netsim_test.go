@@ -266,10 +266,11 @@ func TestHandlersMaySendMore(t *testing.T) {
 
 func TestScheduleCancelable(t *testing.T) {
 	n := New(Config{})
+	nd := buildLine(t, n, 1)[0]
 	fired := false
-	cancel := n.ScheduleCancelable(time.Second, func() { fired = true })
+	ref := nd.ScheduleExpiry(time.Second, fnExpirer{}, 0, func() { fired = true })
 	n.Schedule(100*time.Millisecond, func() {})
-	cancel()
+	ref.Cancel()
 	n.RunUntilIdle(0)
 	if fired {
 		t.Fatal("cancelled event must not run")
@@ -327,7 +328,7 @@ func TestSameTimestampFIFOWithCancellations(t *testing.T) {
 	var cancels []func()
 	for i := 0; i < 300; i++ {
 		i := i
-		cancels = append(cancels, n.ScheduleCancelable(time.Second, func() { got = append(got, i) }))
+		cancels = append(cancels, scheduleFn(n, time.Second, func() { got = append(got, i) }))
 	}
 	// Cancel every third event; the survivors must still fire in seq order.
 	for i := 0; i < 300; i += 3 {
@@ -353,7 +354,7 @@ func TestSameTimestampFIFOWithCancellations(t *testing.T) {
 func TestCancelAfterFireNoop(t *testing.T) {
 	n := New(Config{})
 	fired := 0
-	cancel := n.ScheduleCancelable(time.Millisecond, func() { fired++ })
+	cancel := scheduleFn(n, time.Millisecond, func() { fired++ })
 	n.RunUntilIdle(0)
 	if fired != 1 {
 		t.Fatalf("fired = %d", fired)
@@ -368,7 +369,7 @@ func TestCancelAfterFireNoop(t *testing.T) {
 }
 
 // TestHeapMatchesReferenceOrdering drives a randomized interleaving of
-// Schedule/ScheduleCancelable/cancel/Step and checks every firing against a
+// Schedule/ScheduleExpiry/Cancel/Step and checks every firing against a
 // brute-force reference model of the former sorted-slice implementation:
 // the live event with the smallest (timestamp, seq) fires next.
 func TestHeapMatchesReferenceOrdering(t *testing.T) {
@@ -392,7 +393,7 @@ func TestHeapMatchesReferenceOrdering(t *testing.T) {
 			id := me.idx
 			fire := func() { got = append(got, id); me.fired = true }
 			if rng.Intn(2) == 0 {
-				me.cancel = n.ScheduleCancelable(delay, fire)
+				me.cancel = scheduleFn(n, delay, fire)
 			} else {
 				n.Schedule(delay, fire)
 			}
@@ -450,10 +451,11 @@ func TestHeapMatchesReferenceOrdering(t *testing.T) {
 // schedule/cancel/step cycles the heap's backing capacity must stay small.
 func TestQueueCapacityBounded(t *testing.T) {
 	n := New(Config{})
+	rec := &expRecorder{}
 	for i := 0; i < 100_000; i++ {
-		cancel := n.ScheduleCancelable(time.Hour, func() {})
+		ref := n.ScheduleExpiry(time.Hour, rec, 0, nil)
 		n.Schedule(time.Microsecond, func() {})
-		cancel()
+		ref.Cancel()
 		if !n.Step() {
 			t.Fatal("expected a live event")
 		}

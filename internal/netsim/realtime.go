@@ -133,31 +133,10 @@ func (c *RealtimeClock) scheduleDelivery(delay time.Duration, del *delivery) {
 	c.kick()
 }
 
-// ScheduleCancelable runs fn at Now()+delay and returns a cancel function;
-// semantics match the virtual clock's (identity-checked, idempotent, O(1)).
-func (c *RealtimeClock) ScheduleCancelable(delay time.Duration, fn func()) (cancel func()) {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return func() {}
-	}
-	ev, gen := c.eh.pushCancelableAt(c.nowLocked()+delay, fn)
-	c.mu.Unlock()
-	c.kick()
-	return func() {
-		c.mu.Lock()
-		if c.eh.cancel(ev, gen) {
-			// A cancellation can empty the queue: wake idle waiters.
-			c.cond.Broadcast()
-		}
-		c.mu.Unlock()
-	}
-}
-
-// scheduleExpiry queues a typed expiry event at Now()+delay; on a stopped
-// clock it returns the inert zero ExpiryRef and the event never fires
-// (callers unblock through the deployment's close channel, as with
-// ScheduleCancelable's no-op cancel).
+// scheduleExpiry queues a typed expiry event at Now()+delay; semantics match
+// the virtual clock's (generation-checked, idempotent, O(1) cancel). On a
+// stopped clock it returns the inert zero ExpiryRef and the event never
+// fires (callers unblock through the deployment's close channel).
 func (c *RealtimeClock) scheduleExpiry(delay time.Duration, e Expirer, seq uint64, tok any) ExpiryRef {
 	c.mu.Lock()
 	if c.stopped {
@@ -174,6 +153,7 @@ func (c *RealtimeClock) scheduleExpiry(delay time.Duration, e Expirer, seq uint6
 func (c *RealtimeClock) cancelExpiry(ev *scheduled, gen uint64) {
 	c.mu.Lock()
 	if c.eh.cancel(ev, gen) {
+		// A cancellation can empty the queue: wake idle waiters.
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()

@@ -56,7 +56,7 @@ func TestRealtimeSchedulesInTimestampOrder(t *testing.T) {
 func TestRealtimeCancelPreventsFiring(t *testing.T) {
 	n := rtNet(t, Config{})
 	var fired atomic.Int32
-	cancel := n.ScheduleCancelable(500*time.Millisecond, func() { fired.Add(1) })
+	cancel := scheduleFn(n, 500*time.Millisecond, func() { fired.Add(1) })
 	cancel()
 	cancel()                           // idempotent
 	n.Schedule(time.Second, func() {}) // a later marker event
@@ -198,8 +198,8 @@ func TestRealtimeScheduleAfterCloseIsNoop(t *testing.T) {
 	n.Close()
 	var fired atomic.Int32
 	n.Schedule(0, func() { fired.Add(1) })
-	cancel := n.ScheduleCancelable(0, func() { fired.Add(1) })
-	cancel()
+	ref := n.ScheduleExpiry(0, fnExpirer{}, 0, func() { fired.Add(1) })
+	ref.Cancel()
 	time.Sleep(20 * time.Millisecond)
 	if fired.Load() != 0 {
 		t.Fatal("event fired on a stopped clock")

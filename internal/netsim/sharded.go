@@ -135,7 +135,7 @@ type shardLane struct {
 }
 
 // crossEvent is one buffered cross-lane event (a packet delivery or a plain
-// closure; expiries and cancelables are always lane-local).
+// closure; expiries are always lane-local).
 type crossEvent struct {
 	at   time.Duration
 	lane int32
@@ -280,33 +280,12 @@ func (c *ShardedClock) scheduleLane(lane int32, delay time.Duration, fn func()) 
 	sl.mu.Unlock()
 }
 
-// ScheduleCancelable runs fn at Now()+delay on the control lane and returns a
-// cancel function. A cancelled event is dropped entirely: it neither runs nor
-// advances the clock to its timestamp. Cancellation is O(1): the event is
-// marked dead and skipped when it surfaces, and the heap compacts when dead
-// events dominate.
-func (c *ShardedClock) ScheduleCancelable(delay time.Duration, fn func()) (cancel func()) {
-	return c.scheduleCancelableLane(0, delay, fn)
-}
-
-// scheduleCancelableLane is the lane-affine cancelable variant; timers a node
-// arms always live on the node's own lane, so cancels stay lane-local.
-func (c *ShardedClock) scheduleCancelableLane(lane int32, delay time.Duration, fn func()) (cancel func()) {
-	sl := c.lanes[lane]
-	at := c.base(sl) + delay
-	sl.mu.Lock()
-	ev, gen := sl.eh.pushCancelableAt(at, fn)
-	sl.mayHaveWork.Store(true)
-	sl.mu.Unlock()
-	return func() {
-		sl.mu.Lock()
-		sl.eh.cancel(ev, gen)
-		sl.mu.Unlock()
-	}
-}
-
 // scheduleExpiryLane queues a typed expiry event on a lane; the returned ref
-// cancels through the lane, which implements expiryCanceler.
+// cancels through the lane, which implements expiryCanceler. Timers a node
+// arms live on the node's own lane, so cancels stay lane-local. A cancelled
+// event is dropped entirely: it neither runs nor advances the clock to its
+// timestamp. Cancellation is O(1): the event is marked dead and skipped when
+// it surfaces, and the heap compacts when dead events dominate.
 func (c *ShardedClock) scheduleExpiryLane(lane int32, delay time.Duration, e Expirer, seq uint64, tok any) ExpiryRef {
 	sl := c.lanes[lane]
 	at := c.base(sl) + delay

@@ -674,9 +674,7 @@ func (t *Thing) driverReturned(id hw.DeviceID, vals []int32) {
 		// the steady-state read path reuses one array forever.
 		copy(q, q[1:])
 		t.pending[id] = q[:len(q)-1]
-		// Capture everything while opsMu is held: handleRead assigns the
-		// expiry ref under opsMu after arming it, possibly after this pop
-		// (it then reaps the orphaned event itself), and the release below
+		// Capture everything while opsMu is held: the release below
 		// recycles the entry.
 		ref := pr.expiry
 		seq, dst := pr.seq, pr.client
@@ -870,37 +868,18 @@ func (t *Thing) handleRead(msg netsim.Message, m *proto.Message) {
 	}
 	// id is copied out: the expiry event outlives the borrowed decode.
 	id := m.DeviceID
+	// The deadline is armed with the entry queued, under opsMu: events never
+	// run under a clock lock, so opsMu → clock cannot deadlock.
 	t.opsMu.Lock()
 	pr := t.newPendingReadLocked()
 	pr.seq, pr.client = m.Seq, msg.Src
-	gen := pr.gen
 	t.pending[id] = append(t.pending[id], pr)
+	pr.expiry = t.node.ScheduleExpiry(t.cfg.PendingReadTimeout, t, uint64(uint32(id))|pr.gen<<32, pr)
 	t.opsMu.Unlock()
-	ref := t.node.ScheduleExpiry(t.cfg.PendingReadTimeout, t, uint64(uint32(id))|gen<<32, pr)
-	t.opsMu.Lock()
-	if pr.gen == gen && queuedLocked(t.pending[id], pr) {
-		pr.expiry = ref
-		t.opsMu.Unlock()
-	} else {
-		t.opsMu.Unlock()
-		// The driver already answered (realtime clock: the pop raced the
-		// arming): the entry is gone or recycled, so reap the orphan event.
-		ref.Cancel()
-	}
 	t.vmMu.Lock()
 	rt.Post("read")
 	rt.RunUntilIdle(0)
 	t.vmMu.Unlock()
-}
-
-// queuedLocked reports whether pr is still in the queue (opsMu held).
-func queuedLocked(q []*pendingRead, pr *pendingRead) bool {
-	for _, e := range q {
-		if e == pr {
-			return true
-		}
-	}
-	return false
 }
 
 // ExpireEvent implements netsim.Expirer: it drops a pending read the driver

@@ -614,7 +614,7 @@ func (d *Deployment) RemoveDriver(ctx context.Context, th *Thing, id DeviceID) e
 // immediately instead of lingering until its deadline expires.
 //
 // In real-time mode the block is a plain channel wait — the event loop and
-// worker pool advance the network, and the registration's expiry timer
+// worker pool advance the network, and the request's expiry timer
 // guarantees completion. In virtual mode nothing advances the clock unless
 // a caller does, and a call takes one of three paths:
 //
@@ -630,9 +630,10 @@ func (d *Deployment) RemoveDriver(ctx context.Context, th *Thing, id DeviceID) e
 // Goroutine identity (gid) is computed only to tell these apart when it
 // matters: for the strand lookup while a Conduct is active, and after a
 // failed TryLock while the holder is inside a user callback. An uncontended
-// call never computes it. Every request arms a virtual-time expiry event at
-// registration, so a drained queue without completion cannot happen in
-// practice; it is reported as a timeout defensively.
+// call never computes it. Every request arms a virtual-time expiry event
+// right after its send, before start returns, so a drained queue without
+// completion cannot happen in practice; it is reported as a timeout
+// defensively.
 // On success await returns the fired completion WITHOUT recycling it: the
 // caller harvests the result slots (vals, err, at) the callback filled and
 // then calls recycle itself. On error the completion is abandoned to the GC

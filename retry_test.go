@@ -135,3 +135,58 @@ func TestRetryPolicyNoSpuriousRetransmissions(t *testing.T) {
 		t.Fatalf("loss-free retried read sent %d unicast datagrams, want 2", got)
 	}
 }
+
+// TestRetryPolicyAddsNoAllocations pins the ARQ layer's steady-state cost:
+// a warm Read or Write under WithRetryPolicy allocates exactly what the bare
+// call does. The retransmission is a typed expiry on the request's own
+// pending entry, so arming and retracting it costs no closure and no
+// heap-held message.
+func TestRetryPolicyAddsNoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	measure := func(opts ...micropnp.Option) (read, write float64) {
+		d := newSDKDeployment(t, opts...)
+		th, err := d.AddThing("sensor", micropnp.WithPeripherals(micropnp.TMP36))
+		if err != nil {
+			t.Fatal(err)
+		}
+		relayThing, err := d.AddThing("relays")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := relayThing.PlugRelay(0); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := d.AddClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Run()
+		ctx := context.Background()
+		readOnce := func() {
+			if _, err := cl.Read(ctx, th.Addr(), micropnp.TMP36); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vals := []int32{0b101}
+		writeOnce := func() {
+			if err := cl.Write(ctx, relayThing.Addr(), micropnp.Relay, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 32; i++ {
+			readOnce()
+			writeOnce()
+		}
+		return testing.AllocsPerRun(100, readOnce), testing.AllocsPerRun(100, writeOnce)
+	}
+	bareRead, bareWrite := measure()
+	// The 1 s base backoff exceeds the round trip, so no retransmission
+	// fires: the measurement is the arm-and-retract cost alone.
+	retryRead, retryWrite := measure(micropnp.WithRetryPolicy(3, time.Second))
+	if retryRead != bareRead || retryWrite != bareWrite {
+		t.Fatalf("allocs per call with retries read/write %v/%v, bare %v/%v: retries must add none",
+			retryRead, retryWrite, bareRead, bareWrite)
+	}
+}
