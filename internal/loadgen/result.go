@@ -120,7 +120,8 @@ type ShardTelemetry struct {
 	// LaneRounds sums each round's active-lane count — LaneRounds/(Rounds ×
 	// Lanes) is mean lane occupancy.
 	LaneRounds int64
-	// CrossMerged counts cross-lane events merged at barriers;
+	// CrossMerged counts cross-lane events merged at barriers (a multicast
+	// batch for one lane and instant is one event);
 	// CausalityViolations counts merged events timestamped before their
 	// destination lane's clock (always 0 unless the lookahead is unsound).
 	CrossMerged         int64

@@ -48,8 +48,9 @@ const (
 )
 
 // scheduled is one queued event: a plain closure (fn), a pooled packet
-// delivery (del) or a typed expiry (exp) — the typed variants let the hot
-// path schedule a delivery or a deadline without allocating a closure.
+// delivery (del: every receiver a datagram reaches on one lane at one
+// instant) or a typed expiry (exp) — the typed variants let the hot path
+// schedule a delivery or a deadline without allocating a closure.
 //
 // Events are recycled along two paths. Plain events (Schedule, deliveries)
 // go through the global scheduledPool: nothing references them after they
@@ -295,7 +296,8 @@ func (h *eventHeap) peek() *scheduled {
 func (h *eventHeap) live() int { return len(h.queue) - h.dead }
 
 // firing is an event payload lifted out of the heap, runnable outside the
-// clock lock. Exactly one of fn/del/exp is set.
+// clock lock. Exactly one of fn/del/exp is set; a delivery firing owns the
+// popped delivery and runs every receiver it has left.
 type firing struct {
 	fn     func()
 	del    *delivery

@@ -20,7 +20,8 @@
 // heap allocations: payloads travel in pooled refcounted buffers with
 // explicit ownership hand-off (see Buf and SendBuf; handlers borrow
 // Message.Payload for the duration of the call), deliveries are pooled typed
-// events rather than per-datagram closures, the event queue is a binary heap
+// events rather than per-datagram closures — one per multicast arrival
+// instant rather than per receiver — the event queue is a binary heap
 // with lazy deletion (Schedule and Step are O(log n), heap slots carry the
 // (timestamp, sequence) key inline so sifting never touches an event,
 // cancelled events are skipped on pop, compacted away when they dominate
@@ -39,6 +40,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -652,11 +654,38 @@ type mcastPlan struct {
 	targets  []mcastTarget
 	index    map[*Node]int    // member -> position in targets
 	edgeRefs map[[2]*Node]int // path edge -> member paths crossing it
+	// slots lists the plan's arrival classes, each a distinct (lane, hop
+	// count) of some target. Without jitter every receiver of one class
+	// arrives on the same lane at the same instant, so a send queues one
+	// delivery per class, sized by the class's target count. A class
+	// outlives the targets that made it; there are at most lanes × tree
+	// height of them.
+	slots []arrivalClass
 }
 
 type mcastTarget struct {
 	node *Node
-	hops int
+	hops int32
+	slot int32 // index of the target's arrival class in slots
+}
+
+type arrivalClass struct {
+	lane, hops int32
+	size       int32 // targets in the class
+}
+
+// slotOf counts a target into its (lane, hops) arrival class, adding the
+// class when new, and returns the class's index. A linear scan: it runs
+// only when a target enters the plan, and classes are few.
+func (p *mcastPlan) slotOf(lane int32, hops int) int32 {
+	for i := range p.slots {
+		if c := &p.slots[i]; c.lane == lane && c.hops == int32(hops) {
+			c.size++
+			return int32(i)
+		}
+	}
+	p.slots = append(p.slots, arrivalClass{lane: lane, hops: int32(hops), size: 1})
+	return int32(len(p.slots) - 1)
 }
 
 // countPath adds delta to the reference count of every edge on the tree
@@ -699,7 +728,7 @@ func (p *mcastPlan) addMember(src, member *Node) {
 	}
 	hops := p.countPath(src, member, 1)
 	p.index[member] = len(p.targets)
-	p.targets = append(p.targets, mcastTarget{node: member, hops: hops})
+	p.targets = append(p.targets, mcastTarget{node: member, hops: int32(hops), slot: p.slotOf(member.lane, hops)})
 }
 
 // removeMember splices one member's path out of the plan: O(path depth),
@@ -712,6 +741,7 @@ func (p *mcastPlan) removeMember(src, member *Node) {
 		return
 	}
 	p.countPath(src, member, -1)
+	p.slots[p.targets[i].slot].size--
 	last := len(p.targets) - 1
 	p.targets[i] = p.targets[last]
 	p.targets[last] = mcastTarget{}
@@ -770,7 +800,7 @@ func (n *Network) buildPlan(src *Node, group netip.Addr) *mcastPlan {
 			continue
 		}
 		hops := plan.countPath(src, member, 1)
-		plan.targets = append(plan.targets, mcastTarget{node: member, hops: hops})
+		plan.targets = append(plan.targets, mcastTarget{node: member, hops: int32(hops)})
 	}
 	sort.Slice(plan.targets, func(i, j int) bool {
 		a, b := plan.targets[i], plan.targets[j]
@@ -779,8 +809,10 @@ func (n *Network) buildPlan(src *Node, group netip.Addr) *mcastPlan {
 		}
 		return a.node.addr.Less(b.node.addr)
 	})
-	for i, t := range plan.targets {
+	for i := range plan.targets {
+		t := &plan.targets[i]
 		plan.index[t.node] = i
+		t.slot = plan.slotOf(t.node.lane, int(t.hops))
 	}
 	return plan
 }
@@ -822,7 +854,7 @@ func (nd *Node) SendBuf(dst netip.Addr, port uint16, pb *Buf) {
 					best, bestD = m, d
 				}
 			}
-			n.deliver(nd, best, msg, pb, bestD, false)
+			n.deliver(nd, best, msg, pb, bestD)
 			return
 		}
 		target, ok := n.nodes[dst]
@@ -831,7 +863,7 @@ func (nd *Node) SendBuf(dst netip.Addr, port uint16, pb *Buf) {
 			pb.Release()
 			return
 		}
-		n.deliver(nd, target, msg, pb, treeDistance(nd, target), false)
+		n.deliver(nd, target, msg, pb, treeDistance(nd, target))
 	}
 }
 
@@ -840,6 +872,15 @@ func (nd *Node) SendBuf(dst netip.Addr, port uint16, pb *Buf) {
 // is one transmission (duplicate suppression, the key SMRF property versus
 // naive flooding). The fan-out shares one payload buffer, holding one
 // reference per receiver. Caller holds topoMu.RLock.
+//
+// Loss (and jitter) is drawn per receiver in plan order, as for separate
+// unicasts. Without jitter the survivors of one arrival class — same lane,
+// same hop count, so the same arrival instant — share one delivery that
+// lists them in plan order; under jitter every survivor gets its own. The
+// batch takes the queue position its first receiver's event would have had,
+// and no other event could have been ordered between the receivers of one
+// instant (nothing else pushes to a lane between this send's pushes), so
+// the receivers run exactly where their separate events would have run.
 func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 	plan := n.multicastPlan(src, msg.Dst)
 	if len(plan.targets) == 0 {
@@ -847,30 +888,94 @@ func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 		return
 	}
 	pb.retain(int32(len(plan.targets)) - 1)
+	hopDelay := PacketDelay(len(msg.Payload), true)
+	jitter := n.cfg.ProcJitter > 0
+	var stack [64]*delivery
+	batches := stack[:]
+	if len(plan.slots) > len(stack) {
+		batches = make([]*delivery, len(plan.slots))
+	}
+	// One hold of the sender's stream covers the send's draws, in plan
+	// order; a jittered copy is queued under it (lock order: stream, then
+	// clock).
+	mu, rng := n.rngFor(src)
+	mu.Lock()
 	for _, t := range plan.targets {
-		n.deliver(src, t.node, msg, pb, t.hops, true)
+		hops := max(int(t.hops), 1)
+		delay, ok := n.draw(rng, hops, hopDelay)
+		switch d := batches[t.slot]; {
+		case !ok:
+			n.stats.lost.Add(1)
+			pb.Release()
+		case jitter:
+			n.scheduleDelivery(src, delay, newDelivery(1, n, msg, hops, pb, t.node))
+		case d == nil:
+			batches[t.slot] = newDelivery(int(plan.slots[t.slot].size), n, msg, hops, pb, t.node)
+		default:
+			d.dsts = append(d.dsts, t.node)
+		}
+	}
+	mu.Unlock()
+	for _, d := range batches[:len(plan.slots)] {
+		if d != nil {
+			n.scheduleDelivery(src, time.Duration(d.msg.Hops)*hopDelay, d)
+		}
 	}
 	n.stats.transmissions.Add(int64(len(plan.edgeRefs)))
 }
 
-// delivery is one scheduled datagram arrival, pooled so steady-state
-// deliveries allocate neither a closure nor an event.
+// delivery is one scheduled arrival instant of a datagram: the receivers
+// that get it on the same lane at the same virtual time, in plan order — one
+// for a unicast, and one for a multicast copy under jitter. Deliveries are
+// pooled with their receiver slices, so steady-state deliveries allocate
+// neither a closure nor an event.
 type delivery struct {
-	net *Network
-	dst *Node
-	msg Message
-	buf *Buf
+	net  *Network
+	msg  Message
+	buf  *Buf
+	dsts []*Node
+	// next counts the receivers the virtual clock has already handed out;
+	// the delivery stays queued until the last one (see
+	// shardLane.runWindow).
+	next int
 }
 
-var deliveryPool = sync.Pool{New: func() any { return new(delivery) }}
+// deliveryPools[k] holds recycled deliveries whose receiver slices have
+// capacity 1<<k. A batch is taken from the class that fits its plan slot's
+// target count, so it never grows a recycled slice.
+var deliveryPools [32]sync.Pool
 
-// run executes the arrival on the clock's firing goroutine: dispatch to the
-// bound handler, then release the payload reference (handlers only borrow
-// Message.Payload).
+// newDelivery takes a pooled delivery for up to size receivers, of msg over
+// hops, with dst as its first receiver. Each receiver consumes one payload
+// reference.
+func newDelivery(size int, n *Network, msg Message, hops int, pb *Buf, dst *Node) *delivery {
+	k := bits.Len(uint(size - 1))
+	d, _ := deliveryPools[k].Get().(*delivery)
+	if d == nil {
+		d = &delivery{dsts: make([]*Node, 0, 1<<k)}
+	}
+	d.net, d.msg, d.buf = n, msg, pb
+	d.msg.Hops = hops
+	d.dsts = append(d.dsts, dst)
+	return d
+}
+
+// run executes the arrival at every receiver the delivery has left (the
+// clock hands a multicast batch's other receivers out one at a time, see
+// shardLane.runWindow), then recycles it.
 func (d *delivery) run() {
-	n, dst, msg, pb := d.net, d.dst, d.msg, d.buf
-	*d = delivery{}
-	deliveryPool.Put(d)
+	for _, dst := range d.dsts[d.next:] {
+		d.net.arrive(dst, d.msg, d.buf)
+	}
+	clear(d.dsts)
+	*d = delivery{dsts: d.dsts[:0]}
+	deliveryPools[bits.Len(uint(cap(d.dsts)-1))].Put(d)
+}
+
+// arrive executes one receiver's arrival on the clock's firing goroutine:
+// dispatch to the handler bound at that moment, then release the receiver's
+// payload reference (handlers only borrow Message.Payload).
+func (n *Network) arrive(dst *Node, msg Message, pb *Buf) {
 	n.topoMu.RLock()
 	h := dst.handlers[msg.Port]
 	n.topoMu.RUnlock()
@@ -883,50 +988,52 @@ func (d *delivery) run() {
 	pb.Release()
 }
 
-// deliver schedules a delivery after the per-hop latency, applying per-hop
-// loss. Caller holds topoMu.RLock and has accounted one payload reference
-// for this delivery; deliver consumes it (on loss, or after the handler).
-func (n *Network) deliver(src, dst *Node, msg Message, pb *Buf, hops int, multicast bool) {
-	if hops == 0 {
-		hops = 1 // loopback or same-node corner: still one stack traversal
-	}
-	if !multicast {
-		n.stats.transmissions.Add(int64(hops))
-	}
-	// Loss/jitter draws key on the SENDER: on the sharded clock each zone has
-	// its own stream, consumed in the sender lane's deterministic execution
-	// order, so parallel and sequential rounds draw identically.
-	var mu *sync.Mutex
-	var rng *rand.Rand
-	if n.zoneRngs != nil {
-		zr := &n.zoneRngs[src.lane]
-		mu, rng = &zr.mu, zr.r
-	} else {
-		mu, rng = &n.rngMu, n.rng
-	}
+// deliver schedules a unicast delivery after the per-hop latency, applying
+// per-hop loss. Caller holds topoMu.RLock and has accounted one payload
+// reference for this delivery; deliver consumes it (on loss, or after the
+// handler).
+func (n *Network) deliver(src, dst *Node, msg Message, pb *Buf, hops int) {
+	hops = max(hops, 1) // loopback or same-node corner: still one stack traversal
+	n.stats.transmissions.Add(int64(hops))
+	mu, rng := n.rngFor(src)
 	mu.Lock()
-	lost := false
-	for h := 0; h < hops; h++ {
-		if n.cfg.LossRate > 0 && rng.Float64() < n.cfg.LossRate {
-			lost = true
-			break
-		}
-	}
-	msg.Hops = hops
-	delay := time.Duration(hops) * PacketDelay(len(msg.Payload), multicast)
-	if !lost && n.cfg.ProcJitter > 0 {
-		dev := (rng.Float64()*2 - 1) * n.cfg.ProcJitter
-		delay = time.Duration(float64(delay) * (1 + dev))
-	}
+	delay, ok := n.draw(rng, hops, PacketDelay(len(msg.Payload), false))
 	mu.Unlock()
-	if lost {
+	if !ok {
 		n.stats.lost.Add(1)
 		pb.Release()
 		return
 	}
-	d := deliveryPool.Get().(*delivery)
-	d.net, d.dst, d.msg, d.buf = n, dst, msg, pb
-	n.scheduleDelivery(src, delay, d)
+	n.scheduleDelivery(src, delay, newDelivery(1, n, msg, hops, pb, dst))
+}
+
+// rngFor returns the loss/jitter stream a sender draws from, with its lock.
+// Draws key on the SENDER: on the sharded clock each zone has its own
+// stream, consumed in the sender lane's deterministic execution order, so
+// parallel and sequential rounds draw identically.
+func (n *Network) rngFor(src *Node) (*sync.Mutex, *rand.Rand) {
+	if n.zoneRngs != nil {
+		zr := &n.zoneRngs[src.lane]
+		return &zr.mu, zr.r
+	}
+	return &n.rngMu, n.rng
+}
+
+// draw samples one copy's fate from rng (its lock held): a loss draw per hop
+// until one hits, then, for a survivor, the jitter draw. It returns the
+// arrival delay and whether the copy survived.
+func (n *Network) draw(rng *rand.Rand, hops int, hopDelay time.Duration) (time.Duration, bool) {
+	for h := 0; h < hops; h++ {
+		if n.cfg.LossRate > 0 && rng.Float64() < n.cfg.LossRate {
+			return 0, false
+		}
+	}
+	delay := time.Duration(hops) * hopDelay
+	if n.cfg.ProcJitter > 0 {
+		dev := (rng.Float64()*2 - 1) * n.cfg.ProcJitter
+		delay = time.Duration(float64(delay) * (1 + dev))
+	}
+	return delay, true
 }
 
 // scheduleDelivery routes a pooled delivery to the network's clock.
@@ -934,7 +1041,7 @@ func (n *Network) deliver(src, dst *Node, msg Message, pb *Buf, hops int, multic
 // the SOURCE's lane-local clock.
 func (n *Network) scheduleDelivery(src *Node, delay time.Duration, d *delivery) {
 	if n.sclock != nil {
-		n.sclock.scheduleDelivery(src.lane, d.dst.lane, delay, d)
+		n.sclock.scheduleDelivery(src.lane, d.dsts[0].lane, delay, d)
 		return
 	}
 	n.rclock.scheduleDelivery(delay, d)

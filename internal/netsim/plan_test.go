@@ -39,7 +39,7 @@ func testTree(t *testing.T, n *Network, count, arity int) []*Node {
 func planSnapshot(p *mcastPlan) (targets map[*Node]int, edges int) {
 	targets = map[*Node]int{}
 	for _, t := range p.targets {
-		targets[t.node] = t.hops
+		targets[t.node] = int(t.hops)
 	}
 	return targets, len(p.edgeRefs)
 }
@@ -332,7 +332,7 @@ func TestRoutesMatchBruteForce(t *testing.T) {
 					}
 				}
 				for _, tg := range plan.targets {
-					if want, _ := refRoute(src, tg.node); tg.hops != want {
+					if want, _ := refRoute(src, tg.node); int(tg.hops) != want {
 						t.Fatalf("seed %d step %d src %v: target %v hops %d, reference %d", seed, step, src.addr, tg.node.addr, tg.hops, want)
 					}
 				}

@@ -43,17 +43,23 @@ import (
 // sequence) heap order; cross-lane events buffer in per-source-lane outboxes
 // during the round and merge at the barrier in (source lane, emission order),
 // so the sequence numbers they receive — and hence all tie-breaks — are
-// independent of worker interleaving. Window bounds are computed only from
-// barrier-time heap minima and the topology matrix, never from worker
+// independent of worker interleaving. A multicast's copies that reach one
+// lane at one instant are one event (see Network.sendMulticast): the batch
+// keeps the sequence number its first receiver would have had, and no event
+// could have fallen between its receivers, so running them one after the
+// other at the heap root reproduces the per-receiver order exactly, on the
+// direct-push, outbox and merge paths alike. Window bounds are computed only
+// from barrier-time heap minima and the topology matrix, never from worker
 // timing. Combined with per-zone RNG streams and barrier-applied group
 // membership (see Network), a parallel run is bit-identical to the
 // sequential (Workers=1) run of the same program: same delivery order per
 // lane, same stats, same payload bytes.
 //
 // A one-lane clock (an unzoned network) has no barrier at all: Step runs
-// exactly one event, the drivers run events one at a time in (timestamp,
-// sequence) order, Now tracks the last executed event, and no round state —
-// scratch, worker pool, inRound — ever exists.
+// exactly one event (one receiver of a multicast batch), the drivers run
+// events one at a time in (timestamp, sequence) order, Now tracks the last
+// executed event, and no round state — scratch, worker pool, inRound — ever
+// exists.
 type ShardedClock struct {
 	lanes   []*shardLane
 	quantum time.Duration
@@ -134,8 +140,8 @@ type shardLane struct {
 	outbox []crossEvent
 }
 
-// crossEvent is one buffered cross-lane event (a packet delivery or a plain
-// closure; expiries are always lane-local).
+// crossEvent is one buffered cross-lane event (a packet delivery, possibly a
+// multicast batch, or a plain closure; expiries are always lane-local).
 type crossEvent struct {
 	at   time.Duration
 	lane int32
@@ -209,13 +215,17 @@ func (c *ShardedClock) Sequential() bool { return c.workers == 1 }
 type ShardStats struct {
 	// Rounds is the number of barrier rounds executed.
 	Rounds int64
-	// Events is the total number of events executed inside rounds.
+	// Events is the total number of events executed inside rounds, each
+	// receiver of a multicast batch counting as one: every handler and
+	// timer call counts once.
 	Events int64
 	// LaneRounds sums each round's active-lane count; LaneRounds /
 	// (Rounds × Lanes) is the mean lane occupancy.
 	LaneRounds int64
 	// CrossMerged counts cross-lane events merged at barriers (the summed
-	// outbox merge sizes).
+	// outbox merge sizes). A multicast batch — every copy bound for one lane
+	// at one instant — merges as one event, so this counts batches, not
+	// receivers.
 	CrossMerged int64
 	// CausalityViolations counts merged cross-lane events timestamped before
 	// their destination lane's local clock — always zero if the window bounds
@@ -303,7 +313,8 @@ func (sl *shardLane) cancelExpiry(ev *scheduled, gen uint64) {
 	sl.mu.Unlock()
 }
 
-// scheduleDelivery routes a packet delivery. Same-lane deliveries (and any
+// scheduleDelivery routes a packet delivery (one receiver's, or a multicast
+// batch bound for dstLane at one instant). Same-lane deliveries (and any
 // delivery scheduled between rounds) go straight into the destination heap;
 // cross-lane deliveries emitted mid-round buffer in the source lane's outbox
 // until the barrier, which is what keeps destination-heap sequence numbers —
@@ -496,9 +507,9 @@ func (c *ShardedClock) computeWindows(limit int64) {
 	}
 }
 
-// runWindow executes up to maxEvents events with timestamps in [*, w1) on one
-// lane, in heap order, advancing the lane-local clock. Returns the number
-// executed.
+// runWindow executes up to maxEvents events with timestamps in [*, w1) on
+// one lane, in heap order, advancing the lane-local clock; each receiver of
+// a multicast batch is one event. Returns the number executed.
 func (sl *shardLane) runWindow(w1 time.Duration, maxEvents int) int {
 	steps := 0
 	for steps < maxEvents {
@@ -508,10 +519,26 @@ func (sl *shardLane) runWindow(w1 time.Duration, maxEvents int) int {
 			sl.mu.Unlock()
 			return steps
 		}
-		ev = sl.eh.pop()
 		if at := int64(ev.at); at > sl.now.Load() {
 			sl.now.Store(at)
 		}
+		if d := ev.del; d != nil && d.next < len(d.dsts)-1 {
+			// A multicast batch with more than one receiver left hands out
+			// the next and stays at the root, its key unchanged: nothing can
+			// overtake it meanwhile, since every event pushed later carries a
+			// larger sequence number and a timestamp no earlier than the
+			// lane's clock. A handler that drives the clock reentrantly thus
+			// runs the batch's next receiver, as it would have run the next
+			// separately queued arrival; only the batch's last receiver, run
+			// by the firing that pops it, touches d afterwards.
+			n, dst, msg, pb := d.net, d.dsts[d.next], d.msg, d.buf
+			d.next++
+			sl.mu.Unlock()
+			n.arrive(dst, msg, pb)
+			steps++
+			continue
+		}
+		ev = sl.eh.pop()
 		f, pool := extractFiring(&sl.eh, ev)
 		sl.mu.Unlock()
 		if pool {
@@ -654,8 +681,8 @@ func (c *ShardedClock) round(limit int64) int {
 // advancing the clock. It reports whether any event ran. One sharded Step
 // covers up to a window of virtual time, not a single event — drivers that
 // step until a condition holds (the SDK's await loop) are unaffected. On one
-// lane Step executes exactly one event, so closed-loop callers re-check their
-// conditions after every event.
+// lane Step executes exactly one event — one receiver of a multicast batch —
+// so closed-loop callers re-check their conditions after every arrival.
 func (c *ShardedClock) Step() bool {
 	if c.oneLane() {
 		return c.lane0.runWindow(math.MaxInt64, 1) > 0

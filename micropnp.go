@@ -534,7 +534,8 @@ type NetworkStats struct {
 	// ShardLaneRounds/(ShardRounds×ShardLanes) is the mean lane occupancy.
 	ShardLaneRounds int64
 	// ShardCrossMerged counts cross-lane events merged at barriers (summed
-	// outbox merge sizes).
+	// outbox merge sizes). A multicast's copies that reach one lane at one
+	// instant travel as one event, so this counts batches, not receivers.
 	ShardCrossMerged int64
 	// ShardCausalityViolations counts merged cross-lane events timestamped
 	// before their destination lane's clock — zero when the lookahead bounds
