@@ -42,9 +42,9 @@ func TestReadingUnitsFromThingsOwnAdvert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node.Send(dst, netsim.Port6030, b)
+		node.Send(dst, b)
 	}
-	node.Bind(netsim.Port6030, func(msg netsim.Message) {
+	node.Bind(func(msg netsim.Message) {
 		if m, err := proto.Decode(msg.Payload); err == nil && m.Type == proto.MsgRead {
 			send(msg.Src, &proto.Message{Type: proto.MsgData, Seq: m.Seq, DeviceID: m.DeviceID,
 				Data: proto.Values32([]int32{2970})})

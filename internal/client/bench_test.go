@@ -50,7 +50,7 @@ func BenchmarkClientPending(b *testing.B) {
 			cl.ReadInto(thing, reply.DeviceID, scratch, time.Second, cb)
 			reply.Seq = cl.seq
 			buf, _ = reply.AppendEncode(buf[:0])
-			cl.handle(netsim.Message{Src: thing, Dst: cl.Addr(), Port: netsim.Port6030, Payload: buf})
+			cl.handle(netsim.Message{Src: thing, Dst: cl.Addr(), Payload: buf})
 		}
 	}
 	b.StopTimer()

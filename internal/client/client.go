@@ -244,7 +244,7 @@ func New(cfg Config) (*Client, error) {
 		slots:          map[advertKey]slot{},
 	}
 	node.JoinGroup(netsim.AllClientsAddr(c.prefix))
-	node.Bind(netsim.Port6030, c.handle)
+	node.Bind(c.handle)
 	return c, nil
 }
 
@@ -474,7 +474,7 @@ func (c *Client) send(dst netip.Addr, m *proto.Message) {
 		return
 	}
 	pb.B = b
-	c.node.SendBuf(dst, netsim.Port6030, pb)
+	c.node.SendBuf(dst, pb)
 }
 
 // Pending returns the number of in-flight requests (reads, writes and

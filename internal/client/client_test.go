@@ -33,13 +33,13 @@ func newFakeThing(t *testing.T, n *netsim.Network, parent *netsim.Node, a netip.
 	prefix := netsim.PrefixFromAddr(a)
 	node.JoinGroup(netsim.MulticastAddr(prefix, id))
 	node.JoinGroup(netsim.AllPeripheralsAddr(prefix))
-	node.Bind(netsim.Port6030, f.handle)
+	node.Bind(f.handle)
 	return f
 }
 
 func (f *fakeThing) send(dst netip.Addr, m *proto.Message) {
 	payload, _ := m.Encode()
-	f.node.Send(dst, netsim.Port6030, payload)
+	f.node.Send(dst, payload)
 }
 
 func (f *fakeThing) handle(msg netsim.Message) {
@@ -519,8 +519,8 @@ func TestClientClosedFiltersBySender(t *testing.T) {
 
 func TestClientIgnoresGarbage(t *testing.T) {
 	n, cl, ft := setup(t)
-	ft.node.Send(cl.Addr(), netsim.Port6030, []byte{0x00, 0x01})
-	ft.node.Send(cl.Addr(), netsim.Port6030, nil)
+	ft.node.Send(cl.Addr(), []byte{0x00, 0x01})
+	ft.node.Send(cl.Addr(), nil)
 	n.RunUntilIdle(0)
 	if len(cl.Adverts()) != 0 {
 		t.Fatal("garbage must not produce adverts")

@@ -11,7 +11,7 @@ import (
 	"micropnp/internal/proto"
 )
 
-// recordingPeer records every datagram it receives on port 6030. It stays
+// recordingPeer records every datagram it receives. It stays
 // silent until the answerFrom-th datagram (1-based; 0 = never) and answers
 // that one and every later one like a Thing would.
 type recordingPeer struct {
@@ -27,7 +27,7 @@ func newRecordingPeer(t *testing.T, n *netsim.Network, parent *netsim.Node, answ
 		t.Fatal(err)
 	}
 	p := &recordingPeer{node: node, answerFrom: answerFrom}
-	node.Bind(netsim.Port6030, p.handle)
+	node.Bind(p.handle)
 	return p
 }
 
@@ -45,7 +45,7 @@ func (p *recordingPeer) handle(msg netsim.Message) {
 		reply = &proto.Message{Type: proto.MsgData, Seq: m.Seq, DeviceID: m.DeviceID, Data: proto.Values32([]int32{7})}
 	}
 	payload, _ := reply.Encode()
-	p.node.Send(msg.Src, netsim.Port6030, payload)
+	p.node.Send(msg.Src, payload)
 }
 
 // retryRig is a client with RetryPolicy{Attempts: 3} next to a recording

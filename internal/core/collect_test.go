@@ -37,7 +37,7 @@ func TestDroppedZonedDeploymentIsCollected(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := &netSentinel{hits: new(int)}
-		node.Bind(netsim.Port6030, func(netsim.Message) { *s.hits++ })
+		node.Bind(func(netsim.Message) { *s.hits++ })
 		runtime.SetFinalizer(s, func(*netSentinel) { close(collected) })
 	}()
 	for i := 0; i < 20; i++ {

@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"sync"
 	"time"
@@ -132,14 +131,9 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 			return nil, err
 		}
 	}
-	var rng *rand.Rand
-	if cfg.Seed != 0 {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
 	net := netsim.New(netsim.Config{
 		LossRate:   cfg.LossRate,
 		ProcJitter: cfg.ProcJitter,
-		Rng:        rng,
 		Realtime:   cfg.Realtime,
 		TimeScale:  cfg.TimeScale,
 		Workers:    cfg.Workers,

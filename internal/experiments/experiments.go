@@ -112,8 +112,6 @@ func Table2() []Table2Row {
 			vmProxy += len(h.Code)
 		}
 	}
-	advert := len("unsolicited advertisement with one peripheral + TLVs")
-	_ = advert
 	return []Table2Row{
 		{"Peripheral Controller", 2243, 465, 4 * 3, "bytes of decoded ID state per 3-channel board (4 B/channel)"},
 		{"µPnP Virtual Machine", 7028, 450, vmProxy, "interpreted handler code bytes across the 4 standard drivers"},
@@ -410,9 +408,9 @@ func AblationMulticast(n int) (*AblationMulticastResult, error) {
 	group := netsim.MulticastAddr(netsim.PrefixFromAddr(rootM.Addr()), 0xad1cbe01)
 	for _, th := range things {
 		th.JoinGroup(group)
-		th.Bind(netsim.Port6030, func(netsim.Message) {})
+		th.Bind(func(netsim.Message) {})
 	}
-	rootM.Send(group, netsim.Port6030, []byte("discovery"))
+	rootM.Send(group, []byte("discovery"))
 	netM.RunUntilIdle(0)
 	mTx := netM.Stats().Transmissions
 
@@ -422,8 +420,8 @@ func AblationMulticast(n int) (*AblationMulticastResult, error) {
 		return nil, err
 	}
 	for _, th := range thingsU {
-		th.Bind(netsim.Port6030, func(netsim.Message) {})
-		rootU.Send(th.Addr(), netsim.Port6030, []byte("discovery"))
+		th.Bind(func(netsim.Message) {})
+		rootU.Send(th.Addr(), []byte("discovery"))
 	}
 	netU.RunUntilIdle(0)
 	uTx := netU.Stats().Transmissions

@@ -104,7 +104,7 @@ func New(cfg Config) (*Manager, error) {
 		discovered: map[netip.Addr][]hw.DeviceID{},
 		pending:    map[uint16]*mgmtReq{},
 	}
-	node.Bind(netsim.Port6030, m.handle)
+	node.Bind(m.handle)
 	if cfg.Anycast.IsValid() {
 		cfg.Network.JoinAnycast(cfg.Anycast, node)
 	}
@@ -219,7 +219,7 @@ func (m *Manager) send(dst netip.Addr, msg *proto.Message) {
 		return
 	}
 	pb.B = b
-	m.node.SendBuf(dst, netsim.Port6030, pb)
+	m.node.SendBuf(dst, pb)
 }
 
 // Failed reports whether Fail was called on this instance.
@@ -231,7 +231,7 @@ func (m *Manager) Failed() bool {
 
 // Fail crashes the manager process while its router node keeps relaying:
 // the instance leaves the manager anycast (new requests route to the nearest
-// survivor), unbinds its management port (datagrams already in flight to it
+// survivor), unbinds its datagram handler (datagrams already in flight to it
 // drop as NoHandler), stops transmitting, and drains its pending management
 // table. The drained requests are returned in ascending sequence order —
 // deterministic, so virtual-mode failover migration replays identically —
@@ -265,7 +265,7 @@ func (m *Manager) Fail() []PendingRequest {
 	if m.anycast.IsValid() {
 		m.net.LeaveAnycast(m.anycast, m.node)
 	}
-	m.node.Unbind(netsim.Port6030)
+	m.node.Unbind()
 	return drained
 }
 

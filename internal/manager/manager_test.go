@@ -36,7 +36,7 @@ func setup(t *testing.T) (*netsim.Network, *Manager, *netsim.Node, *[]*proto.Mes
 		t.Fatal(err)
 	}
 	inbox := &[]*proto.Message{}
-	peer.Bind(netsim.Port6030, func(m netsim.Message) {
+	peer.Bind(func(m netsim.Message) {
 		if pm, err := proto.Decode(m.Payload); err == nil {
 			*inbox = append(*inbox, pm)
 		}
@@ -50,7 +50,7 @@ func sendTo(t *testing.T, n *netsim.Network, from *netsim.Node, dst netip.Addr, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	from.Send(dst, netsim.Port6030, payload)
+	from.Send(dst, payload)
 }
 
 func TestManagerServesDriverViaAnycast(t *testing.T) {
@@ -94,7 +94,7 @@ func TestManagerUnknownDriverSilent(t *testing.T) {
 func TestManagerDriverDiscoveryFlow(t *testing.T) {
 	n, mgr, peer, _ := setup(t)
 	// The peer plays a Thing: reply to driver discovery with an advert.
-	peer.Bind(netsim.Port6030, func(m netsim.Message) {
+	peer.Bind(func(m netsim.Message) {
 		pm, err := proto.Decode(m.Payload)
 		if err != nil || pm.Type != proto.MsgDriverDiscovery {
 			return
@@ -102,7 +102,7 @@ func TestManagerDriverDiscoveryFlow(t *testing.T) {
 		reply := &proto.Message{Type: proto.MsgDriverAdvert, Seq: pm.Seq,
 			Drivers: []hw.DeviceID{driver.IDBMP180}}
 		payload, _ := reply.Encode()
-		peer.Send(m.Src, netsim.Port6030, payload)
+		peer.Send(m.Src, payload)
 	})
 
 	var got []hw.DeviceID
@@ -123,7 +123,7 @@ func TestManagerDriverDiscoveryFlow(t *testing.T) {
 
 func TestManagerRemovalFlow(t *testing.T) {
 	n, mgr, peer, _ := setup(t)
-	peer.Bind(netsim.Port6030, func(m netsim.Message) {
+	peer.Bind(func(m netsim.Message) {
 		pm, err := proto.Decode(m.Payload)
 		if err != nil || pm.Type != proto.MsgDriverRemovalReq {
 			return
@@ -131,7 +131,7 @@ func TestManagerRemovalFlow(t *testing.T) {
 		reply := &proto.Message{Type: proto.MsgDriverRemovalAck, Seq: pm.Seq,
 			DeviceID: pm.DeviceID, Status: 0}
 		payload, _ := reply.Encode()
-		peer.Send(m.Src, netsim.Port6030, payload)
+		peer.Send(m.Src, payload)
 	})
 
 	var ok bool
@@ -207,7 +207,7 @@ func TestManagerStaleAdvertCannotSwallowRemoval(t *testing.T) {
 
 func TestManagerIgnoresGarbage(t *testing.T) {
 	n, mgr, peer, inbox := setup(t)
-	peer.Send(mgr.Node().Addr(), netsim.Port6030, []byte{0xba, 0xad})
+	peer.Send(mgr.Node().Addr(), []byte{0xba, 0xad})
 	n.RunUntilIdle(0)
 	if len(*inbox) != 0 {
 		t.Fatal("garbage must not trigger replies")
@@ -241,10 +241,10 @@ func TestTwoManagersAnycastNearest(t *testing.T) {
 	}
 
 	got := 0
-	requester.Bind(netsim.Port6030, func(m netsim.Message) { got++ })
+	requester.Bind(func(m netsim.Message) { got++ })
 	msg := &proto.Message{Type: proto.MsgDriverInstallReq, Seq: 1, DeviceID: driver.IDTMP36}
 	payload, _ := msg.Encode()
-	requester.Send(any, netsim.Port6030, payload)
+	requester.Send(any, payload)
 	n.RunUntilIdle(0)
 
 	if got != 1 {

@@ -67,10 +67,10 @@ func TestZoneGroupsAreDistinct(t *testing.T) {
 	b.JoinGroup(g2)
 
 	var gotA, gotB int
-	a.Bind(Port6030, func(Message) { gotA++ })
-	b.Bind(Port6030, func(Message) { gotB++ })
+	a.Bind(func(Message) { gotA++ })
+	b.Bind(func(Message) { gotB++ })
 
-	root.Send(g1, Port6030, []byte("zone1"))
+	root.Send(g1, []byte("zone1"))
 	n.RunUntilIdle(0)
 	if gotA != 1 || gotB != 0 {
 		t.Fatalf("zone 1 traffic: a=%d b=%d", gotA, gotB)

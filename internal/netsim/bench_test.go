@@ -131,13 +131,13 @@ func BenchmarkShardedCrossLane(b *testing.B) {
 				b.Fatal(err)
 			}
 			nd.JoinGroup(group)
-			nd.Bind(Port6030, func(m Message) { nd.Send(m.Src, Port6030, m.Payload) })
+			nd.Bind(func(m Message) { nd.Send(m.Src, m.Payload) })
 		}
 	}
 	replies := 0
-	root.Bind(Port6030, func(Message) { replies++ })
+	root.Bind(func(Message) { replies++ })
 	payload := []byte("adv")
-	fanOut := func() { root.Send(group, Port6030, payload) }
+	fanOut := func() { root.Send(group, payload) }
 	op := func() {
 		root.Schedule(0, fanOut)
 		n.RunUntilIdle(0)
@@ -196,10 +196,10 @@ func BenchmarkScaleMulticast(b *testing.B) {
 			delivered := 0
 			for _, nd := range nodes[1:] {
 				nd.JoinGroup(group)
-				nd.Bind(Port6030, func(Message) { delivered++ })
+				nd.Bind(func(Message) { delivered++ })
 			}
 			// Prime the plan cache once; steady-state sends are what scale.
-			nodes[0].Send(group, Port6030, []byte("warm"))
+			nodes[0].Send(group, []byte("warm"))
 			n.RunUntilIdle(0)
 			delivered = 0
 			// Batch sends per op so -benchtime 1x (the CI regression
@@ -209,7 +209,7 @@ func BenchmarkScaleMulticast(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < batch; j++ {
-					nodes[0].Send(group, Port6030, []byte("adv"))
+					nodes[0].Send(group, []byte("adv"))
 					n.RunUntilIdle(0)
 				}
 			}
@@ -253,7 +253,12 @@ func BenchmarkScaleMulticast(b *testing.B) {
 			// Location zones are 1-based (zone 0 is the unscoped group form).
 			zoneRoots := make([]*Node, zones+1)
 			groups := make([]netip.Addr, zones+1)
-			delivered := make([]int, zones+1)
+			// One cache line per zone's counter: adjacent ints would make
+			// every lane write the line the other lanes write.
+			delivered := make([]struct {
+				n int
+				_ [56]byte
+			}, zones+1)
 			members := 0
 			for z := 1; z <= zones; z++ {
 				z := z
@@ -271,17 +276,17 @@ func BenchmarkScaleMulticast(b *testing.B) {
 					nd.JoinGroup(groups[z])
 					// Handlers for one zone only run on that zone's lane, so
 					// the per-zone counter needs no lock.
-					nd.Bind(Port6030, func(Message) { delivered[z]++ })
+					nd.Bind(func(Message) { delivered[z].n++ })
 					members++
 				}
 			}
 			// Prime every zone's plan cache; steady-state sends are what scale.
 			for z := 1; z <= zones; z++ {
-				zoneRoots[z].Send(groups[z], Port6030, []byte("warm"))
+				zoneRoots[z].Send(groups[z], []byte("warm"))
 			}
 			n.RunUntilIdle(0)
 			for z := range delivered {
-				delivered[z] = 0
+				delivered[z].n = 0
 			}
 			const batch = 4
 			b.ReportAllocs()
@@ -289,7 +294,7 @@ func BenchmarkScaleMulticast(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < batch; j++ {
 					for z := 1; z <= zones; z++ {
-						zoneRoots[z].Send(groups[z], Port6030, []byte("adv"))
+						zoneRoots[z].Send(groups[z], []byte("adv"))
 					}
 					n.RunUntilIdle(0)
 				}
@@ -297,7 +302,7 @@ func BenchmarkScaleMulticast(b *testing.B) {
 			b.StopTimer()
 			total := 0
 			for _, d := range delivered {
-				total += d
+				total += d.n
 			}
 			if total != b.N*batch*members {
 				b.Fatalf("delivered %d, want %d", total, b.N*batch*members)

@@ -102,10 +102,10 @@ func TestLookaheadCausalityRandomTraffic(t *testing.T) {
 			}
 			// Every node echoes once per distinct payload family, so cross-lane
 			// deliveries spawn further cross-lane work mid-round.
-			nd.Bind(Port6030, func(m Message) {
+			nd.Bind(func(m Message) {
 				if len(m.Payload) > 0 && m.Payload[0] == 'p' {
 					peer := nodes[int(m.Payload[1])%len(nodes)]
-					nd.Send(peer.Addr(), Port6030, []byte{'q', m.Payload[1]})
+					nd.Send(peer.Addr(), []byte{'q', m.Payload[1]})
 				}
 			})
 			nodes = append(nodes, nd)
@@ -115,7 +115,7 @@ func TestLookaheadCausalityRandomTraffic(t *testing.T) {
 			dst := nodes[rng.Intn(len(nodes))]
 			at := time.Duration(rng.Intn(500)) * time.Millisecond
 			payload := []byte{'p', byte(rng.Intn(256))}
-			src.Schedule(at, func() { src.Send(dst.Addr(), Port6030, payload) })
+			src.Schedule(at, func() { src.Send(dst.Addr(), payload) })
 		}
 		if n.RunUntilIdle(10_000_000) == 0 {
 			t.Fatal("no events executed")
@@ -161,24 +161,24 @@ func deepChainRounds(tb testing.TB) ShardStats {
 		left := bounces
 		for i, nd := range chain {
 			i, nd := i, nd
-			nd.Bind(Port6030, func(m Message) {
+			nd.Bind(func(m Message) {
 				switch {
 				case string(m.Payload) == "down" && i < depth-1:
-					nd.Send(chain[i+1].Addr(), Port6030, m.Payload)
+					nd.Send(chain[i+1].Addr(), m.Payload)
 				case string(m.Payload) == "down":
-					nd.Send(chain[i-1].Addr(), Port6030, []byte("up"))
+					nd.Send(chain[i-1].Addr(), []byte("up"))
 				case i > 0:
-					nd.Send(chain[i-1].Addr(), Port6030, m.Payload)
+					nd.Send(chain[i-1].Addr(), m.Payload)
 				default:
 					if left--; left > 0 {
-						nd.Send(chain[i+1].Addr(), Port6030, []byte("down"))
+						nd.Send(chain[i+1].Addr(), []byte("down"))
 					}
 				}
 			})
 		}
 		head := chain[0]
 		head.Schedule(time.Duration(z)*time.Millisecond, func() {
-			head.Send(chain[1].Addr(), Port6030, []byte("down"))
+			head.Send(chain[1].Addr(), []byte("down"))
 		})
 	}
 	if n.RunUntilIdle(10_000_000) == 0 {

@@ -2,8 +2,10 @@
 // µPnP prototype runs on (Section 6): IPv6 over 6LoWPAN/802.15.4, an
 // RPL-style tree (DODAG) for routing, SMRF-style multicast forwarding down
 // the tree, and anycast to the nearest group member. Nodes exchange UDP
-// datagrams; per-packet latency models the 250 kbit/s 802.15.4 wire rate,
-// 6LoWPAN fragmentation and the embedded stack's per-packet processing cost.
+// datagrams, all on µPnP's one port (6030), so a node binds one handler and
+// a message carries no port. Per-packet latency models the 250 kbit/s
+// 802.15.4 wire rate, 6LoWPAN fragmentation and the embedded stack's
+// per-packet processing cost.
 //
 // One of two clocks advances time, chosen by Config. Under the default virtual
 // clock (ShardedClock: one lane for an unzoned network, one lane per address
@@ -32,10 +34,11 @@
 // per-(group,src) SMRF plans are cached and maintained incrementally by
 // group churn (JoinGroup/LeaveGroup splice the member's path in O(depth)
 // against a refcounted edge union) rather than invalidated. Locks are
-// sharded by role — topology (RWMutex, read-mostly after setup), the
-// per-group plan stripes, loss/jitter sampling, atomic stats counters, and
-// the clock's own lock — so concurrent handlers do not serialize on one
-// lock.
+// sharded by role — topology (RWMutex, read-mostly after setup, taken by
+// sends), the per-group plan stripes, per-lane loss/jitter streams, atomic
+// stats counters, and the clock's own lock — and an arrival takes none of
+// them (it loads the receiver's handler atomically), so concurrent handlers
+// do not serialize on one lock.
 package netsim
 
 import (
@@ -48,9 +51,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Port6030 is the UDP port all µPnP protocol messages use (Section 5.2).
-const Port6030 = 6030
 
 // Link and stack timing model, calibrated against the Contiki 2.7 /
 // ATMega128RFA1 measurements of Table 4.
@@ -86,11 +86,11 @@ func PacketDelay(payloadBytes int, multicast bool) time.Duration {
 	return d
 }
 
-// Message is a UDP datagram in flight or delivered.
+// Message is a UDP datagram in flight or delivered. Every µPnP message uses
+// UDP port 6030 (Section 5.2), so the port is implicit.
 type Message struct {
-	Src  netip.Addr
-	Dst  netip.Addr
-	Port uint16
+	Src netip.Addr
+	Dst netip.Addr
 	// Payload is BORROWED by handlers: the bytes live in a pooled buffer the
 	// network recycles as soon as the handler returns (multicast receivers
 	// share one buffer). Handlers that retain payload bytes must copy them.
@@ -99,10 +99,11 @@ type Message struct {
 	Hops int
 }
 
-// Handler consumes a delivered datagram. Under the realtime clock handlers
-// for independent deliveries run concurrently on pool workers; handlers must
-// therefore be safe for concurrent use when the network runs in realtime
-// mode. Message.Payload is only valid for the duration of the call.
+// Handler consumes a datagram delivered to the node it is bound to (see
+// Node.Bind). Under the realtime clock handlers for independent deliveries
+// run concurrently on pool workers; handlers must therefore be safe for
+// concurrent use when the network runs in realtime mode. Message.Payload is
+// only valid for the duration of the call.
 type Handler func(Message)
 
 // Config tunes the simulated network.
@@ -113,8 +114,6 @@ type Config struct {
 	// ±5%), modelling CSMA backoff and stack scheduling variance. Zero
 	// keeps deliveries deterministic.
 	ProcJitter float64
-	// Rng drives loss and jitter sampling; nil uses a fixed seed.
-	Rng *rand.Rand
 	// Realtime runs the network on the wall clock (see RealtimeClock):
 	// the event loop gets its own goroutine and handlers dispatch from a
 	// bounded worker pool. The default is the deterministic virtual clock.
@@ -134,8 +133,9 @@ type Config struct {
 	// zone field (bytes 10..11) modulo Zones. 0 or 1 runs the clock on one
 	// lane, event by event; ignored in realtime mode.
 	Zones int
-	// Seed derives the per-zone RNG streams when Zones > 1 (0 = the fixed
-	// default). The single-zone clock uses Rng as before.
+	// Seed seeds the loss/jitter streams (0 = the fixed default 0x6030):
+	// an unzoned or realtime network draws from one stream seeded with it,
+	// a zoned network derives one stream per zone from it.
 	Seed int64
 }
 
@@ -146,9 +146,9 @@ type Stats struct {
 	Transmissions int // per-hop frame transmissions, the energy-relevant count
 	Delivered     int
 	Lost          int
-	// NoHandler counts datagrams that reached a node with no handler bound
-	// to the destination port: the embedded stack drops them (ICMPv6 port
-	// unreachable is not generated on these motes).
+	// NoHandler counts datagrams that reached a node with no handler bound:
+	// the embedded stack drops them (ICMPv6 port unreachable is not
+	// generated on these motes).
 	NoHandler int
 }
 
@@ -181,13 +181,10 @@ type Network struct {
 	sclock *ShardedClock
 	rclock *RealtimeClock
 
-	// rngMu guards the loss/jitter stream; draws stay ordered and
-	// reproducible in virtual mode (single driving goroutine).
-	rngMu sync.Mutex
-	rng   *rand.Rand
-	// zoneRngs are the per-zone loss/jitter streams of a sharded network
-	// (draws key on the SENDER's zone, so each stream is consumed in the
-	// sender lane's deterministic execution order). nil when Zones <= 1.
+	// zoneRngs are the loss/jitter streams, one per clock lane (one for an
+	// unzoned or realtime network). Draws key on the SENDER's lane, so each
+	// stream is consumed in the sender lane's deterministic execution order
+	// and parallel and sequential rounds draw identically.
 	zoneRngs []zoneRng
 	// zoneMuts queues group-membership mutations issued mid-round; the
 	// sharded clock's barrier applies them in (lane, emission) order so
@@ -195,8 +192,8 @@ type Network struct {
 	zoneMuts []zoneMutQueue
 
 	// topoMu guards the topology: the node table, anycast and multicast
-	// membership, per-node handler bindings and group sets. Read-mostly
-	// after setup, so deliveries and sends share it as readers.
+	// membership and group sets. Read-mostly after setup, so sends share it
+	// as readers; arrivals do not take it (a node's handler is atomic).
 	topoMu  sync.RWMutex
 	nodes   map[netip.Addr]*Node
 	anycast map[netip.Addr][]*Node
@@ -232,9 +229,9 @@ type groupPlans struct {
 	bySrc map[*Node]*mcastPlan
 }
 
-// zoneRng is one zone's loss/jitter stream. The mutex matters only for
-// concurrent external senders; during sharded rounds each stream is drawn
-// solely by its own lane's worker.
+// zoneRng is one lane's loss/jitter stream. The mutex matters for concurrent
+// senders (realtime handlers, external goroutines); during sharded rounds
+// each stream is drawn solely by its own lane's worker.
 type zoneRng struct {
 	mu sync.Mutex
 	r  *rand.Rand
@@ -257,38 +254,35 @@ type memberMut struct {
 // deterministic virtual clock (a ShardedClock with one lane per zone) by
 // default, the wall-clock runtime when cfg.Realtime is set.
 func New(cfg Config) *Network {
-	rng := cfg.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(0x6030))
-	}
 	n := &Network{
 		cfg:     cfg,
-		rng:     rng,
 		nodes:   map[netip.Addr]*Node{},
 		anycast: map[netip.Addr][]*Node{},
 		members: map[netip.Addr]map[*Node]struct{}{},
 		plans:   map[netip.Addr]*groupPlans{},
 	}
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 0x6030
+	}
 	if cfg.Realtime {
 		n.rclock = NewRealtimeClock(RealtimeConfig{TimeScale: cfg.TimeScale, Workers: cfg.Workers})
+	} else {
+		n.sclock = NewShardedClock(cfg.Zones, cfg.Workers, ShardQuantum(cfg.ProcJitter))
+	}
+	if !n.zoned() {
+		n.zoneRngs = []zoneRng{{r: rand.New(rand.NewSource(seed))}}
 		return n
 	}
-	n.sclock = NewShardedClock(cfg.Zones, cfg.Workers, ShardQuantum(cfg.ProcJitter))
-	if cfg.Zones > 1 {
-		n.sclock.postRound = n.flushDeferredMembership
-		n.lookahead = n.sclock.lookahead
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = 0x6030
-		}
-		n.zoneRngs = make([]zoneRng, cfg.Zones)
-		for z := range n.zoneRngs {
-			// Distinct deterministic streams per zone, derived from the seed
-			// with a golden-ratio mix so adjacent zones do not correlate.
-			n.zoneRngs[z].r = rand.New(rand.NewSource(seed ^ int64(uint64(z+1)*0x9e3779b97f4a7c15)))
-		}
-		n.zoneMuts = make([]zoneMutQueue, cfg.Zones)
+	n.sclock.postRound = n.flushDeferredMembership
+	n.lookahead = n.sclock.lookahead
+	n.zoneRngs = make([]zoneRng, cfg.Zones)
+	for z := range n.zoneRngs {
+		// Distinct deterministic streams per zone, derived from the seed
+		// with a golden-ratio mix so adjacent zones do not correlate.
+		n.zoneRngs[z].r = rand.New(rand.NewSource(seed ^ int64(uint64(z+1)*0x9e3779b97f4a7c15)))
 	}
+	n.zoneMuts = make([]zoneMutQueue, cfg.Zones)
 	return n
 }
 
@@ -341,7 +335,8 @@ func (n *Network) Now() time.Duration {
 // Stats returns a snapshot of the counters.
 func (n *Network) Stats() Stats { return n.stats.snapshot() }
 
-// Node is one IPv6 host: a µPnP Thing, client or manager.
+// Node is one IPv6 host: a µPnP Thing, client or manager, with at most one
+// bound datagram handler.
 type Node struct {
 	net *Network
 	// addr, parent, depth and lane are immutable after AddNode.
@@ -351,9 +346,12 @@ type Node struct {
 	// lane is the node's zone lane on the sharded clock (0 otherwise):
 	// the address's zone field modulo the zone count. Deliveries to the node
 	// and timers the node arms execute on this lane.
-	lane     int32
-	handlers map[uint16]Handler
-	groups   map[netip.Addr]bool
+	lane int32
+	// handler is the bound datagram handler (nil = none). It is atomic so
+	// an arrival reads it without any lock, and a realtime Unbind cannot
+	// race pool workers dispatching to the node.
+	handler atomic.Pointer[Handler]
+	groups  map[netip.Addr]bool
 	// minDown[j] is the minimum depth offset of any lane-j node in this
 	// node's subtree (-1 = none), the per-node ingredient of the incremental
 	// lookahead matrix (see Lookahead). nil unless the matrix is maintained;
@@ -369,7 +367,7 @@ func (n *Network) AddNode(addr netip.Addr, parent *Node) (*Node, error) {
 	if _, dup := n.nodes[addr]; dup {
 		return nil, fmt.Errorf("netsim: address %v already in use", addr)
 	}
-	node := &Node{net: n, addr: addr, parent: parent, handlers: map[uint16]Handler{}, groups: map[netip.Addr]bool{}}
+	node := &Node{net: n, addr: addr, parent: parent, groups: map[netip.Addr]bool{}}
 	if parent != nil {
 		node.depth = parent.depth + 1
 	}
@@ -435,22 +433,15 @@ func (nd *Node) ScheduleExpiry(delay time.Duration, e Expirer, seq uint64, tok a
 	return n.rclock.scheduleExpiry(delay, e, seq, tok)
 }
 
-// Bind registers the datagram handler for a UDP port.
-func (nd *Node) Bind(port uint16, h Handler) {
-	nd.net.topoMu.Lock()
-	defer nd.net.topoMu.Unlock()
-	nd.handlers[port] = h
-}
+// Bind registers the node's datagram handler, replacing any earlier one.
+// Arrivals from then on dispatch to h.
+func (nd *Node) Bind(h Handler) { nd.handler.Store(&h) }
 
-// Unbind removes the datagram handler for a UDP port; subsequent arrivals at
-// the port drop as NoHandler. With LeaveAnycast this models a process crash:
-// the node stays in the routing tree (its radio keeps relaying), but nothing
-// listens any more.
-func (nd *Node) Unbind(port uint16) {
-	nd.net.topoMu.Lock()
-	defer nd.net.topoMu.Unlock()
-	delete(nd.handlers, port)
-}
+// Unbind removes the node's datagram handler; subsequent arrivals drop as
+// NoHandler. With LeaveAnycast this models a process crash: the node stays
+// in the routing tree (its radio keeps relaying), but nothing listens any
+// more.
+func (nd *Node) Unbind() { nd.handler.Store(nil) }
 
 // JoinGroup subscribes the node to a multicast group. Cached SMRF plans for
 // the group are maintained incrementally: the new member's tree path is
@@ -825,21 +816,21 @@ func (n *Network) buildPlan(src *Node, group netip.Addr) *mcastPlan {
 // The payload is copied into a pooled buffer (the caller keeps ownership of
 // its slice); hot paths that can hand ownership over should encode straight
 // into an AcquireBuf buffer and use SendBuf instead.
-func (nd *Node) Send(dst netip.Addr, port uint16, payload []byte) {
+func (nd *Node) Send(dst netip.Addr, payload []byte) {
 	pb := AcquireBuf()
 	pb.B = append(pb.B, payload...)
-	nd.SendBuf(dst, port, pb)
+	nd.SendBuf(dst, pb)
 }
 
 // SendBuf transmits a pooled payload buffer, taking ownership: the network
 // releases the buffer after the final delivery handler returned (or on
 // loss), so the caller must not touch pb afterwards. See Buf for the full
 // ownership discipline.
-func (nd *Node) SendBuf(dst netip.Addr, port uint16, pb *Buf) {
+func (nd *Node) SendBuf(dst netip.Addr, pb *Buf) {
 	n := nd.net
 	n.topoMu.RLock()
 	defer n.topoMu.RUnlock()
-	msg := Message{Src: nd.addr, Dst: dst, Port: port, Payload: pb.B}
+	msg := Message{Src: nd.addr, Dst: dst, Payload: pb.B}
 	switch {
 	case dst.IsMulticast():
 		n.stats.multicastSent.Add(1)
@@ -898,11 +889,11 @@ func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 	// One hold of the sender's stream covers the send's draws, in plan
 	// order; a jittered copy is queued under it (lock order: stream, then
 	// clock).
-	mu, rng := n.rngFor(src)
-	mu.Lock()
+	zr := &n.zoneRngs[src.lane]
+	zr.mu.Lock()
 	for _, t := range plan.targets {
 		hops := max(int(t.hops), 1)
-		delay, ok := n.draw(rng, hops, hopDelay)
+		delay, ok := n.draw(zr.r, hops, hopDelay)
 		switch d := batches[t.slot]; {
 		case !ok:
 			n.stats.lost.Add(1)
@@ -915,7 +906,7 @@ func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 			d.dsts = append(d.dsts, t.node)
 		}
 	}
-	mu.Unlock()
+	zr.mu.Unlock()
 	for _, d := range batches[:len(plan.slots)] {
 		if d != nil {
 			n.scheduleDelivery(src, time.Duration(d.msg.Hops)*hopDelay, d)
@@ -974,15 +965,12 @@ func (d *delivery) run() {
 
 // arrive executes one receiver's arrival on the clock's firing goroutine:
 // dispatch to the handler bound at that moment, then release the receiver's
-// payload reference (handlers only borrow Message.Payload).
+// payload reference (handlers only borrow Message.Payload). It takes no lock.
 func (n *Network) arrive(dst *Node, msg Message, pb *Buf) {
-	n.topoMu.RLock()
-	h := dst.handlers[msg.Port]
-	n.topoMu.RUnlock()
-	if h == nil {
+	if h := dst.handler.Load(); h == nil {
 		n.stats.noHandler.Add(1)
 	} else {
-		h(msg)
+		(*h)(msg)
 		n.stats.delivered.Add(1)
 	}
 	pb.Release()
@@ -995,28 +983,16 @@ func (n *Network) arrive(dst *Node, msg Message, pb *Buf) {
 func (n *Network) deliver(src, dst *Node, msg Message, pb *Buf, hops int) {
 	hops = max(hops, 1) // loopback or same-node corner: still one stack traversal
 	n.stats.transmissions.Add(int64(hops))
-	mu, rng := n.rngFor(src)
-	mu.Lock()
-	delay, ok := n.draw(rng, hops, PacketDelay(len(msg.Payload), false))
-	mu.Unlock()
+	zr := &n.zoneRngs[src.lane]
+	zr.mu.Lock()
+	delay, ok := n.draw(zr.r, hops, PacketDelay(len(msg.Payload), false))
+	zr.mu.Unlock()
 	if !ok {
 		n.stats.lost.Add(1)
 		pb.Release()
 		return
 	}
 	n.scheduleDelivery(src, delay, newDelivery(1, n, msg, hops, pb, dst))
-}
-
-// rngFor returns the loss/jitter stream a sender draws from, with its lock.
-// Draws key on the SENDER: on the sharded clock each zone has its own
-// stream, consumed in the sender lane's deterministic execution order, so
-// parallel and sequential rounds draw identically.
-func (n *Network) rngFor(src *Node) (*sync.Mutex, *rand.Rand) {
-	if n.zoneRngs != nil {
-		zr := &n.zoneRngs[src.lane]
-		return &zr.mu, zr.r
-	}
-	return &n.rngMu, n.rng
 }
 
 // draw samples one copy's fate from rng (its lock held): a loss draw per hop

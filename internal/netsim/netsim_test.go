@@ -35,9 +35,9 @@ func TestUnicastOneHop(t *testing.T) {
 		hops    int
 	}
 	var got []arrival
-	nodes[1].Bind(Port6030, func(m Message) { got = append(got, arrival{string(m.Payload), m.Hops}) })
+	nodes[1].Bind(func(m Message) { got = append(got, arrival{string(m.Payload), m.Hops}) })
 
-	nodes[0].Send(nodes[1].Addr(), Port6030, []byte("hello"))
+	nodes[0].Send(nodes[1].Addr(), []byte("hello"))
 	n.RunUntilIdle(0)
 
 	if len(got) != 1 {
@@ -56,8 +56,8 @@ func TestUnicastMultiHop(t *testing.T) {
 	n := New(Config{})
 	nodes := buildLine(t, n, 4) // chain of 4: 3 hops end to end
 	var hops int
-	nodes[3].Bind(Port6030, func(m Message) { hops = m.Hops })
-	nodes[0].Send(nodes[3].Addr(), Port6030, []byte("x"))
+	nodes[3].Bind(func(m Message) { hops = m.Hops })
+	nodes[0].Send(nodes[3].Addr(), []byte("x"))
 	n.RunUntilIdle(0)
 	if hops != 3 {
 		t.Fatalf("hops = %d, want 3", hops)
@@ -73,8 +73,8 @@ func TestUnicastToSibling(t *testing.T) {
 	a, _ := n.AddNode(addr("2001:db8::2"), root)
 	b, _ := n.AddNode(addr("2001:db8::3"), root)
 	var hops int
-	b.Bind(Port6030, func(m Message) { hops = m.Hops })
-	a.Send(b.Addr(), Port6030, []byte("x"))
+	b.Bind(func(m Message) { hops = m.Hops })
+	a.Send(b.Addr(), []byte("x"))
 	n.RunUntilIdle(0)
 	if hops != 2 {
 		t.Fatalf("sibling routing via parent: hops = %d, want 2", hops)
@@ -84,7 +84,7 @@ func TestUnicastToSibling(t *testing.T) {
 func TestUnknownDestinationLost(t *testing.T) {
 	n := New(Config{})
 	nodes := buildLine(t, n, 1)
-	nodes[0].Send(addr("2001:db8::ff"), Port6030, []byte("x"))
+	nodes[0].Send(addr("2001:db8::ff"), []byte("x"))
 	n.RunUntilIdle(0)
 	if st := n.Stats(); st.Lost != 1 || st.Delivered != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -110,12 +110,12 @@ func TestMulticastSMRF(t *testing.T) {
 	for _, nd := range []*Node{c, d, e} {
 		nd.JoinGroup(group)
 		me := nd.Addr()
-		nd.Bind(Port6030, func(m Message) { got[me] = m.Hops })
+		nd.Bind(func(m Message) { got[me] = m.Hops })
 	}
 	// b is NOT in the group and must not receive.
-	b.Bind(Port6030, func(m Message) { t.Error("non-member b received multicast") })
+	b.Bind(func(m Message) { t.Error("non-member b received multicast") })
 
-	c.Send(group, Port6030, []byte("adv"))
+	c.Send(group, []byte("adv"))
 	n.RunUntilIdle(0)
 
 	if len(got) != 2 {
@@ -147,10 +147,10 @@ func TestAnycastNearest(t *testing.T) {
 	n.JoinAnycast(any, near)
 
 	var gotNear, gotFar bool
-	near.Bind(Port6030, func(Message) { gotNear = true })
-	far.Bind(Port6030, func(Message) { gotFar = true })
+	near.Bind(func(Message) { gotNear = true })
+	far.Bind(func(Message) { gotFar = true })
 
-	src.Send(any, Port6030, []byte("req"))
+	src.Send(any, []byte("req"))
 	n.RunUntilIdle(0)
 	if !gotNear || gotFar {
 		t.Fatalf("anycast must reach the nearest member: near=%v far=%v", gotNear, gotFar)
@@ -161,8 +161,8 @@ func TestLossyLink(t *testing.T) {
 	n := New(Config{LossRate: 1.0})
 	nodes := buildLine(t, n, 2)
 	delivered := false
-	nodes[1].Bind(Port6030, func(Message) { delivered = true })
-	nodes[0].Send(nodes[1].Addr(), Port6030, []byte("x"))
+	nodes[1].Bind(func(Message) { delivered = true })
+	nodes[0].Send(nodes[1].Addr(), []byte("x"))
 	n.RunUntilIdle(0)
 	if delivered {
 		t.Fatal("100% loss must drop everything")
@@ -248,11 +248,11 @@ func TestHandlersMaySendMore(t *testing.T) {
 	n := New(Config{})
 	nodes := buildLine(t, n, 2)
 	var pongs int
-	nodes[0].Bind(Port6030, func(m Message) { pongs++ })
-	nodes[1].Bind(Port6030, func(m Message) {
-		nodes[1].Send(m.Src, Port6030, []byte("pong"))
+	nodes[0].Bind(func(m Message) { pongs++ })
+	nodes[1].Bind(func(m Message) {
+		nodes[1].Send(m.Src, []byte("pong"))
 	})
-	nodes[0].Send(nodes[1].Addr(), Port6030, []byte("ping"))
+	nodes[0].Send(nodes[1].Addr(), []byte("ping"))
 	n.RunUntilIdle(0)
 	if pongs != 1 {
 		t.Fatalf("pongs = %d", pongs)
@@ -288,15 +288,15 @@ func TestNoHandlerCountsAsDropped(t *testing.T) {
 	n := New(Config{})
 	nodes := buildLine(t, n, 2)
 	// No handler bound on the destination: the stack drops the datagram.
-	nodes[0].Send(nodes[1].Addr(), Port6030, []byte("x"))
+	nodes[0].Send(nodes[1].Addr(), []byte("x"))
 	n.RunUntilIdle(0)
 	st := n.Stats()
 	if st.Delivered != 0 || st.NoHandler != 1 {
 		t.Fatalf("stats = %+v, want Delivered=0 NoHandler=1", st)
 	}
 	// Binding afterwards makes the next datagram count as delivered.
-	nodes[1].Bind(Port6030, func(Message) {})
-	nodes[0].Send(nodes[1].Addr(), Port6030, []byte("y"))
+	nodes[1].Bind(func(Message) {})
+	nodes[0].Send(nodes[1].Addr(), []byte("y"))
 	n.RunUntilIdle(0)
 	st = n.Stats()
 	if st.Delivered != 1 || st.NoHandler != 1 {
@@ -515,10 +515,10 @@ func TestMulticastMembershipInvalidation(t *testing.T) {
 	for _, nd := range []*Node{a, b} {
 		nd.JoinGroup(group)
 		me := nd.Addr()
-		nd.Bind(Port6030, func(Message) { recv[me]++ })
+		nd.Bind(func(Message) { recv[me]++ })
 	}
 
-	root.Send(group, Port6030, []byte("1"))
+	root.Send(group, []byte("1"))
 	n.RunUntilIdle(0)
 	tx1 := n.Stats().Transmissions
 	if recv[a.Addr()] != 1 || recv[b.Addr()] != 1 || tx1 != 2 {
@@ -527,7 +527,7 @@ func TestMulticastMembershipInvalidation(t *testing.T) {
 
 	// Second send exercises the cached plan: identical deliveries and the
 	// same transmission increment.
-	root.Send(group, Port6030, []byte("2"))
+	root.Send(group, []byte("2"))
 	n.RunUntilIdle(0)
 	if tx2 := n.Stats().Transmissions - tx1; recv[a.Addr()] != 2 || recv[b.Addr()] != 2 || tx2 != 2 {
 		t.Fatalf("cached send: recv=%v tx delta=%d", recv, n.Stats().Transmissions-tx1)
@@ -536,7 +536,7 @@ func TestMulticastMembershipInvalidation(t *testing.T) {
 	// Leaving must invalidate the plan: b stops receiving, one edge fewer.
 	before := n.Stats().Transmissions
 	b.LeaveGroup(group)
-	root.Send(group, Port6030, []byte("3"))
+	root.Send(group, []byte("3"))
 	n.RunUntilIdle(0)
 	if tx3 := n.Stats().Transmissions - before; recv[a.Addr()] != 3 || recv[b.Addr()] != 2 || tx3 != 1 {
 		t.Fatalf("after leave: recv=%v tx delta=%d", recv, n.Stats().Transmissions-before)
@@ -544,7 +544,7 @@ func TestMulticastMembershipInvalidation(t *testing.T) {
 
 	// Re-joining must invalidate again.
 	b.JoinGroup(group)
-	root.Send(group, Port6030, []byte("4"))
+	root.Send(group, []byte("4"))
 	n.RunUntilIdle(0)
 	if recv[b.Addr()] != 3 {
 		t.Fatalf("after re-join: recv=%v", recv)
@@ -558,16 +558,16 @@ func TestMulticastPlanAfterAddNode(t *testing.T) {
 	group := MulticastAddr(PrefixFromAddr(root.Addr()), 0xad1cbe01)
 	a.JoinGroup(group)
 	gotA, gotC := 0, 0
-	a.Bind(Port6030, func(Message) { gotA++ })
+	a.Bind(func(Message) { gotA++ })
 
-	root.Send(group, Port6030, []byte("1")) // primes the (root, group) plan
+	root.Send(group, []byte("1")) // primes the (root, group) plan
 	n.RunUntilIdle(0)
 
 	c, _ := n.AddNode(addr("2001:db8::4"), a)
 	c.JoinGroup(group)
 	var hopsC int
-	c.Bind(Port6030, func(m Message) { gotC++; hopsC = m.Hops })
-	root.Send(group, Port6030, []byte("2"))
+	c.Bind(func(m Message) { gotC++; hopsC = m.Hops })
+	root.Send(group, []byte("2"))
 	n.RunUntilIdle(0)
 	if gotA != 2 || gotC != 1 || hopsC != 2 {
 		t.Fatalf("after AddNode+Join: a=%d c=%d hopsC=%d", gotA, gotC, hopsC)
@@ -584,15 +584,15 @@ func TestAnycastDistanceCacheAfterAddNode(t *testing.T) {
 	any := addr("2001:db8::aaaa")
 	n.JoinAnycast(any, far)
 	gotFar, gotNear := 0, 0
-	far.Bind(Port6030, func(Message) { gotFar++ })
-	src.Send(any, Port6030, []byte("1")) // warms src's routes with far the only member
+	far.Bind(func(Message) { gotFar++ })
+	src.Send(any, []byte("1")) // warms src's routes with far the only member
 	n.RunUntilIdle(0)
 
 	// A nearer member added after the caches were warm must win.
 	near, _ := n.AddNode(addr("2001:db8::5"), root)
 	n.JoinAnycast(any, near)
-	near.Bind(Port6030, func(Message) { gotNear++ })
-	src.Send(any, Port6030, []byte("2"))
+	near.Bind(func(Message) { gotNear++ })
+	src.Send(any, []byte("2"))
 	n.RunUntilIdle(0)
 	if gotFar != 1 || gotNear != 1 {
 		t.Fatalf("anycast after AddNode: far=%d near=%d", gotFar, gotNear)

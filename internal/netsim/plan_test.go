@@ -116,13 +116,13 @@ func TestIncrementalPlanMatchesRebuild(t *testing.T) {
 	var delivered int
 	var mu sync.Mutex
 	for nd := range inGroup {
-		nd.Bind(Port6030, func(Message) { mu.Lock(); delivered++; mu.Unlock() })
+		nd.Bind(func(Message) { mu.Lock(); delivered++; mu.Unlock() })
 	}
 	want := len(inGroup)
 	if inGroup[srcs[0]] {
 		want-- // the source does not deliver to itself
 	}
-	srcs[0].Send(group, Port6030, []byte("post-churn"))
+	srcs[0].Send(group, []byte("post-churn"))
 	n.RunUntilIdle(0)
 	if delivered != want {
 		t.Fatalf("post-churn send delivered %d, want %d", delivered, want)
@@ -138,11 +138,11 @@ func TestPlanChurnTransmissionsMatch(t *testing.T) {
 	group := MulticastAddr(PrefixFromAddr(nodes[0].Addr()), 0xed3f0ac1)
 	for _, nd := range nodes[1:] {
 		nd.JoinGroup(group)
-		nd.Bind(Port6030, func(Message) {})
+		nd.Bind(func(Message) {})
 	}
 	send := func() int {
 		before := n.Stats().Transmissions
-		nodes[0].Send(group, Port6030, []byte("x"))
+		nodes[0].Send(group, []byte("x"))
 		n.RunUntilIdle(0)
 		return n.Stats().Transmissions - before
 	}
@@ -160,11 +160,11 @@ func TestPlanChurnTransmissionsMatch(t *testing.T) {
 	for i, nd := range coldNodes[1:] {
 		if (i+1)%2 == 0 { // the members that stayed
 			nd.JoinGroup(group)
-			nd.Bind(Port6030, func(Message) {})
+			nd.Bind(func(Message) {})
 		}
 	}
 	before := cold.Stats().Transmissions
-	coldNodes[0].Send(group, Port6030, []byte("x"))
+	coldNodes[0].Send(group, []byte("x"))
 	cold.RunUntilIdle(0)
 	wantTx := cold.Stats().Transmissions - before
 	if gotTx != wantTx {
@@ -195,7 +195,7 @@ func TestStripedRouteLocksRace(t *testing.T) {
 				addrs[g] = MulticastAddr(prefix, hw.DeviceID(0xad1c0000+uint32(g)))
 			}
 			for i, nd := range nodes {
-				nd.Bind(Port6030, func(Message) {})
+				nd.Bind(func(Message) {})
 				nd.JoinGroup(addrs[i%groups])
 			}
 			var wg sync.WaitGroup
@@ -214,7 +214,7 @@ func TestStripedRouteLocksRace(t *testing.T) {
 						case 1:
 							nd.LeaveGroup(g)
 						default:
-							nd.Send(g, Port6030, []byte("race"))
+							nd.Send(g, []byte("race"))
 						}
 					}
 				}()

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -261,54 +262,28 @@ func (c *RealtimeClock) worker() {
 // WaitIdle blocks until no events are pending, none are queued for a worker
 // and none are running — i.e. the cascade triggered so far has fully played
 // out — or the clock is stopped. Self-rescheduling activities (active
-// streams) never go idle; bound those waits with RunUntil instead.
-func (c *RealtimeClock) WaitIdle() {
-	c.mu.Lock()
-	for !c.stopped && !(c.eh.live() == 0 && c.runqLen() == 0 && c.running == 0) {
-		if c.eh.live() > 0 && c.runqLen() == 0 && c.running == 0 {
-			// Only future events remain; the loop is asleep on its timer and
-			// nothing will broadcast until it fires. Poll on a wall tick
-			// scaled to the next event so WaitIdle neither spins nor sleeps
-			// past the cascade's tail.
-			next := c.eh.peek()
-			nowV := c.nowLocked()
-			wait := time.Duration(0)
-			if next != nil && next.at > nowV {
-				wait = time.Duration(float64(next.at-nowV) / c.scale)
-			}
-			c.mu.Unlock()
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
-			select {
-			case <-time.After(wait):
-			case <-c.done:
-				return
-			}
-			c.mu.Lock()
-			continue
-		}
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
-}
+// streams) never go idle; bound those waits with WaitIdleUntil instead.
+func (c *RealtimeClock) WaitIdle() { c.WaitIdleUntil(math.MaxInt64) }
 
 // WaitIdleUntil is WaitIdle with a horizon: it blocks until the runtime went
 // idle (reporting true) or until the virtual deadline passed on the (scaled)
 // wall clock (reporting false, with whatever is still scheduled left to run)
 // — the bounded drain for runtimes that can never go idle because active
-// streams reschedule themselves forever. A stopped clock reports false.
+// streams reschedule themselves forever. A stopped clock reports false. A
+// deadline of math.MaxInt64 sets no horizon.
 func (c *RealtimeClock) WaitIdleUntil(deadline time.Duration) bool {
 	// Arm a wall-clock wakeup at the deadline: cond.Wait has no timeout, so
-	// the waiters below need an external broadcast when time runs out.
-	nowV := c.Now()
-	if wall := time.Duration(float64(deadline-nowV) / c.scale); wall > 0 {
-		t := time.AfterFunc(wall, func() {
-			c.mu.Lock()
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		})
-		defer t.Stop()
+	// the waiters below need an external broadcast when time runs out. No
+	// horizon needs no wakeup (and would overflow the wall conversion).
+	if deadline < math.MaxInt64 {
+		if wall := time.Duration(float64(deadline-c.Now()) / c.scale); wall > 0 {
+			t := time.AfterFunc(wall, func() {
+				c.mu.Lock()
+				c.cond.Broadcast()
+				c.mu.Unlock()
+			})
+			defer t.Stop()
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -319,27 +294,21 @@ func (c *RealtimeClock) WaitIdleUntil(deadline time.Duration) bool {
 		if c.eh.live() == 0 && c.runqLen() == 0 && c.running == 0 {
 			return true
 		}
-		nowV = c.nowLocked()
+		nowV := c.nowLocked()
 		if nowV >= deadline {
 			return false
 		}
 		if c.eh.live() > 0 && c.runqLen() == 0 && c.running == 0 {
 			// Only future events remain; the loop is asleep on its timer and
 			// nothing will broadcast until it fires. Poll on a wall tick
-			// bounded by both the next event and the deadline (see WaitIdle).
-			next := c.eh.peek()
-			bound := deadline
-			if next != nil && next.at < bound {
-				bound = next.at
-			}
-			wait := time.Duration(0)
+			// bounded by both the next event and the deadline, so the wait
+			// neither spins nor sleeps past the cascade's tail.
+			bound := min(c.eh.peek().at, deadline)
+			wait := time.Millisecond
 			if bound > nowV {
-				wait = time.Duration(float64(bound-nowV) / c.scale)
+				wait = max(wait, time.Duration(float64(bound-nowV)/c.scale))
 			}
 			c.mu.Unlock()
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
 			select {
 			case <-time.After(wait):
 			case <-c.done:

@@ -108,8 +108,8 @@ func TestRealtimeDelivery(t *testing.T) {
 		hops    int
 	}
 	got := make(chan arrival, 1)
-	leaf.Bind(Port6030, func(m Message) { got <- arrival{string(m.Payload), m.Hops} })
-	root.Send(leaf.Addr(), Port6030, []byte("hi"))
+	leaf.Bind(func(m Message) { got <- arrival{string(m.Payload), m.Hops} })
+	root.Send(leaf.Addr(), []byte("hi"))
 	select {
 	case m := <-got:
 		if m.payload != "hi" || m.hops != 1 {
@@ -131,7 +131,7 @@ func TestRealtimeConcurrentSendersAndHandlers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var handled atomic.Int32
-	root.Bind(Port6030, func(m Message) { handled.Add(1) })
+	root.Bind(func(m Message) { handled.Add(1) })
 	const senders, per = 16, 25
 	nodes := make([]*Node, senders)
 	for i := range nodes {
@@ -148,7 +148,7 @@ func TestRealtimeConcurrentSendersAndHandlers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < per; k++ {
-				nd.Send(root.Addr(), Port6030, []byte{byte(k)})
+				nd.Send(root.Addr(), []byte{byte(k)})
 			}
 		}()
 	}
@@ -203,5 +203,80 @@ func TestRealtimeScheduleAfterCloseIsNoop(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if fired.Load() != 0 {
 		t.Fatal("event fired on a stopped clock")
+	}
+}
+
+// TestRealtimeHandlerSwap flips a node between Bind and Unbind on one
+// goroutine while another unicasts to it on the realtime clock, whose pool
+// workers load the node's handler concurrently with the flips. Every copy
+// that survives the link counts as exactly one of Delivered or NoHandler,
+// and a handler runs after its Unbind returned only for an arrival that had
+// already loaded it: at most one per pool worker.
+func TestRealtimeHandlerSwap(t *testing.T) {
+	const workers, sends = 4, 4000
+	n := rtNet(t, Config{Workers: workers, LossRate: 0.1})
+	src, err := n.AddNode(addr("2001:db8::1"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := n.AddNode(addr("2001:db8::2"), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type binding struct {
+		unbound atomic.Bool
+		late    atomic.Int32 // calls that started after Unbind returned
+	}
+	var (
+		calls    atomic.Int64
+		done     atomic.Bool
+		bindings []*binding // appended by the flipper only
+		wg       sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			b := &binding{}
+			bindings = append(bindings, b)
+			dst.Bind(func(Message) {
+				calls.Add(1)
+				if b.unbound.Load() {
+					b.late.Add(1)
+				}
+			})
+			runtime.Gosched()
+			dst.Unbind()
+			b.unbound.Store(true)
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < sends; i++ {
+		src.Send(dst.Addr(), []byte{byte(i)})
+		if i%200 == 199 {
+			n.RunUntilIdle(0)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	n.RunUntilIdle(0)
+
+	s := n.Stats()
+	if s.UnicastSent != sends || s.Lost == 0 {
+		t.Fatalf("stats %+v: want %d sends and some loss", s, sends)
+	}
+	if s.Delivered+s.NoHandler != s.UnicastSent-s.Lost {
+		t.Fatalf("delivered %d + no handler %d != %d copies not lost", s.Delivered, s.NoHandler, s.UnicastSent-s.Lost)
+	}
+	if s.Delivered == 0 || s.NoHandler == 0 {
+		t.Fatalf("stats %+v: the flips never raced the arrivals", s)
+	}
+	if got := calls.Load(); got != int64(s.Delivered) {
+		t.Fatalf("%d handler calls, Delivered %d", got, s.Delivered)
+	}
+	for g, b := range bindings {
+		if late := b.late.Load(); late > workers {
+			t.Fatalf("binding %d ran %d times after its Unbind returned (at most %d workers held it)", g, late, workers)
+		}
 	}
 }

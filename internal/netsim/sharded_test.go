@@ -56,7 +56,7 @@ func runShardedStorm(tb testing.TB, workers int) stormRun {
 	for i, nd := range leaves {
 		i, nd := i, nd
 		nd.JoinGroup(group)
-		nd.Bind(Port6030, func(m Message) {
+		nd.Bind(func(m Message) {
 			logs[i] = append(logs[i], fmt.Sprintf("t=%v src=%v hops=%d payload=%s",
 				nd.Now(), m.Src, m.Hops, m.Payload))
 		})
@@ -71,7 +71,7 @@ func runShardedStorm(tb testing.TB, workers int) stormRun {
 		for k := 0; k < 3; k++ {
 			k := k
 			nd.Schedule(time.Duration(i*7+k*13)*time.Millisecond, func() {
-				nd.Send(group, Port6030, []byte(fmt.Sprintf("m-%d-%d", i, k)))
+				nd.Send(group, []byte(fmt.Sprintf("m-%d-%d", i, k)))
 			})
 		}
 		if i%2 == 0 {
@@ -162,8 +162,8 @@ func TestShardedFallback(t *testing.T) {
 		}
 		nodes := buildLine(t, n, 2)
 		var got int
-		nodes[1].Bind(Port6030, func(m Message) { got++ })
-		nodes[0].Send(nodes[1].Addr(), Port6030, []byte("x"))
+		nodes[1].Bind(func(m Message) { got++ })
+		nodes[0].Send(nodes[1].Addr(), []byte("x"))
 		n.RunUntilIdle(0)
 		if got != 1 {
 			t.Fatalf("Zones=%d: delivered %d messages, want 1", zones, got)
@@ -218,15 +218,15 @@ func TestShardedMembershipMidRound(t *testing.T) {
 	}
 	group := MulticastAddr(prefix, 0xad1cbe01)
 	var got int
-	b.Bind(Port6030, func(m Message) { got++ })
+	b.Bind(func(m Message) { got++ })
 	b.Schedule(time.Millisecond, func() { b.JoinGroup(group) })
-	a.Schedule(50*time.Millisecond, func() { a.Send(group, Port6030, []byte("late")) })
+	a.Schedule(50*time.Millisecond, func() { a.Send(group, []byte("late")) })
 	n.RunUntilIdle(0)
 	if got != 1 {
 		t.Fatalf("deliveries after mid-round join = %d, want 1", got)
 	}
 	b.Schedule(time.Millisecond, func() { b.LeaveGroup(group) })
-	a.Schedule(50*time.Millisecond, func() { a.Send(group, Port6030, []byte("gone")) })
+	a.Schedule(50*time.Millisecond, func() { a.Send(group, []byte("gone")) })
 	n.RunUntilIdle(0)
 	if got != 1 {
 		t.Fatalf("deliveries after mid-round leave = %d, want still 1", got)
@@ -289,7 +289,7 @@ func TestShardedQueueCapBounded(t *testing.T) {
 		for i := 0; i < perZone; i++ {
 			nd, _ := n.AddNode(UnicastAddr(prefix, uint16(z), uint32(0x300+i)), zr)
 			nd.JoinGroup(group)
-			nd.Bind(Port6030, func(Message) {})
+			nd.Bind(func(Message) {})
 			leaves = append(leaves, nd)
 		}
 	}
@@ -297,7 +297,7 @@ func TestShardedQueueCapBounded(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		for _, nd := range leaves {
 			nd := nd
-			nd.Schedule(time.Millisecond, func() { nd.Send(group, Port6030, []byte("storm")) })
+			nd.Schedule(time.Millisecond, func() { nd.Send(group, []byte("storm")) })
 		}
 		n.RunUntilIdle(0)
 		if round == 3 {
@@ -333,11 +333,11 @@ func TestShardedCrossLaneAllocFree(t *testing.T) {
 		t.Fatalf("both nodes on lane %d; the test needs a cross-lane pair", root.lane)
 	}
 	replies := 0
-	far.Bind(Port6030, func(m Message) { far.Send(m.Src, Port6030, m.Payload) })
-	root.Bind(Port6030, func(Message) { replies++ })
+	far.Bind(func(m Message) { far.Send(m.Src, m.Payload) })
+	root.Bind(func(Message) { replies++ })
 	payload := []byte("ping")
 	pingPong := func() {
-		root.Send(far.Addr(), Port6030, payload)
+		root.Send(far.Addr(), payload)
 		n.RunUntilIdle(0)
 	}
 	for i := 0; i < 8; i++ {

@@ -68,13 +68,13 @@ func arrivalTranscript(tb testing.TB, workers int, jitter float64) string {
 			src := m.Src
 			nd.Schedule(0, func() {
 				logf(nd, "resched %s", p)
-				nd.Send(src, Port6030, []byte("r:"+p+"@"+nd.Addr().String()))
+				nd.Send(src, []byte("r:"+p+"@"+nd.Addr().String()))
 			})
 		}
 	}
-	root.Bind(Port6030, handler(root))
+	root.Bind(handler(root))
 	for _, nd := range members {
-		nd.Bind(Port6030, handler(nd))
+		nd.Bind(handler(nd))
 		nd.JoinGroup(group)
 	}
 
@@ -102,10 +102,10 @@ func arrivalTranscript(tb testing.TB, workers int, jitter float64) string {
 			src := members[rng.Intn(len(members))]
 			payload := []byte(fmt.Sprintf("m%d.%d", phase, k))
 			src.Schedule(time.Duration(rng.Intn(3))*time.Millisecond, func() {
-				src.Send(group, Port6030, payload)
+				src.Send(group, payload)
 			})
 		}
-		root.Send(group, Port6030, []byte(fmt.Sprintf("m%d.root", phase)))
+		root.Send(group, []byte(fmt.Sprintf("m%d.root", phase)))
 		n.RunUntilIdle(0)
 	}
 	if ss, ok := n.ShardStats(); !ok || ss.CausalityViolations != 0 {
@@ -161,9 +161,9 @@ func TestMulticastStepsPerReceiver(t *testing.T) {
 	for _, s := range []string{"2001:db8::2", "2001:db8::3", "2001:db8::4"} {
 		nd, _ := n.AddNode(addr(s), root)
 		nd.JoinGroup(group)
-		nd.Bind(Port6030, func(Message) { got = append(got, nd.Addr().String()) })
+		nd.Bind(func(Message) { got = append(got, nd.Addr().String()) })
 	}
-	root.Send(group, Port6030, []byte("adv"))
+	root.Send(group, []byte("adv"))
 	for steps := 1; steps <= 3; steps++ {
 		if !n.Step() {
 			t.Fatalf("Step %d ran nothing", steps)
@@ -191,21 +191,21 @@ func TestShardedEventsCountHandlerCalls(t *testing.T) {
 		root, _ := n.AddNode(UnicastAddr(prefix, 0, 0x100), nil)
 		group := MulticastAddr(prefix, 0xad1cbe01)
 		var calls atomic.Int64
-		root.Bind(Port6030, func(Message) { calls.Add(1) })
+		root.Bind(func(Message) { calls.Add(1) })
 		for z := uint16(0); z < 4; z++ {
 			zr, _ := n.AddNode(UnicastAddr(prefix, z, 0x200), root)
 			for i := uint32(0); i < 5; i++ {
 				nd, _ := n.AddNode(UnicastAddr(prefix, z, 0x300+i), zr)
 				nd.JoinGroup(group)
-				nd.Bind(Port6030, func(m Message) {
+				nd.Bind(func(m Message) {
 					calls.Add(1)
-					nd.Send(m.Src, Port6030, []byte("ack"))
+					nd.Send(m.Src, []byte("ack"))
 				})
 			}
-			zr.Bind(Port6030, func(Message) { calls.Add(1) })
+			zr.Bind(func(Message) { calls.Add(1) })
 		}
 		for k := 0; k < 5; k++ {
-			root.Send(group, Port6030, []byte("adv"))
+			root.Send(group, []byte("adv"))
 			n.RunUntilIdle(0)
 		}
 		ss, _ := n.ShardStats()
@@ -251,7 +251,7 @@ func TestNestedStepInsideMulticastBatch(t *testing.T) {
 			for i, s := range members {
 				nd, _ := n.AddNode(addr(s), root)
 				nd.JoinGroup(group)
-				nd.Bind(Port6030, func(m Message) {
+				nd.Bind(func(m Message) {
 					got = append(got, s+"="+string(m.Payload))
 					if i == 0 && nested {
 						nested = false
@@ -261,11 +261,11 @@ func TestNestedStepInsideMulticastBatch(t *testing.T) {
 					}
 				})
 			}
-			root.Send(group, Port6030, []byte("p0"))
+			root.Send(group, []byte("p0"))
 			drive(n)
 			for round := 1; round <= 3; round++ {
 				for k := 0; k < 4; k++ {
-					root.Send(group, Port6030, []byte(fmt.Sprintf("p%d.%d", round, k)))
+					root.Send(group, []byte(fmt.Sprintf("p%d.%d", round, k)))
 				}
 				drive(n)
 			}

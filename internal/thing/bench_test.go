@@ -29,7 +29,7 @@ func BenchmarkThingRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg := netsim.Message{Src: addr("2001:db8::99"), Dst: tb.thing.Addr(), Port: netsim.Port6030, Payload: req}
+	msg := netsim.Message{Src: addr("2001:db8::99"), Dst: tb.thing.Addr(), Payload: req}
 	lost := tb.net.Stats().Lost
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -53,7 +53,7 @@ func pendRead(t *testing.T, th *Thing) (*pendingRead, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th.handle(netsim.Message{Src: addr("2001:db8::99"), Dst: th.Addr(), Port: netsim.Port6030, Payload: req})
+	th.handle(netsim.Message{Src: addr("2001:db8::99"), Dst: th.Addr(), Payload: req})
 	th.opsMu.Lock()
 	defer th.opsMu.Unlock()
 	q := th.pending[driver.IDID20LA]

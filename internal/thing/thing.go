@@ -294,7 +294,7 @@ func New(cfg Config) (*Thing, error) {
 	if cfg.Zone != 0 {
 		node.JoinGroup(netsim.MulticastAddrZone(t.prefix, cfg.Zone, hw.DeviceIDAllPeripherals))
 	}
-	node.Bind(netsim.Port6030, t.handle)
+	node.Bind(t.handle)
 	cfg.Board.OnInterrupt(t.interrupt)
 	return t, nil
 }
@@ -544,7 +544,7 @@ func (t *Thing) activate(channel int, code []byte, trace *PluginTrace) {
 		if adv != nil {
 			// Transit time is computed before SendBuf takes ownership.
 			transit := netsim.PacketDelay(len(pb.B), true)
-			t.node.SendBuf(netsim.AllClientsAddr(t.prefix), netsim.Port6030, pb)
+			t.node.SendBuf(netsim.AllClientsAddr(t.prefix), pb)
 			if trace != nil {
 				trace.Advertise = transit
 				trace.finish()
@@ -623,7 +623,7 @@ func (t *Thing) teardown(channel int) {
 		t.leavePeripheralGroups(id)
 	}
 	if _, pb := t.advertisement(proto.MsgUnsolicitedAdvert, t.nextSeq()); pb != nil {
-		t.node.SendBuf(netsim.AllClientsAddr(t.prefix), netsim.Port6030, pb)
+		t.node.SendBuf(netsim.AllClientsAddr(t.prefix), pb)
 	}
 }
 
@@ -643,7 +643,7 @@ func (t *Thing) send(dst netip.Addr, m *proto.Message) {
 		return
 	}
 	pb.B = b
-	t.node.SendBuf(dst, netsim.Port6030, pb)
+	t.node.SendBuf(dst, pb)
 }
 
 // slotForLocked returns the slot serving a device type (t.mu held).
@@ -798,7 +798,7 @@ func (t *Thing) handleDiscovery(msg netsim.Message, m *proto.Message) {
 		pb.Release()
 		return
 	}
-	t.node.SendBuf(msg.Src, netsim.Port6030, pb)
+	t.node.SendBuf(msg.Src, pb)
 }
 
 func (t *Thing) handleDriverUpload(msg netsim.Message, m *proto.Message) {

@@ -33,7 +33,7 @@ func newTestBed(t testing.TB) *testBed {
 		t.Fatal(err)
 	}
 	tb := &testBed{net: n, mgr: root}
-	root.Bind(netsim.Port6030, func(m netsim.Message) {
+	root.Bind(func(m netsim.Message) {
 		pm, err := proto.Decode(m.Payload)
 		if err != nil {
 			t.Errorf("manager received undecodable message: %v", err)
@@ -163,7 +163,7 @@ func TestThingMalformedUploadIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.mgr.Send(tb.thing.Addr(), netsim.Port6030, payload)
+	tb.mgr.Send(tb.thing.Addr(), payload)
 	tb.net.RunUntilIdle(0)
 
 	if tb.thing.Runtime(driver.IDTMP36) != nil {
@@ -177,8 +177,8 @@ func TestThingMalformedDatagramsIgnored(t *testing.T) {
 	tb.net.RunUntilIdle(0)
 	before := len(tb.mgrInbox)
 
-	tb.mgr.Send(tb.thing.Addr(), netsim.Port6030, []byte{0xff, 0x00})
-	tb.mgr.Send(tb.thing.Addr(), netsim.Port6030, nil)
+	tb.mgr.Send(tb.thing.Addr(), []byte{0xff, 0x00})
+	tb.mgr.Send(tb.thing.Addr(), nil)
 	tb.net.RunUntilIdle(0)
 	if len(tb.mgrInbox) != before {
 		t.Fatal("malformed datagrams must not trigger replies")
@@ -207,7 +207,7 @@ func TestThingDriverDiscoveryAndRemoval(t *testing.T) {
 	// Discovery.
 	disc := &proto.Message{Type: proto.MsgDriverDiscovery, Seq: 7}
 	payload, _ := disc.Encode()
-	tb.mgr.Send(tb.thing.Addr(), netsim.Port6030, payload)
+	tb.mgr.Send(tb.thing.Addr(), payload)
 	tb.net.RunUntilIdle(0)
 	var advert *proto.Message
 	for _, m := range tb.mgrInbox {
@@ -222,7 +222,7 @@ func TestThingDriverDiscoveryAndRemoval(t *testing.T) {
 	// Removal while in use: the runtime stops.
 	rm := &proto.Message{Type: proto.MsgDriverRemovalReq, Seq: 8, DeviceID: driver.IDTMP36}
 	payload, _ = rm.Encode()
-	tb.mgr.Send(tb.thing.Addr(), netsim.Port6030, payload)
+	tb.mgr.Send(tb.thing.Addr(), payload)
 	tb.net.RunUntilIdle(0)
 	var ack *proto.Message
 	for _, m := range tb.mgrInbox {
@@ -273,7 +273,7 @@ func TestThingIdentificationFailureNoSetup(t *testing.T) {
 	n := netsim.New(netsim.Config{})
 	root, _ := n.AddNode(addr("2001:db8::1"), nil)
 	var mgrGot int
-	root.Bind(netsim.Port6030, func(netsim.Message) { mgrGot++ })
+	root.Bind(func(netsim.Message) { mgrGot++ })
 	th, err := New(Config{Network: n, Addr: addr("2001:db8::2"), Parent: root, Manager: root.Addr()})
 	if err != nil {
 		t.Fatal(err)

@@ -499,7 +499,7 @@ func (d *Deployment) AddManager() (int, error) {
 }
 
 // FailManager crashes manager i for fault injection: it leaves the anycast
-// group, unbinds its management port (requests reaching it drop as
+// group, unbinds its datagram handler (requests reaching it drop as
 // NoHandler) and stops sending, though its node keeps relaying frames for
 // the subtree beneath it. Pending manager-side requests migrate to a
 // surviving manager with a fresh deadline; if none survives they fail with
@@ -518,7 +518,7 @@ type NetworkStats struct {
 	Delivered     int
 	Lost          int
 	// NoHandler counts datagrams dropped at a node because no handler was
-	// bound to the destination port.
+	// bound there.
 	NoHandler int
 
 	// Sharded-clock barrier telemetry; zero on non-sharded deployments.
