@@ -1,5 +1,8 @@
 // Command upnp-experiments regenerates every table and figure of the
-// paper's evaluation (Section 6) from the simulated µPnP system.
+// paper's evaluation (Section 6) from the simulated µPnP system. The full
+// report (-exp all, the default) is the committed EXPERIMENTS.md:
+//
+//	go run ./cmd/upnp-experiments > EXPERIMENTS.md
 //
 // Usage:
 //
@@ -16,38 +19,20 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: waveforms, fig12, table2, table3, table4, endtoend, ablation, all")
-	runs := flag.Int("runs", 10, "repetitions for timing experiments (Table 4)")
+	runs := flag.Int("runs", experiments.DefaultRuns, "repetitions for timing experiments (Table 4)")
 	flag.Parse()
 
-	switch *exp {
-	case "waveforms", "fig12", "table2", "table3", "table4", "endtoend", "ablation", "all":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+	if *exp == "all" {
+		fmt.Print(experiments.All(*runs))
+		return
 	}
-
-	run := func(name string, fn func() string) {
-		if *exp != "all" && *exp != name {
+	for _, s := range experiments.Sections {
+		if s.Name == *exp {
+			fmt.Println(s.Text(*runs))
 			return
 		}
-		fmt.Println(fn())
 	}
-
-	run("waveforms", experiments.Waveforms)
-	run("fig12", experiments.Figure12Table)
-	run("table2", experiments.Table2Text)
-	run("table3", experiments.Table3Text)
-	run("table4", func() string { return experiments.Table4Text(*runs) })
-	run("endtoend", func() string {
-		res, err := experiments.Table4(*runs)
-		if err != nil {
-			return err.Error()
-		}
-		return fmt.Sprintf("End-to-end plug-and-play (identification + driver install + group join):\n%s: %v ± %v (paper: 488.53 ms)\n",
-			res.EndToEnd.Operation, res.EndToEnd.Mean, res.EndToEnd.Stddev)
-	})
-	run("ablation", func() string {
-		return experiments.AblationPulse() + "\n" + experiments.AblationMulticastText()
-	})
+	fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6) from the simulated system. Each experiment returns
 // structured results plus a formatted table mirroring what the paper
-// reports; EXPERIMENTS.md records the paper-vs-measured comparison.
+// reports. All assembles every table into one report; the repository
+// commits it as EXPERIMENTS.md, and a test regenerates and byte-compares it,
+// so a change that moves a reproduced number shows in that file's diff.
 package experiments
 
 import (
@@ -85,7 +87,8 @@ type Table2Row struct {
 	PaperRAM   int
 	// Measured is this reproduction's closest measurable artefact, with a
 	// note describing what was measured (AVR flash/RAM are compile-target
-	// properties a Go simulator cannot reproduce; see EXPERIMENTS.md).
+	// properties a Go simulator cannot reproduce; EXPERIMENTS.md lists
+	// each artefact next to the paper's figures).
 	Measured     int
 	MeasuredNote string
 }
@@ -446,6 +449,46 @@ func AblationMulticastText() string {
 			break
 		}
 		fmt.Fprintf(&sb, "%-8d %-26d %-26d\n", r.Things, r.MulticastTransmissions, r.UnicastTransmissions)
+	}
+	return sb.String()
+}
+
+// ---------------------------------------------------------------------------
+// The report
+
+// DefaultRuns is the Table 4 repetition count of the committed report.
+const DefaultRuns = 10
+
+// Sections are the report's experiments in report order, each under the
+// name upnp-experiments -exp takes and rendered for a Table 4 run count.
+var Sections = []struct {
+	Name string
+	Text func(runs int) string
+}{
+	{"waveforms", func(int) string { return Waveforms() }},
+	{"fig12", func(int) string { return Figure12Table() }},
+	{"table2", func(int) string { return Table2Text() }},
+	{"table3", func(int) string { return Table3Text() }},
+	{"table4", Table4Text},
+	{"endtoend", func(runs int) string {
+		res, err := Table4(runs)
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprintf("End-to-end plug-and-play (identification + driver install + group join):\n%s: %v ± %v (paper: 488.53 ms)\n",
+			res.EndToEnd.Operation, res.EndToEnd.Mean, res.EndToEnd.Stddev)
+	}},
+	{"ablation", func(int) string { return AblationPulse() + "\n" + AblationMulticastText() }},
+}
+
+// All renders every section in report order, each followed by a blank
+// line. Every number in it is virtual or counted, so the output is a pure
+// function of runs; at DefaultRuns it is the committed EXPERIMENTS.md.
+func All(runs int) string {
+	var sb strings.Builder
+	for _, s := range Sections {
+		sb.WriteString(s.Text(runs))
+		sb.WriteString("\n")
 	}
 	return sb.String()
 }

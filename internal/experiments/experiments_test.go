@@ -2,10 +2,39 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestReportMatchesCommitted regenerates the full report and compares it
+// byte for byte with the committed EXPERIMENTS.md: every number in it is
+// virtual or counted, so any drift is a change in a reproduced result.
+func TestReportMatchesCommitted(t *testing.T) {
+	want, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := All(DefaultRuns)
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+		i++
+	}
+	line := func(ls []string) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "(end of report)"
+	}
+	t.Fatalf("EXPERIMENTS.md differs from the regenerated report at line %d:\n  committed:   %q\n  regenerated: %q\n"+
+		"if the change is intended, regenerate it from the repository root with:\n  go run ./cmd/upnp-experiments > EXPERIMENTS.md",
+		i+1, line(wl), line(gl))
+}
 
 func TestWaveformsRender(t *testing.T) {
 	out := Waveforms()

@@ -103,6 +103,63 @@ func BenchmarkChurnReplan(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanBuild measures cold SMRF plan builds: one op flushes the plan
+// cache and builds the (group, source) plans of 64 sources over a
+// 2,000-node tree in 8 address zones, for a 500-member group — the shape of
+// a zoned deployment's peripheral-type groups, whose every member sends.
+func BenchmarkPlanBuild(b *testing.B) {
+	const count, zones, sources = 2000, 8, 64
+	n := New(Config{Zones: zones, Workers: 1})
+	defer n.Close()
+	prefix := PrefixFromAddr(addr("2001:db8::1"))
+	root, err := n.AddNode(UnicastAddr(prefix, 0, 1), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Each zone is a 4-ary subtree under its own zone root.
+	nodes := []*Node{root}
+	perZone := (count - 1) / zones
+	for z := 0; z < zones; z++ {
+		zoneNodes := make([]*Node, 0, perZone)
+		for i := 0; i < perZone; i++ {
+			parent := root
+			if i > 0 {
+				parent = zoneNodes[(i-1)/4]
+			}
+			nd, err := n.AddNode(UnicastAddr(prefix, uint16(z+1), uint32(2+i)), parent)
+			if err != nil {
+				b.Fatal(err)
+			}
+			zoneNodes = append(zoneNodes, nd)
+		}
+		nodes = append(nodes, zoneNodes...)
+	}
+	group := MulticastAddr(prefix, 0xad1cbe01)
+	members := 0
+	for i := 1; i < len(nodes) && members < 500; i += len(nodes) / 500 {
+		nodes[i].JoinGroup(group)
+		members++
+	}
+	srcs := make([]*Node, sources)
+	for i := range srcs {
+		srcs[i] = nodes[1+i*(len(nodes)-1)/sources]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.topoMu.Lock()
+		n.invalidateRoutes()
+		n.topoMu.Unlock()
+		n.topoMu.RLock()
+		for _, src := range srcs {
+			if plan := n.multicastPlan(src, group); len(plan.targets) < members-1 {
+				b.Fatalf("plan has %d targets, want at least %d", len(plan.targets), members-1)
+			}
+		}
+		n.topoMu.RUnlock()
+	}
+}
+
 // BenchmarkShardedCrossLane measures the sharded clock's cross-lane path on
 // an 8-zone tree: one op is a multicast from the root to members in every
 // zone, sent from an event on the root's lane so each copy bound for another

@@ -30,10 +30,11 @@
 // the queue, and recycled through a per-clock freelist guarded by
 // generation counters), multicast sends consult a per-group membership
 // index instead of scanning every node, unicast hop counts come from an
-// O(depth) lowest-common-ancestor walk with no cache and no map, and
-// per-(group,src) SMRF plans are cached and maintained incrementally by
-// group churn (JoinGroup/LeaveGroup splice the member's path in O(depth)
-// against a refcounted edge union) rather than invalidated. Locks are
+// O(depth) lowest-common-ancestor walk with no cache and no map,
+// per-(group,src) SMRF plans hold only their targets and are maintained
+// incrementally by group churn (JoinGroup/LeaveGroup splice one target in or
+// out) rather than invalidated, and a send's transmission count comes from
+// per-group subtree member counts in one O(depth) walk. Locks are
 // sharded by role — topology (RWMutex, read-mostly after setup, taken by
 // sends), the per-group plan stripes, per-lane loss/jitter streams, atomic
 // stats counters, and the clock's own lock — and an arrival takes none of
@@ -42,11 +43,12 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,23 +201,22 @@ type Network struct {
 	anycast map[netip.Addr][]*Node
 	// members indexes multicast group membership so sends visit only
 	// members, never the full node table.
-	members map[netip.Addr]map[*Node]struct{}
+	members map[netip.Addr]*groupMembers
 	// lookahead is the sharded clock's per-lane-pair lookahead matrix feeding
 	// its barrier windows; nil on single-zone/realtime networks. Maintained
 	// under topoMu (AddNode only; topology never shrinks).
 	lookahead *Lookahead
 
 	// Plan cache. Parent links are immutable after AddNode, which flushes
-	// the plans (new backbone roots change the disjoint-tree synthetic
-	// paths). Unicast hop counts are not cached: a lowest-common-ancestor
+	// the plans. Unicast hop counts are not cached: a lowest-common-ancestor
 	// walk (meet) costs O(depth) and no lock. plansMu guards only the
 	// group→groupPlans table; each group carries its own lock, so realtime
 	// plan warmup for different groups never serializes on one mutex.
-	// Group churn (JoinGroup/LeaveGroup) no longer invalidates plans: the
-	// member's path is spliced into or out of every cached plan of the
-	// group incrementally (O(depth) per cached source, not
-	// O(members × depth) rebuilds). Lock order: topoMu → plansMu →
-	// groupPlans.mu.
+	// Group churn (JoinGroup/LeaveGroup) does not invalidate plans: the
+	// member is spliced into or out of every cached plan of the group as
+	// one target (an O(depth) hop count and an index update per cached
+	// source, not O(members × depth) rebuilds). Lock order: topoMu →
+	// plansMu → groupPlans.mu.
 	plansMu sync.RWMutex
 	plans   map[netip.Addr]*groupPlans
 
@@ -243,6 +244,56 @@ type zoneMutQueue struct {
 	muts []memberMut
 }
 
+// groupMembers is one multicast group's membership: the member set plans
+// are built from, and the subtree member counts a send's transmission count
+// is derived from. Guarded by topoMu.
+type groupMembers struct {
+	set map[*Node]struct{}
+	// sub[y.idx] is the number of members in node y's subtree (y
+	// included), stored only while it is positive, so len(sub) is the
+	// number of nodes whose subtree holds a member.
+	sub map[int32]int32
+}
+
+// count adds delta to the subtree count of nd and of every ancestor: one
+// O(depth) walk up nd's chain.
+func (gm *groupMembers) count(nd *Node, delta int32) {
+	for y := nd; y != nil; y = y.parent {
+		if c := gm.sub[y.idx] + delta; c == 0 {
+			delete(gm.sub, y.idx)
+		} else {
+			gm.sub[y.idx] = c
+		}
+	}
+}
+
+// transmissions returns the SMRF transmission count of one send from src
+// to the group: the size of the union of the tree routes from src to every
+// other member. For a fixed source every route edge is crossed in one
+// direction only, so each edge is named by its child endpoint y:
+//   - y off src's chain: the edge above y carries the datagram down iff y's
+//     subtree holds a member (a backbone edge to another root y, likewise);
+//   - y on src's chain, not a root: the edge above y carries it up iff some
+//     member lies outside y's subtree.
+//
+// So the count is the number of occupied nodes, minus those on src's chain,
+// plus the non-root chain nodes whose subtree misses a member: one
+// O(depth(src)) walk. It is exact when the group has a member other than
+// src; sendMulticast returns before it otherwise.
+func (gm *groupMembers) transmissions(src *Node) int {
+	n, size := len(gm.sub), int32(len(gm.set))
+	for y := src; y != nil; y = y.parent {
+		c := gm.sub[y.idx]
+		if c > 0 {
+			n--
+		}
+		if y.parent != nil && c < size {
+			n++
+		}
+	}
+	return n
+}
+
 // memberMut is one deferred JoinGroup/LeaveGroup.
 type memberMut struct {
 	nd   *Node
@@ -258,7 +309,7 @@ func New(cfg Config) *Network {
 		cfg:     cfg,
 		nodes:   map[netip.Addr]*Node{},
 		anycast: map[netip.Addr][]*Node{},
-		members: map[netip.Addr]map[*Node]struct{}{},
+		members: map[netip.Addr]*groupMembers{},
 		plans:   map[netip.Addr]*groupPlans{},
 	}
 	seed := cfg.Seed
@@ -339,10 +390,13 @@ func (n *Network) Stats() Stats { return n.stats.snapshot() }
 // bound datagram handler.
 type Node struct {
 	net *Network
-	// addr, parent, depth and lane are immutable after AddNode.
+	// addr, parent, depth, idx and lane are immutable after AddNode.
 	addr   netip.Addr
 	parent *Node
 	depth  int
+	// idx is the node's dense index, its position in AddNode order. It
+	// keys the pointer-free group subtree counts and plan indexes.
+	idx int32
 	// lane is the node's zone lane on the sharded clock (0 otherwise):
 	// the address's zone field modulo the zone count. Deliveries to the node
 	// and timers the node arms execute on this lane.
@@ -367,7 +421,7 @@ func (n *Network) AddNode(addr netip.Addr, parent *Node) (*Node, error) {
 	if _, dup := n.nodes[addr]; dup {
 		return nil, fmt.Errorf("netsim: address %v already in use", addr)
 	}
-	node := &Node{net: n, addr: addr, parent: parent, groups: map[netip.Addr]bool{}}
+	node := &Node{net: n, addr: addr, parent: parent, idx: int32(len(n.nodes)), groups: map[netip.Addr]bool{}}
 	if parent != nil {
 		node.depth = parent.depth + 1
 	}
@@ -444,9 +498,10 @@ func (nd *Node) Bind(h Handler) { nd.handler.Store(&h) }
 func (nd *Node) Unbind() { nd.handler.Store(nil) }
 
 // JoinGroup subscribes the node to a multicast group. Cached SMRF plans for
-// the group are maintained incrementally: the new member's tree path is
-// spliced into every cached per-source plan (O(depth) each) instead of
-// invalidating and rebuilding them from all members.
+// the group are maintained incrementally: the new member is spliced into
+// every cached per-source plan as one target (O(depth) each), and its
+// chain's subtree counts rise by one, instead of invalidating and
+// rebuilding the plans from all members.
 // Membership changes issued from inside a sharded round (a handler joining
 // during a driver install, say) are deferred to the round's barrier and
 // applied there in (zone lane, emission) order: mid-window the change would
@@ -470,17 +525,18 @@ func (n *Network) joinLocked(nd *Node, g netip.Addr) {
 		return
 	}
 	nd.groups[g] = true
-	set := n.members[g]
-	if set == nil {
-		set = map[*Node]struct{}{}
-		n.members[g] = set
+	gm := n.members[g]
+	if gm == nil {
+		gm = &groupMembers{set: map[*Node]struct{}{}, sub: map[int32]int32{}}
+		n.members[g] = gm
 	}
-	set[nd] = struct{}{}
+	gm.set[nd] = struct{}{}
+	gm.count(nd, 1)
 	n.spliceMember(g, nd, true)
 }
 
-// LeaveGroup unsubscribes the node, splicing its path out of every cached
-// plan of the group.
+// LeaveGroup unsubscribes the node, splicing it out of every cached plan of
+// the group.
 func (nd *Node) LeaveGroup(g netip.Addr) {
 	n := nd.net
 	if n.deferMembership(nd, g, false) {
@@ -496,11 +552,11 @@ func (n *Network) leaveLocked(nd *Node, g netip.Addr) {
 		return
 	}
 	delete(nd.groups, g)
-	if set := n.members[g]; set != nil {
-		delete(set, nd)
-		if len(set) == 0 {
-			delete(n.members, g)
-		}
+	gm := n.members[g]
+	delete(gm.set, nd)
+	gm.count(nd, -1)
+	if len(gm.set) == 0 {
+		delete(n.members, g)
 	}
 	n.spliceMember(g, nd, false)
 }
@@ -569,7 +625,7 @@ func (n *Network) spliceMember(g netip.Addr, nd *Node, add bool) {
 		if add {
 			plan.addMember(src, nd)
 		} else {
-			plan.removeMember(src, nd)
+			plan.removeMember(nd)
 		}
 	}
 }
@@ -637,14 +693,12 @@ func treeDistance(a, b *Node) int {
 }
 
 // mcastPlan is a cached SMRF dissemination for one (group, source) pair: the
-// member targets with their hop counts, an index for O(1) membership splices,
-// and the reference-counted union of path edges (its size is the per-send
-// transmission count under duplicate suppression; the counts let a member's
-// path be removed without recomputing the union).
+// member targets with their hop counts and an index for O(1) membership
+// splices. It holds no route edges: a send's transmission count comes from
+// the group's subtree member counts (groupMembers.transmissions).
 type mcastPlan struct {
-	targets  []mcastTarget
-	index    map[*Node]int    // member -> position in targets
-	edgeRefs map[[2]*Node]int // path edge -> member paths crossing it
+	targets []mcastTarget
+	index   map[int32]int32 // member's Node.idx -> position in targets
 	// slots lists the plan's arrival classes, each a distinct (lane, hop
 	// count) of some target. Without jitter every receiver of one class
 	// arrives on the same lane at the same instant, so a send queues one
@@ -679,68 +733,34 @@ func (p *mcastPlan) slotOf(lane int32, hops int) int32 {
 	return int32(len(p.slots) - 1)
 }
 
-// countPath adds delta to the reference count of every edge on the tree
-// route src->dst and returns the route's hop count; an edge whose count
-// drops to zero leaves the union. Edges are keyed (from, to) in the
-// direction of travel: up from src to the meeting node, then down to dst.
-// Disjoint trees route over a synthetic backbone edge between their roots.
-func (p *mcastPlan) countPath(src, dst *Node, delta int) int {
-	m := meet(src, dst)
-	hops := 0
-	x, y := src, dst
-	for ; x != m && x.parent != nil; x = x.parent {
-		p.ref([2]*Node{x, x.parent}, delta)
-		hops++
-	}
-	for ; y != m && y.parent != nil; y = y.parent {
-		p.ref([2]*Node{y.parent, y}, delta)
-		hops++
-	}
-	if m == nil {
-		p.ref([2]*Node{x, y}, delta)
-		hops++
-	}
-	return hops
-}
-
-func (p *mcastPlan) ref(e [2]*Node, delta int) {
-	if c := p.edgeRefs[e] + delta; c == 0 {
-		delete(p.edgeRefs, e)
-	} else {
-		p.edgeRefs[e] = c
-	}
-}
-
-// addMember splices one member's path into the plan: O(path depth). The
-// caller holds topoMu (write) and the group's plan lock.
+// addMember splices one member into the plan as a new last target: an
+// O(depth) hop count. The caller holds topoMu (write) and the group's plan
+// lock.
 func (p *mcastPlan) addMember(src, member *Node) {
-	if _, dup := p.index[member]; dup {
+	if _, dup := p.index[member.idx]; dup {
 		return
 	}
-	hops := p.countPath(src, member, 1)
-	p.index[member] = len(p.targets)
+	hops := treeDistance(src, member)
+	p.index[member.idx] = int32(len(p.targets))
 	p.targets = append(p.targets, mcastTarget{node: member, hops: int32(hops), slot: p.slotOf(member.lane, hops)})
 }
 
-// removeMember splices one member's path out of the plan: O(path depth),
-// with a swap-remove of the target entry. Parent links are immutable, so
-// the path walked here is the same one addMember (or the initial build)
-// counted in.
-func (p *mcastPlan) removeMember(src, member *Node) {
-	i, ok := p.index[member]
+// removeMember splices one member out of the plan with a swap-remove of
+// its target entry.
+func (p *mcastPlan) removeMember(member *Node) {
+	i, ok := p.index[member.idx]
 	if !ok {
 		return
 	}
-	p.countPath(src, member, -1)
 	p.slots[p.targets[i].slot].size--
-	last := len(p.targets) - 1
+	last := int32(len(p.targets) - 1)
 	p.targets[i] = p.targets[last]
 	p.targets[last] = mcastTarget{}
 	p.targets = p.targets[:last]
 	if i < last {
-		p.index[p.targets[i].node] = i
+		p.index[p.targets[i].node.idx] = i
 	}
-	delete(p.index, member)
+	delete(p.index, member.idx)
 }
 
 // multicastPlan returns the cached (group, src) dissemination plan, building
@@ -782,27 +802,23 @@ func (n *Network) multicastPlan(src *Node, group netip.Addr) *mcastPlan {
 // buildPlan computes a full (group, src) plan from the membership index.
 // Caller holds topoMu (read or write) and the group's plan write lock.
 func (n *Network) buildPlan(src *Node, group netip.Addr) *mcastPlan {
-	plan := &mcastPlan{
-		index:    map[*Node]int{},
-		edgeRefs: map[[2]*Node]int{},
-	}
-	for member := range n.members[group] {
-		if member == src {
-			continue
+	plan := &mcastPlan{index: map[int32]int32{}}
+	if gm := n.members[group]; gm != nil {
+		for member := range gm.set {
+			if member != src {
+				plan.targets = append(plan.targets, mcastTarget{node: member, hops: int32(treeDistance(src, member))})
+			}
 		}
-		hops := plan.countPath(src, member, 1)
-		plan.targets = append(plan.targets, mcastTarget{node: member, hops: int32(hops)})
 	}
-	sort.Slice(plan.targets, func(i, j int) bool {
-		a, b := plan.targets[i], plan.targets[j]
-		if a.hops != b.hops {
-			return a.hops < b.hops
+	slices.SortFunc(plan.targets, func(a, b mcastTarget) int {
+		if c := cmp.Compare(a.hops, b.hops); c != 0 {
+			return c
 		}
-		return a.node.addr.Less(b.node.addr)
+		return a.node.addr.Compare(b.node.addr)
 	})
 	for i := range plan.targets {
 		t := &plan.targets[i]
-		plan.index[t.node] = i
+		plan.index[t.node.idx] = int32(i)
 		t.slot = plan.slotOf(t.node.lane, int(t.hops))
 	}
 	return plan
@@ -861,8 +877,9 @@ func (nd *Node) SendBuf(dst netip.Addr, pb *Buf) {
 // sendMulticast implements SMRF-style dissemination: the datagram travels
 // the tree from the source; every edge on the union of paths to the members
 // is one transmission (duplicate suppression, the key SMRF property versus
-// naive flooding). The fan-out shares one payload buffer, holding one
-// reference per receiver. Caller holds topoMu.RLock.
+// naive flooding), counted from the group's subtree member counts in one
+// walk up the source's chain. The fan-out shares one payload buffer,
+// holding one reference per receiver. Caller holds topoMu.RLock.
 //
 // Loss (and jitter) is drawn per receiver in plan order, as for separate
 // unicasts. Without jitter the survivors of one arrival class — same lane,
@@ -912,7 +929,7 @@ func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 			n.scheduleDelivery(src, time.Duration(d.msg.Hops)*hopDelay, d)
 		}
 	}
-	n.stats.transmissions.Add(int64(len(plan.edgeRefs)))
+	n.stats.transmissions.Add(int64(n.members[msg.Dst].transmissions(src)))
 }
 
 // delivery is one scheduled arrival instant of a datagram: the receivers

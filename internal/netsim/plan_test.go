@@ -33,22 +33,63 @@ func testTree(t *testing.T, n *Network, count, arity int) []*Node {
 	return nodes
 }
 
-// planSnapshot reduces a plan to comparable state: member→hops plus the edge
-// union size (delivery order is deterministic but splice-history-dependent,
-// so equivalence is on sets).
-func planSnapshot(p *mcastPlan) (targets map[*Node]int, edges int) {
-	targets = map[*Node]int{}
+// planTargets reduces a plan to comparable state: member→hops (delivery
+// order is deterministic but splice-history-dependent, so equivalence is on
+// sets).
+func planTargets(p *mcastPlan) map[*Node]int {
+	targets := map[*Node]int{}
 	for _, t := range p.targets {
 		targets[t.node] = int(t.hops)
 	}
-	return targets, len(p.edgeRefs)
+	return targets
+}
+
+// sendTransmissions sends one datagram from src to the group and returns
+// what it added to the network's transmission count, then drains the
+// deliveries.
+func sendTransmissions(n *Network, src *Node, group netip.Addr) int {
+	before := n.Stats().Transmissions
+	src.Send(group, []byte("tx"))
+	got := n.Stats().Transmissions - before
+	n.RunUntilIdle(0)
+	return got
+}
+
+// refTransmissions is the brute-force SMRF transmission count of one send
+// from src to the members: the size of the union of refRoute's edges to
+// every member other than src.
+func refTransmissions(src *Node, members []*Node) int {
+	union := map[[2]*Node]bool{}
+	for _, m := range members {
+		if m != src {
+			_, edges := refRoute(src, m)
+			for _, e := range edges {
+				union[e] = true
+			}
+		}
+	}
+	return len(union)
+}
+
+// memberList returns the group's members in node order.
+func memberList(nodes []*Node, group netip.Addr) []*Node {
+	var out []*Node
+	for _, nd := range nodes {
+		if nd.InGroup(group) {
+			out = append(out, nd)
+		}
+	}
+	return out
 }
 
 // TestIncrementalPlanMatchesRebuild drives randomized join/leave churn
 // against several source nodes' cached plans and checks, after every
 // operation, that the incrementally maintained plan is equivalent to a
-// rebuild-from-scratch reference: same targets, same hop counts, same edge
-// union (transmission count).
+// rebuild-from-scratch reference (same targets, same hop counts) and that a
+// send's transmission count is the reference route union's size. The
+// sources join and leave too, so each is checked inside and outside the
+// group. The group is then emptied and refilled: its cached plans survive,
+// and the joiners append to them in join order.
 func TestIncrementalPlanMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5324))
 	n := New(Config{})
@@ -57,11 +98,9 @@ func TestIncrementalPlanMatchesRebuild(t *testing.T) {
 	srcs := []*Node{nodes[0], nodes[17], nodes[119]}
 
 	// Start from a random membership and warm every source's plan.
-	inGroup := map[*Node]bool{}
 	for _, nd := range nodes {
 		if rng.Intn(2) == 0 {
 			nd.JoinGroup(group)
-			inGroup[nd] = true
 		}
 	}
 	warm := func() {
@@ -75,12 +114,9 @@ func TestIncrementalPlanMatchesRebuild(t *testing.T) {
 
 	check := func(step int) {
 		n.topoMu.RLock()
-		defer n.topoMu.RUnlock()
 		for _, src := range srcs {
-			got := n.multicastPlan(src, group)
-			want := n.buildPlan(src, group)
-			gt, ge := planSnapshot(got)
-			wt, we := planSnapshot(want)
+			gt := planTargets(n.multicastPlan(src, group))
+			wt := planTargets(n.buildPlan(src, group))
 			if len(gt) != len(wt) {
 				t.Fatalf("step %d src %v: %d targets, rebuild has %d", step, src.Addr(), len(gt), len(wt))
 			}
@@ -89,37 +125,78 @@ func TestIncrementalPlanMatchesRebuild(t *testing.T) {
 					t.Fatalf("step %d src %v: member %v hops %d, rebuild says %d", step, src.Addr(), nd.Addr(), gt[nd], hops)
 				}
 			}
-			if ge != we {
-				t.Fatalf("step %d src %v: edge union %d, rebuild says %d", step, src.Addr(), ge, we)
+		}
+		n.topoMu.RUnlock()
+		members := memberList(nodes, group)
+		for _, src := range srcs {
+			if got, want := sendTransmissions(n, src, group), refTransmissions(src, members); got != want {
+				t.Fatalf("step %d src %v (member %v): %d transmissions, reference %d", step, src.Addr(), src.InGroup(group), got, want)
 			}
 		}
 	}
 
 	for step := 0; step < 2000; step++ {
 		nd := nodes[rng.Intn(len(nodes))]
-		if inGroup[nd] {
+		if nd.InGroup(group) {
 			nd.LeaveGroup(group)
-			delete(inGroup, nd)
 		} else {
 			nd.JoinGroup(group)
-			inGroup[nd] = true
 		}
-		// Membership emptying drops the member set; plans for the group must
-		// still agree with a rebuild (empty).
 		if step%97 == 0 {
 			warm() // re-warm in case a plan was never built for a new src
 		}
 		check(step)
 	}
 
+	// Empty the group: the cached plans stay, with no targets.
+	n.topoMu.RLock()
+	cached := map[*Node]*mcastPlan{}
+	for _, src := range srcs {
+		cached[src] = n.multicastPlan(src, group)
+	}
+	n.topoMu.RUnlock()
+	for _, nd := range memberList(nodes, group) {
+		nd.LeaveGroup(group)
+	}
+	check(-1)
+	// Refill in a random order: each joiner appends to every cached plan.
+	order := rng.Perm(len(nodes))
+	for i, k := range order[:len(order)/2] {
+		nodes[k].JoinGroup(group)
+		check(-2 - i)
+	}
+	n.topoMu.RLock()
+	for _, src := range srcs {
+		plan := n.multicastPlan(src, group)
+		if plan != cached[src] {
+			t.Fatalf("src %v: emptying the group dropped its cached plan", src.Addr())
+		}
+		var want []*Node
+		for _, k := range order[:len(order)/2] {
+			if nodes[k] != src {
+				want = append(want, nodes[k])
+			}
+		}
+		if len(plan.targets) != len(want) {
+			t.Fatalf("src %v: refilled plan has %d targets, want %d", src.Addr(), len(plan.targets), len(want))
+		}
+		for i, tg := range plan.targets {
+			if tg.node != want[i] {
+				t.Fatalf("src %v: refilled target %d is %v, join order says %v", src.Addr(), i, tg.node.Addr(), want[i].Addr())
+			}
+		}
+	}
+	n.topoMu.RUnlock()
+
 	// The maintained plan must also still route correctly end to end.
 	var delivered int
 	var mu sync.Mutex
-	for nd := range inGroup {
+	members := memberList(nodes, group)
+	for _, nd := range members {
 		nd.Bind(func(Message) { mu.Lock(); delivered++; mu.Unlock() })
 	}
-	want := len(inGroup)
-	if inGroup[srcs[0]] {
+	want := len(members)
+	if srcs[0].InGroup(group) {
 		want-- // the source does not deliver to itself
 	}
 	srcs[0].Send(group, []byte("post-churn"))
@@ -129,9 +206,10 @@ func TestIncrementalPlanMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestPlanChurnTransmissionsMatch checks the refcounted edge union against
-// observed transmission accounting after churn: leave+join cycles must leave
-// the per-send transmission increment exactly where a cold rebuild puts it.
+// TestPlanChurnTransmissionsMatch checks observed transmission accounting
+// after churn: leave+join cycles must leave the per-send transmission
+// increment exactly where a cold network built at the final membership puts
+// it.
 func TestPlanChurnTransmissionsMatch(t *testing.T) {
 	n := New(Config{})
 	nodes := testTree(t, n, 60, 2)
@@ -171,7 +249,7 @@ func TestPlanChurnTransmissionsMatch(t *testing.T) {
 		t.Fatalf("transmissions after churn = %d, cold rebuild = %d (warm full group was %d)", gotTx, wantTx, warmTx)
 	}
 	if gotTx >= warmTx {
-		t.Fatalf("halving the group must shrink the edge union: %d -> %d", warmTx, gotTx)
+		t.Fatalf("halving the group must shrink the route union: %d -> %d", warmTx, gotTx)
 	}
 }
 
@@ -282,7 +360,9 @@ func randomForest(t *testing.T, n *Network, rng *rand.Rand, count int) []*Node {
 // TestRoutesMatchBruteForce checks the lowest-common-ancestor routing
 // against refRoute on seeded random forests with several disjoint roots:
 // treeDistance for every node pair, and for cached plans under random
-// membership churn, every target's hop count and the exact edge refcounts.
+// membership churn, every target's hop count and each send's transmission
+// count against the reference route union (backbone edges included). One
+// source is a root, so its chain is only itself.
 func TestRoutesMatchBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -311,30 +391,18 @@ func TestRoutesMatchBruteForce(t *testing.T) {
 		srcs := []*Node{nodes[0], nodes[rng.Intn(len(nodes))], nodes[len(nodes)-1]}
 		check := func(step int) {
 			n.topoMu.RLock()
-			defer n.topoMu.RUnlock()
 			for _, src := range srcs {
-				plan := n.multicastPlan(src, group)
-				wantRefs := map[[2]*Node]int{}
-				for m := range n.members[group] {
-					if m != src {
-						_, edges := refRoute(src, m)
-						for _, e := range edges {
-							wantRefs[e]++
-						}
-					}
-				}
-				if len(plan.edgeRefs) != len(wantRefs) {
-					t.Fatalf("seed %d step %d src %v: %d edges, reference %d", seed, step, src.addr, len(plan.edgeRefs), len(wantRefs))
-				}
-				for e, c := range wantRefs {
-					if plan.edgeRefs[e] != c {
-						t.Fatalf("seed %d step %d src %v: edge %v->%v refcount %d, reference %d", seed, step, src.addr, e[0].addr, e[1].addr, plan.edgeRefs[e], c)
-					}
-				}
-				for _, tg := range plan.targets {
+				for _, tg := range n.multicastPlan(src, group).targets {
 					if want, _ := refRoute(src, tg.node); int(tg.hops) != want {
 						t.Fatalf("seed %d step %d src %v: target %v hops %d, reference %d", seed, step, src.addr, tg.node.addr, tg.hops, want)
 					}
+				}
+			}
+			n.topoMu.RUnlock()
+			members := memberList(nodes, group)
+			for _, src := range srcs {
+				if got, want := sendTransmissions(n, src, group), refTransmissions(src, members); got != want {
+					t.Fatalf("seed %d step %d src %v (member %v): %d transmissions, reference %d", seed, step, src.addr, src.InGroup(group), got, want)
 				}
 			}
 		}

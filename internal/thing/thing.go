@@ -731,11 +731,30 @@ func (t *Thing) StopStream(id hw.DeviceID) {
 	t.send(group, &proto.Message{Type: proto.MsgClosed, Seq: seq, DeviceID: id})
 }
 
+// handles reports whether handle serves a datagram, from its first byte
+// (the message type) alone: the types of handle's switch. Anything else a
+// Thing receives — mostly peers' stream data on its peripheral groups — is
+// dropped before it is decoded.
+func handles(payload []byte) bool {
+	if len(payload) == 0 {
+		return false
+	}
+	switch proto.MsgType(payload[0]) {
+	case proto.MsgDiscovery, proto.MsgDriverUpload, proto.MsgDriverDiscovery,
+		proto.MsgDriverRemovalReq, proto.MsgRead, proto.MsgStream, proto.MsgWrite:
+		return true
+	}
+	return false
+}
+
 // handle processes incoming protocol messages. Decoding borrows a pooled
 // Decoder: the decoded message is valid only within this call, so deferred
 // work (scheduled closures) copies the scalars it needs and the driver
 // upload's bytecode is copied before retention.
 func (t *Thing) handle(msg netsim.Message) {
+	if !handles(msg.Payload) {
+		return
+	}
 	dec := proto.AcquireDecoder()
 	defer proto.ReleaseDecoder(dec)
 	m, err := dec.Decode(msg.Payload)

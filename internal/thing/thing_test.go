@@ -310,3 +310,76 @@ func TestThingIdentificationFailureNoSetup(t *testing.T) {
 	}
 	t.Fatal("could not manufacture a failing peripheral in 200 tries")
 }
+
+// TestThingHandlesOnlyServedTypes passes a message of every type handle's
+// switch serves through the pre-decode check and on to the Thing, which must
+// answer each; every other type fails the check. A peer's stream tick on the
+// Thing's peripheral group reaches the Thing and makes it send nothing.
+func TestThingHandlesOnlyServedTypes(t *testing.T) {
+	tb := newTestBed(t)
+	plugTMP36(t, tb, 0) // no local driver: the upload below installs it
+	tb.net.RunUntilIdle(0)
+	sent := func() int { s := tb.net.Stats(); return s.UnicastSent + s.MulticastSent }
+	// deliver sends m and returns how many datagrams the Thing sent in the
+	// next virtual second (under the stream period, so no stream tick of
+	// its own fires).
+	deliver := func(src *netsim.Node, dst netip.Addr, m *proto.Message) (payload []byte, replies int) {
+		t.Helper()
+		payload, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := sent()
+		src.Send(dst, payload)
+		tb.net.RunUntil(tb.net.Now() + time.Second)
+		return payload, sent() - before - 1
+	}
+	served := map[proto.MsgType]bool{}
+	serve := func(m *proto.Message) {
+		t.Helper()
+		payload, replies := deliver(tb.mgr, tb.thing.Addr(), m)
+		if !handles(payload) {
+			t.Fatalf("%v fails the pre-decode check", m.Type)
+		}
+		if replies == 0 {
+			t.Fatalf("%v reached the Thing but it sent nothing", m.Type)
+		}
+		served[m.Type] = true
+	}
+
+	serve(&proto.Message{Type: proto.MsgDriverUpload, Seq: 1, DeviceID: driver.IDTMP36, Driver: tmp36Source(t)})
+	serve(&proto.Message{Type: proto.MsgDiscovery, Seq: 2})
+	serve(&proto.Message{Type: proto.MsgDriverDiscovery, Seq: 3})
+	serve(&proto.Message{Type: proto.MsgRead, Seq: 4, DeviceID: driver.IDTMP36})
+	serve(&proto.Message{Type: proto.MsgStream, Seq: 5, DeviceID: driver.IDTMP36})
+	serve(&proto.Message{Type: proto.MsgWrite, Seq: 6, DeviceID: driver.IDTMP36})
+
+	// A peer's stream tick, multicast to the TMP36 group the Thing joined
+	// when its driver activated.
+	group := netsim.MulticastAddr(netsim.PrefixFromAddr(tb.thing.Addr()), driver.IDTMP36)
+	if !tb.thing.Node().InGroup(group) {
+		t.Fatal("the Thing must be in its peripheral's group")
+	}
+	peer, err := tb.net.AddNode(addr("2001:db8::3"), tb.mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := tb.net.Stats().Delivered
+	tick := &proto.Message{Type: proto.MsgData, Seq: 9, DeviceID: driver.IDTMP36, Data: proto.AppendValues32(nil, []int32{215})}
+	if payload, replies := deliver(peer, group, tick); handles(payload) || replies != 0 {
+		t.Fatalf("a peer's stream tick passed the check (%v) or made the Thing send %d datagram(s)", handles(payload), replies)
+	}
+	if got := tb.net.Stats().Delivered - delivered; got != 1 {
+		t.Fatalf("the stream tick reached %d receivers, want the Thing", got)
+	}
+
+	serve(&proto.Message{Type: proto.MsgDriverRemovalReq, Seq: 7, DeviceID: driver.IDTMP36})
+	for b := 0; b < 256; b++ {
+		if got := handles([]byte{byte(b), 0, 0}); got != served[proto.MsgType(b)] {
+			t.Errorf("handles(type %d) = %v, want %v", b, got, served[proto.MsgType(b)])
+		}
+	}
+	if handles(nil) {
+		t.Error("an empty datagram passes the pre-decode check")
+	}
+}
