@@ -28,7 +28,7 @@ func main() {
 	}
 	for _, s := range experiments.Sections {
 		if s.Name == *exp {
-			fmt.Println(s.Text(*runs))
+			fmt.Println(s.Text(experiments.NewReport(*runs)))
 			return
 		}
 	}

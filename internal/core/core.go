@@ -33,6 +33,7 @@ import (
 	"micropnp/internal/netsim"
 	"micropnp/internal/reqerr"
 	"micropnp/internal/thing"
+	"micropnp/internal/vm"
 )
 
 // DeploymentConfig tunes a simulated deployment.
@@ -101,6 +102,11 @@ type Deployment struct {
 	mgrMu    sync.Mutex
 	managers []*manager.Manager
 	repo     *driver.Repository
+	// images is the deployment's driver-image table: every Thing loads its
+	// drivers through it, so Things plugging the same peripheral type share
+	// one compiled image. It is per deployment rather than process-wide so
+	// it is bounded by this deployment's drivers and freed with it.
+	images *vm.Images
 }
 
 // ManagerAnycast is the well-known manager anycast address of site-0
@@ -161,6 +167,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		managerA: anycast,
 		managers: []*manager.Manager{mgr},
 		repo:     repo,
+		images:   vm.NewImages(),
 	}
 	for i := 1; i < cfg.Managers; i++ {
 		if _, err := d.AddManager(); err != nil {
@@ -305,6 +312,7 @@ func (d *Deployment) AddThingAt(name string, parent *netsim.Node) (*thing.Thing,
 		Addr:               d.nextAddr(),
 		Parent:             parent,
 		Manager:            d.managerA,
+		Images:             d.images,
 		Name:               name,
 		StreamPeriod:       d.cfg.StreamPeriod,
 		Units:              driver.UnitsTable(),
@@ -326,6 +334,7 @@ func (d *Deployment) AddThingInZone(name string, zone uint16, parent *netsim.Nod
 		Addr:               d.nextAddrInZone(zone),
 		Parent:             parent,
 		Manager:            d.managerA,
+		Images:             d.images,
 		Name:               name,
 		StreamPeriod:       d.cfg.StreamPeriod,
 		Units:              driver.UnitsTable(),
@@ -344,6 +353,7 @@ func (d *Deployment) AddZonedThing(name string, zone uint16) (*thing.Thing, erro
 		Addr:                d.nextAddrInZone(zone),
 		Parent:              d.Manager.Node(),
 		Manager:             d.managerA,
+		Images:              d.images,
 		Name:                name,
 		StreamPeriod:        d.cfg.StreamPeriod,
 		Zone:                zone,

@@ -468,3 +468,59 @@ func TestBMP180RemoteRead(t *testing.T) {
 		t.Errorf("pressure = %d Pa, want ~100200", got[1])
 	}
 }
+
+// TestThingsShareDriverImages plugs the same peripheral types into Things
+// made by every AddThing form: each type's runtimes all run one shared
+// image, and the deployment's table holds one image per distinct driver.
+func TestThingsShareDriverImages(t *testing.T) {
+	d := newDeployment(t)
+	var things []*thing.Thing
+	for i := 0; i < 6; i++ {
+		var th *thing.Thing
+		var err error
+		switch i % 3 {
+		case 0:
+			th, err = d.AddThing("t")
+		case 1:
+			th, err = d.AddThingInZone("t", 1, nil)
+		default:
+			th, err = d.AddZonedThing("t", 2)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.PlugTMP36(th, 0); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			if err := d.PlugHIH4030(th, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		things = append(things, th)
+	}
+	d.Run()
+
+	image := func(th *thing.Thing, id hw.DeviceID) any {
+		rt := th.Runtime(id)
+		if rt == nil {
+			t.Fatalf("%v: no %v runtime", th.Addr(), id)
+		}
+		return rt.Machine().Image()
+	}
+	tmp36, hih := image(things[0], driver.IDTMP36), image(things[0], driver.IDHIH4030)
+	if tmp36 == hih {
+		t.Fatal("two drivers share one image")
+	}
+	for i, th := range things {
+		if image(th, driver.IDTMP36) != tmp36 {
+			t.Fatalf("thing %d runs its own TMP36 image", i)
+		}
+		if i < 2 && image(th, driver.IDHIH4030) != hih {
+			t.Fatalf("thing %d runs its own HIH-4030 image", i)
+		}
+	}
+	if n := d.images.Len(); n != 2 {
+		t.Fatalf("the image table holds %d images, want 2", n)
+	}
+}

@@ -135,7 +135,7 @@ func TestTMP36DriverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry, _ := repo.Lookup(IDTMP36)
-	prog, err := bytecode.Decode(entry.Bytecode)
+	img, err := vm.NewImages().Load(entry.Bytecode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestTMP36DriverEndToEnd(t *testing.T) {
 	adc := bus.NewADC()
 	adc.Connect(&bus.TMP36{Env: env})
 
-	rt, err := vm.NewRuntime(prog, &vm.ADCLib{ADC: adc}, &vm.TimerLib{})
+	rt, err := vm.NewRuntime(img, &vm.ADCLib{ADC: adc}, &vm.TimerLib{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTMP36DriverEndToEnd(t *testing.T) {
 func TestHIH4030DriverEndToEnd(t *testing.T) {
 	repo, _ := StandardRepository()
 	entry, _ := repo.Lookup(IDHIH4030)
-	prog, err := bytecode.Decode(entry.Bytecode)
+	img, err := vm.NewImages().Load(entry.Bytecode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestHIH4030DriverEndToEnd(t *testing.T) {
 	adc := bus.NewADC()
 	adc.Connect(&bus.HIH4030{Env: env})
 
-	rt, err := vm.NewRuntime(prog, &vm.ADCLib{ADC: adc}, &vm.TimerLib{})
+	rt, err := vm.NewRuntime(img, &vm.ADCLib{ADC: adc}, &vm.TimerLib{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestHIH4030DriverEndToEnd(t *testing.T) {
 func TestBMP180DriverEndToEnd(t *testing.T) {
 	repo, _ := StandardRepository()
 	entry, _ := repo.Lookup(IDBMP180)
-	prog, err := bytecode.Decode(entry.Bytecode)
+	img, err := vm.NewImages().Load(entry.Bytecode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestBMP180DriverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt, err := vm.NewRuntime(prog, &vm.I2CLib{Bus: i2c}, &vm.TimerLib{})
+	rt, err := vm.NewRuntime(img, &vm.I2CLib{Bus: i2c}, &vm.TimerLib{})
 	if err != nil {
 		t.Fatal(err)
 	}

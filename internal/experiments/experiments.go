@@ -331,12 +331,8 @@ func Table4(runs int) (*Table4Result, error) {
 	return res, nil
 }
 
-// Table4Text renders Table 4.
-func Table4Text(runs int) string {
-	res, err := Table4(runs)
-	if err != nil {
-		return err.Error()
-	}
+// Table4Text renders Table 4 from a Table4 result.
+func Table4Text(res *Table4Result) string {
 	var sb strings.Builder
 	sb.WriteString("Table 4 — peripheral announcement and driver installation (one hop)\n")
 	fmt.Fprintf(&sb, "%-34s %-14s %-14s\n", "operation", "average", "stddev")
@@ -459,35 +455,59 @@ func AblationMulticastText() string {
 // DefaultRuns is the Table 4 repetition count of the committed report.
 const DefaultRuns = 10
 
+// Report is one rendering of the report for a Table 4 run count. The
+// table4 and endtoend sections both read Table 4: it is simulated once, on
+// first use, and both render from that one result. Not safe for concurrent
+// use.
+type Report struct {
+	runs int
+	t4   *Table4Result
+	err  error
+}
+
+// NewReport returns a report whose Table 4 averages over runs plug-ins.
+func NewReport(runs int) *Report { return &Report{runs: runs} }
+
+// withTable4 renders from the report's Table 4 result, or returns the
+// error simulating it gave.
+func (r *Report) withTable4(render func(*Table4Result) string) string {
+	if r.t4 == nil && r.err == nil {
+		r.t4, r.err = Table4(r.runs)
+	}
+	if r.err != nil {
+		return r.err.Error()
+	}
+	return render(r.t4)
+}
+
 // Sections are the report's experiments in report order, each under the
-// name upnp-experiments -exp takes and rendered for a Table 4 run count.
+// name upnp-experiments -exp takes.
 var Sections = []struct {
 	Name string
-	Text func(runs int) string
+	Text func(r *Report) string
 }{
-	{"waveforms", func(int) string { return Waveforms() }},
-	{"fig12", func(int) string { return Figure12Table() }},
-	{"table2", func(int) string { return Table2Text() }},
-	{"table3", func(int) string { return Table3Text() }},
-	{"table4", Table4Text},
-	{"endtoend", func(runs int) string {
-		res, err := Table4(runs)
-		if err != nil {
-			return err.Error()
-		}
-		return fmt.Sprintf("End-to-end plug-and-play (identification + driver install + group join):\n%s: %v ± %v (paper: 488.53 ms)\n",
-			res.EndToEnd.Operation, res.EndToEnd.Mean, res.EndToEnd.Stddev)
+	{"waveforms", func(*Report) string { return Waveforms() }},
+	{"fig12", func(*Report) string { return Figure12Table() }},
+	{"table2", func(*Report) string { return Table2Text() }},
+	{"table3", func(*Report) string { return Table3Text() }},
+	{"table4", func(r *Report) string { return r.withTable4(Table4Text) }},
+	{"endtoend", func(r *Report) string {
+		return r.withTable4(func(res *Table4Result) string {
+			return fmt.Sprintf("End-to-end plug-and-play (identification + driver install + group join):\n%s: %v ± %v (paper: 488.53 ms)\n",
+				res.EndToEnd.Operation, res.EndToEnd.Mean, res.EndToEnd.Stddev)
+		})
 	}},
-	{"ablation", func(int) string { return AblationPulse() + "\n" + AblationMulticastText() }},
+	{"ablation", func(*Report) string { return AblationPulse() + "\n" + AblationMulticastText() }},
 }
 
 // All renders every section in report order, each followed by a blank
 // line. Every number in it is virtual or counted, so the output is a pure
 // function of runs; at DefaultRuns it is the committed EXPERIMENTS.md.
 func All(runs int) string {
+	r := NewReport(runs)
 	var sb strings.Builder
 	for _, s := range Sections {
-		sb.WriteString(s.Text(runs))
+		sb.WriteString(s.Text(r))
 		sb.WriteString("\n")
 	}
 	return sb.String()

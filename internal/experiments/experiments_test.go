@@ -149,7 +149,7 @@ func TestTable4Statistics(t *testing.T) {
 	if res.EndToEnd.Mean < 350*time.Millisecond || res.EndToEnd.Mean > 600*time.Millisecond {
 		t.Errorf("end-to-end = %v, want roughly 490 ms", res.EndToEnd.Mean)
 	}
-	if Table4Text(3) == "" {
+	if Table4Text(res) == "" {
 		t.Error("must render")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"micropnp/internal/bus"
-	"micropnp/internal/bytecode"
 	"micropnp/internal/hw"
 	"micropnp/internal/netsim"
 	"micropnp/internal/proto"
@@ -122,6 +121,10 @@ type Config struct {
 	Manager netip.Addr
 	// Board is the µPnP control board (nil creates a default 3-channel one).
 	Board *hw.ControlBoard
+	// Images is the driver-image table the Thing loads installed drivers
+	// through (nil creates a private one). Things sharing a table share one
+	// verified, compiled image per distinct driver.
+	Images *vm.Images
 	// Name labels the Thing in advertisements.
 	Name string
 	// StreamPeriod is the data production period for streams (default 10 s,
@@ -228,17 +231,23 @@ type streamState struct {
 // Driver runtimes may call back into driverReturned while vmMu is held, so
 // driverReturned takes only opsMu. mu and opsMu are never held while
 // acquiring vmMu's predecessors: the order is mu → opsMu, and both are
-// released before vmMu is taken.
+// released before vmMu is taken. The images table has its own lock, shared
+// by every Thing of a deployment; a Thing loads through it before taking
+// mu, never while holding any of its own locks.
 type Thing struct {
 	cfg    Config
 	node   *netsim.Node
 	board  *hw.ControlBoard
 	prefix netsim.NetworkPrefix
 	seq    atomic.Uint32
+	images *vm.Images
 
-	mu        sync.Mutex
-	slots     []*slotState
-	installed map[hw.DeviceID][]byte
+	mu    sync.Mutex
+	slots []*slotState
+	// installed maps each locally installed device type to its driver
+	// image, shared through images with every Thing that installed the same
+	// bytes; the Thing keeps no copy of its own.
+	installed map[hw.DeviceID]*vm.Image
 	awaiting  map[hw.DeviceID]*PluginTrace
 	traces    []*PluginTrace
 
@@ -268,6 +277,9 @@ func New(cfg Config) (*Thing, error) {
 	if cfg.Board == nil {
 		cfg.Board = hw.NewControlBoard(hw.BoardConfig{})
 	}
+	if cfg.Images == nil {
+		cfg.Images = vm.NewImages()
+	}
 	if cfg.StreamPeriod == 0 {
 		cfg.StreamPeriod = 10 * time.Second
 	}
@@ -279,7 +291,8 @@ func New(cfg Config) (*Thing, error) {
 		node:      node,
 		board:     cfg.Board,
 		prefix:    netsim.PrefixFromAddr(cfg.Addr),
-		installed: map[hw.DeviceID][]byte{},
+		images:    cfg.Images,
+		installed: map[hw.DeviceID]*vm.Image{},
 		awaiting:  map[hw.DeviceID]*PluginTrace{},
 		pending:   map[hw.DeviceID][]*pendingRead{},
 		streams:   map[hw.DeviceID]*streamState{},
@@ -332,27 +345,24 @@ func (t *Thing) InstalledDrivers() []hw.DeviceID {
 func (t *Thing) InstalledDriverBytes(id hw.DeviceID) []byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	code, ok := t.installed[id]
+	img, ok := t.installed[id]
 	if !ok {
 		return nil
 	}
-	return append([]byte(nil), code...)
+	return img.Code()
 }
 
 // InstallDriver pre-installs a driver artefact locally (factory image).
 func (t *Thing) InstallDriver(id hw.DeviceID, code []byte) error {
-	prog, err := bytecode.Decode(code)
+	img, err := t.images.Load(code)
 	if err != nil {
 		return err
 	}
-	if err := prog.Verify(); err != nil {
-		return err
-	}
-	if hw.DeviceID(prog.DeviceID) != id {
-		return fmt.Errorf("thing: driver claims %v, expected %v", hw.DeviceID(prog.DeviceID), id)
+	if claimed := hw.DeviceID(img.Program().DeviceID); claimed != id {
+		return fmt.Errorf("thing: driver claims %v, expected %v", claimed, id)
 	}
 	t.mu.Lock()
-	t.installed[id] = append([]byte(nil), code...)
+	t.installed[id] = img
 	t.mu.Unlock()
 	return nil
 }
@@ -438,7 +448,7 @@ func (t *Thing) setup(channel int, trace *PluginTrace) {
 			return
 		}
 		t.joinPeripheralGroupsLocked(id)
-		code, have := t.installed[id]
+		img, have := t.installed[id]
 		if !have {
 			trace.requestSentAt = t.node.Now()
 			t.awaiting[id] = trace
@@ -447,7 +457,7 @@ func (t *Thing) setup(channel int, trace *PluginTrace) {
 			return
 		}
 		t.mu.Unlock()
-		t.activate(channel, code, trace)
+		t.activate(channel, img, trace)
 	})
 }
 
@@ -504,13 +514,11 @@ func (t *Thing) requestDriver(id hw.DeviceID, attempt int) {
 	})
 }
 
-// activate verifies, installs and starts the driver after the install CPU
-// cost, then advertises.
-func (t *Thing) activate(channel int, code []byte, trace *PluginTrace) {
-	prog, err := bytecode.Decode(code)
-	if err != nil || prog.Verify() != nil {
-		return
-	}
+// activate instantiates and starts an installed driver image after the
+// install CPU cost (CostInstallDriver models on-device verification and
+// activation; the host verified the image once, when it was loaded), then
+// advertises.
+func (t *Thing) activate(channel int, img *vm.Image, trace *PluginTrace) {
 	installStart := t.node.Now()
 	t.node.Schedule(CostInstallDriver, func() {
 		t.mu.Lock()
@@ -520,7 +528,7 @@ func (t *Thing) activate(channel int, code []byte, trace *PluginTrace) {
 			return
 		}
 		libs := vm.LibrariesFor(slot.ic.UART, slot.ic.ADC, slot.ic.I2C, slot.ic.SPI)
-		rt, err := vm.NewRuntime(prog, libs...)
+		rt, err := vm.NewRuntime(img, libs...)
 		if err != nil {
 			t.mu.Unlock()
 			return
@@ -749,8 +757,8 @@ func handles(payload []byte) bool {
 
 // handle processes incoming protocol messages. Decoding borrows a pooled
 // Decoder: the decoded message is valid only within this call, so deferred
-// work (scheduled closures) copies the scalars it needs and the driver
-// upload's bytecode is copied before retention.
+// work (scheduled closures) copies the scalars it needs, and the driver
+// upload's bytecode is retained only as the Images table's own copy.
 func (t *Thing) handle(msg netsim.Message) {
 	if !handles(msg.Payload) {
 		return
@@ -821,6 +829,13 @@ func (t *Thing) handleDiscovery(msg netsim.Message, m *proto.Message) {
 }
 
 func (t *Thing) handleDriverUpload(msg netsim.Message, m *proto.Message) {
+	// An upload that does not decode and verify is dropped like a lost one:
+	// nothing is installed, and the request's retransmission timer, still
+	// armed while the device awaits its driver, asks again.
+	img, err := t.images.Load(m.Driver)
+	if err != nil {
+		return
+	}
 	t.mu.Lock()
 	trace := t.awaiting[m.DeviceID]
 	delete(t.awaiting, m.DeviceID)
@@ -832,7 +847,7 @@ func (t *Thing) handleDriverUpload(msg netsim.Message, m *proto.Message) {
 		// The upload transit belongs to the install phase.
 		trace.InstallDriver = uploadTransit
 	}
-	t.installed[m.DeviceID] = append([]byte(nil), m.Driver...)
+	t.installed[m.DeviceID] = img
 	var channel = -1
 	for ch, slot := range t.slots {
 		if slot.id == m.DeviceID && slot.rt == nil {
@@ -840,10 +855,9 @@ func (t *Thing) handleDriverUpload(msg netsim.Message, m *proto.Message) {
 			break
 		}
 	}
-	code := t.installed[m.DeviceID]
 	t.mu.Unlock()
 	if channel >= 0 {
-		t.activate(channel, code, trace)
+		t.activate(channel, img, trace)
 	}
 }
 

@@ -1,16 +1,19 @@
 package thing
 
 import (
+	"bytes"
 	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
 
 	"micropnp/internal/bus"
+	"micropnp/internal/bytecode"
 	"micropnp/internal/driver"
 	"micropnp/internal/hw"
 	"micropnp/internal/netsim"
 	"micropnp/internal/proto"
+	"micropnp/internal/vm"
 )
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
@@ -381,5 +384,135 @@ func TestThingHandlesOnlyServedTypes(t *testing.T) {
 	}
 	if handles(nil) {
 		t.Error("an empty datagram passes the pre-decode check")
+	}
+}
+
+// TestThingCorruptUploadNotInstalled uploads driver bytes that do not
+// decode, and bytes that decode but fail verification, while the Thing
+// awaits its driver. Neither activates nor is listed by driver discovery,
+// the Thing keeps re-requesting as if the uploads were lost, and a valid
+// upload afterwards installs normally.
+func TestThingCorruptUploadNotInstalled(t *testing.T) {
+	prog, err := bytecode.Decode(tmp36Source(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []bytecode.Handler
+	for _, h := range prog.Handlers {
+		if h.Name != "destroy" {
+			kept = append(kept, h)
+		}
+	}
+	prog.Handlers = kept
+	unverified, err := prog.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bytecode.Decode(unverified); err != nil {
+		t.Fatalf("the unverifiable driver must still decode: %v", err)
+	}
+
+	tb := newTestBed(t)
+	upload := func(seq uint16, code []byte) {
+		t.Helper()
+		up := &proto.Message{Type: proto.MsgDriverUpload, Seq: seq, DeviceID: driver.IDTMP36, Driver: code}
+		payload, err := up.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.mgr.Send(tb.thing.Addr(), payload)
+	}
+	requests := func() (n int) {
+		for _, m := range tb.mgrInbox {
+			if m.Type == proto.MsgDriverInstallReq {
+				n++
+			}
+		}
+		return n
+	}
+	plugTMP36(t, tb, 0)
+	for requests() == 0 {
+		tb.net.RunUntil(tb.net.Now() + time.Millisecond)
+	}
+	upload(1, tmp36Source(t)[:20])
+	upload(2, unverified)
+	tb.net.RunUntilIdle(0)
+
+	if tb.thing.Runtime(driver.IDTMP36) != nil {
+		t.Fatal("a corrupt driver activated")
+	}
+	if got := tb.thing.InstalledDrivers(); len(got) != 0 {
+		t.Fatalf("corrupt drivers installed: %v", got)
+	}
+	if got := requests(); got != MaxDriverRequests {
+		t.Fatalf("%d install requests, want %d: a corrupt upload must not end the retries", got, MaxDriverRequests)
+	}
+	disc := &proto.Message{Type: proto.MsgDriverDiscovery, Seq: 7}
+	payload, _ := disc.Encode()
+	tb.mgr.Send(tb.thing.Addr(), payload)
+	tb.net.RunUntilIdle(0)
+	var advert *proto.Message
+	for _, m := range tb.mgrInbox {
+		if m.Type == proto.MsgDriverAdvert {
+			advert = m
+		}
+	}
+	if advert == nil || len(advert.Drivers) != 0 {
+		t.Fatalf("driver advert after corrupt uploads = %+v, want no drivers", advert)
+	}
+
+	upload(3, tmp36Source(t))
+	tb.net.RunUntilIdle(0)
+	if tb.thing.Runtime(driver.IDTMP36) == nil {
+		t.Fatal("a valid upload after corrupt ones did not activate")
+	}
+}
+
+// TestThingsShareImagesNotBytes gives two Things one image table: their
+// runtimes share the TMP36 image, and InstalledDriverBytes still hands each
+// caller a private copy.
+func TestThingsShareImagesNotBytes(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	root, err := n.AddNode(addr("2001:db8::1"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := vm.NewImages()
+	var things []*Thing
+	for _, a := range []string{"2001:db8::2", "2001:db8::3"} {
+		th, err := New(Config{Network: n, Addr: addr(a), Parent: root, Manager: root.Addr(), Images: images})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := th.InstallDriver(driver.IDTMP36, tmp36Source(t)); err != nil {
+			t.Fatal(err)
+		}
+		p, err := hw.NewPeripheral(hw.PeripheralSpec{ID: driver.IDTMP36, Bus: hw.BusADC})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := th.Plug(0, p, &adcDevice{env: bus.NewEnvironment()}); err != nil {
+			t.Fatal(err)
+		}
+		things = append(things, th)
+	}
+	n.RunUntilIdle(0)
+
+	a, b := things[0].Runtime(driver.IDTMP36), things[1].Runtime(driver.IDTMP36)
+	if a == nil || b == nil {
+		t.Fatal("driver not active")
+	}
+	if a.Machine().Image() != b.Machine().Image() || images.Len() != 1 {
+		t.Fatalf("Things of one table do not share the driver image (%d images)", images.Len())
+	}
+	want := tmp36Source(t)
+	mine := things[0].InstalledDriverBytes(driver.IDTMP36)
+	for i := range mine {
+		mine[i] = 0
+	}
+	for i, th := range things {
+		if got := th.InstalledDriverBytes(driver.IDTMP36); !bytes.Equal(got, want) {
+			t.Fatalf("thing %d: installed bytes changed after another caller mutated its copy", i)
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Install-time compilation of driver bytecode (the "compiled driver plane").
 //
-// NewMachine pre-decodes every handler into a direct-threaded instruction
+// Compile pre-decodes every handler into a direct-threaded instruction
 // array, partitions it into straight-line basic blocks, and executes blocks
 // with batched accounting (runCompiled): one fuel check, one stack-bounds
 // check and one cost addition per block instead of per instruction, with an
@@ -17,6 +17,12 @@ import (
 // indirect call defeats inlining and benched ~1.4x over the interpreter,
 // while block batching also removes the per-instruction fuel/bounds/cost
 // accounting from the hot path.
+//
+// Compilation happens once per Image, not once per Machine: a deployment's
+// Images table hands every Thing that installs the same driver bytes the
+// same Image, and its Machines read the shared instruction and block arrays
+// without copying them. Only a Machine whose Time model was reassigned
+// takes private, recosted copies (recost).
 //
 // The batched accounting is exact, not approximate. A block's fuel demand
 // and min/max stack excursion are computed at compile time, so the block
@@ -52,8 +58,8 @@ type cinstr struct {
 	// pc is the original bytecode offset, kept so TrapError reports the
 	// same PC as the interpreter.
 	pc int32
-	// cost is InstructionCost(pushes, pops) under the machine's cached
-	// cost model (recosted when Machine.Time is reassigned).
+	// cost is InstructionCost(pushes, pops) under DefaultAVRTimeModel, or
+	// under a machine's own model in its private copies (recost).
 	cost time.Duration
 }
 
@@ -231,25 +237,44 @@ func compileHandler(prog *bytecode.Program, h *bytecode.Handler) (*compiledHandl
 	return &compiledHandler{name: h.Name, nparams: int(h.NParams), ins: ins, blocks: blocks}, true
 }
 
-// recost recomputes every pre-computed instruction and block cost under the
-// machine's current time model. Called lazily from Run when Machine.Time
-// was reassigned after compilation, so mutating the model stays
-// bit-identical to the interpreter's per-instruction InstructionCost calls.
-func (m *Machine) recost() {
-	for _, ch := range m.compiled {
-		for i := range ch.ins {
-			in := &ch.ins[i]
-			in.cost = m.Time.InstructionCost(int(in.pushes), int(in.pops))
-		}
-		for i := range ch.blocks {
-			b := &ch.blocks[i]
-			b.cost = 0
-			for k := b.start; k <= b.end; k++ {
-				b.cost += ch.ins[k].cost
-			}
+// setCosts writes every instruction and block cost under tm. It is only
+// ever applied to handlers nothing else reads yet: an Image's fresh
+// handlers at Compile, or a Machine's private copies in recost.
+func (ch *compiledHandler) setCosts(tm AVRTimeModel) {
+	for i := range ch.ins {
+		in := &ch.ins[i]
+		in.cost = tm.InstructionCost(int(in.pushes), int(in.pops))
+	}
+	for i := range ch.blocks {
+		b := &ch.blocks[i]
+		b.cost = 0
+		for k := b.start; k <= b.end; k++ {
+			b.cost += ch.ins[k].cost
 		}
 	}
+}
+
+// recost re-points the machine's handlers at its current time model. Called
+// lazily from Run when Machine.Time was reassigned, so mutating the model
+// stays bit-identical to the interpreter's per-instruction InstructionCost
+// calls. The image's handlers are shared with every sibling machine, so they
+// are never written: the default model uses them as they are, and any other
+// model gets private copies.
+func (m *Machine) recost() {
 	m.costModel = m.Time
+	m.compiled = m.img.compiled
+	if m.Time == DefaultAVRTimeModel {
+		return
+	}
+	own := make([]*compiledHandler, len(m.compiled))
+	for i, ch := range m.compiled {
+		c := *ch
+		c.ins = append([]cinstr(nil), ch.ins...)
+		c.blocks = append([]cblock(nil), ch.blocks...)
+		c.setCosts(m.Time)
+		own[i] = &c
+	}
+	m.compiled = own
 }
 
 // blockTrapAt rebuilds the exact partial transcript for a trap at

@@ -464,7 +464,7 @@ func TestRuntimeEnginesConverge(t *testing.T) {
 	for name, prog := range embeddedPrograms(t) {
 		t.Run(name, func(t *testing.T) {
 			run := func(interp bool) (dispatches, traps int, et time.Duration) {
-				rt, err := NewRuntime(prog, stubLibsFor(prog)...)
+				rt, err := NewRuntime(mustImage(t, prog), stubLibsFor(prog)...)
 				if err != nil {
 					t.Fatal(err)
 				}

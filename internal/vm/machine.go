@@ -57,9 +57,13 @@ type RunResult struct {
 	EmulatedTime time.Duration
 }
 
-// Machine executes the handlers of one installed driver. It owns the
-// driver's static state. A Machine is not safe for concurrent use; the
-// event router serialises handler executions (handlers are atomic).
+// Machine executes the handlers of one installed driver. It is built from
+// an Image (Image.Instantiate, or NewMachine for a bare Program) and owns
+// only the driver's static state and its run scratch; the program and the
+// compiled handlers are the image's, shared with every sibling machine. A
+// Machine is not safe for concurrent use; the event router serialises
+// handler executions (handlers are atomic). Machines of one Image run
+// concurrently without coordination.
 //
 // Handlers are compiled to a pre-decoded direct-threaded form at load time
 // (see compile.go); the bytecode interpreter is kept as the reference
@@ -68,10 +72,11 @@ type RunResult struct {
 // kind/PC, instruction count, emulated time, signal order and the
 // scratch-backed RunResult contract.
 type Machine struct {
-	prog    *bytecode.Program
+	img     *Image
 	statics [][]int32
 
-	// compiled holds the pre-decoded handlers in program order; nil when
+	// compiled holds the handlers Run executes, in program order: the
+	// image's, or private copies recosted under a reassigned Time; nil when
 	// the program fell back to the interpreter. A linear scan beats a map
 	// for driver-sized handler sets (≤ ~10 names) and matches the
 	// interpreter's own prog.Handler lookup cost.
@@ -129,23 +134,14 @@ func (m *Machine) argAlloc(n int) []int32 {
 	return s
 }
 
-// NewMachine verifies and loads a driver program, compiling its handlers
-// to the direct-threaded form. Programs the compiler does not support fall
-// back to the interpreter silently — installation never fails for that.
+// NewMachine verifies and compiles a driver program (Compile) and
+// instantiates one machine over the image.
 func NewMachine(prog *bytecode.Program) (*Machine, error) {
-	if err := prog.Verify(); err != nil {
+	img, err := Compile(prog)
+	if err != nil {
 		return nil, err
 	}
-	m := &Machine{prog: prog, MaxStack: 64, Fuel: 100_000, Time: DefaultAVRTimeModel}
-	m.statics = make([][]int32, len(prog.Statics))
-	for i, s := range prog.Statics {
-		m.statics[i] = make([]int32, s.Size)
-	}
-	if compiled, ok := compileProgram(prog); ok {
-		m.compiled = compiled
-		m.recost()
-	}
-	return m, nil
+	return img.Instantiate(), nil
 }
 
 // SetInterp forces (or releases) the reference interpreter for all handler
@@ -166,7 +162,10 @@ func (m *Machine) Engine() string {
 }
 
 // Program returns the loaded driver.
-func (m *Machine) Program() *bytecode.Program { return m.prog }
+func (m *Machine) Program() *bytecode.Program { return m.img.prog }
+
+// Image returns the image the machine was instantiated from.
+func (m *Machine) Image() *Image { return m.img }
 
 // Static returns a copy of a static slot (for tests and diagnostics).
 func (m *Machine) Static(i int) []int32 {
@@ -191,7 +190,7 @@ func (m *Machine) staticRef(i int) []int32 {
 func (m *Machine) NumStatics() int { return len(m.statics) }
 
 // HasHandler reports whether the driver defines the named handler.
-func (m *Machine) HasHandler(name string) bool { return m.prog.Handler(name) != nil }
+func (m *Machine) HasHandler(name string) bool { return m.img.prog.Handler(name) != nil }
 
 // Run executes the named handler to completion with the given arguments.
 // A missing handler is not an error: the event is silently dropped (drivers
@@ -200,6 +199,10 @@ func (m *Machine) HasHandler(name string) bool { return m.prog.Handler(name) != 
 // machines pinned with SetInterp) runs the reference interpreter.
 func (m *Machine) Run(name string, args []int32) (RunResult, error) {
 	if m.compiled != nil && !m.interp {
+		// Recost first: it may swap the handler set the lookup scans.
+		if m.costModel != m.Time {
+			m.recost()
+		}
 		var ch *compiledHandler
 		for _, c := range m.compiled {
 			if c.name == name {
@@ -209,9 +212,6 @@ func (m *Machine) Run(name string, args []int32) (RunResult, error) {
 		}
 		if ch == nil {
 			return RunResult{}, nil
-		}
-		if m.costModel != m.Time {
-			m.recost()
 		}
 		var res RunResult
 		err := m.runCompiled(ch, args, &res)
@@ -223,7 +223,7 @@ func (m *Machine) Run(name string, args []int32) (RunResult, error) {
 // runInterp is the reference bytecode interpreter — the behavioural oracle
 // the compiled engine is differentially tested against.
 func (m *Machine) runInterp(name string, args []int32) (RunResult, error) {
-	h := m.prog.Handler(name)
+	h := m.img.prog.Handler(name)
 	if h == nil {
 		return RunResult{}, nil
 	}
@@ -361,8 +361,8 @@ func (m *Machine) runInterp(name string, args []int32) (RunResult, error) {
 				args[i] = pop()
 			}
 			res.Signals = append(res.Signals, Signal{
-				Dest:  m.prog.Consts[operand[0]],
-				Event: m.prog.Consts[operand[1]],
+				Dest:  m.img.prog.Consts[operand[0]],
+				Event: m.img.prog.Consts[operand[1]],
 				Args:  args,
 			})
 			m.sigScratch = res.Signals

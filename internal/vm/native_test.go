@@ -15,7 +15,7 @@ func driverRT(t *testing.T, src string, libs ...Library) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(prog, libs...)
+	rt, err := NewRuntime(mustImage(t, prog), libs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ event timerFired():
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(prog, &TimerLib{})
+	rt, err := NewRuntime(mustImage(t, prog), &TimerLib{})
 	if err != nil {
 		t.Fatal(err)
 	}

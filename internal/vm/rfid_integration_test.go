@@ -56,7 +56,7 @@ func newRFIDRuntime(t *testing.T) (*Runtime, *bus.ID20LA, *bus.UART) {
 		t.Fatal(err)
 	}
 	port := bus.NewUART()
-	rt, err := NewRuntime(prog, &UARTLib{Port: port}, &TimerLib{})
+	rt, err := NewRuntime(mustImage(t, prog), &UARTLib{Port: port}, &TimerLib{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ error invalidConfiguration():
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(prog, &UARTLib{Port: bus.NewUART()})
+	rt, err := NewRuntime(mustImage(t, prog), &UARTLib{Port: bus.NewUART()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ error uartInUse():
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(prog, &UARTLib{Port: bus.NewUART()})
+	rt, err := NewRuntime(mustImage(t, prog), &UARTLib{Port: bus.NewUART()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"micropnp/internal/bytecode"
 )
 
 // Library is a native interconnect library: platform-specific code exposed
@@ -63,18 +61,14 @@ type timerEntry struct {
 	fn func()
 }
 
-// NewRuntime loads a verified driver and binds its native libraries. Every
-// library the driver imports must be supplied.
-func NewRuntime(prog *bytecode.Program, libs ...Library) (*Runtime, error) {
-	m, err := NewMachine(prog)
-	if err != nil {
-		return nil, err
-	}
-	rt := &Runtime{machine: m, router: NewRouter(), libs: map[string]Library{}}
+// NewRuntime instantiates a driver image and binds its native libraries.
+// Every library the driver imports must be supplied.
+func NewRuntime(img *Image, libs ...Library) (*Runtime, error) {
+	rt := &Runtime{machine: img.Instantiate(), router: NewRouter(), libs: map[string]Library{}}
 	for _, l := range libs {
 		rt.libs[l.Name()] = l
 	}
-	for _, imp := range prog.Imports {
+	for _, imp := range img.prog.Imports {
 		lib, ok := rt.libs[imp]
 		if !ok {
 			return nil, fmt.Errorf("vm: driver imports %q but no such library was provided", imp)
@@ -152,7 +146,7 @@ func (rt *Runtime) Stop() {
 	}
 	rt.Post("destroy")
 	rt.RunUntilIdle(0)
-	for _, imp := range rt.machine.prog.Imports {
+	for _, imp := range rt.machine.img.prog.Imports {
 		if lib := rt.libs[imp]; lib != nil {
 			lib.Detach()
 		}

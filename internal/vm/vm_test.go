@@ -17,6 +17,16 @@ func compile(t testing.TB, src string, id uint32) *bytecode.Program {
 	return p
 }
 
+// mustImage compiles a program into an image for NewRuntime.
+func mustImage(t testing.TB, prog *bytecode.Program) *Image {
+	t.Helper()
+	img, err := Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 const arithDriver = `int32_t acc;
 
 event init():
@@ -203,7 +213,7 @@ event boom():
 `
 
 func TestRuntimeLifecycleAndReturn(t *testing.T) {
-	rt, err := NewRuntime(compile(t, counterDriver, 2))
+	rt, err := NewRuntime(mustImage(t, compile(t, counterDriver, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +236,7 @@ func TestRuntimeLifecycleAndReturn(t *testing.T) {
 }
 
 func TestRuntimeTrapBecomesErrorEvent(t *testing.T) {
-	rt, err := NewRuntime(compile(t, counterDriver, 2))
+	rt, err := NewRuntime(mustImage(t, compile(t, counterDriver, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +261,7 @@ event init():
 event destroy():
     pass;
 `
-	if _, err := NewRuntime(compile(t, src, 3)); err == nil {
+	if _, err := NewRuntime(mustImage(t, compile(t, src, 3))); err == nil {
 		t.Fatal("missing library must fail")
 	}
 }
@@ -271,7 +281,7 @@ event destroy():
 event timerFired():
     fired = 1;
 `
-	rt, err := NewRuntime(compile(t, src, 4), &TimerLib{})
+	rt, err := NewRuntime(mustImage(t, compile(t, src, 4)), &TimerLib{})
 	if err != nil {
 		t.Fatal(err)
 	}
