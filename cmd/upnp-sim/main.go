@@ -125,7 +125,7 @@ func run(nThings, hops int, loss float64, churn int, seed int64, realtime bool, 
 	// Things off the last relay.
 	var parent *micropnp.Thing
 	for h := 1; h < hops; h++ {
-		relay, err := addThing(d, fmt.Sprintf("relay-%d", h), parent)
+		relay, err := d.AddThing(fmt.Sprintf("relay-%d", h), micropnp.Under(parent))
 		if err != nil {
 			return err
 		}
@@ -142,22 +142,22 @@ func run(nThings, hops int, loss float64, churn int, seed int64, realtime bool, 
 		zoneRoots = make([]*micropnp.Thing, zones+1)
 	}
 	for i := 0; i < nThings; i++ {
-		name := fmt.Sprintf("thing-%d", i)
-		var th *micropnp.Thing
-		var err error
+		// A zone's first Thing hangs off the relay chain and roots the
+		// zone's subtree; without -zones every Thing does, in zone 0.
+		var z uint16
+		under := parent
 		if zoneRoots != nil {
-			z := uint16(1 + i%zones)
-			if zoneRoots[z] == nil {
-				th, err = addThingInZone(d, name, z, parent)
-				zoneRoots[z] = th
-			} else {
-				th, err = d.AddThing(name, micropnp.InZone(z), micropnp.Under(zoneRoots[z]))
+			z = uint16(1 + i%zones)
+			if zoneRoots[z] != nil {
+				under = zoneRoots[z]
 			}
-		} else {
-			th, err = addThing(d, name, parent)
 		}
+		th, err := d.AddThing(fmt.Sprintf("thing-%d", i), micropnp.InZone(z), micropnp.Under(under))
 		if err != nil {
 			return err
+		}
+		if zoneRoots != nil && zoneRoots[z] == nil {
+			zoneRoots[z] = th
 		}
 		things = append(things, th)
 	}
@@ -243,19 +243,4 @@ func run(nThings, hops int, loss float64, churn int, seed int64, realtime bool, 
 			st.ShardCrossMerged, st.ShardCausalityViolations)
 	}
 	return nil
-}
-
-// addThing attaches a Thing at the root or under a parent.
-func addThing(d *micropnp.Deployment, name string, parent *micropnp.Thing) (*micropnp.Thing, error) {
-	if parent == nil {
-		return d.AddThing(name)
-	}
-	return d.AddThing(name, micropnp.Under(parent))
-}
-
-func addThingInZone(d *micropnp.Deployment, name string, zone uint16, parent *micropnp.Thing) (*micropnp.Thing, error) {
-	if parent == nil {
-		return d.AddThing(name, micropnp.InZone(zone))
-	}
-	return d.AddThing(name, micropnp.InZone(zone), micropnp.Under(parent))
 }

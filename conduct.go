@@ -28,7 +28,7 @@ import (
 // time; wall-clock deadlines would break determinism) and must not call
 // Run/RunFor/Quiesce/Conduct themselves — the orchestrator owns the clock.
 func (d *Deployment) Conduct(fns ...func(*Strand)) {
-	if d.realtime {
+	if d.cfg.net.Realtime {
 		panic("micropnp: Conduct requires virtual mode")
 	}
 	if len(fns) == 0 {
@@ -52,7 +52,7 @@ func (d *Deployment) Conduct(fns ...func(*Strand)) {
 	// Publish the gid map only when complete: from here SDK calls on strand
 	// goroutines divert into parkAwait instead of the await driver election.
 	d.conduct.Store(c)
-	net := d.core.Network
+	net := d.net
 	for {
 		// Resume every runnable strand, in index order, until a full pass
 		// finds none. A resumed strand may complete another's wake condition

@@ -54,7 +54,7 @@ func NewFleet(deployments ...*Deployment) (*Fleet, error) {
 		if d == nil {
 			return nil, fmt.Errorf("micropnp: NewFleet deployment %d is nil", i)
 		}
-		p := d.core.Prefix()
+		p := d.prefix
 		if j, dup := f.byPrefix[p]; dup {
 			return nil, fmt.Errorf("micropnp: deployments %d and %d share network prefix %v — give each a distinct WithSite", j, i, p)
 		}

@@ -405,6 +405,32 @@ func TestClientTwoStreamsShareGroup(t *testing.T) {
 	}
 }
 
+// TestClientTwoSubscribersClosedOnce: two clients subscribe to one
+// peripheral's stream; both get the group data and each gets exactly one
+// OnClosed, although the scripted Thing multicasts a close per stream
+// request, so each client hears the close twice.
+func TestClientTwoSubscribersClosedOnce(t *testing.T) {
+	n, c1, ft := setup(t)
+	c2, err := New(Config{Network: n, Addr: addr("2001:db8::5"), Parent: ft.node})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got1, got2, closed1, closed2 int
+	c1.Subscribe(ft.node.Addr(), 0xad1cbe01, SubscribeOptions{
+		OnData: func([]int32) { got1++ }, OnClosed: func() { closed1++ },
+	})
+	c2.Subscribe(ft.node.Addr(), 0xad1cbe01, SubscribeOptions{
+		OnData: func([]int32) { got2++ }, OnClosed: func() { closed2++ },
+	})
+	n.RunUntilIdle(0)
+	if got1 < 2 || got2 < 2 {
+		t.Fatalf("stream data: c1=%d c2=%d, want >= 2 each", got1, got2)
+	}
+	if closed1 != 1 || closed2 != 1 {
+		t.Fatalf("closed: c1=%d c2=%d, want exactly 1 each", closed1, closed2)
+	}
+}
+
 // TestClientStreamDataCannotCompleteRead: stream data is multicast on a
 // shared group with a sequence number chosen thing-side (by the last
 // subscriber, possibly another client), so a colliding number must never

@@ -4,6 +4,7 @@
 // reports. All assembles every table into one report; the repository
 // commits it as EXPERIMENTS.md, and a test regenerates and byte-compares it,
 // so a change that moves a reproduced number shows in that file's diff.
+// The Table 4 plug-in runs build their deployments through the public SDK.
 package experiments
 
 import (
@@ -14,8 +15,8 @@ import (
 	"strings"
 	"time"
 
+	"micropnp"
 	"micropnp/internal/bytecode"
-	"micropnp/internal/core"
 	"micropnp/internal/driver"
 	"micropnp/internal/dsl"
 	"micropnp/internal/energy"
@@ -278,7 +279,7 @@ func Table4(runs int) (*Table4Result, error) {
 	for i := 0; i < runs; i++ {
 		// ±4% per-delivery jitter stands in for the measurement noise
 		// behind the paper's standard deviations.
-		d, err := core.NewDeployment(core.DeploymentConfig{ProcJitter: 0.04, Seed: int64(i + 1)})
+		d, err := micropnp.NewDeployment(micropnp.WithProcJitter(0.04), micropnp.WithSeed(int64(i+1)))
 		if err != nil {
 			return nil, err
 		}
@@ -288,7 +289,7 @@ func Table4(runs int) (*Table4Result, error) {
 		}
 		// Vary the peripheral identifier across runs: resistor values (and
 		// hence identification and advertisement timing) depend on it.
-		if err := d.PlugTMP36(th, i%3); err != nil {
+		if err := th.PlugTMP36(i % 3); err != nil {
 			return nil, err
 		}
 		d.Run()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -96,11 +97,14 @@ func BenchmarkChurnReplan(b *testing.B) {
 			// Warm the (root, group) plan, then run one untimed churn batch:
 			// the first splices grow the plan's maps, and the gate runs this
 			// benchmark at -benchtime 1x, where that one-off growth would
-			// otherwise be all it measures.
+			// otherwise be all it measures. Collecting the set-up garbage
+			// before the timer starts keeps a GC cycle out of that single
+			// timed iteration.
 			n.topoMu.RLock()
 			n.multicastPlan(nodes[0], group)
 			n.topoMu.RUnlock()
 			batch()
+			runtime.GC()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -264,6 +268,14 @@ func BenchmarkScaleMulticast(b *testing.B) {
 				nd.Bind(func(Message) { delivered++ })
 			}
 			// Prime the plan cache once; steady-state sends are what scale.
+			// The gate runs this at -benchtime 1x, so the set-up garbage is
+			// collected before the timer starts, and a second warm send then
+			// refills the pools that collection drained: otherwise one
+			// sample's allocation count tracks pool refills after a GC
+			// cycle, not the send path.
+			nodes[0].Send(group, []byte("warm"))
+			n.RunUntilIdle(0)
+			runtime.GC()
 			nodes[0].Send(group, []byte("warm"))
 			n.RunUntilIdle(0)
 			delivered = 0

@@ -39,7 +39,9 @@
 // both modes; only the realtime mode executes handlers in parallel.
 //
 // The implementation lives under internal/ (see the repository README for a
-// tour); this package is the only importable surface.
+// tour); this package is the only importable surface, and it assembles and
+// drives deployments directly from the internal network, Thing, client and
+// manager packages.
 package micropnp
 
 import (
@@ -51,49 +53,65 @@ import (
 	"sync/atomic"
 	"time"
 
+	"micropnp/internal/bus"
 	"micropnp/internal/client"
-	"micropnp/internal/core"
+	"micropnp/internal/driver"
 	"micropnp/internal/energy"
 	"micropnp/internal/hw"
+	"micropnp/internal/manager"
 	"micropnp/internal/netsim"
 	"micropnp/internal/thing"
+	"micropnp/internal/vm"
 )
 
 // Option configures a Deployment (functional options).
 type Option func(*config)
 
+// config is the one configuration the options write: the network's own
+// configuration plus the deployment-level fields the network knows nothing
+// about.
 type config struct {
-	core    core.DeploymentConfig
-	timeout time.Duration
+	net netsim.Config
+	// streamPeriod overrides the Things' stream production period.
+	streamPeriod time.Duration
+	// requestTimeout bounds client requests made without a context
+	// deadline, and how long Things hold an unanswered read; NewDeployment
+	// resolves zero to the client default.
+	requestTimeout time.Duration
+	retry          client.RetryPolicy
+	// managers is the number of manager instances behind the anycast.
+	managers int
+	// site selects the deployment's 48-bit network prefix (sitePrefix).
+	site int
 }
 
 // WithLossRate sets the per-hop frame loss probability (0..1).
 func WithLossRate(p float64) Option {
-	return func(c *config) { c.core.LossRate = p }
+	return func(c *config) { c.net.LossRate = p }
 }
 
 // WithProcJitter adds relative per-delivery latency noise (e.g. 0.05 for
 // ±5%), modelling CSMA backoff and stack scheduling variance.
 func WithProcJitter(p float64) Option {
-	return func(c *config) { c.core.ProcJitter = p }
+	return func(c *config) { c.net.ProcJitter = p }
 }
 
 // WithSeed selects the random stream for loss and jitter sampling, making
 // lossy runs reproducible. Zero keeps the fixed default stream.
 func WithSeed(seed int64) Option {
-	return func(c *config) { c.core.Seed = seed }
+	return func(c *config) { c.net.Seed = seed }
 }
 
 // WithStreamPeriod overrides the Things' stream production period
 // (default 10 s of virtual time).
 func WithStreamPeriod(d time.Duration) Option {
-	return func(c *config) { c.core.StreamPeriod = d }
+	return func(c *config) { c.streamPeriod = d }
 }
 
 // WithRequestTimeout sets the default virtual-time deadline for requests
 // issued without a context deadline (default 5 s).
 func WithRequestTimeout(d time.Duration) Option {
-	return func(c *config) { c.core.RequestTimeout = d; c.timeout = d }
+	return func(c *config) { c.requestTimeout = d }
 }
 
 // WithRealTime runs the deployment on the wall clock instead of the
@@ -103,7 +121,7 @@ func WithRequestTimeout(d time.Duration) Option {
 // many goroutines at once. Determinism is traded away. Deployments in this
 // mode hold goroutines; call Close when done.
 func WithRealTime() Option {
-	return func(c *config) { c.core.Realtime = true }
+	return func(c *config) { c.net.Realtime = true }
 }
 
 // WithTimeScale compresses virtual time relative to wall time in real-time
@@ -112,7 +130,7 @@ func WithRealTime() Option {
 // s-fold accelerated. 1 (or 0) runs in real time. Ignored by the virtual
 // clock, whose virtual time is unrelated to wall time.
 func WithTimeScale(s float64) Option {
-	return func(c *config) { c.core.TimeScale = s }
+	return func(c *config) { c.net.TimeScale = s }
 }
 
 // WithZones partitions the deployment into n address zones, each run on its
@@ -126,7 +144,7 @@ func WithTimeScale(s float64) Option {
 // in zones with AddThing(name, InZone(z)); the manager and clients live in
 // zone 0.
 func WithZones(n int) Option {
-	return func(c *config) { c.core.Zones = n }
+	return func(c *config) { c.net.Zones = n }
 }
 
 // WithShardWorkers bounds the sharded clock's per-round parallelism: 1
@@ -135,7 +153,7 @@ func WithZones(n int) Option {
 // mode the same knob bounds the handler worker pool: at most n network
 // handlers run concurrently (0 = min(GOMAXPROCS, 8)).
 func WithShardWorkers(n int) Option {
-	return func(c *config) { c.core.Workers = n }
+	return func(c *config) { c.net.Workers = n }
 }
 
 // WithRetryPolicy enables automatic retransmission of unanswered unicast
@@ -147,7 +165,7 @@ func WithShardWorkers(n int) Option {
 // discoveries and stream subscriptions are never retransmitted.
 func WithRetryPolicy(attempts int, baseBackoff time.Duration) Option {
 	return func(c *config) {
-		c.core.Retry = client.RetryPolicy{Attempts: attempts, BaseBackoff: baseBackoff}
+		c.retry = client.RetryPolicy{Attempts: attempts, BaseBackoff: baseBackoff}
 	}
 }
 
@@ -159,7 +177,7 @@ func WithRetryPolicy(attempts int, baseBackoff time.Duration) Option {
 // policy, pending management requests migrate. n < 2 keeps the single
 // border-router manager; more instances can be added later with AddManager.
 func WithManagers(n int) Option {
-	return func(c *config) { c.core.Managers = n }
+	return func(c *config) { c.managers = n }
 }
 
 // WithSite places the deployment on its own 48-bit network prefix: site 0
@@ -168,7 +186,7 @@ func WithManagers(n int) Option {
 // Deployments federated behind one Fleet must use distinct sites so a
 // Thing's address identifies its deployment.
 func WithSite(site int) Option {
-	return func(c *config) { c.core.Site = site }
+	return func(c *config) { c.site = site }
 }
 
 // Deployment is a complete simulated µPnP network: one manager at the
@@ -178,10 +196,28 @@ func WithSite(site int) Option {
 // simulator while the others park on their completion channels; in
 // real-time mode every call simply blocks until its reply arrives.
 type Deployment struct {
-	core     *core.Deployment
-	timeout  time.Duration
-	realtime bool
-	scale    float64
+	cfg     config
+	net     *netsim.Network
+	env     *bus.Environment // the physical conditions every sensor observes
+	prefix  netsim.NetworkPrefix
+	anycast netip.Addr // the managers' shared anycast address (<prefix>::aaaa)
+
+	// border is the first (border-router) manager: its node roots the
+	// routing tree Things and clients attach under. It stays valid after a
+	// FailManager — the crashed process's router node keeps relaying.
+	border *manager.Manager
+	repo   *driver.Repository
+	// images is the deployment's driver-image table: every Thing loads its
+	// drivers through it, so Things plugging the same peripheral type share
+	// one compiled image. It is per deployment rather than process-wide so
+	// it is bounded by this deployment's drivers and freed with it.
+	images *vm.Images
+
+	addrMu  sync.Mutex
+	hostSeq int
+
+	mgrMu    sync.Mutex
+	managers []*manager.Manager
 
 	// pumpMu elects the single virtual-mode simulator driver; stepMu/stepCh
 	// broadcast simulation progress to parked waiters (the channel is closed
@@ -213,32 +249,80 @@ type Deployment struct {
 	closeOnce sync.Once
 }
 
-// NewDeployment builds a deployment.
+// sitePrefix returns the 48-bit network prefix of a site: site 0 is the
+// classic 2001:db8::/48, site k occupies 2001:db8:k::/48.
+func sitePrefix(site int) netsim.NetworkPrefix {
+	return netsim.NetworkPrefix{0x20, 0x01, 0x0d, 0xb8, byte(site >> 8), byte(site)}
+}
+
+// NewDeployment builds a deployment: a network with one manager serving the
+// standard drivers at the border-router position, plus WithManagers-1
+// redundant instances behind the same anycast address.
 func NewDeployment(opts ...Option) (*Deployment, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	d, err := core.NewDeployment(cfg.core)
+	if cfg.requestTimeout <= 0 {
+		cfg.requestTimeout = client.DefaultTimeout
+	}
+	repo, err := driver.FullRepository()
 	if err != nil {
 		return nil, err
 	}
-	timeout := cfg.timeout
-	if timeout <= 0 {
-		timeout = client.DefaultTimeout
+	prefix := sitePrefix(cfg.site)
+	d := &Deployment{
+		cfg:     cfg,
+		net:     netsim.New(cfg.net),
+		env:     bus.NewEnvironment(),
+		prefix:  prefix,
+		anycast: netsim.UnicastAddr(prefix, 0, 0xaaaa),
+		repo:    repo,
+		images:  vm.NewImages(),
+		stepCh:  make(chan struct{}),
+		closeCh: make(chan struct{}),
 	}
-	scale := cfg.core.TimeScale
-	if scale <= 0 {
-		scale = 1
+	// The border manager sits at <prefix>::1 (site 0: the classic
+	// 2001:db8::1), the root of the routing tree.
+	if d.border, err = d.newManager(netsim.UnicastAddr(prefix, 0, 1), nil); err != nil {
+		return nil, err
 	}
-	return &Deployment{
-		core:     d,
-		timeout:  timeout,
-		realtime: cfg.core.Realtime,
-		scale:    scale,
-		stepCh:   make(chan struct{}),
-		closeCh:  make(chan struct{}),
-	}, nil
+	for i := 1; i < cfg.managers; i++ {
+		if _, err := d.AddManager(); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
+// newManager stands up a manager instance at addr behind the anycast,
+// attached under parent (nil = the routing tree root), and registers it.
+func (d *Deployment) newManager(addr netip.Addr, parent *netsim.Node) (*manager.Manager, error) {
+	mgr, err := manager.New(manager.Config{
+		Network:    d.net,
+		Addr:       addr,
+		Anycast:    d.anycast,
+		Parent:     parent,
+		Repository: d.repo,
+	})
+	if err != nil {
+		return nil, err
+	}
+	d.mgrMu.Lock()
+	d.managers = append(d.managers, mgr)
+	d.mgrMu.Unlock()
+	return mgr, nil
+}
+
+// nextAddr allocates the next host address carrying the given address zone
+// (netsim.UnicastAddr): zone 0 reproduces the classic 2001:db8::1xx layout,
+// and the byte form addresses 100k-Thing deployments cleanly.
+func (d *Deployment) nextAddr(zone uint16) netip.Addr {
+	d.addrMu.Lock()
+	d.hostSeq++
+	seq := d.hostSeq
+	d.addrMu.Unlock()
+	return netsim.UnicastAddr(d.prefix, zone, uint32(0x100+seq))
 }
 
 // Close releases the deployment's runtime resources: in real-time mode it
@@ -249,11 +333,11 @@ func NewDeployment(opts ...Option) (*Deployment, error) {
 // (their expiry events die with the clock, so they could never complete).
 func (d *Deployment) Close() {
 	d.closeOnce.Do(func() { close(d.closeCh) })
-	d.core.Close()
+	d.net.Close()
 }
 
 // Realtime reports whether the deployment runs on the wall clock.
-func (d *Deployment) Realtime() bool { return d.realtime }
+func (d *Deployment) Realtime() bool { return d.cfg.net.Realtime }
 
 // ThingOption configures one AddThing call (functional options).
 type ThingOption func(*thingConfig)
@@ -272,9 +356,9 @@ func InZone(zone uint16) ThingOption {
 }
 
 // Under attaches the Thing below an existing Thing in the routing tree,
-// enabling multi-hop topologies; without it the Thing sits one hop from the
-// manager. Combining Under with InZone keeps a zone's Things in a common
-// subtree, so intra-zone traffic stays on one event lane.
+// enabling multi-hop topologies; without it, or with a nil parent, the Thing
+// sits one hop from the manager. Combining Under with InZone keeps a zone's
+// Things in a common subtree, so intra-zone traffic stays on one event lane.
 func Under(parent *Thing) ThingOption {
 	return func(c *thingConfig) { c.parent = parent }
 }
@@ -304,21 +388,10 @@ func (d *Deployment) AddThing(name string, opts ...ThingOption) (*Thing, error) 
 	if cfg.parent != nil {
 		parent = cfg.parent.th.Node()
 	}
-	var (
-		th  *thing.Thing
-		err error
-	)
-	if cfg.zone != 0 {
-		th, err = d.core.AddThingInZone(name, cfg.zone, parent)
-	} else if parent != nil {
-		th, err = d.core.AddThingAt(name, parent)
-	} else {
-		th, err = d.core.AddThing(name)
-	}
+	t, err := d.newThing(name, cfg.zone, false, parent)
 	if err != nil {
 		return nil, err
 	}
-	t := &Thing{d: d, th: th}
 	for ch, dev := range cfg.devs {
 		if err := t.plug(ch, dev); err != nil {
 			return nil, err
@@ -331,7 +404,35 @@ func (d *Deployment) AddThing(name string, opts ...ThingOption) (*Thing, error) 
 // structured namespace enabled (the Section 9 extensions): clients can then
 // discover its peripherals by device class and by physical location.
 func (d *Deployment) AddZonedThing(name string, zone uint16) (*Thing, error) {
-	th, err := d.core.AddZonedThing(name, zone)
+	return d.newThing(name, zone, true, nil)
+}
+
+// newThing creates a Thing whose unicast address carries the given address
+// zone, attached under parent (nil = the border manager). On a zone-sharded
+// deployment its deliveries and timers run on that zone's event lane. A
+// located Thing also sits in that location zone with the structured
+// namespace on: it joins zone-scoped and class-wildcard multicast groups for
+// its peripherals.
+func (d *Deployment) newThing(name string, zone uint16, located bool, parent *netsim.Node) (*Thing, error) {
+	if parent == nil {
+		parent = d.border.Node()
+	}
+	cfg := thing.Config{
+		Network:            d.net,
+		Addr:               d.nextAddr(zone),
+		Parent:             parent,
+		Manager:            d.anycast,
+		Images:             d.images,
+		Name:               name,
+		StreamPeriod:       d.cfg.streamPeriod,
+		Units:              driver.UnitsTable(),
+		PendingReadTimeout: d.cfg.requestTimeout,
+	}
+	if located {
+		cfg.Zone = zone
+		cfg.StructuredNamespace = true
+	}
+	th, err := thing.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -339,18 +440,29 @@ func (d *Deployment) AddZonedThing(name string, zone uint16) (*Thing, error) {
 }
 
 // AddClient creates a client one hop from the manager.
-func (d *Deployment) AddClient() (*Client, error) {
-	cl, err := d.core.AddClient()
-	if err != nil {
-		return nil, err
-	}
-	return &Client{d: d, cl: cl}, nil
-}
+func (d *Deployment) AddClient() (*Client, error) { return d.newClient(0, nil) }
 
 // AddClientUnder creates a client attached below a Thing in the routing
 // tree.
 func (d *Deployment) AddClientUnder(parent *Thing) (*Client, error) {
-	cl, err := d.core.AddClientAt(parent.th.Node())
+	return d.newClient(0, parent.th.Node())
+}
+
+// newClient creates a client whose unicast address carries the given
+// address zone, attached under parent (nil = the border manager). On a
+// zone-sharded deployment the client's reply handling, request timers and
+// retransmissions run on that zone's event lane.
+func (d *Deployment) newClient(zone uint16, parent *netsim.Node) (*Client, error) {
+	if parent == nil {
+		parent = d.border.Node()
+	}
+	cl, err := client.New(client.Config{
+		Network:        d.net,
+		Addr:           d.nextAddr(zone),
+		Parent:         parent,
+		DefaultTimeout: d.cfg.requestTimeout,
+		Retry:          d.cfg.retry,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -364,11 +476,7 @@ func (d *Deployment) AddClientUnder(parent *Thing) (*Client, error) {
 // active in that mode — active streams reschedule forever and never drain.
 // Use RunFor to let a fixed span elapse, or Quiesce to drain with a bound.
 func (d *Deployment) Run() {
-	if d.realtime {
-		d.core.Run()
-		return
-	}
-	d.pump(d.core.Run)
+	d.drive(func() { d.net.RunUntilIdle(0) })
 }
 
 // RunFor lets a span of virtual time elapse: in virtual mode it drives the
@@ -376,11 +484,7 @@ func (d *Deployment) Run() {
 // the (scaled) wall clock. Use it for streams, which reschedule themselves
 // and never go idle.
 func (d *Deployment) RunFor(span time.Duration) {
-	if d.realtime {
-		d.core.RunFor(span)
-		return
-	}
-	d.pump(func() { d.core.RunFor(span) })
+	d.drive(func() { d.net.RunUntil(d.net.Now() + span) })
 }
 
 // Quiesce drives the network until idle or until horizon of virtual time has
@@ -392,18 +496,26 @@ func (d *Deployment) RunFor(span time.Duration) {
 // streams ticking. With no streams active it returns true as soon as the
 // in-flight cascade drained, which may be well before the horizon.
 func (d *Deployment) Quiesce(horizon time.Duration) bool {
-	if d.realtime {
-		return d.core.Quiesce(horizon)
-	}
 	var idle bool
-	d.pump(func() { idle = d.core.Quiesce(horizon) })
+	d.drive(func() { idle = d.net.RunUntilQuiesced(d.net.Now() + horizon) })
 	return idle
+}
+
+// drive runs a network drive function: directly in real-time mode, where
+// the network's own goroutines do the work and the call just waits, and as
+// the elected driver (pump) in virtual mode.
+func (d *Deployment) drive(fn func()) {
+	if d.cfg.net.Realtime {
+		fn()
+		return
+	}
+	d.pump(fn)
 }
 
 // pump runs a virtual-mode drive function as the elected driver: it takes
 // the driver lock and broadcasts progress to parked await waiters
 // afterwards. Called from a user callback the current driver is running, it
-// drives the core directly — the election is already held further up this
+// drives the network directly — the election is already held further up this
 // goroutine's stack. Only a caller that finds the lock held pays for the
 // goroutine-id lookup that tells the two apart.
 func (d *Deployment) pump(drive func()) {
@@ -435,7 +547,7 @@ func (d *Deployment) unlockPump() {
 // first callback of a lock tenure records that goroutine's id for isDriver;
 // later ones find it set and skip the lookup.
 func (d *Deployment) noteDriver() {
-	if !d.realtime && d.driverGid.Load() == 0 {
+	if !d.cfg.net.Realtime && d.driverGid.Load() == 0 {
 		d.driverGid.Store(gid())
 	}
 }
@@ -449,13 +561,13 @@ func (d *Deployment) isDriver() bool {
 }
 
 // Now returns the current virtual time.
-func (d *Deployment) Now() time.Duration { return d.core.Network.Now() }
+func (d *Deployment) Now() time.Duration { return d.net.Now() }
 
 // ScheduleAfter runs fn after a span of virtual time. Use it to stage
 // device-side stimuli — card swipes, environment changes — that should
 // occur while a synchronous call is driving the simulator.
 func (d *Deployment) ScheduleAfter(delay time.Duration, fn func()) {
-	d.core.Network.Schedule(delay, func() {
+	d.net.Schedule(delay, func() {
 		d.noteDriver()
 		fn()
 	})
@@ -464,49 +576,106 @@ func (d *Deployment) ScheduleAfter(delay time.Duration, fn func()) {
 // SetEnvironment updates the shared physical conditions every sensor
 // observes: temperature (°C), relative humidity (%) and pressure (Pa).
 func (d *Deployment) SetEnvironment(tempC, humidityRH, pressurePa float64) {
-	d.core.Env.Set(tempC, humidityRH, pressurePa)
+	d.env.Set(tempC, humidityRH, pressurePa)
 }
 
 // Environment returns the current physical conditions.
 func (d *Deployment) Environment() (tempC, humidityRH, pressurePa float64) {
-	return d.core.Env.Snapshot()
+	return d.env.Snapshot()
 }
 
 // SetAcceleration updates the acceleration vector (in g) accelerometers
 // observe.
 func (d *Deployment) SetAcceleration(x, y, z float64) {
-	d.core.Env.SetAcceleration(x, y, z)
+	d.env.SetAcceleration(x, y, z)
 }
 
 // ManagerUploads returns the number of driver uploads the managers served —
 // a cached driver is uploaded at most once per Thing.
-func (d *Deployment) ManagerUploads() int { return d.core.Uploads() }
+func (d *Deployment) ManagerUploads() int {
+	total := 0
+	for _, m := range d.managerList() {
+		total += m.Uploads()
+	}
+	return total
+}
 
 // ManagerCount returns the number of manager instances in the deployment
 // (failed ones included — a crashed manager's node stays in the routing
 // tree).
-func (d *Deployment) ManagerCount() int { return len(d.core.Managers()) }
+func (d *Deployment) ManagerCount() int { return len(d.managerList()) }
+
+// managerList returns the manager instances in creation order, failed ones
+// included: index i names the same instance for the deployment's lifetime.
+func (d *Deployment) managerList() []*manager.Manager {
+	d.mgrMu.Lock()
+	defer d.mgrMu.Unlock()
+	return d.managers[:len(d.managers):len(d.managers)]
+}
 
 // AddManager stands up an additional manager instance behind the
 // deployment's anycast address (the paper's Section 5 redundancy) and
 // returns its index for use with FailManager. Things keep addressing the
 // anycast; the network routes each request to the nearest live manager.
 func (d *Deployment) AddManager() (int, error) {
-	if _, err := d.core.AddManager(); err != nil {
+	if _, err := d.newManager(d.nextAddr(0), d.border.Node()); err != nil {
 		return 0, err
 	}
-	return len(d.core.Managers()) - 1, nil
+	return d.ManagerCount() - 1, nil
+}
+
+// mgmt returns the instance management requests are issued through: the
+// first live manager, falling back to the first instance when every one has
+// failed (its requests then expire like any unreachable peer's).
+func (d *Deployment) mgmt() *manager.Manager {
+	managers := d.managerList()
+	for _, m := range managers {
+		if !m.Failed() {
+			return m
+		}
+	}
+	return managers[0]
 }
 
 // FailManager crashes manager i for fault injection: it leaves the anycast
 // group, unbinds its datagram handler (requests reaching it drop as
 // NoHandler) and stops sending, though its node keeps relaying frames for
 // the subtree beneath it. Pending manager-side requests migrate to a
-// surviving manager with a fresh deadline; if none survives they fail with
-// ErrTimeout. Things with driver installs in flight recover on their own:
-// the install request is retransmitted to the anycast on the ARQ schedule
-// and lands on the nearest survivor.
-func (d *Deployment) FailManager(i int) error { return d.core.FailManager(i) }
+// surviving manager, re-issued with fresh sequence numbers and a full
+// deadline; if none survives they fail with ErrTimeout. Things with driver
+// installs in flight recover on their own: the install request is
+// retransmitted to the anycast on the ARQ schedule and lands on the nearest
+// survivor.
+func (d *Deployment) FailManager(i int) error {
+	managers := d.managerList()
+	if i < 0 || i >= len(managers) {
+		return fmt.Errorf("micropnp: no manager %d (deployment has %d)", i, len(managers))
+	}
+	drained := managers[i].Fail()
+	if len(drained) == 0 {
+		return nil
+	}
+	survivor := d.mgmt()
+	if survivor.Failed() {
+		survivor = nil
+	}
+	for _, req := range drained {
+		switch {
+		case survivor == nil:
+			if req.OnDiscover != nil {
+				req.OnDiscover(nil, ErrTimeout)
+			}
+			if req.OnRemoval != nil {
+				req.OnRemoval(ErrTimeout)
+			}
+		case req.OnDiscover != nil:
+			survivor.DiscoverDrivers(req.Thing, 0, req.OnDiscover)
+		case req.OnRemoval != nil:
+			survivor.RemoveDriver(req.Thing, req.Device, 0, req.OnRemoval)
+		}
+	}
+	return nil
+}
 
 // NetworkStats is a snapshot of network activity counters.
 type NetworkStats struct {
@@ -545,7 +714,7 @@ type NetworkStats struct {
 
 // NetworkStats returns a snapshot of the network counters.
 func (d *Deployment) NetworkStats() NetworkStats {
-	s := d.core.Network.Stats()
+	s := d.net.Stats()
 	ns := NetworkStats{
 		UnicastSent:   s.UnicastSent,
 		MulticastSent: s.MulticastSent,
@@ -554,8 +723,8 @@ func (d *Deployment) NetworkStats() NetworkStats {
 		Lost:          s.Lost,
 		NoHandler:     s.NoHandler,
 	}
-	if ss, ok := d.core.Network.ShardStats(); ok {
-		lanes, _, _ := d.core.Network.Sharded()
+	if ss, ok := d.net.ShardStats(); ok {
+		lanes, _, _ := d.net.Sharded()
 		ns.ShardLanes = lanes
 		ns.ShardRounds = ss.Rounds
 		ns.ShardEvents = ss.Events
@@ -571,7 +740,7 @@ func (d *Deployment) NetworkStats() NetworkStats {
 func (d *Deployment) DiscoverDrivers(ctx context.Context, th *Thing) ([]DeviceID, error) {
 	var ids []DeviceID
 	cpl, err := d.await(ctx, func(timeout time.Duration, cpl *completion) (retract func()) {
-		return d.core.Mgmt().DiscoverDrivers(th.Addr(), timeout, func(got []hw.DeviceID, err error) {
+		return d.mgmt().DiscoverDrivers(th.Addr(), timeout, func(got []hw.DeviceID, err error) {
 			for _, id := range got {
 				ids = append(ids, DeviceID(id))
 			}
@@ -591,7 +760,7 @@ func (d *Deployment) DiscoverDrivers(ctx context.Context, th *Thing) ([]DeviceID
 // messages 8/9), stopping any runtime serving it.
 func (d *Deployment) RemoveDriver(ctx context.Context, th *Thing, id DeviceID) error {
 	cpl, err := d.await(ctx, func(timeout time.Duration, cpl *completion) (retract func()) {
-		return d.core.Mgmt().RemoveDriver(th.Addr(), hw.DeviceID(id), timeout, func(err error) {
+		return d.mgmt().RemoveDriver(th.Addr(), hw.DeviceID(id), timeout, func(err error) {
 			cpl.err = err
 			cpl.complete()
 		})
@@ -649,7 +818,7 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 	if retract == nil {
 		retract = noRetract // avoids nil checks at every abandonment site
 	}
-	if d.realtime {
+	if d.cfg.net.Realtime {
 		select {
 		case <-cpl.ch:
 			return cpl, nil
@@ -693,7 +862,7 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 		// strand us on a channel nobody closes.
 		progress := d.stepChan()
 		if d.pumpMu.TryLock() {
-			stepped := d.core.Network.Step()
+			stepped := d.net.Step()
 			d.unlockPump()
 			if !stepped {
 				select {
@@ -710,7 +879,7 @@ func (d *Deployment) await(ctx context.Context, start func(timeout time.Duration
 			// ScheduleAfter closure). Pump directly, as the pre-runtime
 			// SDK's inline Step loop did — parking would deadlock on
 			// ourselves.
-			if !d.core.Network.Step() {
+			if !d.net.Step() {
 				select {
 				case <-cpl.ch:
 					return cpl, nil
@@ -854,12 +1023,12 @@ func (d *Deployment) timeoutFrom(ctx context.Context) (time.Duration, error) {
 		if rem <= 0 {
 			return 0, context.DeadlineExceeded
 		}
-		if d.realtime {
-			rem = time.Duration(float64(rem) * d.scale)
+		if d.cfg.net.Realtime {
+			rem = time.Duration(float64(rem) * d.net.TimeScale())
 		}
 		return rem, nil
 	}
-	return d.timeout, nil
+	return d.cfg.requestTimeout, nil
 }
 
 // USBHostEnergy returns the energy (in joules) an always-on USB host
@@ -951,32 +1120,45 @@ func (t *Thing) plug(channel int, dev DeviceID) error {
 }
 
 // PlugTMP36 plugs a TMP36 temperature sensor (ADC) into a channel.
-func (t *Thing) PlugTMP36(channel int) error { return t.d.core.PlugTMP36(t.th, channel) }
+func (t *Thing) PlugTMP36(channel int) error {
+	return t.plugModel(channel, driver.IDTMP36, hw.BusADC, &busDevice{analog: &bus.TMP36{Env: t.d.env}})
+}
 
 // PlugHIH4030 plugs an HIH-4030 humidity sensor (ADC) into a channel.
-func (t *Thing) PlugHIH4030(channel int) error { return t.d.core.PlugHIH4030(t.th, channel) }
+func (t *Thing) PlugHIH4030(channel int) error {
+	return t.plugModel(channel, driver.IDHIH4030, hw.BusADC, &busDevice{analog: &bus.HIH4030{Env: t.d.env}})
+}
 
 // PlugBMP180 plugs a BMP180 pressure sensor (I²C) into a channel.
-func (t *Thing) PlugBMP180(channel int) error { return t.d.core.PlugBMP180(t.th, channel) }
+func (t *Thing) PlugBMP180(channel int) error {
+	return t.plugModel(channel, driver.IDBMP180, hw.BusI2C, &busDevice{i2c: bus.NewBMP180(t.d.env)})
+}
 
 // PlugADXL345 plugs an ADXL345 accelerometer (SPI) into a channel.
-func (t *Thing) PlugADXL345(channel int) error { return t.d.core.PlugADXL345(t.th, channel) }
+func (t *Thing) PlugADXL345(channel int) error {
+	return t.plugModel(channel, driver.IDADXL345, hw.BusSPI, &busDevice{spi: bus.NewADXL345(t.d.env)})
+}
 
 // RFIDReader is the device-side handle of a plugged ID-20LA RFID reader:
 // present cards to it and read them remotely.
 type RFIDReader struct {
-	dev *core.RFIDDevice
+	dev *busDevice
 }
 
 // PresentCard simulates a card with the given 10-hex-digit identifier
 // entering the reader's field.
-func (r *RFIDReader) PresentCard(cardID string) error { return r.dev.PresentCard(cardID) }
+func (r *RFIDReader) PresentCard(cardID string) error {
+	if r.dev.rfid == nil {
+		return fmt.Errorf("micropnp: RFID reader not attached")
+	}
+	return r.dev.rfid.PresentCard(cardID)
+}
 
 // PlugRFID plugs an ID-20LA RFID reader (UART) into a channel and returns
 // the handle for presenting cards.
 func (t *Thing) PlugRFID(channel int) (*RFIDReader, error) {
-	dev, err := t.d.core.PlugRFID(t.th, channel)
-	if err != nil {
+	dev := &busDevice{uart: true}
+	if err := t.plugModel(channel, driver.IDID20LA, hw.BusUART, dev); err != nil {
 		return nil, err
 	}
 	return &RFIDReader{dev: dev}, nil
@@ -985,18 +1167,81 @@ func (t *Thing) PlugRFID(channel int) (*RFIDReader, error) {
 // RelayBank is the device-side handle of a plugged PCF8574 relay bank:
 // observe the outputs the network writes set.
 type RelayBank struct {
-	dev *core.RelayDevice
+	dev *busDevice
 }
 
 // State returns the relay outputs (bit i = relay i energised).
-func (r *RelayBank) State() byte { return r.dev.State() }
+func (r *RelayBank) State() byte {
+	if !r.dev.attached {
+		return 0
+	}
+	return r.dev.i2c.(*bus.PCF8574Relay).State()
+}
 
 // PlugRelay plugs a PCF8574 relay bank (I²C) into a channel and returns the
 // handle for observing the outputs.
 func (t *Thing) PlugRelay(channel int) (*RelayBank, error) {
-	dev, err := t.d.core.PlugRelay(t.th, channel)
-	if err != nil {
+	dev := &busDevice{i2c: &bus.PCF8574Relay{}}
+	if err := t.plugModel(channel, driver.IDRelay, hw.BusI2C, dev); err != nil {
 		return nil, err
 	}
 	return &RelayBank{dev: dev}, nil
+}
+
+// plugModel plugs a peripheral with identifier id on bus kind b, simulated
+// by dev, into a channel: the control board identifies it and the plug-in
+// sequence starts.
+func (t *Thing) plugModel(channel int, id hw.DeviceID, b hw.BusKind, dev *busDevice) error {
+	p, err := hw.NewPeripheral(hw.PeripheralSpec{ID: id, Bus: b})
+	if err != nil {
+		return err
+	}
+	return t.th.Plug(channel, p, dev)
+}
+
+// busDevice wires one simulated peripheral model to a channel's
+// interconnects (a thing.Device). Exactly one of the model fields is set:
+// an analog sensor for the ADC, a slave for the I²C or SPI bus, or uart for
+// an ID-20LA reader on the UART.
+type busDevice struct {
+	analog bus.AnalogSource
+	i2c    bus.I2CDevice
+	spi    bus.SPIDevice
+	uart   bool
+	// attached reports whether the model is on its channel; rfid is the
+	// UART reader while attached.
+	attached bool
+	rfid     *bus.ID20LA
+}
+
+// Attach implements thing.Device.
+func (d *busDevice) Attach(ic *thing.Interconnects) error {
+	switch {
+	case d.analog != nil:
+		ic.ADC.Connect(d.analog)
+	case d.i2c != nil:
+		if err := ic.I2C.Attach(d.i2c); err != nil {
+			return err
+		}
+	case d.spi != nil:
+		ic.SPI.Connect(d.spi)
+	case d.uart:
+		d.rfid = bus.NewID20LA(ic.UART)
+	}
+	d.attached = true
+	return nil
+}
+
+// Detach implements thing.Device.
+func (d *busDevice) Detach(ic *thing.Interconnects) {
+	switch {
+	case d.analog != nil:
+		ic.ADC.Connect(nil)
+	case d.i2c != nil:
+		ic.I2C.Detach(d.i2c.I2CAddr())
+	case d.spi != nil:
+		ic.SPI.Connect(nil)
+	}
+	d.rfid = nil
+	d.attached = false
 }
