@@ -235,12 +235,8 @@ func run(nThings, hops int, loss float64, churn int, seed int64, realtime bool, 
 	st := d.NetworkStats()
 	fmt.Printf("network: %d unicast, %d multicast, %d transmissions, %d delivered, %d lost, %d unhandled (virtual time %v)\n",
 		st.UnicastSent, st.MulticastSent, st.Transmissions, st.Delivered, st.Lost, st.NoHandler, d.Now().Round(0))
-	if st.ShardLanes > 0 && st.ShardRounds > 0 {
-		fmt.Printf("sharded clock: %d lanes, %d rounds, %d events (%.1f events/round, %.0f%% lane occupancy), %d cross-lane merges, %d causality violations\n",
-			st.ShardLanes, st.ShardRounds, st.ShardEvents,
-			float64(st.ShardEvents)/float64(st.ShardRounds),
-			100*float64(st.ShardLaneRounds)/(float64(st.ShardRounds)*float64(st.ShardLanes)),
-			st.ShardCrossMerged, st.ShardCausalityViolations)
+	if line := st.ShardSummary(); line != "" {
+		fmt.Println(line)
 	}
 	return nil
 }

@@ -214,13 +214,3 @@ func (f *Fleet) Stats() NetworkStats {
 	}
 	return total
 }
-
-// DeploymentStats returns each member deployment's own network counters,
-// in federation order.
-func (f *Fleet) DeploymentStats() []NetworkStats {
-	out := make([]NetworkStats, len(f.deps))
-	for i, d := range f.deps {
-		out[i] = d.NetworkStats()
-	}
-	return out
-}

@@ -6,6 +6,8 @@ package micropnp_test
 import (
 	"context"
 	"errors"
+	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -128,20 +130,64 @@ func TestFleetDiscoverAndStats(t *testing.T) {
 	if got := f.Things(micropnp.TMP36); len(got) != 3 {
 		t.Fatalf("fleet Things = %d, want 3", len(got))
 	}
-	total, per := f.Stats(), f.DeploymentStats()
-	if len(per) != 3 {
-		t.Fatalf("DeploymentStats has %d entries, want 3", len(per))
-	}
-	sum := 0
-	for _, s := range per {
-		sum += s.Delivered
-	}
-	if total.Delivered != sum || total.Delivered == 0 {
-		t.Fatalf("Stats().Delivered = %d, want the per-deployment sum %d (nonzero)", total.Delivered, sum)
+	total, sum := f.Stats(), memberStatsSum(f)
+	if total != sum || total.Delivered == 0 {
+		t.Fatalf("Stats() = %+v, want the per-deployment sum %+v (with deliveries)", total, sum)
 	}
 	if !f.Quiesce(time.Second) {
 		t.Fatal("an idle fleet must quiesce")
 	}
+}
+
+// TestFleetStatsZoned: on zoned members Fleet.Stats sums the sharded
+// clock's telemetry with the network counters, field by field.
+func TestFleetStatsZoned(t *testing.T) {
+	f, things := newTestFleet(t, 3, micropnp.WithZones(4), micropnp.WithLossRate(0.1))
+	for i, d := range f.Deployments() {
+		for z := uint16(1); z < 4; z++ {
+			if _, err := d.AddThing("zoned", micropnp.InZone(z), micropnp.WithPeripherals(micropnp.TMP36)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A datagram to a node with no handler bound counts as NoHandler.
+		a := things[i].Addr().As16()
+		a[14], a[15] = 0xbe, 0xef
+		peer, err := d.AddPeerNode(netip.AddrFrom16(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer.Send(peer.Addr(), []byte("x"))
+		d.Run()
+	}
+	// Losses may cut the discovery short; only its traffic matters here.
+	f.Discover(context.Background(), micropnp.TMP36)
+	total, sum := f.Stats(), memberStatsSum(f)
+	if total != sum {
+		t.Fatalf("Stats() = %+v, want the per-deployment sum %+v", total, sum)
+	}
+	// Every counter but the causality violations (zero while the lookahead
+	// is sound) is nonzero, so a field the sum skipped would show.
+	v := reflect.ValueOf(total)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if zero := v.Field(i).Int() == 0; zero != (name == "ShardCausalityViolations") {
+			t.Fatalf("Stats().%s = %d: %+v", name, v.Field(i).Int(), total)
+		}
+	}
+}
+
+// memberStatsSum adds up every field of the member deployments'
+// NetworkStats, so a field Fleet.Stats forgets to sum shows as a mismatch.
+func memberStatsSum(f *micropnp.Fleet) micropnp.NetworkStats {
+	var sum micropnp.NetworkStats
+	acc := reflect.ValueOf(&sum).Elem()
+	for _, d := range f.Deployments() {
+		s := reflect.ValueOf(d.NetworkStats())
+		for i := 0; i < acc.NumField(); i++ {
+			acc.Field(i).SetInt(acc.Field(i).Int() + s.Field(i).Int())
+		}
+	}
+	return sum
 }
 
 // TestFleetAdvertHook registers one hook across the fleet and hot-plugs a

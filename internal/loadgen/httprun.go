@@ -100,7 +100,12 @@ func runHTTP(cfg Config) (*Result, error) {
 	var wg sync.WaitGroup
 	perLane := cfg.HTTPOps / lanes
 	extra := cfg.HTTPOps % lanes
-	var firstErr atomic.Value
+	// Lanes can fail with errors of different concrete types; the first is
+	// kept.
+	var (
+		errOnce  sync.Once
+		firstErr error
+	)
 	for lane := 0; lane < lanes; lane++ {
 		n := perLane
 		if lane < extra {
@@ -112,15 +117,15 @@ func runHTTP(cfg Config) (*Result, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(lane)*7919))
 			for i := 0; i < n; i++ {
 				if err := r.execOne(rng, lane); err != nil {
-					firstErr.CompareAndSwap(nil, err)
+					errOnce.Do(func() { firstErr = err })
 					return
 				}
 			}
 		}(lane, n)
 	}
 	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	wallElapsed := time.Since(wallStart)
 

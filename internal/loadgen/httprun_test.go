@@ -3,6 +3,7 @@ package loadgen_test
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -133,6 +134,37 @@ func TestHTTPModeDeterministic(t *testing.T) {
 	}
 	if a.MeasureNs != b.MeasureNs {
 		t.Fatalf("virtual span differs: %d vs %d", a.MeasureNs, b.MeasureNs)
+	}
+}
+
+// TestHTTPModeLanesFailWithDifferentErrors: two lanes abort on errors of
+// different concrete types — a listed Thing that is no valid URL path
+// (*url.Error from building the request) and a gateway that drops the
+// connection (the runner's wrapped transport error). Run must return one of
+// them, not panic. Seeds 2 and 3 send lane 0 and lane 1 to different
+// entries first, in both orders.
+func TestHTTPModeLanesFailWithDifferentErrors(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `{"ok":true,"mode":"virtual","now_ns":0}`)
+	})
+	mux.HandleFunc("/things", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `{"total":2,"count":2,"things":[{"thing":"%zz","device":"0xad1cbe01"},{"thing":"t1","device":"0xad1cbe01"}]}`)
+	})
+	mux.HandleFunc("/things/t1/read", func(w http.ResponseWriter, _ *http.Request) {
+		conn, _, err := http.NewResponseController(w).Hijack()
+		if err == nil {
+			conn.Close()
+		}
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	for _, seed := range []int64{2, 3} {
+		cfg := loadgen.Config{Target: ts.URL, Scenario: "x", Workers: 2, HTTPOps: 4, Seed: seed}
+		cfg.Mix, _ = loadgen.ParseMix("read=1")
+		if _, err := loadgen.Run(cfg); err == nil {
+			t.Fatalf("seed %d: Run succeeded against a gateway whose every read fails", seed)
+		}
 	}
 }
 

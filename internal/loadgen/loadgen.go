@@ -965,21 +965,10 @@ func (r *runner) result() *Result {
 	}
 	res.StreamReadings = r.streams.Load()
 	res.MaxInFlight = r.maxInflight.Load()
-	var ns micropnp.NetworkStats
 	if r.fleet != nil {
-		ns = r.fleet.Stats()
+		res.Network = r.fleet.Stats()
 	} else {
-		ns = r.d.NetworkStats()
-	}
-	if ns.ShardLanes > 0 {
-		res.Shard = &ShardTelemetry{
-			Lanes:               ns.ShardLanes,
-			Rounds:              ns.ShardRounds,
-			Events:              ns.ShardEvents,
-			LaneRounds:          ns.ShardLaneRounds,
-			CrossMerged:         ns.ShardCrossMerged,
-			CausalityViolations: ns.ShardCausalityViolations,
-		}
+		res.Network = r.d.NetworkStats()
 	}
 
 	secs := r.cfg.Duration.Seconds()

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"micropnp"
 )
 
 // OpResult summarizes one operation kind over the measure window.
@@ -101,31 +103,12 @@ type Result struct {
 
 	Ops map[string]*OpResult `json:"ops"`
 
-	// Shard carries the sharded clock's execution counters for a zoned
-	// virtual run (nil otherwise). It is a side channel excluded from the
-	// JSON — round telemetry is an execution detail, like wall time — and is
-	// printed by Summarize and the CLIs instead.
-	Shard *ShardTelemetry `json:"-"`
-}
-
-// ShardTelemetry mirrors micropnp.NetworkStats' sharded-clock counters over
-// one whole run (setup through teardown).
-type ShardTelemetry struct {
-	// Lanes is the zone-lane count; Rounds the barrier rounds executed.
-	Lanes  int
-	Rounds int64
-	// Events counts events executed inside rounds; Events/Rounds is the mean
-	// round batch size the lookahead policy achieved.
-	Events int64
-	// LaneRounds sums each round's active-lane count — LaneRounds/(Rounds ×
-	// Lanes) is mean lane occupancy.
-	LaneRounds int64
-	// CrossMerged counts cross-lane events merged at barriers (a multicast
-	// batch for one lane and instant is one event);
-	// CausalityViolations counts merged events timestamped before their
-	// destination lane's clock (always 0 unless the lookahead is unsound).
-	CrossMerged         int64
-	CausalityViolations int64
+	// Network holds the deployment's (or the fleet's summed) network
+	// counters over the whole run, setup through teardown. It is a side
+	// channel excluded from the JSON — the sharded clock's round telemetry
+	// is an execution detail, like wall time — and Summarize prints its
+	// shard summary.
+	Network micropnp.NetworkStats `json:"-"`
 }
 
 // addOp summarizes one op kind's counters into Ops, with throughput over a
@@ -210,12 +193,8 @@ func (r *Result) Summarize(w io.Writer) {
 	fmt.Fprintf(w, "measure window %s (+%s warmup): %d issued, %d ok, %d errors, %d timeouts, %d shed; max in-flight %d; %d stream readings\n",
 		time.Duration(r.MeasureNs), time.Duration(r.WarmupNs),
 		r.Issued, r.Completed, r.Errors, r.Timeouts, r.Shed, r.MaxInFlight, r.StreamReadings)
-	if s := r.Shard; s != nil && s.Rounds > 0 {
-		fmt.Fprintf(w, "sharded clock: %d lanes, %d rounds, %d events (%.1f events/round, %.0f%% lane occupancy), %d cross-lane merges, %d causality violations\n",
-			s.Lanes, s.Rounds, s.Events,
-			float64(s.Events)/float64(s.Rounds),
-			100*float64(s.LaneRounds)/(float64(s.Rounds)*float64(s.Lanes)),
-			s.CrossMerged, s.CausalityViolations)
+	if line := r.Network.ShardSummary(); line != "" {
+		fmt.Fprintln(w, line)
 	}
 	names := make([]string, 0, len(r.Ops))
 	for name := range r.Ops {

@@ -213,7 +213,7 @@ func BenchmarkShardedCrossLane(b *testing.B) {
 	}
 	op() // warm the plan, the pools and the outboxes
 	replies = 0
-	before, _ := n.ShardStats()
+	before := n.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -223,8 +223,8 @@ func BenchmarkShardedCrossLane(b *testing.B) {
 	if want := b.N * zones * perZone; replies != want {
 		b.Fatalf("got %d replies, want %d", replies, want)
 	}
-	after, _ := n.ShardStats()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(after.Events-before.Events), "ns/event")
+	after := n.Stats()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(after.ShardEvents-before.ShardEvents), "ns/event")
 }
 
 // benchTree builds an n-node 4-ary tree and returns the nodes (index 0 is

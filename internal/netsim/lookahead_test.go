@@ -120,20 +120,20 @@ func TestLookaheadCausalityRandomTraffic(t *testing.T) {
 		if n.RunUntilIdle(10_000_000) == 0 {
 			t.Fatal("no events executed")
 		}
-		ss, ok := n.ShardStats()
-		if !ok {
+		ss := n.Stats()
+		if ss.ShardLanes == 0 {
 			t.Fatal("network not sharded")
 		}
-		if ss.CausalityViolations != 0 {
-			t.Fatalf("trial %d: %d causality violations (stats %+v)", trial, ss.CausalityViolations, ss)
+		if ss.ShardCausalityViolations != 0 {
+			t.Fatalf("trial %d: %d causality violations (stats %+v)", trial, ss.ShardCausalityViolations, ss)
 		}
 		n.Close()
 	}
 }
 
 // deepChainRounds runs four deep per-zone cascades (one ping-pong message
-// walking a 30-node chain, per lane) and returns the shard telemetry.
-func deepChainRounds(tb testing.TB) ShardStats {
+// walking a 30-node chain, per lane) and returns the network's counters.
+func deepChainRounds(tb testing.TB) Stats {
 	tb.Helper()
 	const (
 		lanes   = 5 // lane 0 holds only the idle root
@@ -184,11 +184,7 @@ func deepChainRounds(tb testing.TB) ShardStats {
 	if n.RunUntilIdle(10_000_000) == 0 {
 		tb.Fatal("cascade executed no events")
 	}
-	ss, ok := n.ShardStats()
-	if !ok {
-		tb.Fatal("network not sharded")
-	}
-	return ss
+	return n.Stats()
 }
 
 // TestLookaheadRoundCountDeepChains pins the per-pair matrix's barrier
@@ -201,9 +197,13 @@ func deepChainRounds(tb testing.TB) ShardStats {
 func TestLookaheadRoundCountDeepChains(t *testing.T) {
 	p := deepChainRounds(t)
 	t.Logf("pair: %+v", p)
-	want := ShardStats{Rounds: 233, Events: 1860, LaneRounds: 932}
-	if p != want {
-		t.Fatalf("deep-chain telemetry = %+v, want %+v", p, want)
+	if p.ShardLanes != 5 || p.ShardRounds != 233 || p.ShardEvents != 1860 || p.ShardLaneRounds != 932 ||
+		p.ShardCrossMerged != 0 || p.ShardCausalityViolations != 0 {
+		t.Fatalf("deep-chain telemetry = %+v, want 5 lanes, 233 rounds, 1860 events, 932 lane rounds, no merges or violations", p)
+	}
+	const line = "sharded clock: 5 lanes, 233 rounds, 1860 events (8.0 events/round, 80% lane occupancy), 0 cross-lane merges, 0 causality violations"
+	if got := p.ShardSummary(); got != line {
+		t.Fatalf("ShardSummary() = %q, want %q", got, line)
 	}
 }
 

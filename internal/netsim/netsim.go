@@ -152,6 +152,42 @@ type Stats struct {
 	// the embedded stack drops them (ICMPv6 port unreachable is not
 	// generated on these motes).
 	NoHandler int
+
+	// Sharded-clock barrier telemetry; zero on networks with fewer than two
+	// zone lanes. All counts are deterministic per schedule: windows derive
+	// from heap state and topology only, so every worker count reports the
+	// same numbers.
+	ShardLanes int // zone lanes (0 = not sharded)
+	// ShardRounds counts barrier rounds; ShardEvents the events executed in
+	// them, each receiver of a multicast batch counting as one, so
+	// ShardEvents/ShardRounds is the mean round batch size the lookahead
+	// windows achieved.
+	ShardRounds int64
+	ShardEvents int64
+	// ShardLaneRounds sums each round's active-lane count;
+	// ShardLaneRounds/(ShardRounds×ShardLanes) is the mean lane occupancy.
+	ShardLaneRounds int64
+	// ShardCrossMerged counts cross-lane events merged at barriers (summed
+	// outbox merge sizes). A multicast's copies that reach one lane at one
+	// instant travel as one event, so this counts batches, not receivers.
+	ShardCrossMerged int64
+	// ShardCausalityViolations counts merged cross-lane events timestamped
+	// before their destination lane's clock — zero when the lookahead bounds
+	// are sound.
+	ShardCausalityViolations int64
+}
+
+// ShardSummary renders the sharded-clock telemetry as one line, or "" when
+// no barrier round ran.
+func (s Stats) ShardSummary() string {
+	if s.ShardLanes == 0 || s.ShardRounds == 0 {
+		return ""
+	}
+	return fmt.Sprintf("sharded clock: %d lanes, %d rounds, %d events (%.1f events/round, %.0f%% lane occupancy), %d cross-lane merges, %d causality violations",
+		s.ShardLanes, s.ShardRounds, s.ShardEvents,
+		float64(s.ShardEvents)/float64(s.ShardRounds),
+		100*float64(s.ShardLaneRounds)/(float64(s.ShardRounds)*float64(s.ShardLanes)),
+		s.ShardCrossMerged, s.ShardCausalityViolations)
 }
 
 // counters is the internal, lock-free form of Stats: handlers on different
@@ -337,16 +373,6 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Sharded reports whether the network runs on the zone-sharded clock with two
-// or more lanes, and if so with how many zone lanes and whether rounds
-// execute sequentially (the single-loop schedule).
-func (n *Network) Sharded() (zones int, sequential bool, ok bool) {
-	if !n.zoned() {
-		return 0, false, false
-	}
-	return n.sclock.Lanes(), n.sclock.Sequential(), true
-}
-
 // zoned reports whether the network runs on two or more clock lanes.
 func (n *Network) zoned() bool { return n.sclock != nil && n.sclock.Lanes() > 1 }
 
@@ -383,8 +409,21 @@ func (n *Network) Now() time.Duration {
 	return n.rclock.Now()
 }
 
-// Stats returns a snapshot of the counters.
-func (n *Network) Stats() Stats { return n.stats.snapshot() }
+// Stats returns a snapshot of the counters, with the sharded clock's
+// telemetry when the network runs two or more zone lanes.
+func (n *Network) Stats() Stats {
+	s := n.stats.snapshot()
+	if n.zoned() {
+		c := n.sclock
+		s.ShardLanes = c.Lanes()
+		s.ShardRounds = c.rounds.Load()
+		s.ShardEvents = c.events.Load()
+		s.ShardLaneRounds = c.laneRounds.Load()
+		s.ShardCrossMerged = c.crossMerged.Load()
+		s.ShardCausalityViolations = c.causalViol.Load()
+	}
+	return s
+}
 
 // Node is one IPv6 host: a µPnP Thing, client or manager, with at most one
 // bound datagram handler.
@@ -1097,15 +1136,6 @@ func (n *Network) StepUntil(deadline time.Duration) bool {
 		return n.sclock.StepUntil(deadline)
 	}
 	return false
-}
-
-// ShardStats returns the sharded clock's barrier telemetry, reporting ok
-// false on networks with fewer than two zone lanes.
-func (n *Network) ShardStats() (ShardStats, bool) {
-	if !n.zoned() {
-		return ShardStats{}, false
-	}
-	return n.sclock.Stats(), true
 }
 
 // RunUntilIdle drives the network until no events remain. On the virtual

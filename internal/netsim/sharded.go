@@ -104,7 +104,7 @@ type ShardedClock struct {
 	partWG      sync.WaitGroup
 	roundEvents atomic.Int64
 
-	// Telemetry (see ShardStats).
+	// Telemetry (see Stats).
 	rounds      atomic.Int64
 	events      atomic.Int64
 	laneRounds  atomic.Int64
@@ -204,45 +204,6 @@ func NewShardedClock(lanes int, workers int, quantum time.Duration) *ShardedCloc
 
 // Lanes returns the number of zone lanes.
 func (c *ShardedClock) Lanes() int { return len(c.lanes) }
-
-// Sequential reports whether rounds execute lanes in order on the driving
-// goroutine (the single-loop schedule) rather than on the worker pool.
-func (c *ShardedClock) Sequential() bool { return c.workers == 1 }
-
-// ShardStats is the clock's barrier telemetry. All counts are deterministic
-// for a given schedule: windows derive from heap state and topology only, so
-// parallel and sequential runs report identical numbers.
-type ShardStats struct {
-	// Rounds is the number of barrier rounds executed.
-	Rounds int64
-	// Events is the total number of events executed inside rounds, each
-	// receiver of a multicast batch counting as one: every handler and
-	// timer call counts once.
-	Events int64
-	// LaneRounds sums each round's active-lane count; LaneRounds /
-	// (Rounds × Lanes) is the mean lane occupancy.
-	LaneRounds int64
-	// CrossMerged counts cross-lane events merged at barriers (the summed
-	// outbox merge sizes). A multicast batch — every copy bound for one lane
-	// at one instant — merges as one event, so this counts batches, not
-	// receivers.
-	CrossMerged int64
-	// CausalityViolations counts merged cross-lane events timestamped before
-	// their destination lane's local clock — always zero if the window bounds
-	// are sound; exported so tests and telemetry can assert it.
-	CausalityViolations int64
-}
-
-// Stats returns a snapshot of the barrier telemetry.
-func (c *ShardedClock) Stats() ShardStats {
-	return ShardStats{
-		Rounds:              c.rounds.Load(),
-		Events:              c.events.Load(),
-		LaneRounds:          c.laneRounds.Load(),
-		CrossMerged:         c.crossMerged.Load(),
-		CausalityViolations: c.causalViol.Load(),
-	}
-}
 
 // Now returns the barrier-synchronized global virtual time. During a round,
 // handlers should consult their node's lane-local Now (Node.Now) instead. On

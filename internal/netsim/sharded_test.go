@@ -83,8 +83,8 @@ func runShardedStorm(tb testing.TB, workers int) stormRun {
 	if n.RunUntilIdle(1_000_000) == 0 {
 		tb.Fatal("storm executed no events")
 	}
-	if ss, ok := n.ShardStats(); !ok || ss.CausalityViolations != 0 {
-		tb.Fatalf("storm recorded causality violations: %+v (sharded=%v)", ss, ok)
+	if st := n.Stats(); st.ShardLanes == 0 || st.ShardCausalityViolations != 0 {
+		tb.Fatalf("storm recorded causality violations: %+v", st)
 	}
 
 	var transcript []string
@@ -154,12 +154,6 @@ func TestShardedStormRace(t *testing.T) {
 func TestShardedFallback(t *testing.T) {
 	for _, zones := range []int{0, 1} {
 		n := New(Config{Zones: zones})
-		if _, _, ok := n.Sharded(); ok {
-			t.Fatalf("Zones=%d: network reports sharded; want the one-lane clock", zones)
-		}
-		if _, ok := n.ShardStats(); ok {
-			t.Fatalf("Zones=%d: network reports shard telemetry; want none on one lane", zones)
-		}
 		nodes := buildLine(t, n, 2)
 		var got int
 		nodes[1].Bind(func(m Message) { got++ })
@@ -167,6 +161,9 @@ func TestShardedFallback(t *testing.T) {
 		n.RunUntilIdle(0)
 		if got != 1 {
 			t.Fatalf("Zones=%d: delivered %d messages, want 1", zones, got)
+		}
+		if st := n.Stats(); st.ShardLanes != 0 || st.ShardSummary() != "" {
+			t.Fatalf("Zones=%d: network reports shard telemetry %+v (%q); want none on one lane", zones, st, st.ShardSummary())
 		}
 		n.Close()
 	}
@@ -347,7 +344,7 @@ func TestShardedCrossLaneAllocFree(t *testing.T) {
 	if replies != 8+201 {
 		t.Fatalf("got %d replies, want %d", replies, 8+201)
 	}
-	if ss, _ := n.ShardStats(); ss.CrossMerged == 0 {
+	if st := n.Stats(); st.ShardCrossMerged == 0 {
 		t.Fatal("no event crossed lanes through the outbox")
 	}
 	if allocs != 0 {

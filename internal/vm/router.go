@@ -87,10 +87,6 @@ type Router struct {
 	mu     sync.Mutex
 	fifo   evQueue
 	errors evQueue
-
-	// stats
-	posted     int
-	dispatched int
 }
 
 // NewRouter returns an empty router.
@@ -100,7 +96,6 @@ func NewRouter() *Router { return &Router{} }
 func (r *Router) Post(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.posted++
 	if e.IsError {
 		r.errors.push(e)
 	} else {
@@ -114,11 +109,9 @@ func (r *Router) Next() (Event, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.errors.len() > 0 {
-		r.dispatched++
 		return r.errors.pop(), true
 	}
 	if r.fifo.len() > 0 {
-		r.dispatched++
 		return r.fifo.pop(), true
 	}
 	return Event{}, false
@@ -129,13 +122,6 @@ func (r *Router) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.fifo.len() + r.errors.len()
-}
-
-// Stats returns lifetime posted/dispatched counters.
-func (r *Router) Stats() (posted, dispatched int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.posted, r.dispatched
 }
 
 // AVRTimeModel emulates the measured execution costs of the prototype on the

@@ -81,9 +81,6 @@ func NewRuntime(img *Image, libs ...Library) (*Runtime, error) {
 // Machine exposes the underlying interpreter (diagnostics and tests).
 func (rt *Runtime) Machine() *Machine { return rt.machine }
 
-// Router exposes the event router.
-func (rt *Runtime) Router() *Router { return rt.router }
-
 // SetScheduler attaches an external clock. Call before Start.
 func (rt *Runtime) SetScheduler(s Scheduler) { rt.sched = s }
 

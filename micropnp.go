@@ -677,63 +677,13 @@ func (d *Deployment) FailManager(i int) error {
 	return nil
 }
 
-// NetworkStats is a snapshot of network activity counters.
-type NetworkStats struct {
-	UnicastSent   int
-	MulticastSent int
-	// Transmissions counts per-hop frame transmissions, the energy-relevant
-	// quantity.
-	Transmissions int
-	Delivered     int
-	Lost          int
-	// NoHandler counts datagrams dropped at a node because no handler was
-	// bound there.
-	NoHandler int
-
-	// Sharded-clock barrier telemetry; zero on non-sharded deployments.
-	// All counts are deterministic per schedule, identical across worker
-	// counts.
-	ShardLanes int // zone lanes (0 = not sharded)
-	// ShardRounds counts barrier rounds; ShardEvents the events executed in
-	// them, so ShardEvents/ShardRounds is the mean round batch size the
-	// lookahead windows achieved.
-	ShardRounds int64
-	ShardEvents int64
-	// ShardLaneRounds sums each round's active-lane count;
-	// ShardLaneRounds/(ShardRounds×ShardLanes) is the mean lane occupancy.
-	ShardLaneRounds int64
-	// ShardCrossMerged counts cross-lane events merged at barriers (summed
-	// outbox merge sizes). A multicast's copies that reach one lane at one
-	// instant travel as one event, so this counts batches, not receivers.
-	ShardCrossMerged int64
-	// ShardCausalityViolations counts merged cross-lane events timestamped
-	// before their destination lane's clock — zero when the lookahead bounds
-	// are sound.
-	ShardCausalityViolations int64
-}
+// NetworkStats is a snapshot of network activity counters: sends, per-hop
+// transmissions (the energy-relevant quantity), deliveries and losses, and
+// on zoned deployments the sharded clock's barrier telemetry.
+type NetworkStats = netsim.Stats
 
 // NetworkStats returns a snapshot of the network counters.
-func (d *Deployment) NetworkStats() NetworkStats {
-	s := d.net.Stats()
-	ns := NetworkStats{
-		UnicastSent:   s.UnicastSent,
-		MulticastSent: s.MulticastSent,
-		Transmissions: s.Transmissions,
-		Delivered:     s.Delivered,
-		Lost:          s.Lost,
-		NoHandler:     s.NoHandler,
-	}
-	if ss, ok := d.net.ShardStats(); ok {
-		lanes, _, _ := d.net.Sharded()
-		ns.ShardLanes = lanes
-		ns.ShardRounds = ss.Rounds
-		ns.ShardEvents = ss.Events
-		ns.ShardLaneRounds = ss.LaneRounds
-		ns.ShardCrossMerged = ss.CrossMerged
-		ns.ShardCausalityViolations = ss.CausalityViolations
-	}
-	return ns
-}
+func (d *Deployment) NetworkStats() NetworkStats { return d.net.Stats() }
 
 // DiscoverDrivers asks a Thing for its installed drivers through the
 // manager (protocol messages 6/7).
