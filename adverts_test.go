@@ -70,3 +70,45 @@ func TestReadingUnitsFromThingsOwnAdvert(t *testing.T) {
 		}
 	}
 }
+
+// TestDiscoverResultsAreTheCallersOwn runs two discoveries that gather the
+// same adverts at different times: the second must not write into the
+// slice the first returned, and each result carries the Thing's metadata.
+func TestDiscoverResultsAreTheCallersOwn(t *testing.T) {
+	d := newSDKDeployment(t)
+	th, err := d.AddThing("lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := d.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := th.PlugTMP36(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := th.PlugHIH4030(2); err != nil {
+		t.Fatal(err)
+	}
+	d.Run()
+	first, err := cl.Discover(context.Background(), micropnp.AllPeripherals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 2 || first[0].Name != "lab" || first[0].Units != "0.1°C" || first[1].Channel != 2 || !first[1].Solicited {
+		t.Fatalf("first discovery = %+v", first)
+	}
+	kept := append([]micropnp.Advert(nil), first...)
+	second, err := cl.Discover(context.Background(), micropnp.AllPeripherals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(second) != 2 || second[0].At == first[0].At {
+		t.Fatalf("second discovery = %+v, want two adverts gathered later", second)
+	}
+	for i := range kept {
+		if first[i] != kept[i] {
+			t.Fatalf("the second discovery changed the first's result: %+v, was %+v", first[i], kept[i])
+		}
+	}
+}

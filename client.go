@@ -29,7 +29,8 @@ func (c *Client) Addr() netip.Addr { return c.cl.Addr() }
 
 // Adverts returns the latest advert per (Thing, peripheral) the client has
 // seen, unsolicited ones included, in the order each pair was first
-// sighted. For the advert flow itself use AddAdvertHook.
+// sighted, as a fresh slice the caller owns. For the advert flow itself use
+// AddAdvertHook.
 func (c *Client) Adverts() []Advert { return advertsFrom(c.cl.Adverts()) }
 
 // Things returns the distinct Things that advertised a peripheral type
@@ -46,8 +47,9 @@ func (c *Client) InFlight() int { return c.cl.Pending() }
 // fires for every incoming advert, so independent consumers — a catalog
 // feeding on the advert flow, an application callback — can coexist without
 // clobbering each other. Hooks cannot be removed; they live as long as the
-// client. Hooks run on the goroutine delivering the advert (a pool worker in
-// real-time mode) and must not block.
+// client. Each hook gets its own copy of the advert. Hooks run on the
+// goroutine delivering the advert (a pool worker in real-time mode) and must
+// not block.
 func (c *Client) AddAdvertHook(fn func(Advert)) {
 	if fn == nil {
 		return
@@ -170,8 +172,9 @@ func (c *Client) Write(ctx context.Context, thing netip.Addr, id DeviceID, vals 
 // Discover multicasts a discovery for a peripheral type (AllPeripherals for
 // everything) and collects the solicited advertisements that arrive within
 // the discovery window — the context deadline when one is set, the default
-// request timeout otherwise. An empty result is not an error; the network
-// may genuinely serve no such peripheral.
+// request timeout otherwise. The result is a fresh slice the caller owns;
+// an empty result is not an error, the network may genuinely serve no such
+// peripheral.
 func (c *Client) Discover(ctx context.Context, id DeviceID) ([]Advert, error) {
 	return c.runDiscovery(ctx, id, -1)
 }
@@ -181,6 +184,7 @@ func (c *Client) Discover(ctx context.Context, id DeviceID) ([]Advert, error) {
 func (c *Client) runDiscovery(ctx context.Context, id DeviceID, zone int) ([]Advert, error) {
 	var got []Advert
 	cpl, err := c.d.await(ctx, func(timeout time.Duration, cpl *completion) (retract func()) {
+		// The collector's slice is lent for this call only: copy it out.
 		collect := func(adverts []client.Advert) {
 			got = advertsFrom(adverts)
 			cpl.complete()

@@ -230,6 +230,113 @@ func TestConcurrentMixedOpsRealtime(t *testing.T) {
 	}
 }
 
+// TestConcurrentDiscoverAndHotSwapRealtime runs discoveries from several
+// goroutines while others hot-swap a second peripheral on the Things that
+// answer them, with an advert hook listening. Discovery collectors are
+// reused across requests and Things re-encode their adverts on every swap,
+// so every advert a hook receives or a discovery returns must name its own
+// Thing, and no result may change after its discovery returned.
+func TestConcurrentDiscoverAndHotSwapRealtime(t *testing.T) {
+	d, err := micropnp.NewDeployment(
+		micropnp.WithRealTime(),
+		micropnp.WithTimeScale(throughputScale),
+		micropnp.WithRequestTimeout(2*time.Minute),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	things := plugFleet(t, d, 4)
+	names := map[netip.Addr]string{}
+	for i, th := range things {
+		names[th.Addr()] = fmt.Sprintf("thing-%d", i)
+	}
+	cl, err := d.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hooked, misnamed atomic.Int64
+	cl.AddAdvertHook(func(a micropnp.Advert) {
+		hooked.Add(1)
+		if a.Name != names[a.Thing] {
+			misnamed.Add(1)
+		}
+	})
+	d.Run()
+
+	ctx := context.Background()
+	var discoverers, swappers sync.WaitGroup
+	errs := make(chan error, 64)
+	// results[g] holds discoverer g's results, each beside the copy taken
+	// as its discovery returned.
+	results := make([][][2][]micropnp.Advert, 4)
+	for g := range results {
+		discoverers.Add(1)
+		go func() {
+			defer discoverers.Done()
+			for k := 0; k < 4; k++ {
+				got, err := cl.Discover(ctx, micropnp.AllPeripherals)
+				if err != nil {
+					errs <- fmt.Errorf("discover: %w", err)
+					return
+				}
+				results[g] = append(results[g], [2][]micropnp.Advert{got, append([]micropnp.Advert(nil), got...)})
+			}
+		}()
+	}
+	// Swappers plug and unplug until the last discovery returned.
+	stop := make(chan struct{})
+	for _, th := range things {
+		swappers.Add(1)
+		go func() {
+			defer swappers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := th.PlugHIH4030(1); err != nil {
+					errs <- fmt.Errorf("plug: %w", err)
+					return
+				}
+				d.RunFor(time.Second)
+				if err := th.Unplug(1); err != nil {
+					errs <- fmt.Errorf("unplug: %w", err)
+					return
+				}
+				d.RunFor(time.Second)
+			}
+		}()
+	}
+	discoverers.Wait()
+	close(stop)
+	swappers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for g, rs := range results {
+		for k, r := range rs {
+			got, kept := r[0], r[1]
+			if len(got) == 0 {
+				t.Errorf("discoverer %d, discovery %d: no adverts", g, k)
+			}
+			for i := range got {
+				if got[i] != kept[i] {
+					t.Errorf("discoverer %d, discovery %d: advert %d changed after the call returned: %+v, was %+v", g, k, i, got[i], kept[i])
+				}
+				if got[i].Name != names[got[i].Thing] {
+					t.Errorf("discoverer %d, discovery %d: advert %+v names another Thing", g, k, got[i])
+				}
+			}
+		}
+	}
+	if hooked.Load() == 0 || misnamed.Load() != 0 {
+		t.Errorf("%d of %d hooked adverts name another Thing", misnamed.Load(), hooked.Load())
+	}
+}
+
 // TestRealtimeThroughput is the acceptance test for the concurrent runtime:
 // over a hundred goroutines issue Reads against a 1,000-Thing realtime
 // deployment; every read must succeed, and closing the deployment must

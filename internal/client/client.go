@@ -44,15 +44,55 @@ var (
 )
 
 // Advert is one peripheral sighting: a Thing's advertisement of a connected
-// peripheral.
+// peripheral, with the metadata its TLVs carried. The view and every
+// discovery collector hold one per peripheral, so the fields are ordered
+// to pack into 72 bytes.
 type Advert struct {
-	Thing      netip.Addr
-	Peripheral proto.PeripheralInfo
+	Thing netip.Addr
+	// Name is the Thing's name and Units the unit string of the
+	// peripheral's values, each "" when the advert carried none.
+	Name  string
+	Units string
+	// At is the virtual time the advertisement arrived.
+	At     time.Duration
+	Device hw.DeviceID
+	// Channel is the control-board channel serving the peripheral, -1 when
+	// the advert carried none.
+	Channel int16
 	// Solicited distinguishes discovery replies from unsolicited
 	// advertisements.
 	Solicited bool
-	// At is the virtual time the advertisement arrived.
-	At time.Duration
+}
+
+// decodeTLVs refreshes a's Name, Units and Channel from an advert's TLVs,
+// the first tuple of each type winning. A string is replaced only when its
+// bytes changed (comparing string(b) with a string does not allocate), so an
+// unchanged refresh keeps the strings a already holds and allocates nothing.
+func (a *Advert) decodeTLVs(tlvs []proto.TLV) {
+	var name, units []byte
+	var haveName, haveUnits bool
+	a.Channel = -1
+	for _, t := range tlvs {
+		switch {
+		case t.Type == proto.TLVName && !haveName:
+			name, haveName = t.Value, true
+		case t.Type == proto.TLVUnits && !haveUnits:
+			units, haveUnits = t.Value, true
+		case t.Type == proto.TLVChannel && a.Channel < 0 && len(t.Value) == 1:
+			a.Channel = int16(t.Value[0])
+		}
+	}
+	a.Name = refresh(a.Name, name)
+	a.Units = refresh(a.Units, units)
+}
+
+// refresh returns s when it already holds b's bytes, and a copy of b
+// otherwise.
+func refresh(s string, b []byte) string {
+	if string(b) == s {
+		return s
+	}
+	return string(b)
 }
 
 type pendingKind uint8
@@ -87,7 +127,12 @@ type pending struct {
 	onRead     func([]int32, error)
 	onWrite    func(error)
 	onDiscover func([]Advert)
-	adverts    []Advert
+	// adverts collects a discovery's solicited adverts, by value: an advert
+	// arriving later in the window rewrites the view entry, not what the
+	// discovery collected. The collector is taken from collectorPool with
+	// the request and given back on release, so onDiscover must copy what
+	// it keeps.
+	adverts *[]Advert
 	// scratch, when hasScratch is set, is the caller-provided value buffer a
 	// read reply is parsed into (appended to scratch[:0]) instead of a fresh
 	// allocation — see ReadInto. The callback's values then alias the scratch
@@ -123,6 +168,11 @@ const (
 
 var pendingPool = sync.Pool{New: func() any { return new(pending) }}
 
+// collectorPool recycles discovery collectors. Pooled apart from the
+// entries, a grown collector array stays with discoveries; carried by the
+// entry, it would be kept alive by every pooled entry that ever served one.
+var collectorPool = sync.Pool{New: func() any { return new([]Advert) }}
+
 // release recycles a pending entry after its terminal path ran. The caller
 // must have removed it from c.pending and fired its callback already; no
 // other goroutine may touch the entry's non-gen fields once it left the
@@ -134,7 +184,12 @@ func (c *Client) release(p *pending) {
 	p.kind = 0
 	p.thing, p.id, p.typ, p.data = netip.Addr{}, 0, 0, nil
 	p.onRead, p.onWrite, p.onDiscover = nil, nil, nil
-	p.adverts = nil // handed to the callback, possibly retained: do not reuse
+	if p.adverts != nil {
+		clear(*p.adverts)
+		*p.adverts = (*p.adverts)[:0]
+		collectorPool.Put(p.adverts)
+		p.adverts = nil
+	}
 	p.scratch, p.hasScratch = nil, false
 	p.expiry, p.retx, p.attempt = netsim.ExpiryRef{}, netsim.ExpiryRef{}, 0
 	pendingPool.Put(p)
@@ -255,7 +310,7 @@ func (c *Client) Addr() netip.Addr { return c.node.Addr() }
 func (c *Client) Node() *netsim.Node { return c.node }
 
 // Adverts returns the latest advert per (Thing, peripheral), in the order
-// each pair was first sighted.
+// each pair was first sighted, as a fresh slice the caller owns.
 func (c *Client) Adverts() []Advert {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -265,8 +320,8 @@ func (c *Client) Adverts() []Advert {
 // AddAdvertHook registers an advertisement listener: every hook fires for
 // every incoming advert, solicited or not, so independent consumers (a
 // catalog, an application callback) can observe the advert flow without
-// clobbering each other. Hooks cannot be removed; they live as long as the
-// client.
+// clobbering each other. Each hook gets its own copy of the advert. Hooks
+// cannot be removed; they live as long as the client.
 func (c *Client) AddAdvertHook(fn func(Advert)) {
 	if fn == nil {
 		return
@@ -293,7 +348,7 @@ func (c *Client) Things(id hw.DeviceID) []netip.Addr {
 	seen := map[netip.Addr]bool{}
 	var out []netip.Addr
 	for _, a := range c.view {
-		if (id == hw.DeviceIDAllPeripherals || a.Peripheral.ID == id) && !seen[a.Thing] {
+		if (id == hw.DeviceIDAllPeripherals || a.Device == id) && !seen[a.Thing] {
 			seen[a.Thing] = true
 			out = append(out, a.Thing)
 		}
@@ -440,7 +495,6 @@ func (c *Client) ExpireEvent(cookie uint64, tok any) {
 		return
 	}
 	delete(c.pending, seq)
-	adverts := p.adverts
 	c.mu.Unlock()
 	p.retx.Cancel()
 	switch p.kind {
@@ -456,7 +510,7 @@ func (c *Client) ExpireEvent(cookie uint64, tok any) {
 		// A discovery window closing is completion, not failure: deliver
 		// whatever arrived.
 		if p.onDiscover != nil {
-			p.onDiscover(adverts)
+			p.onDiscover(*p.adverts)
 		}
 	}
 	c.release(p)
@@ -512,9 +566,11 @@ func noRetract() {}
 // Discover multicasts a peripheral discovery (message 2) to the group of
 // Things serving the given peripheral type. When done is non-nil it fires
 // once the discovery window (timeout, 0 = the default) closes, with every
-// solicited advertisement the request gathered; a nil done is
-// fire-and-forget — observe results via Adverts/Things/AddAdvertHook. The
-// returned retract withdraws the request without firing done (see retract).
+// solicited advertisement the request gathered, as each arrived. The slice
+// is lent for the call only: the request's entry reuses it, so done copies
+// what it keeps. A nil done is fire-and-forget — observe results via
+// Adverts/Things/AddAdvertHook. The returned retract withdraws the request
+// without firing done (see retract).
 func (c *Client) Discover(id hw.DeviceID, timeout time.Duration, done func([]Advert), filter ...proto.TLV) (retract func()) {
 	return c.discoverGroup(netsim.MulticastAddr(c.prefix, id), timeout, done, filter)
 }
@@ -541,7 +597,7 @@ func (c *Client) discoverGroup(group netip.Addr, timeout time.Duration, done fun
 		return noRetract
 	}
 	p := pendingPool.Get().(*pending)
-	p.kind, p.onDiscover = pendingDiscover, done
+	p.kind, p.onDiscover, p.adverts = pendingDiscover, done, collectorPool.Get().(*[]Advert)
 	seq, gen := c.register(p)
 	m.Seq = seq
 	c.send(group, &m)
@@ -781,7 +837,7 @@ func (c *Client) groupStillNeededLocked(group netip.Addr) bool {
 
 // handle processes incoming protocol messages. Decoding borrows a pooled
 // Decoder — the decoded message (and msg.Payload it aliases) is valid only
-// within this call, so anything retained (adverts) is cloned.
+// within this call, so anything retained is copied out of it.
 func (c *Client) handle(msg netsim.Message) {
 	dec := proto.AcquireDecoder()
 	defer proto.ReleaseDecoder(dec)
@@ -939,35 +995,42 @@ func (c *Client) completeRead(p *pending, m *proto.Message) {
 }
 
 // handleAdvert folds advertisements into the view, routes solicited replies
-// to their discovery collector, and fires the advert hooks.
+// to their discovery collector, and fires the advert hooks. Each peripheral
+// is decoded straight into its (Thing, peripheral) view entry; the
+// collector and the hooks get copies of the entry.
 func (c *Client) handleAdvert(msg netsim.Message, m *proto.Message) {
 	solicited := m.Type == proto.MsgSolicitedAdvert
+	// Hooks get values from a buffer on this handler's stack: handlers run
+	// concurrently under the realtime clock, so no client-wide scratch.
+	var buf [hw.DefaultChannels]Advert
+	fired := buf[:0]
 	c.mu.Lock()
+	now := c.node.Now()
 	hooks := c.advertHooks
-	var fired []Advert
+	var pd *pending
+	if p, ok := c.pending[m.Seq]; solicited && ok && p.kind == pendingDiscover {
+		pd = p
+	}
 	for _, p := range m.Peripherals {
-		// Clone: the decoded TLVs alias the datagram buffer, which the
-		// network recycles after this handler returns, while adverts are
-		// retained by the view, collectors and hooks.
-		a := Advert{Thing: msg.Src, Peripheral: p.Clone(), Solicited: solicited, At: c.node.Now()}
-		k := advertKey{a.Thing, p.ID}
+		k := advertKey{msg.Src, p.ID}
 		s, seen := c.slots[k]
-		if seen {
-			c.view[s.i] = a
-		} else {
+		if !seen {
 			s.i = len(c.view)
-			c.view = append(c.view, a)
+			c.view = append(c.view, Advert{Thing: msg.Src, Device: p.ID})
 		}
-		if u, ok := p.TLVString(proto.TLVUnits); ok && u != "" {
-			s.units = u
+		a := &c.view[s.i]
+		a.decodeTLVs(p.TLVs)
+		a.Solicited, a.At = solicited, now
+		if a.Units != "" {
+			s.units = a.Units
 		}
 		c.slots[k] = s
-		if solicited {
-			if pd, ok := c.pending[m.Seq]; ok && pd.kind == pendingDiscover {
-				pd.adverts = append(pd.adverts, a)
-			}
+		if pd != nil {
+			*pd.adverts = append(*pd.adverts, *a)
 		}
-		fired = append(fired, a)
+		if len(hooks) > 0 {
+			fired = append(fired, *a)
+		}
 	}
 	c.mu.Unlock()
 	for _, a := range fired {

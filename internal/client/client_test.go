@@ -93,7 +93,7 @@ func setup(t *testing.T) (*netsim.Network, *Client, *fakeThing) {
 func TestClientDiscoverAndThings(t *testing.T) {
 	n, cl, ft := setup(t)
 	var collected []Advert
-	cl.Discover(0xad1cbe01, 0, func(got []Advert) { collected = got })
+	cl.Discover(0xad1cbe01, 0, func(got []Advert) { collected = append([]Advert(nil), got...) })
 	n.RunUntilIdle(0)
 
 	adverts := cl.Adverts()
@@ -121,7 +121,7 @@ func TestClientDiscoverEmptyWindow(t *testing.T) {
 	ft.mute = true
 	done := false
 	var collected []Advert
-	cl.Discover(0xad1cbe01, 50*time.Millisecond, func(got []Advert) { done = true; collected = got })
+	cl.Discover(0xad1cbe01, 50*time.Millisecond, func(got []Advert) { done = true; collected = append([]Advert(nil), got...) })
 	n.RunUntilIdle(0)
 	if !done {
 		t.Fatal("discovery window must close even with no replies")
@@ -174,7 +174,7 @@ func TestClientAdvertViewKeepsLatestPerPeripheral(t *testing.T) {
 	want := []netip.Addr{b.node.Addr(), a.node.Addr()}
 	for k := 1; k <= 3; k++ {
 		var got []Advert
-		cl.Discover(hw.DeviceIDAllPeripherals, 0, func(as []Advert) { got = as })
+		cl.Discover(hw.DeviceIDAllPeripherals, 0, func(as []Advert) { got = append([]Advert(nil), as...) })
 		n.RunUntilIdle(0)
 		if len(got) != 2 {
 			t.Fatalf("round %d: discovery collected %d adverts, want 2", k, len(got))
@@ -211,7 +211,7 @@ func TestClientTerseRefreshKeepsUnits(t *testing.T) {
 	if len(view) != 1 || !view[0].Solicited {
 		t.Fatalf("view = %+v, want the terse solicited reply as the latest advert", view)
 	}
-	if _, ok := view[0].Peripheral.TLVString(proto.TLVUnits); ok {
+	if view[0].Units != "" {
 		t.Fatalf("latest advert = %+v, want the terse reply as received", view[0])
 	}
 	if u := cl.Units(thing, 0xad1cbe01); u != "0.1°C" {
@@ -219,6 +219,48 @@ func TestClientTerseRefreshKeepsUnits(t *testing.T) {
 	}
 	if u := cl.Units(addr("2001:db8::99"), 0xad1cbe01); u != "" {
 		t.Fatalf("units of a Thing that never advertised = %q, want none", u)
+	}
+}
+
+// TestAdvertIngestAllocatesNothing hands a Thing-encoded advert of three
+// unchanged peripherals to a client with a discovery pending and a hook
+// listening: the refresh, the collection and the hook calls allocate
+// nothing.
+func TestAdvertIngestAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	ib := newIngestBed(t)
+	before := ib.hooked
+	if a := testing.AllocsPerRun(100, ib.ingest); a != 0 {
+		t.Fatalf("advert ingest: %v allocs, want 0", a)
+	}
+	if ib.hooked == before {
+		t.Fatal("the hook never fired")
+	}
+}
+
+// TestDiscoveryKeepsWhatItCollected lets an unsolicited advert for the same
+// (Thing, peripheral) arrive inside a discovery window, after the solicited
+// reply: the view shows the newer advert, while the discovery delivers the
+// reply it collected, still solicited and stamped with its own arrival.
+func TestDiscoveryKeepsWhatItCollected(t *testing.T) {
+	n, cl, ft := setup(t)
+	var collected []Advert
+	cl.Discover(ft.served, time.Second, func(got []Advert) { collected = append([]Advert(nil), got...) })
+	n.RunUntil(500 * time.Millisecond)
+	v := cl.Adverts()
+	if len(v) != 1 || !v[0].Solicited || collected != nil {
+		t.Fatalf("view mid-window = %+v, collected %+v; want the solicited reply and an open window", v, collected)
+	}
+	replied := v[0].At
+	ft.advertise(proto.TLV{Type: proto.TLVUnits, Value: []byte("0.1°C")})
+	n.RunUntilIdle(0)
+	if v := cl.Adverts(); len(v) != 1 || v[0].Solicited || v[0].At == replied || v[0].Units != "0.1°C" {
+		t.Fatalf("view = %+v, want the later unsolicited advert", v)
+	}
+	if len(collected) != 1 || !collected[0].Solicited || collected[0].At != replied || collected[0].Units != "" {
+		t.Fatalf("collected = %+v, want the solicited reply at %v as it arrived", collected, replied)
 	}
 }
 

@@ -89,41 +89,6 @@ type PeripheralInfo struct {
 	TLVs []TLV
 }
 
-// TLVString extracts a string-valued tuple, if present.
-func (p PeripheralInfo) TLVString(typ uint8) (string, bool) {
-	for _, t := range p.TLVs {
-		if t.Type == typ {
-			return string(t.Value), true
-		}
-	}
-	return "", false
-}
-
-// TLVByte extracts a one-byte tuple, if present.
-func (p PeripheralInfo) TLVByte(typ uint8) (byte, bool) {
-	for _, t := range p.TLVs {
-		if t.Type == typ && len(t.Value) == 1 {
-			return t.Value[0], true
-		}
-	}
-	return 0, false
-}
-
-// Clone returns a deep copy owning all its memory. Use it to retain a
-// PeripheralInfo obtained from a Decoder beyond the decode's lifetime: a
-// decoded PeripheralInfo's TLV values alias the datagram buffer, which the
-// network recycles once the handler returns.
-func (p PeripheralInfo) Clone() PeripheralInfo {
-	out := PeripheralInfo{ID: p.ID}
-	if len(p.TLVs) > 0 {
-		out.TLVs = make([]TLV, len(p.TLVs))
-		for i, t := range p.TLVs {
-			out.TLVs[i] = TLV{Type: t.Type, Value: append([]byte(nil), t.Value...)}
-		}
-	}
-	return out
-}
-
 // Message is a decoded µPnP protocol message. Field usage depends on Type.
 type Message struct {
 	Type MsgType
@@ -149,6 +114,17 @@ type Message struct {
 // ErrTruncated reports a short or malformed message.
 var ErrTruncated = errors.New("proto: truncated message")
 
+// HeaderLen is the length of the header every message starts with: the type
+// byte and the big-endian sequence number.
+const HeaderLen = 3
+
+// AppendHeader appends a message header to dst. What follows it is the
+// message's type-specific body, so a sender that keeps a body encoded can
+// reuse it under any header of a type with the same layout.
+func AppendHeader(dst []byte, typ MsgType, seq uint16) []byte {
+	return append(dst, byte(typ), byte(seq>>8), byte(seq))
+}
+
 // Encode serialises the message into a fresh buffer. Hot paths should prefer
 // AppendEncode with a reused (pooled) destination; Encode allocates per call.
 func (m *Message) Encode() ([]byte, error) {
@@ -159,7 +135,7 @@ func (m *Message) Encode() ([]byte, error) {
 // a truncated pooled buffer) and returning the extended slice. The encoding
 // is identical to Encode's; on error dst is returned unmodified.
 func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
-	buf := append(dst, byte(m.Type), byte(m.Seq>>8), byte(m.Seq))
+	buf := AppendHeader(dst, m.Type, m.Seq)
 	switch m.Type {
 	case MsgUnsolicitedAdvert, MsgSolicitedAdvert:
 		if len(m.Peripherals) > 255 {
@@ -364,9 +340,9 @@ func (r *reader) appendTLVs(dst []TLV) []TLV {
 // are scratch owned by the Decoder and whose byte fields (TLV values, Driver,
 // Data) alias the input buffer. The returned message is therefore BORROWED:
 // it is valid only until the next Decode call on the same Decoder and only
-// while the input buffer lives — retain parts with PeripheralInfo.Clone or an
-// explicit copy. A Decoder is not safe for concurrent use; pool instances
-// with AcquireDecoder/ReleaseDecoder when handlers run on pool workers.
+// while the input buffer lives — retain parts with an explicit copy. A
+// Decoder is not safe for concurrent use; pool instances with
+// AcquireDecoder/ReleaseDecoder when handlers run on pool workers.
 type Decoder struct {
 	msg     Message
 	periphs []PeripheralInfo

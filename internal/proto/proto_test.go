@@ -129,22 +129,6 @@ func TestDecodeFuzz(t *testing.T) {
 	}
 }
 
-func TestTLVAccessors(t *testing.T) {
-	p := PeripheralInfo{ID: 1, TLVs: []TLV{
-		{Type: TLVName, Value: []byte("HIH-4030")},
-		{Type: TLVBusKind, Value: []byte{byte(hw.BusADC)}},
-	}}
-	if name, ok := p.TLVString(TLVName); !ok || name != "HIH-4030" {
-		t.Fatalf("name = %q, %v", name, ok)
-	}
-	if kind, ok := p.TLVByte(TLVBusKind); !ok || hw.BusKind(kind) != hw.BusADC {
-		t.Fatalf("kind = %d, %v", kind, ok)
-	}
-	if _, ok := p.TLVString(TLVUnits); ok {
-		t.Fatal("missing TLV must report !ok")
-	}
-}
-
 func TestValues32RoundTrip(t *testing.T) {
 	f := func(a, b, c int32) bool {
 		vals := []int32{a, b, c}
@@ -280,20 +264,15 @@ func TestDecoderBorrowsInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, _ := got.Peripherals[0].TLVString(TLVName)
-	if name != "orig" {
+	name := got.Peripherals[0].TLVs[0].Value
+	if string(name) != "orig" {
 		t.Fatalf("name = %q", name)
 	}
 	// The decoded TLV value aliases the wire buffer: mutating the buffer must
-	// show through (that is the zero-copy contract callers must respect), and
-	// Clone must sever the alias.
-	clone := got.Peripherals[0].Clone()
+	// show through (that is the zero-copy contract callers must respect).
 	copy(wire[len(wire)-4:], "XXXX")
-	if name, _ := got.Peripherals[0].TLVString(TLVName); name != "XXXX" {
+	if string(name) != "XXXX" {
 		t.Fatalf("borrowed view = %q, want XXXX (must alias input)", name)
-	}
-	if name, _ := clone.TLVString(TLVName); name != "orig" {
-		t.Fatalf("clone = %q, want orig (must own its memory)", name)
 	}
 }
 

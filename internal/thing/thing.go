@@ -7,6 +7,7 @@
 package thing
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -223,11 +224,12 @@ type streamState struct {
 
 // Thing is one simulated µPnP Thing.
 //
-// Locking: mu guards slots/installed/awaiting/traces; opsMu guards the
-// pending-read table with its free list, and the stream table; vmMu
-// serializes every driver-runtime execution (vm.Runtime is not itself safe
-// for concurrent use — one MCU, one thread of control), which matters when
-// the network's realtime clock dispatches handlers from a worker pool.
+// Locking: mu guards slots/installed/awaiting/traces and the cached advert;
+// opsMu guards the pending-read table with its free list, and the stream
+// table; vmMu serializes every driver-runtime execution (vm.Runtime is not
+// itself safe for concurrent use — one MCU, one thread of control), which
+// matters when the network's realtime clock dispatches handlers from a
+// worker pool.
 // Driver runtimes may call back into driverReturned while vmMu is held, so
 // driverReturned takes only opsMu. mu and opsMu are never held while
 // acquiring vmMu's predecessors: the order is mu → opsMu, and both are
@@ -250,6 +252,15 @@ type Thing struct {
 	installed map[hw.DeviceID]*vm.Image
 	awaiting  map[hw.DeviceID]*PluginTrace
 	traces    []*PluginTrace
+	// advert is the advertisement of the active peripherals as AppendEncode
+	// lays it out, under a placeholder header: every advert sent copies its
+	// body (advert[proto.HeaderLen:], the peripheral count and list) after
+	// its own type and sequence number. advertDirty marks it stale — every
+	// write of a slot's rt, id or periph sets it — and the next advert
+	// rebuilds it. advert is nil when the list does not encode (a name or
+	// units string too long for a TLV), and then no advert is sent.
+	advert      []byte
+	advertDirty bool
 
 	opsMu     sync.Mutex
 	pending   map[hw.DeviceID][]*pendingRead
@@ -296,6 +307,8 @@ func New(cfg Config) (*Thing, error) {
 		awaiting:  map[hw.DeviceID]*PluginTrace{},
 		pending:   map[hw.DeviceID][]*pendingRead{},
 		streams:   map[hw.DeviceID]*streamState{},
+		// The first advert encodes the (empty) list.
+		advertDirty: true,
 	}
 	t.slots = make([]*slotState, cfg.Board.Channels())
 	for i := range t.slots {
@@ -397,6 +410,7 @@ func (t *Thing) Plug(channel int, p *hw.Peripheral, dev Device) error {
 	}
 	slot.dev = dev
 	slot.periph = p
+	t.advertDirty = true
 	t.mu.Unlock()
 	return t.board.Plug(channel, p)
 }
@@ -428,6 +442,7 @@ func (t *Thing) interrupt(irq hw.Interrupt) {
 	t.mu.Lock()
 	slot := t.slots[irq.Channel]
 	slot.id = rd.ID
+	t.advertDirty = true
 	t.traces = append(t.traces, trace)
 	t.mu.Unlock()
 	t.setup(irq.Channel, trace)
@@ -539,6 +554,7 @@ func (t *Thing) activate(channel int, img *vm.Image, trace *PluginTrace) {
 		id := slot.id
 		rt.OnReturn(func(vals []int32) { t.driverReturned(id, vals) })
 		slot.rt = rt
+		t.advertDirty = true
 		t.mu.Unlock()
 
 		t.vmMu.Lock()
@@ -548,8 +564,7 @@ func (t *Thing) activate(channel int, img *vm.Image, trace *PluginTrace) {
 		if trace != nil {
 			trace.InstallDriver += t.node.Now() - installStart
 		}
-		adv, pb := t.advertisement(proto.MsgUnsolicitedAdvert, t.nextSeq())
-		if adv != nil {
+		if pb, _ := t.advertisement(proto.MsgUnsolicitedAdvert, t.nextSeq()); pb != nil {
 			// Transit time is computed before SendBuf takes ownership.
 			transit := netsim.PacketDelay(len(pb.B), true)
 			t.node.SendBuf(netsim.AllClientsAddr(t.prefix), pb)
@@ -561,12 +576,30 @@ func (t *Thing) activate(channel int, img *vm.Image, trace *PluginTrace) {
 	})
 }
 
-// advertisement builds an advertisement listing active peripherals, encoded
-// into a pooled buffer the caller owns: hand it to SendBuf or Release it.
-// It returns (nil, nil) on encoding failure.
-func (t *Thing) advertisement(typ proto.MsgType, seq uint16) (*proto.Message, *netsim.Buf) {
+// advertisement copies the advertisement of the active peripherals, under
+// the given header, into a pooled buffer the caller owns: hand it to SendBuf
+// or Release it. It also returns the number of peripherals listed. The
+// buffer is nil when the list does not encode.
+func (t *Thing) advertisement(typ proto.MsgType, seq uint16) (*netsim.Buf, int) {
 	t.mu.Lock()
-	m := &proto.Message{Type: typ, Seq: seq}
+	defer t.mu.Unlock()
+	if t.advertDirty {
+		t.encodeAdvertLocked()
+	}
+	if t.advert == nil {
+		return nil, 0
+	}
+	pb := netsim.AcquireBuf()
+	body := t.advert[proto.HeaderLen:]
+	pb.B = append(proto.AppendHeader(pb.B[:0], typ, seq), body...)
+	return pb, int(body[0]) // the body opens with the peripheral count
+}
+
+// encodeAdvertLocked rebuilds the cached advertisement from the slots
+// (t.mu held). It runs once per change of the active peripherals, not once
+// per advert.
+func (t *Thing) encodeAdvertLocked() {
+	m := proto.Message{Type: proto.MsgUnsolicitedAdvert}
 	for ch, slot := range t.slots {
 		if slot.rt == nil {
 			continue
@@ -584,15 +617,12 @@ func (t *Thing) advertisement(typ proto.MsgType, seq uint16) (*proto.Message, *n
 		}
 		m.Peripherals = append(m.Peripherals, info)
 	}
-	t.mu.Unlock()
-	pb := netsim.AcquireBuf()
-	b, err := m.AppendEncode(pb.B[:0])
+	b, err := m.AppendEncode(nil)
 	if err != nil {
-		pb.Release()
-		return nil, nil
+		b = nil
 	}
-	pb.B = b
-	return m, pb
+	// Every Thing keeps its advert: keep it at its exact size.
+	t.advert, t.advertDirty = bytes.Clone(b), false
 }
 
 // teardown handles peripheral removal: stop the driver, leave the group,
@@ -608,6 +638,7 @@ func (t *Thing) teardown(channel int) {
 	slot.dev = nil
 	slot.periph = nil
 	slot.id = 0
+	t.advertDirty = true
 	t.mu.Unlock()
 
 	if rt != nil {
@@ -630,7 +661,7 @@ func (t *Thing) teardown(channel int) {
 		}
 		t.leavePeripheralGroups(id)
 	}
-	if _, pb := t.advertisement(proto.MsgUnsolicitedAdvert, t.nextSeq()); pb != nil {
+	if pb, _ := t.advertisement(proto.MsgUnsolicitedAdvert, t.nextSeq()); pb != nil {
 		t.node.SendBuf(netsim.AllClientsAddr(t.prefix), pb)
 	}
 }
@@ -817,11 +848,11 @@ func (t *Thing) handleDiscovery(msg netsim.Message, m *proto.Message) {
 			return
 		}
 	}
-	adv, pb := t.advertisement(proto.MsgSolicitedAdvert, m.Seq)
-	if adv == nil {
+	pb, n := t.advertisement(proto.MsgSolicitedAdvert, m.Seq)
+	if pb == nil {
 		return
 	}
-	if len(adv.Peripherals) == 0 {
+	if n == 0 {
 		pb.Release()
 		return
 	}
@@ -871,6 +902,7 @@ func (t *Thing) handleDriverRemoval(msg netsim.Message, m *proto.Message) {
 			if slot.id == m.DeviceID && slot.rt != nil {
 				stopped = append(stopped, slot.rt)
 				slot.rt = nil
+				t.advertDirty = true
 			}
 		}
 		status = 0

@@ -8,7 +8,6 @@ import (
 	"micropnp/internal/client"
 	"micropnp/internal/driver"
 	"micropnp/internal/hw"
-	"micropnp/internal/proto"
 )
 
 // DeviceID is a 32-bit µPnP device-type identifier, electrically encoded in
@@ -118,25 +117,19 @@ type Advert struct {
 
 // advertFrom converts an internal advertisement.
 func advertFrom(a client.Advert) Advert {
-	out := Advert{
+	return Advert{
 		Thing:     a.Thing,
-		Device:    DeviceID(a.Peripheral.ID),
-		Channel:   -1,
+		Device:    DeviceID(a.Device),
+		Name:      a.Name,
+		Units:     a.Units,
+		Channel:   int(a.Channel),
 		Solicited: a.Solicited,
 		At:        a.At,
 	}
-	if name, ok := a.Peripheral.TLVString(proto.TLVName); ok {
-		out.Name = name
-	}
-	if units, ok := a.Peripheral.TLVString(proto.TLVUnits); ok {
-		out.Units = units
-	}
-	if ch, ok := a.Peripheral.TLVByte(proto.TLVChannel); ok {
-		out.Channel = int(ch)
-	}
-	return out
 }
 
+// advertsFrom converts internal advertisements into a fresh slice the
+// caller owns.
 func advertsFrom(in []client.Advert) []Advert {
 	out := make([]Advert, len(in))
 	for i, a := range in {
