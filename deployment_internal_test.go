@@ -7,13 +7,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/netip"
 	"os"
+	"strings"
 	"testing"
 
 	"micropnp/internal/bus"
 	"micropnp/internal/driver"
 	"micropnp/internal/dsl"
 	"micropnp/internal/hw"
+	"micropnp/internal/netsim"
+	"micropnp/internal/proto"
 )
 
 func newTestDeployment(t *testing.T, opts ...Option) *Deployment {
@@ -54,6 +58,70 @@ func TestUnplugTearsDown(t *testing.T) {
 	// Reads now surface the absent-peripheral error.
 	if _, err := cl.Read(context.Background(), th.Addr(), TMP36); !errors.Is(err, ErrNoPeripheral) {
 		t.Fatalf("read after unplug = %v, want ErrNoPeripheral", err)
+	}
+}
+
+// TestPlugOntoBusyChannelKeepsPeripheral: a plug into a busy channel is
+// refused before the Thing touches the channel, so the peripheral already
+// there keeps its slot: the next discovery still advertises it with its own
+// bus kind, and an unplug detaches its own device model.
+func TestPlugOntoBusyChannelKeepsPeripheral(t *testing.T) {
+	d := newTestDeployment(t)
+	th, _ := d.AddThing("node")
+	cl, _ := d.AddClient()
+	// PlugTMP36's own path, keeping a handle on the device model.
+	tmp36 := &busDevice{analog: &bus.TMP36{Env: d.env}}
+	if err := th.plugModel(0, driver.IDTMP36, hw.BusADC, tmp36); err != nil {
+		t.Fatal(err)
+	}
+	d.Run()
+	if err := th.PlugBMP180(0); err == nil || !strings.Contains(err.Error(), "already occupied") {
+		t.Fatalf("PlugBMP180 onto the TMP36's channel = %v, want the occupied error", err)
+	}
+	d.Run()
+	if !tmp36.attached {
+		t.Fatal("the refused plug detached the TMP36 model")
+	}
+
+	// A scripted peer's discovery gets the Thing's advert off the wire.
+	peer, err := d.AddPeerNode(netip.MustParseAddr("2001:db8::beef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	peer.Bind(func(msg netsim.Message) {
+		m, err := proto.Decode(msg.Payload)
+		if err != nil || m.Type != proto.MsgSolicitedAdvert {
+			return
+		}
+		for _, p := range m.Peripherals {
+			for _, tlv := range p.TLVs {
+				if tlv.Type == proto.TLVBusKind && len(tlv.Value) == 1 {
+					got = append(got, fmt.Sprintf("%v/%v", p.ID, hw.BusKind(tlv.Value[0])))
+				}
+			}
+		}
+	})
+	b, err := (&proto.Message{Type: proto.MsgDiscovery, Seq: 7}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.Send(netsim.MulticastAddr(d.prefix, driver.IDTMP36), b)
+	d.Run()
+	if want := fmt.Sprintf("%v/%v", driver.IDTMP36, hw.BusADC); len(got) != 1 || got[0] != want {
+		t.Fatalf("advertised peripherals %v, want [%s]", got, want)
+	}
+	ads, err := cl.Discover(context.Background(), TMP36)
+	if err != nil || len(ads) != 1 || ads[0].Channel != 0 {
+		t.Fatalf("discover TMP36 = %+v, %v; want the Thing's channel 0", ads, err)
+	}
+
+	if err := th.Unplug(0); err != nil {
+		t.Fatal(err)
+	}
+	d.Run()
+	if tmp36.attached {
+		t.Fatal("unplug left the TMP36 model attached")
 	}
 }
 

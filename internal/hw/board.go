@@ -164,16 +164,30 @@ func (b *ControlBoard) OnInterrupt(fn func(Interrupt)) {
 	b.mu.Unlock()
 }
 
-// Plug connects a peripheral to a channel and raises the attach interrupt.
-func (b *ControlBoard) Plug(channel int, p *Peripheral) error {
+// CanPlug returns the error Plug would return for the channel right now:
+// nil when it is in range and empty.
+func (b *ControlBoard) CanPlug(channel int) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.canPlugLocked(channel)
+}
+
+func (b *ControlBoard) canPlugLocked(channel int) error {
 	if channel < 0 || channel >= len(b.slots) {
-		b.mu.Unlock()
 		return fmt.Errorf("hw: channel %d out of range [0,%d)", channel, len(b.slots))
 	}
 	if b.slots[channel] != nil {
-		b.mu.Unlock()
 		return fmt.Errorf("hw: channel %d already occupied", channel)
+	}
+	return nil
+}
+
+// Plug connects a peripheral to a channel and raises the attach interrupt.
+func (b *ControlBoard) Plug(channel int, p *Peripheral) error {
+	b.mu.Lock()
+	if err := b.canPlugLocked(channel); err != nil {
+		b.mu.Unlock()
+		return err
 	}
 	b.slots[channel] = p
 	b.stats.Interrupts++

@@ -299,6 +299,47 @@ func BenchmarkScaleMulticast(b *testing.B) {
 		})
 	}
 
+	// The lossy fan-out: the nodes=1000 send at the zoned-churn workload's 2%
+	// per-hop loss, so every copy pays its per-hop loss draws from the
+	// sender's stream and survivors reach their handlers. Stream sends take
+	// this path, so a regression here names the netsim draw layer.
+	b.Run("loss=2%", func(b *testing.B) {
+		const count = 1_000
+		n := New(Config{LossRate: 0.02})
+		nodes := benchTree(b, n, count)
+		group := MulticastAddr(PrefixFromAddr(nodes[0].Addr()), 0xad1cbe01)
+		for _, nd := range nodes[1:] {
+			nd.JoinGroup(group)
+			nd.Bind(func(Message) {})
+		}
+		// Warm as nodes= does: prime the plan, collect the set-up garbage,
+		// refill the pools.
+		nodes[0].Send(group, []byte("warm"))
+		n.RunUntilIdle(0)
+		runtime.GC()
+		nodes[0].Send(group, []byte("warm"))
+		n.RunUntilIdle(0)
+		before := n.Stats()
+		const batch = 8
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < batch; j++ {
+				nodes[0].Send(group, []byte("adv"))
+				n.RunUntilIdle(0)
+			}
+		}
+		b.StopTimer()
+		after := n.Stats()
+		delivered, lost := after.Delivered-before.Delivered, after.Lost-before.Lost
+		if delivered+lost != b.N*batch*(count-1) || lost == 0 {
+			b.Fatalf("delivered %d and lost %d copies, want %d copies with some lost", delivered, lost, b.N*batch*(count-1))
+		}
+		b.ReportMetric(float64(count-1), "members")
+		b.ReportMetric(float64(lost)/float64(b.N*batch), "lost/send")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/send")
+	})
+
 	// The parallel-speedup pair: the identical zone-partitioned fan-out —
 	// every zone root disseminating to its own zone-scoped group — run on the
 	// parallel sharded schedule (clock=sharded) and the sequential single-loop

@@ -21,9 +21,11 @@
 // concurrent handlers, and to keep the steady-state message path free of
 // heap allocations: payloads travel in pooled refcounted buffers with
 // explicit ownership hand-off (see Buf and SendBuf; handlers borrow
-// Message.Payload for the duration of the call), deliveries are pooled typed
-// events rather than per-datagram closures — one per multicast arrival
-// instant rather than per receiver — the event queue is a binary heap
+// Message.Payload for the duration of the call; a delivery, not each of its
+// receivers, holds a reference), deliveries are pooled typed events rather
+// than per-datagram closures — one per multicast arrival instant rather than
+// per receiver — per-hop loss draws read an inline lagged Fibonacci stream
+// per lane and compare integers, the event queue is a binary heap
 // with lazy deletion (Schedule and Step are O(log n), heap slots carry the
 // (timestamp, sequence) key inline so sifting never touches an event,
 // cancelled events are skipped on pop, compacted away when they dominate
@@ -37,16 +39,16 @@
 // per-group subtree member counts in one O(depth) walk. Locks are
 // sharded by role — topology (RWMutex, read-mostly after setup, taken by
 // sends), the per-group plan stripes, per-lane loss/jitter streams, atomic
-// stats counters, and the clock's own lock — and an arrival takes none of
-// them (it loads the receiver's handler atomically), so concurrent handlers
-// do not serialize on one lock.
+// stats counters (arrivals count on their own lane's padded counters), and
+// the clock's own lock — and an arrival takes none of them (it loads the
+// receiver's handler atomically), so concurrent handlers do not serialize on
+// one lock.
 package netsim
 
 import (
 	"cmp"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"net/netip"
 	"slices"
 	"sync"
@@ -190,26 +192,40 @@ func (s Stats) ShardSummary() string {
 		s.ShardCrossMerged, s.ShardCausalityViolations)
 }
 
-// counters is the internal, lock-free form of Stats: handlers on different
-// pool workers bump counts without touching any shared lock.
+// counters is the internal, lock-free form of Stats' send-side counts:
+// handlers on different pool workers bump counts without touching any shared
+// lock. Arrivals count per lane instead (see laneCounters).
 type counters struct {
 	unicastSent   atomic.Int64
 	multicastSent atomic.Int64
 	transmissions atomic.Int64
-	delivered     atomic.Int64
 	lost          atomic.Int64
-	noHandler     atomic.Int64
 }
 
-func (c *counters) snapshot() Stats {
-	return Stats{
+// laneCounters are one clock lane's arrival counts (one set for an unzoned or
+// realtime network). An arrival bumps only its receiver's lane, and the pad
+// keeps two lanes' counts off one cache line, so parallel lanes never contend
+// on a counter; Stats sums the lanes.
+type laneCounters struct {
+	delivered atomic.Int64
+	noHandler atomic.Int64
+	_         [48]byte
+}
+
+func (n *Network) snapshot() Stats {
+	c := &n.stats
+	s := Stats{
 		UnicastSent:   int(c.unicastSent.Load()),
 		MulticastSent: int(c.multicastSent.Load()),
 		Transmissions: int(c.transmissions.Load()),
-		Delivered:     int(c.delivered.Load()),
 		Lost:          int(c.lost.Load()),
-		NoHandler:     int(c.noHandler.Load()),
 	}
+	for i := range n.laneStats {
+		l := &n.laneStats[i]
+		s.Delivered += int(l.delivered.Load())
+		s.NoHandler += int(l.noHandler.Load())
+	}
+	return s
 }
 
 // Network is the simulated internetwork.
@@ -256,7 +272,10 @@ type Network struct {
 	plansMu sync.RWMutex
 	plans   map[netip.Addr]*groupPlans
 
-	stats counters
+	stats     counters
+	laneStats []laneCounters
+	// cut is Config.LossRate in the loss streams' integer domain.
+	cut uint64
 }
 
 // groupPlans is one group's stripe of the plan cache: the per-source SMRF
@@ -266,12 +285,15 @@ type groupPlans struct {
 	bySrc map[*Node]*mcastPlan
 }
 
-// zoneRng is one lane's loss/jitter stream. The mutex matters for concurrent
-// senders (realtime handlers, external goroutines); during sharded rounds
-// each stream is drawn solely by its own lane's worker.
+// zoneRng is one lane's loss/jitter stream, held inline (see lossStream).
+// The mutex matters for concurrent senders (realtime handlers, external
+// goroutines); during sharded rounds each stream is drawn solely by its own
+// lane's worker. The tail pad keeps the end of one lane's ring off the cache
+// line of the next lane's mutex.
 type zoneRng struct {
 	mu sync.Mutex
-	r  *rand.Rand
+	r  lossStream
+	_  [64]byte
 }
 
 // zoneMutQueue buffers one zone's deferred membership mutations.
@@ -352,25 +374,33 @@ func New(cfg Config) *Network {
 	if seed == 0 {
 		seed = 0x6030
 	}
+	n.cut = lossCut(cfg.LossRate)
 	if cfg.Realtime {
 		n.rclock = NewRealtimeClock(RealtimeConfig{TimeScale: cfg.TimeScale, Workers: cfg.Workers})
 	} else {
 		n.sclock = NewShardedClock(cfg.Zones, cfg.Workers, ShardQuantum(cfg.ProcJitter))
 	}
 	if !n.zoned() {
-		n.zoneRngs = []zoneRng{{r: rand.New(rand.NewSource(seed))}}
+		n.laneStats = make([]laneCounters, 1)
+		n.zoneRngs = make([]zoneRng, 1)
+		n.zoneRngs[0].r.seed(seed)
 		return n
 	}
 	n.sclock.postRound = n.flushDeferredMembership
 	n.lookahead = n.sclock.lookahead
+	n.laneStats = make([]laneCounters, cfg.Zones)
 	n.zoneRngs = make([]zoneRng, cfg.Zones)
 	for z := range n.zoneRngs {
-		// Distinct deterministic streams per zone, derived from the seed
-		// with a golden-ratio mix so adjacent zones do not correlate.
-		n.zoneRngs[z].r = rand.New(rand.NewSource(seed ^ int64(uint64(z+1)*0x9e3779b97f4a7c15)))
+		n.zoneRngs[z].r.seed(zoneSeed(seed, z))
 	}
 	n.zoneMuts = make([]zoneMutQueue, cfg.Zones)
 	return n
+}
+
+// zoneSeed derives zone z's stream seed from the network seed with a
+// golden-ratio mix, so adjacent zones do not correlate.
+func zoneSeed(seed int64, z int) int64 {
+	return seed ^ int64(uint64(z+1)*0x9e3779b97f4a7c15)
 }
 
 // zoned reports whether the network runs on two or more clock lanes.
@@ -412,7 +442,7 @@ func (n *Network) Now() time.Duration {
 // Stats returns a snapshot of the counters, with the sharded clock's
 // telemetry when the network runs two or more zone lanes.
 func (n *Network) Stats() Stats {
-	s := n.stats.snapshot()
+	s := n.snapshot()
 	if n.zoned() {
 		c := n.sclock
 		s.ShardLanes = c.Lanes()
@@ -917,24 +947,29 @@ func (nd *Node) SendBuf(dst netip.Addr, pb *Buf) {
 // the tree from the source; every edge on the union of paths to the members
 // is one transmission (duplicate suppression, the key SMRF property versus
 // naive flooding), counted from the group's subtree member counts in one
-// walk up the source's chain. The fan-out shares one payload buffer,
-// holding one reference per receiver. Caller holds topoMu.RLock.
+// walk up the source's chain. Caller holds topoMu.RLock.
+//
+// The fan-out shares one payload buffer. Each delivery the send queues — a
+// batch, or one jittered copy — takes one reference, which its last receiver
+// gives back (see delivery.run); a lost copy takes none. The sender's own
+// reference is dropped once everything is queued, so the buffer recycles
+// right away when every copy is lost.
 //
 // Loss (and jitter) is drawn per receiver in plan order, as for separate
-// unicasts. Without jitter the survivors of one arrival class — same lane,
-// same hop count, so the same arrival instant — share one delivery that
-// lists them in plan order; under jitter every survivor gets its own. The
-// batch takes the queue position its first receiver's event would have had,
-// and no other event could have been ordered between the receivers of one
-// instant (nothing else pushes to a lane between this send's pushes), so
-// the receivers run exactly where their separate events would have run.
+// unicasts, from the sender lane's stream. Without jitter the survivors of
+// one arrival class — same lane, same hop count, so the same arrival
+// instant — share one delivery that lists them in plan order; under jitter
+// every survivor gets its own. The batch takes the queue position its first
+// receiver's event would have had, and no other event could have been
+// ordered between the receivers of one instant (nothing else pushes to a
+// lane between this send's pushes), so the receivers run exactly where their
+// separate events would have run.
 func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 	plan := n.multicastPlan(src, msg.Dst)
 	if len(plan.targets) == 0 {
 		pb.Release()
 		return
 	}
-	pb.retain(int32(len(plan.targets)) - 1)
 	hopDelay := PacketDelay(len(msg.Payload), true)
 	jitter := n.cfg.ProcJitter > 0
 	var stack [64]*delivery
@@ -946,29 +981,38 @@ func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 	// order; a jittered copy is queued under it (lock order: stream, then
 	// clock).
 	zr := &n.zoneRngs[src.lane]
+	var lost, queued int32
 	zr.mu.Lock()
 	for _, t := range plan.targets {
 		hops := max(int(t.hops), 1)
-		delay, ok := n.draw(zr.r, hops, hopDelay)
+		delay, ok := n.draw(&zr.r, hops, hopDelay)
 		switch d := batches[t.slot]; {
 		case !ok:
-			n.stats.lost.Add(1)
-			pb.Release()
+			lost++
 		case jitter:
+			pb.retain(1)
 			n.scheduleDelivery(src, delay, newDelivery(1, n, msg, hops, pb, t.node))
 		case d == nil:
 			batches[t.slot] = newDelivery(int(plan.slots[t.slot].size), n, msg, hops, pb, t.node)
+			queued++
 		default:
 			d.dsts = append(d.dsts, t.node)
 		}
 	}
 	zr.mu.Unlock()
-	for _, d := range batches[:len(plan.slots)] {
-		if d != nil {
-			n.scheduleDelivery(src, time.Duration(d.msg.Hops)*hopDelay, d)
+	if lost > 0 {
+		n.stats.lost.Add(int64(lost))
+	}
+	if queued > 0 {
+		pb.retain(queued)
+		for _, d := range batches[:len(plan.slots)] {
+			if d != nil {
+				n.scheduleDelivery(src, time.Duration(d.msg.Hops)*hopDelay, d)
+			}
 		}
 	}
 	n.stats.transmissions.Add(int64(n.members[msg.Dst].transmissions(src)))
+	pb.Release()
 }
 
 // delivery is one scheduled arrival instant of a datagram: the receivers
@@ -977,8 +1021,10 @@ func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 // pooled with their receiver slices, so steady-state deliveries allocate
 // neither a closure nor an event.
 type delivery struct {
-	net  *Network
-	msg  Message
+	net *Network
+	msg Message
+	// buf backs msg.Payload; the delivery holds one reference to it for all
+	// its receivers together, released after the last one (see run).
 	buf  *Buf
 	dsts []*Node
 	// next counts the receivers the virtual clock has already handed out;
@@ -993,8 +1039,8 @@ type delivery struct {
 var deliveryPools [32]sync.Pool
 
 // newDelivery takes a pooled delivery for up to size receivers, of msg over
-// hops, with dst as its first receiver. Each receiver consumes one payload
-// reference.
+// hops, with dst as its first receiver. The delivery consumes one payload
+// reference, whoever receives it.
 func newDelivery(size int, n *Network, msg Message, hops int, pb *Buf, dst *Node) *delivery {
 	k := bits.Len(uint(size - 1))
 	d, _ := deliveryPools[k].Get().(*delivery)
@@ -1009,39 +1055,44 @@ func newDelivery(size int, n *Network, msg Message, hops int, pb *Buf, dst *Node
 
 // run executes the arrival at every receiver the delivery has left (the
 // clock hands a multicast batch's other receivers out one at a time, see
-// shardLane.runWindow), then recycles it.
+// shardLane.runWindow), releases the delivery's payload reference and
+// recycles it. Only the firing that pops the delivery calls run, so the
+// reference drops once, after the batch's last receiver.
 func (d *delivery) run() {
 	for _, dst := range d.dsts[d.next:] {
-		d.net.arrive(dst, d.msg, d.buf)
+		d.net.arrive(dst, &d.msg)
 	}
+	d.buf.Release()
 	clear(d.dsts)
 	*d = delivery{dsts: d.dsts[:0]}
 	deliveryPools[bits.Len(uint(cap(d.dsts)-1))].Put(d)
 }
 
 // arrive executes one receiver's arrival on the clock's firing goroutine:
-// dispatch to the handler bound at that moment, then release the receiver's
-// payload reference (handlers only borrow Message.Payload). It takes no lock.
-func (n *Network) arrive(dst *Node, msg Message, pb *Buf) {
+// dispatch to the handler bound at that moment and count it on the
+// receiver's lane. It takes no lock and leaves the payload alone: the
+// delivery holds the reference for all its receivers (handlers only borrow
+// Message.Payload).
+func (n *Network) arrive(dst *Node, msg *Message) {
+	c := &n.laneStats[dst.lane]
 	if h := dst.handler.Load(); h == nil {
-		n.stats.noHandler.Add(1)
+		c.noHandler.Add(1)
 	} else {
-		(*h)(msg)
-		n.stats.delivered.Add(1)
+		(*h)(*msg)
+		c.delivered.Add(1)
 	}
-	pb.Release()
 }
 
 // deliver schedules a unicast delivery after the per-hop latency, applying
-// per-hop loss. Caller holds topoMu.RLock and has accounted one payload
-// reference for this delivery; deliver consumes it (on loss, or after the
+// per-hop loss. Caller holds topoMu.RLock and hands over its payload
+// reference, which the delivery consumes (dropped on loss, or after the
 // handler).
 func (n *Network) deliver(src, dst *Node, msg Message, pb *Buf, hops int) {
 	hops = max(hops, 1) // loopback or same-node corner: still one stack traversal
 	n.stats.transmissions.Add(int64(hops))
 	zr := &n.zoneRngs[src.lane]
 	zr.mu.Lock()
-	delay, ok := n.draw(zr.r, hops, PacketDelay(len(msg.Payload), false))
+	delay, ok := n.draw(&zr.r, hops, PacketDelay(len(msg.Payload), false))
 	zr.mu.Unlock()
 	if !ok {
 		n.stats.lost.Add(1)
@@ -1051,14 +1102,12 @@ func (n *Network) deliver(src, dst *Node, msg Message, pb *Buf, hops int) {
 	n.scheduleDelivery(src, delay, newDelivery(1, n, msg, hops, pb, dst))
 }
 
-// draw samples one copy's fate from rng (its lock held): a loss draw per hop
-// until one hits, then, for a survivor, the jitter draw. It returns the
-// arrival delay and whether the copy survived.
-func (n *Network) draw(rng *rand.Rand, hops int, hopDelay time.Duration) (time.Duration, bool) {
-	for h := 0; h < hops; h++ {
-		if n.cfg.LossRate > 0 && rng.Float64() < n.cfg.LossRate {
-			return 0, false
-		}
+// draw samples one copy's fate from rng (its lane's stream, lock held): a
+// loss draw per hop until one hits, then, for a survivor, the jitter draw.
+// It returns the arrival delay and whether the copy survived.
+func (n *Network) draw(rng *lossStream, hops int, hopDelay time.Duration) (time.Duration, bool) {
+	if n.cfg.LossRate > 0 && !rng.survive(hops, n.cut) {
+		return 0, false
 	}
 	delay := time.Duration(hops) * hopDelay
 	if n.cfg.ProcJitter > 0 {

@@ -12,14 +12,19 @@ import (
 //     proto.AppendEncode into B[:0]) and passes it to Node.SendBuf, which
 //     takes ownership. After SendBuf the sender must not touch the Buf.
 //   - The network releases the buffer once the datagram's final delivery
-//     handler returned (multicast fan-out holds one reference per receiver;
-//     the last release recycles) or when the datagram is lost.
+//     handler returned, or when every copy is lost. Inside the network each
+//     queued delivery holds one reference for all the receivers it reaches
+//     (a multicast batch, a jittered copy, a unicast) and drops it after its
+//     last receiver's handler; lost copies hold none, and the sender's
+//     reference is dropped once the send has queued its deliveries. The last
+//     release recycles.
 //   - A sender that aborts before SendBuf (e.g. on an encode error) releases
 //     the Buf itself with Release.
 //
 // Handlers consequently see Message.Payload only on loan: the bytes are valid
 // for the duration of the handler call and are recycled afterwards. Retain
-// them with an explicit copy (or proto's PeripheralInfo.Clone).
+// them with an explicit copy; a message proto's Decoder parsed from them
+// aliases the payload and is on the same loan.
 type Buf struct {
 	// B is the payload. Senders append into B[:0] to reuse the pooled
 	// capacity.
@@ -42,7 +47,7 @@ func AcquireBuf() *Buf {
 	return pb
 }
 
-// retain adds n references (multicast fan-out takes one per receiver).
+// retain adds n references (multicast fan-out takes one per delivery).
 func (pb *Buf) retain(n int32) { pb.refs.Add(n) }
 
 // Release drops one reference; the last release recycles the buffer. Callers

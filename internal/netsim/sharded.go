@@ -138,6 +138,14 @@ type shardLane struct {
 	// outbox buffers cross-lane events generated during the current round, in
 	// emission order; the barrier merges them into the destination heaps.
 	outbox []crossEvent
+	// ran counts the events and batch receivers runWindow started on this
+	// lane. Only the goroutine executing the lane touches it, reentrant
+	// drivers included, so it needs no lock: a batch hand-out compares it
+	// across each receiver to notice a handler that drove the lane itself.
+	ran uint64
+	// The pad rounds the struct up to two cache lines, so lanes, which are
+	// allocated one by one, never share a line.
+	_ [24]byte
 }
 
 // crossEvent is one buffered cross-lane event (a packet delivery, possibly a
@@ -484,19 +492,8 @@ func (sl *shardLane) runWindow(w1 time.Duration, maxEvents int) int {
 			sl.now.Store(at)
 		}
 		if d := ev.del; d != nil && d.next < len(d.dsts)-1 {
-			// A multicast batch with more than one receiver left hands out
-			// the next and stays at the root, its key unchanged: nothing can
-			// overtake it meanwhile, since every event pushed later carries a
-			// larger sequence number and a timestamp no earlier than the
-			// lane's clock. A handler that drives the clock reentrantly thus
-			// runs the batch's next receiver, as it would have run the next
-			// separately queued arrival; only the batch's last receiver, run
-			// by the firing that pops it, touches d afterwards.
-			n, dst, msg, pb := d.net, d.dsts[d.next], d.msg, d.buf
-			d.next++
 			sl.mu.Unlock()
-			n.arrive(dst, msg, pb)
-			steps++
+			steps += sl.handOut(d, maxEvents-steps)
 			continue
 		}
 		ev = sl.eh.pop()
@@ -505,10 +502,38 @@ func (sl *shardLane) runWindow(w1 time.Duration, maxEvents int) int {
 		if pool {
 			recycleEvent(ev)
 		}
+		sl.ran++
 		f.run()
 		steps++
 	}
 	return steps
+}
+
+// handOut runs up to maxEvents receivers of the multicast batch d, which
+// sits at the root of the lane's heap, all but its last, and returns how
+// many it ran. The batch stays at the root, its key unchanged: nothing can
+// overtake it meanwhile, since every event pushed later carries a larger
+// sequence number and a timestamp no earlier than the lane's clock. So the
+// receivers run one after the other without the lane lock, each one an
+// event of its own. A handler that drives the clock reentrantly runs the
+// batch's next receiver, as it would have run the next separately queued
+// arrival, and may run its last, whose firing pops and recycles d; ran
+// shows that, and the hand-out stops so the caller re-reads the heap. Only
+// the firing that pops the batch touches d after its last hand-out.
+func (sl *shardLane) handOut(d *delivery, maxEvents int) int {
+	n, k := d.net, 0
+	for k < maxEvents && d.next < len(d.dsts)-1 {
+		dst := d.dsts[d.next]
+		d.next++
+		sl.ran++
+		mark := sl.ran
+		n.arrive(dst, &d.msg)
+		k++
+		if sl.ran != mark {
+			break
+		}
+	}
+	return k
 }
 
 // empty reports whether the lane has no pending event.

@@ -5,7 +5,20 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestLaneStateFillsWholeCacheLines: the per-lane structs that parallel
+// lanes write are padded to whole 64-byte cache lines, so two lanes never
+// write one line. A field added without resizing the pad fails here.
+func TestLaneStateFillsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(shardLane{}); n%64 != 0 {
+		t.Errorf("shardLane is %d bytes, not a whole number of cache lines", n)
+	}
+	if n := unsafe.Sizeof(laneCounters{}); n != 64 {
+		t.Errorf("laneCounters is %d bytes, want one cache line", n)
+	}
+}
 
 // stormRun is one zoned multicast-storm execution: a per-receiver arrival
 // transcript (every delivery with its lane-local timestamp, source, hop count

@@ -294,3 +294,43 @@ func TestNestedStepInsideMulticastBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestNestedStepRunsBatchToItsEnd: a handler whose reentrant Step runs the
+// last receiver of its own batch ends that batch. When the handler then
+// sends again, the new batch (likely the old one, back from the delivery
+// pool) must arrive one hop later, after the outer driver has gone back to
+// the heap, not be handed out at the old batch's instant.
+func TestNestedStepRunsBatchToItsEnd(t *testing.T) {
+	n := New(Config{})
+	root, _ := n.AddNode(addr("2001:db8::1"), nil)
+	group := MulticastAddr(PrefixFromAddr(root.Addr()), 0xad1cbe01)
+	members := []string{"2001:db8::2", "2001:db8::3", "2001:db8::4"}
+	var got []string
+	for i, s := range members {
+		nd, _ := n.AddNode(addr(s), root)
+		nd.JoinGroup(group)
+		nd.Bind(func(m Message) {
+			got = append(got, fmt.Sprintf("%s=%s@%v", s, m.Payload, nd.Now()))
+			if i == 1 && string(m.Payload) == "p0" {
+				n.Step() // runs the batch's last receiver
+				root.Send(group, []byte("p1"))
+			}
+		})
+	}
+	root.Send(group, []byte("p0"))
+	n.RunUntilIdle(0)
+	hop := PacketDelay(2, true)
+	var want []string
+	for _, p := range []string{"p0", "p1"} {
+		at := hop
+		if p == "p1" {
+			at = 2 * hop
+		}
+		for _, s := range members {
+			want = append(want, fmt.Sprintf("%s=%s@%v", s, p, at))
+		}
+	}
+	if g, w := strings.Join(got, " "), strings.Join(want, " "); g != w {
+		t.Fatalf("deliveries\n got %s\nwant %s", g, w)
+	}
+}

@@ -394,12 +394,15 @@ func (t *Thing) Runtime(id hw.DeviceID) *vm.Runtime {
 // Plug connects a simulated peripheral (hardware identity + device model)
 // to a channel. The control-board interrupt fires, identification runs, and
 // the plug-in protocol sequence of Figures 10/11 plays out on the network's
-// virtual clock (drive it with Network.RunUntilIdle).
+// virtual clock (drive it with Network.RunUntilIdle). A busy channel is
+// refused before anything changes: the peripheral already there keeps its
+// slot and its device model.
 func (t *Thing) Plug(channel int, p *hw.Peripheral, dev Device) error {
 	t.mu.Lock()
-	if channel < 0 || channel >= len(t.slots) {
+	// The board has one channel per slot, so this also checks the range.
+	if err := t.board.CanPlug(channel); err != nil {
 		t.mu.Unlock()
-		return fmt.Errorf("thing: channel %d out of range", channel)
+		return err
 	}
 	slot := t.slots[channel]
 	if dev != nil {
