@@ -21,6 +21,12 @@
 // latency signal load generators record in virtual mode, where wall time is
 // meaningless.
 //
+// Every JSON reply is compact and newline-terminated, the bytes of
+// json.Marshal plus "\n": it is encoded into a pooled buffer and sent with
+// its Content-Length in one Write, and the SSE bridge encodes its data lines
+// through the same pool. Query parameters are read straight from the raw
+// query (queryValue), with url.ParseQuery's semantics but no url.Values map.
+//
 // The SSE bridge gives every stream client a private buffered send queue: a
 // slow consumer sheds (drops) readings once its queue is full rather than
 // backpressuring the advert/stream delivery goroutine, which must never
@@ -28,12 +34,15 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/netip"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -265,12 +274,57 @@ func ParseDevice(s string) (micropnp.DeviceID, error) {
 	return micropnp.DeviceID(n), nil
 }
 
+// reply is one pooled response body and the encoder that writes into it.
+type reply struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledReply bounds the buffer a reply may keep in the pool, so one
+// unpaged listing does not pin its size for every later read.
+const maxPooledReply = 64 << 10
+
+var replies = sync.Pool{New: func() any {
+	rp := new(reply)
+	rp.enc = json.NewEncoder(&rp.Buffer)
+	return rp
+}}
+
+// encodeReply takes a pooled reply and writes prefix, then v as compact
+// JSON and a newline: the bytes of json.Marshal(v) plus "\n". The caller
+// returns it with putReply.
+func encodeReply(prefix string, v any) (*reply, error) {
+	rp := replies.Get().(*reply)
+	rp.Reset()
+	rp.WriteString(prefix)
+	if err := rp.enc.Encode(v); err != nil {
+		putReply(rp)
+		return nil, err
+	}
+	return rp, nil
+}
+
+func putReply(rp *reply) {
+	if rp.Cap() <= maxPooledReply {
+		replies.Put(rp)
+	}
+}
+
+// writeJSON sends v as one compact, newline-terminated JSON body with its
+// Content-Length, in a single Write.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	rp, err := encodeReply("", v)
+	if err != nil {
+		// Every reply shape is plain data; the error reply always encodes.
+		s.fail(w, http.StatusInternalServerError, "encoding reply: %v", err)
+		return
+	}
+	defer putReply(rp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(rp.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(rp.Bytes()) // a failed write means the client went away
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
@@ -305,8 +359,30 @@ func (s *Server) pathAddr(w http.ResponseWriter, r *http.Request) (netip.Addr, b
 	return a, true
 }
 
+// queryValue returns the first value of key in the raw query, or "" when
+// there is none: url.ParseQuery(raw).Get(key) without building the map. As
+// there, a pair holding ';' or failing to unescape is skipped, and '+' reads
+// as a space.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 func (s *Server) queryDevice(w http.ResponseWriter, r *http.Request, param string, required bool) (micropnp.DeviceID, bool) {
-	v := r.URL.Query().Get(param)
+	v := queryValue(r.URL.RawQuery, param)
 	if v == "" {
 		if required {
 			s.fail(w, http.StatusBadRequest, "missing required query parameter %q", param)
@@ -326,9 +402,9 @@ func (s *Server) queryDevice(w http.ResponseWriter, r *http.Request, param strin
 // Handlers
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	var f catalog.Filter
-	if v := q.Get("device"); v != "" {
+	if v := queryValue(q, "device"); v != "" {
 		id, err := ParseDevice(v)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
@@ -336,8 +412,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Device = id
 	}
-	f.Units = q.Get("units")
-	if v := q.Get("thing"); v != "" {
+	f.Units = queryValue(q, "units")
+	if v := queryValue(q, "thing"); v != "" {
 		a, err := netip.ParseAddr(v)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, "bad thing filter %q: %v", v, err)
@@ -346,7 +422,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		f.Thing = a
 	}
 	offset, limit := 0, 0
-	if v := q.Get("offset"); v != "" {
+	if v := queryValue(q, "offset"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			s.fail(w, http.StatusBadRequest, "bad offset %q", v)
@@ -354,7 +430,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		offset = n
 	}
-	if v := q.Get("limit"); v != "" {
+	if v := queryValue(q, "limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			s.fail(w, http.StatusBadRequest, "bad limit %q", v)
@@ -546,12 +622,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-closedTick.C:
 			if sub.Closed() {
-				fmt.Fprintf(w, "event: closed\ndata: {}\n\n")
+				_, _ = io.WriteString(w, "event: closed\ndata: {}\n\n")
 				flusher.Flush()
 				return
 			}
 		case rd := <-queue:
-			data, err := json.Marshal(ReadingJSON{
+			rp, err := encodeReply("event: reading\ndata: ", ReadingJSON{
 				Thing:  rd.Thing.String(),
 				Device: rd.Device.String(),
 				Values: rd.Values,
@@ -561,7 +637,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				continue
 			}
-			fmt.Fprintf(w, "event: reading\ndata: %s\n\n", data)
+			rp.WriteByte('\n') // the encoder ended the data line; this ends the event
+			_, _ = w.Write(rp.Bytes())
+			putReply(rp)
 			flusher.Flush()
 			s.streamSent.Add(1)
 		}
@@ -590,9 +668,9 @@ func (s *Server) setSpan(w http.ResponseWriter, thing netip.Addr, span time.Dura
 // in-flight installs must then finish via the surviving instances, which the
 // caller can observe through the data-path endpoints staying green.
 func (s *Server) handleFailManager(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	depIdx, mgrIdx := 0, 0
-	if v := q.Get("deployment"); v != "" {
+	if v := queryValue(q, "deployment"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 || n >= len(s.deps) {
 			s.fail(w, http.StatusBadRequest, "bad deployment %q (have %d)", v, len(s.deps))
@@ -600,7 +678,7 @@ func (s *Server) handleFailManager(w http.ResponseWriter, r *http.Request) {
 		}
 		depIdx = n
 	}
-	if v := q.Get("manager"); v != "" {
+	if v := queryValue(q, "manager"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			s.fail(w, http.StatusBadRequest, "bad manager %q", v)

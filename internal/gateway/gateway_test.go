@@ -357,17 +357,28 @@ func TestStreamSSE(t *testing.T) {
 
 	sc := bufio.NewScanner(resp.Body)
 	readings := 0
+	prev := ""
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "data: ") {
+			prev = line
 			continue
 		}
 		var rd ReadingJSON
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &rd); err != nil {
+		data := strings.TrimPrefix(line, "data: ")
+		if err := json.Unmarshal([]byte(data), &rd); err != nil {
 			t.Fatalf("bad SSE data %q: %v", line, err)
 		}
 		if len(rd.Values) == 0 || rd.Thing != addr {
 			t.Fatalf("bad SSE reading: %+v", rd)
+		}
+		// The event is "event: reading", the data line in json.Marshal form,
+		// and a blank line.
+		if want, _ := json.Marshal(rd); data != string(want) {
+			t.Fatalf("SSE data %q, want %q", data, want)
+		}
+		if !sc.Scan() || prev != "event: reading" || sc.Text() != "" {
+			t.Fatalf("SSE event framing: %q, %q, %q", prev, line, sc.Text())
 		}
 		readings++
 		if readings >= 3 {

@@ -37,7 +37,17 @@ func (id DeviceID) Reserved() bool {
 	return id == DeviceIDAllPeripherals || id == DeviceIDAllClients
 }
 
-func (id DeviceID) String() string { return fmt.Sprintf("0x%08x", uint32(id)) }
+// String formats the identifier as 0x and eight lowercase hex digits, the
+// form fmt's "0x%08x" gives, for the cost of the one string.
+func (id DeviceID) String() string {
+	const digits = "0123456789abcdef"
+	b := [10]byte{'0', 'x'}
+	for i := len(b) - 1; i >= 2; i-- {
+		b[i] = digits[id&0xf]
+		id >>= 4
+	}
+	return string(b[:])
+}
 
 // PulseCoder maps byte values to pulse durations and back.
 //

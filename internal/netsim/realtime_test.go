@@ -25,8 +25,11 @@ func rtNet(t *testing.T, cfg Config) *Network {
 
 func TestRealtimeSchedulesInTimestampOrder(t *testing.T) {
 	// One worker serializes dispatch, so the recorded order is exactly the
-	// loop's timestamp-ordered pop order.
-	n := rtNet(t, Config{Workers: 1})
+	// loop's timestamp-ordered pop order. Each delay is measured from its
+	// own Schedule call, so the four calls must finish within one 100 ms
+	// spacing of wall time: at TimeScale 20 that is 5 ms, which a slow
+	// Schedule under the race detector still meets (at 2000 it was 50 us).
+	n := rtNet(t, Config{Workers: 1, TimeScale: 20})
 	var mu sync.Mutex
 	var got []int
 	// Schedule out of order; the loop must fire them by virtual timestamp.
