@@ -2,7 +2,7 @@
 // stack-based instruction set inspired by the JVM but tailored to IoT driver
 // development (Section 4.1 "Compilation"). Drivers compiled to this format
 // are platform independent and small enough for energy-efficient over-the-air
-// distribution; they are executed by the interpreter in internal/vm.
+// distribution; internal/vm compiles and executes them.
 //
 // Every instruction is one opcode byte followed by zero or more operand
 // bytes. The operand stack holds 32-bit signed integers; static driver state

@@ -58,7 +58,7 @@ func driverCycles() map[string][]benchCall {
 }
 
 // BenchmarkDriverExec pairs the compiled engine against the interpreter
-// oracle on every embedded driver's sample cycle. benchgate gates the
+// oracle (interpRun) on every embedded driver's sample cycle. benchgate gates the
 // geomean ratio in CI (the speedup-driver gate of PERF_ledger.json).
 //
 // The driver loop is OUTER and the engine loop INNER so `go test -count N`
@@ -69,8 +69,7 @@ func driverCycles() map[string][]benchCall {
 // ends fast.
 func BenchmarkDriverExec(b *testing.B) {
 	cycles := driverCycles()
-	all := append(append([]driver.StandardDriver{}, driver.StandardDrivers...), driver.ExtendedDrivers...)
-	for _, sd := range all {
+	for _, sd := range embeddedDrivers() {
 		for _, engine := range []string{"compiled", "interp"} {
 			short := strings.TrimSuffix(path.Base(sd.File), ".updsl")
 			cycle, ok := cycles[short]
@@ -90,11 +89,6 @@ func BenchmarkDriverExec(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if engine == "interp" {
-					m.SetInterp(true)
-				} else if !m.Compiled() {
-					b.Fatal("embedded driver did not compile")
-				}
 				// One-time install prologue outside the measured loop. For
 				// BMP180 this replays the 11-word calibration read so the
 				// compensation math in the cycle runs on real coefficients.
@@ -107,9 +101,16 @@ func BenchmarkDriverExec(b *testing.B) {
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
+				interp := engine == "interp"
 				for i := 0; i < b.N; i++ {
 					for _, c := range cycle {
-						if _, err := m.Run(c.name, c.args); err != nil {
+						var err error
+						if interp {
+							_, err = interpRun(m, c.name, c.args)
+						} else {
+							_, err = m.Run(c.name, c.args)
+						}
+						if err != nil {
 							b.Fatalf("%s: %v", c.name, err)
 						}
 					}

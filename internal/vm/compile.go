@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"time"
 
 	"micropnp/internal/bytecode"
@@ -21,25 +22,25 @@ import (
 // Compilation happens once per Image, not once per Machine: a deployment's
 // Images table hands every Thing that installs the same driver bytes the
 // same Image, and its Machines read the shared instruction and block arrays
-// without copying them. Only a Machine whose Time model was reassigned
-// takes private, recosted copies (recost).
+// without copying them. Costs follow DefaultAVRTimeModel, the paper's
+// Section 6.2 measurements, and are fixed at compile time.
 //
 // The batched accounting is exact, not approximate. A block's fuel demand
 // and min/max stack excursion are computed at compile time, so the block
 // precheck passes if and only if every per-instruction check inside the
 // block would pass; when it fails, execution falls back to the
 // per-instruction checked loop (runCompiledChecked), which traps at the
-// same PC after the same instruction count as the interpreter. Traps that
-// fire mid-block on the fast path (div-by-zero, index range) rebuild the
-// exact partial instruction count and emulated time from the block's cost
-// prefix before returning.
+// same PC after the same instruction count as a per-instruction
+// interpreter. Traps that fire mid-block on the fast path (div-by-zero,
+// index range) rebuild the exact partial instruction count and emulated
+// time from the block's cost prefix before returning.
 //
-// The interpreter (runInterp) stays as the reference oracle: compiled
-// execution is bit-identical — same trap kind at the same byte PC after the
-// same instruction count, same Signal order, same EmulatedTime under the
-// AVR cost model, and the same scratch-backed zero-alloc RunResult contract
-// — so virtual-mode determinism is engine-independent. Differential tests,
-// the trap-parity table and FuzzCompiledVsInterpreter enforce this.
+// The compiled engine is the only one shipped code runs. The switch
+// interpreter in interp_test.go is its test oracle, and compiled execution
+// is bit-identical to it: same trap kind at the same byte PC after the same
+// instruction count, same Signal order, same EmulatedTime under the AVR
+// cost model. The differential tests, the trap-parity table,
+// FuzzCompiledVsInterpreter and FuzzDSLCompile enforce this.
 
 // cinstr is one pre-decoded instruction. Operands are fully resolved at
 // compile time: immediates sign-extended, jump offsets turned into basic
@@ -56,10 +57,9 @@ type cinstr struct {
 	// mirroring stackEffect exactly.
 	pushes, pops int8
 	// pc is the original bytecode offset, kept so TrapError reports the
-	// same PC as the interpreter.
+	// byte PC of the faulting instruction.
 	pc int32
-	// cost is InstructionCost(pushes, pops) under DefaultAVRTimeModel, or
-	// under a machine's own model in its private copies (recost).
+	// cost is InstructionCost(pushes, pops) under DefaultAVRTimeModel.
 	cost time.Duration
 }
 
@@ -77,7 +77,7 @@ type cblock struct {
 	// pops=1/pushes=2 here so its read of the current top is covered.
 	minNet int32
 	// maxPeak is the maximum depth relative to entry reached by any
-	// member's pushes; entry sp + maxPeak ≤ MaxStack ⇔ no member
+	// member's pushes; entry sp + maxPeak ≤ maxStack ⇔ no member
 	// overflows.
 	maxPeak int32
 	// cost is the sum of member instruction costs.
@@ -92,37 +92,36 @@ type compiledHandler struct {
 	blocks  []cblock
 }
 
-// compileProgram lowers every handler of a verified program. It returns
-// (nil, false) when any instruction is outside the supported set — callers
-// fall back to the interpreter, which is the behaviour-defining engine for
-// whatever future opcode the compiler does not know.
-func compileProgram(prog *bytecode.Program) ([]*compiledHandler, bool) {
+// compileProgram lowers every handler of a verified program, or names the
+// first handler and byte PC holding an instruction it cannot lower.
+func compileProgram(prog *bytecode.Program) ([]*compiledHandler, error) {
 	out := make([]*compiledHandler, 0, len(prog.Handlers))
 	for i := range prog.Handlers {
-		h := &prog.Handlers[i]
-		ch, ok := compileHandler(prog, h)
-		if !ok {
-			return nil, false
+		ch, err := compileHandler(prog, &prog.Handlers[i])
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, ch)
 	}
-	return out, true
+	return out, nil
 }
 
-func compileHandler(prog *bytecode.Program, h *bytecode.Handler) (*compiledHandler, bool) {
+// compileHandler lowers one handler and costs it under DefaultAVRTimeModel.
+// It trusts its input: it is reached only through Compile, which runs
+// Program.Verify first, so operand widths, static/local slots, signal
+// constants and jump targets are already in range. The one thing it checks is that it knows every
+// opcode, so an opcode added to the ISA without a compiled form fails here
+// instead of executing as something else.
+func compileHandler(prog *bytecode.Program, h *bytecode.Handler) (*compiledHandler, error) {
 	code := h.Code
 	// First pass: instruction index per byte offset, for jump resolution.
+	// An unknown opcode (width -1) counts as one byte; the decode pass
+	// rejects it.
 	idxAt := make([]int32, len(code)+1)
 	n := int32(0)
-	for pc := 0; pc < len(code); {
-		op := bytecode.Op(code[pc])
-		w := op.OperandWidth()
-		if w < 0 || pc+1+w > len(code) {
-			return nil, false
-		}
+	for pc := 0; pc < len(code); pc += 1 + max(bytecode.Op(code[pc]).OperandWidth(), 0) {
 		idxAt[pc] = n
 		n++
-		pc += 1 + w
 	}
 	idxAt[len(code)] = n
 
@@ -132,12 +131,9 @@ func compileHandler(prog *bytecode.Program, h *bytecode.Handler) (*compiledHandl
 	for pc := 0; pc < len(code); {
 		op := bytecode.Op(code[pc])
 		w := op.OperandWidth()
-		operand := code[pc+1 : pc+1+w]
+		operand := code[pc+1:]
 		next := pc + 1 + w
 		in := cinstr{op: op, pc: int32(pc)}
-		pushes, pops := stackEffect(op, operand)
-		in.pushes, in.pops = int8(pushes), int8(pops)
-
 		switch op {
 		case bytecode.OpNop, bytecode.OpDup, bytecode.OpDrop,
 			bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpMod,
@@ -152,32 +148,21 @@ func compileHandler(prog *bytecode.Program, h *bytecode.Handler) (*compiledHandl
 		case bytecode.OpPushI32:
 			in.a = int32(uint32(operand[0])<<24 | uint32(operand[1])<<16 | uint32(operand[2])<<8 | uint32(operand[3]))
 		case bytecode.OpLoadStatic, bytecode.OpStoreStatic,
-			bytecode.OpLoadElem, bytecode.OpStoreElem, bytecode.OpReturnStatic:
-			if int(operand[0]) >= len(prog.Statics) {
-				return nil, false
-			}
-			in.a = int32(operand[0])
-		case bytecode.OpLoadLocal, bytecode.OpStoreLocal:
-			if int(operand[0]) >= bytecode.MaxLocals {
-				return nil, false
-			}
+			bytecode.OpLoadElem, bytecode.OpStoreElem, bytecode.OpReturnStatic,
+			bytecode.OpLoadLocal, bytecode.OpStoreLocal:
 			in.a = int32(operand[0])
 		case bytecode.OpJmp, bytecode.OpJz, bytecode.OpJnz:
-			target := next + int(int16(uint16(operand[0])<<8|uint16(operand[1])))
-			if target < 0 || target > len(code) {
-				return nil, false
-			}
-			in.a = idxAt[target]
+			in.a = idxAt[next+int(int16(uint16(operand[0])<<8|uint16(operand[1])))]
 		case bytecode.OpSignal:
-			if int(operand[0]) >= len(prog.Consts) || int(operand[1]) >= len(prog.Consts) {
-				return nil, false
-			}
 			in.dest = prog.Consts[operand[0]]
 			in.event = prog.Consts[operand[1]]
 			in.a = int32(operand[2])
 		default:
-			return nil, false
+			return nil, fmt.Errorf("vm: handler %q: opcode 0x%02x at pc %d has no compiled form", h.Name, code[pc], pc)
 		}
+		pushes, pops := stackEffect(op, operand[:w])
+		in.pushes, in.pops = int8(pushes), int8(pops)
+		in.cost = DefaultAVRTimeModel.InstructionCost(pushes, pops)
 		ins = append(ins, in)
 		pc = next
 	}
@@ -196,7 +181,7 @@ func compileHandler(prog *bytecode.Program, h *bytecode.Handler) (*compiledHandl
 		}
 	}
 
-	// Fourth pass: build blocks and aggregate fuel/stack demands.
+	// Fourth pass: build blocks and aggregate fuel/stack/cost demands.
 	blockAt := make([]int32, n+1)
 	var blocks []cblock
 	for i := int32(0); i < n; {
@@ -220,6 +205,7 @@ func compileHandler(prog *bytecode.Program, h *bytecode.Handler) (*compiledHandl
 				b.maxPeak = d - ep + eh
 			}
 			d += int32(in.pushes) - int32(in.pops)
+			b.cost += in.cost
 		}
 		blocks = append(blocks, b)
 		i = j
@@ -234,47 +220,7 @@ func compileHandler(prog *bytecode.Program, h *bytecode.Handler) (*compiledHandl
 			ins[idx].a = blockAt[ins[idx].a]
 		}
 	}
-	return &compiledHandler{name: h.Name, nparams: int(h.NParams), ins: ins, blocks: blocks}, true
-}
-
-// setCosts writes every instruction and block cost under tm. It is only
-// ever applied to handlers nothing else reads yet: an Image's fresh
-// handlers at Compile, or a Machine's private copies in recost.
-func (ch *compiledHandler) setCosts(tm AVRTimeModel) {
-	for i := range ch.ins {
-		in := &ch.ins[i]
-		in.cost = tm.InstructionCost(int(in.pushes), int(in.pops))
-	}
-	for i := range ch.blocks {
-		b := &ch.blocks[i]
-		b.cost = 0
-		for k := b.start; k <= b.end; k++ {
-			b.cost += ch.ins[k].cost
-		}
-	}
-}
-
-// recost re-points the machine's handlers at its current time model. Called
-// lazily from Run when Machine.Time was reassigned, so mutating the model
-// stays bit-identical to the interpreter's per-instruction InstructionCost
-// calls. The image's handlers are shared with every sibling machine, so they
-// are never written: the default model uses them as they are, and any other
-// model gets private copies.
-func (m *Machine) recost() {
-	m.costModel = m.Time
-	m.compiled = m.img.compiled
-	if m.Time == DefaultAVRTimeModel {
-		return
-	}
-	own := make([]*compiledHandler, len(m.compiled))
-	for i, ch := range m.compiled {
-		c := *ch
-		c.ins = append([]cinstr(nil), ch.ins...)
-		c.blocks = append([]cblock(nil), ch.blocks...)
-		c.setCosts(m.Time)
-		own[i] = &c
-	}
-	m.compiled = own
+	return &compiledHandler{name: h.Name, nparams: int(h.NParams), ins: ins, blocks: blocks}, nil
 }
 
 // blockTrapAt rebuilds the exact partial transcript for a trap at
@@ -291,7 +237,7 @@ func blockTrapAt(ch *compiledHandler, b *cblock, k int, entrySteps int, entryEti
 
 // runCompiled executes one pre-decoded handler. Every observable — trap
 // kind/PC, instruction count, emulated time, signal order, the
-// scratch-backed result slices — matches runInterp bit for bit.
+// scratch-backed result slices — matches the test oracle bit for bit.
 func (m *Machine) runCompiled(ch *compiledHandler, args []int32, res *RunResult) error {
 	var locals [bytecode.MaxLocals]int32
 	for i, a := range args {
@@ -302,13 +248,9 @@ func (m *Machine) runCompiled(ch *compiledHandler, args []int32, res *RunResult)
 	}
 	res.Signals = m.sigScratch[:0]
 	m.argOff = 0 // previous run's Signal.Args expire with its Signals
-	maxStack := m.MaxStack
-	if cap(m.scratch) < maxStack {
-		m.scratch = make([]int32, 0, maxStack)
-	}
 	// sp-indexed full-length stack: indexing into a fixed-length slice is
 	// cheaper than append/reslice bookkeeping on every push and pop.
-	stack := m.scratch[:maxStack]
+	stack := m.scratch[:]
 	sp := 0
 	fuel := m.Fuel
 	statics := m.statics
@@ -497,13 +439,11 @@ func (m *Machine) runCompiled(ch *compiledHandler, args []int32, res *RunResult)
 }
 
 // runCompiledChecked is the per-instruction slow path, entered from block
-// bi when its precheck fails (imminent fuel or stack trap). It re-applies
-// the interpreter's exact per-instruction check order — fuel, count, stack
-// bounds, cost, execute — so the trap surfaces at the same PC after the
-// same instruction count.
+// bi when its precheck fails (imminent fuel or stack trap). It applies the
+// per-instruction check order — fuel, count, stack bounds, cost, execute —
+// so the trap surfaces at the same PC after the same instruction count.
 func (m *Machine) runCompiledChecked(ch *compiledHandler, bi, sp int, locals *[bytecode.MaxLocals]int32, steps int, etime time.Duration, res *RunResult) error {
-	maxStack := m.MaxStack
-	stack := m.scratch[:maxStack]
+	stack := m.scratch[:]
 	fuel := m.Fuel
 	statics := m.statics
 	ins := ch.ins
@@ -544,7 +484,7 @@ func (m *Machine) runCompiledChecked(ch *compiledHandler, bi, sp int, locals *[b
 			sp++
 		case bytecode.OpDup:
 			// Dup declares pops=0, so the generic bound above does not
-			// cover the read of the current top (mirrors runInterp).
+			// cover the read of the current top.
 			if sp == 0 {
 				return trap(TrapStackOverflow, in.pc, steps, etime)
 			}

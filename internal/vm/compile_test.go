@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,25 +11,17 @@ import (
 	"micropnp/internal/dsl"
 )
 
-// enginePair loads the same program into two machines, pinning one to the
-// reference interpreter. The compiled side must actually have compiled.
+// enginePair loads the same program into two machines with separate
+// static state: Run drives the first, the interpRun oracle the second.
 func enginePair(t testing.TB, prog *bytecode.Program) (compiled, interp *Machine) {
 	t.Helper()
 	mc, err := NewMachine(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mc.Compiled() {
-		t.Fatalf("program did not compile; Engine()=%s", mc.Engine())
-	}
-	// A fresh Machine: the pair must not share static state.
 	mi, err := NewMachine(prog)
 	if err != nil {
 		t.Fatal(err)
-	}
-	mi.SetInterp(true)
-	if mi.Engine() != "interp" {
-		t.Fatalf("oracle machine reports engine %s", mi.Engine())
 	}
 	return mc, mi
 }
@@ -39,7 +32,7 @@ func enginePair(t testing.TB, prog *bytecode.Program) (compiled, interp *Machine
 func runBoth(t testing.TB, mc, mi *Machine, name string, args []int32) (RunResult, error) {
 	t.Helper()
 	rc, ec := mc.Run(name, args)
-	ri, ei := mi.Run(name, args)
+	ri, ei := interpRun(mi, name, args)
 	diffResults(t, name, args, rc, ec, ri, ei)
 	for s := 0; s < mc.NumStatics(); s++ {
 		c, i := mc.staticRef(s), mi.staticRef(s)
@@ -104,12 +97,16 @@ func diffResults(t testing.TB, name string, args []int32, rc RunResult, ec error
 	}
 }
 
+// embeddedDrivers lists the six shipped drivers.
+func embeddedDrivers() []driver.StandardDriver {
+	return append(append([]driver.StandardDriver{}, driver.StandardDrivers...), driver.ExtendedDrivers...)
+}
+
 // embeddedPrograms compiles all six shipped drivers from their DSL source.
 func embeddedPrograms(t testing.TB) map[string]*bytecode.Program {
 	t.Helper()
 	out := map[string]*bytecode.Program{}
-	all := append(append([]driver.StandardDriver{}, driver.StandardDrivers...), driver.ExtendedDrivers...)
-	for _, sd := range all {
+	for _, sd := range embeddedDrivers() {
 		src, err := driver.Source(sd)
 		if err != nil {
 			t.Fatal(err)
@@ -201,7 +198,7 @@ func TestTrapParity(t *testing.T) {
 			name: "stack overflow",
 			trap: TrapStackOverflow,
 			prog: mkProg(func(a *bytecode.Assembler) {
-				for i := 0; i < 70; i++ { // MaxStack defaults to 64
+				for i := 0; i < 70; i++ { // maxStack is 64
 					a.Push(int32(i))
 				}
 				a.Emit(bytecode.OpReturnVoid)
@@ -286,91 +283,53 @@ func TestTrapParity(t *testing.T) {
 	}
 }
 
-// TestCompiledFallbackAndEscapeHatch covers the two interpreter paths: a
-// program the compiler rejects falls back automatically, and SetInterp pins
-// a compilable program to the oracle.
-func TestCompiledFallbackAndEscapeHatch(t *testing.T) {
-	prog := compile(t, arithDriver, 1)
-
-	// compileProgram must reject a handler with an unknown opcode (the
-	// forward-compatibility fallback NewMachine relies on). Such programs
-	// cannot pass Verify, so drive the compiler directly.
-	bad := &bytecode.Program{
+// TestCompileLowersEveryValidOpcode checks that the compiler has a form for
+// every opcode of the ISA, so a verified program never fails to lower, and
+// that an opcode it does not know is an error naming the handler and PC
+// rather than a silent fallback.
+func TestCompileLowersEveryValidOpcode(t *testing.T) {
+	prog := &bytecode.Program{
 		DeviceID: 1,
-		Handlers: []bytecode.Handler{{Name: "init", Code: []byte{0xEE}}},
+		Statics:  []bytecode.StaticDef{{Size: 1}},
+		Consts:   []string{"this", "ev"},
 	}
-	if _, ok := compileProgram(bad); ok {
-		t.Fatal("compileProgram accepted an invalid opcode")
-	}
-
-	m, err := NewMachine(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Compiled() || m.Engine() != "compiled" {
-		t.Fatalf("expected compiled engine, got %s", m.Engine())
-	}
-	m.SetInterp(true)
-	if m.Compiled() || m.Engine() != "interp" {
-		t.Fatalf("SetInterp(true) did not pin the interpreter: %s", m.Engine())
-	}
-	if _, err := m.Run("compute", []int32{6, 3}); err != nil {
-		t.Fatal(err)
-	}
-	m.SetInterp(false)
-	if !m.Compiled() {
-		t.Fatal("SetInterp(false) did not release the compiled engine")
+	for op := bytecode.Op(0); op.Valid(); op++ {
+		h := &bytecode.Handler{Name: op.String(), Code: make([]byte, 1+op.OperandWidth())}
+		h.Code[0] = byte(op)
+		if _, err := compileHandler(prog, h); err != nil {
+			t.Errorf("%s does not lower: %v", op, err)
+		}
 	}
 
-	// Simulated fallback: a machine whose compile "failed" still serves
-	// Run through the interpreter.
-	m.compiled = nil
-	if m.Engine() != "interp" {
-		t.Fatalf("fallback machine reports %s", m.Engine())
+	bad := &bytecode.Handler{Name: "init", Code: []byte{byte(bytecode.OpNop), 0xEE}}
+	_, err := compileHandler(prog, bad)
+	if err == nil {
+		t.Fatal("compileHandler accepted opcode 0xee")
 	}
-	if _, err := m.Run("compute", []int32{6, 3}); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{`"init"`, "0xee", "pc 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 
-// TestCompiledZeroAllocRun asserts the scratch-backed RunResult contract on
-// both engines: a signal-free compute handler runs allocation-free after
-// the scratch warms up.
+// TestCompiledZeroAllocRun asserts the scratch-backed RunResult contract: a
+// signal-free compute handler runs allocation-free after the scratch warms
+// up.
 func TestCompiledZeroAllocRun(t *testing.T) {
-	prog := compile(t, arithDriver, 1)
-	for _, pin := range []bool{false, true} {
-		m, err := NewMachine(prog)
-		if err != nil {
+	m, err := NewMachine(compile(t, arithDriver, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []int32{40, 4}
+	m.Run("compute", args) // warm the scratch
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := m.Run("compute", args); err != nil {
 			t.Fatal(err)
 		}
-		m.SetInterp(pin)
-		args := []int32{40, 4}
-		m.Run("compute", args) // warm the scratch stack
-		n := testing.AllocsPerRun(100, func() {
-			if _, err := m.Run("compute", args); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if n != 0 {
-			t.Errorf("engine %s: %v allocs per Run, want 0", m.Engine(), n)
-		}
-	}
-}
-
-// TestCompiledRecostOnTimeModelChange reassigns Machine.Time after load and
-// asserts the engines still agree on EmulatedTime (the compiled engine must
-// recost its cached per-instruction durations).
-func TestCompiledRecostOnTimeModelChange(t *testing.T) {
-	prog := compile(t, arithDriver, 1)
-	mc, mi := enginePair(t, prog)
-	custom := AVRTimeModel{Base: 3 * time.Microsecond, PushCost: 500 * time.Nanosecond, PopCost: 700 * time.Nanosecond, Dispatch: time.Millisecond}
-	mc.Time, mi.Time = custom, custom
-	res, err := runBoth(t, mc, mi, "compute", []int32{10, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EmulatedTime == 0 {
-		t.Fatal("no emulated time accrued under the custom model")
+	})
+	if n != 0 {
+		t.Errorf("%v allocs per Run, want 0", n)
 	}
 }
 
@@ -458,30 +417,38 @@ event burst(int32_t a, int32_t b):
 }
 
 // TestRuntimeEnginesConverge runs the full Runtime dispatch loop (router,
-// error events, emulated-time accounting) over both engines and compares
-// the aggregate counters — the level the Thing actually observes.
+// error events, emulated-time accounting) over every embedded driver and
+// compares the counters a Thing observes with the values both engines
+// produced when a Runtime could still be pinned to the interpreter. A change
+// to the compiled engine that moves them shows here, at the Runtime level.
 func TestRuntimeEnginesConverge(t *testing.T) {
+	type counters struct {
+		dispatches, traps int
+		emulated          time.Duration
+	}
+	want := map[string]counters{
+		"ADXL345 Accelerometer": {4, 0, 1031160},
+		"BMP180 Pressure":       {4, 0, 771160},
+		"HIH-4030":              {4, 0, 611160},
+		"ID-20LA RFID":          {4, 0, 807160},
+		"PCF8574 Relay Bank":    {4, 0, 575160},
+		"TMP36":                 {4, 0, 611160},
+	}
 	for name, prog := range embeddedPrograms(t) {
 		t.Run(name, func(t *testing.T) {
-			run := func(interp bool) (dispatches, traps int, et time.Duration) {
-				rt, err := NewRuntime(mustImage(t, prog), stubLibsFor(prog)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rt.Machine().SetInterp(interp)
-				rt.Start()
-				rt.Post("read")
-				rt.RunUntilIdle(0)
-				rt.Post("read", 1)
-				rt.RunUntilIdle(0)
-				rt.Stop()
-				return rt.Dispatches, rt.Traps, rt.EmulatedTime
+			rt, err := NewRuntime(mustImage(t, prog), stubLibsFor(prog)...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			dc, tc, etc := run(false)
-			di, ti, eti := run(true)
-			if dc != di || tc != ti || etc != eti {
-				t.Fatalf("runtime counters diverged: compiled (%d dispatches, %d traps, %v), interp (%d, %d, %v)",
-					dc, tc, etc, di, ti, eti)
+			rt.Start()
+			rt.Post("read")
+			rt.RunUntilIdle(0)
+			rt.Post("read", 1)
+			rt.RunUntilIdle(0)
+			rt.Stop()
+			got := counters{rt.Dispatches, rt.Traps, rt.EmulatedTime}
+			if w, ok := want[name]; !ok || got != w {
+				t.Fatalf("runtime counters %+v, want %+v", got, w)
 			}
 		})
 	}

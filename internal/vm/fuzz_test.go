@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -113,8 +114,7 @@ func synthHandler(data []byte) ([]byte, error) {
 func FuzzCompiledVsInterpreter(f *testing.F) {
 	// Seed with every embedded driver handler body, so the corpus starts
 	// on realistic code shapes (incl. the BMP180 compensation math).
-	all := append(append([]driver.StandardDriver{}, driver.StandardDrivers...), driver.ExtendedDrivers...)
-	for _, sd := range all {
+	for _, sd := range embeddedDrivers() {
 		src, err := driver.Source(sd)
 		if err != nil {
 			f.Fatal(err)
@@ -151,18 +151,7 @@ func FuzzCompiledVsInterpreter(f *testing.F) {
 			t.Fatalf("synthesized program failed verification (generator bug): %v\n%s",
 				err, bytecode.Disassemble(code, synthConsts))
 		}
-		mc, err := NewMachine(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mc.Compiled() {
-			t.Fatal("verified program did not compile")
-		}
-		mi, err := NewMachine(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mi.SetInterp(true)
+		mc, mi := enginePair(t, prog)
 		// Bound runaway loops well under the default so fuzz execs stay
 		// fast; fuel exhaustion itself is part of the compared transcript.
 		mc.Fuel, mi.Fuel = 2000, 2000
@@ -172,6 +161,43 @@ func FuzzCompiledVsInterpreter(f *testing.F) {
 		for pass := 0; pass < 3; pass++ {
 			runBoth(t, mc, mi, "h", args)
 			args[0], args[1], args[2] = args[1], args[2], args[0]+1
+		}
+	})
+}
+
+// FuzzDSLCompile fuzzes the DSL trust boundary end to end: source through
+// parsing, checking, code generation and Verify (dsl.Compile), then
+// lowering (Compile). Nothing may panic; bytecode the DSL compiler emits
+// must pass Verify and lower; and every handler of an accepted program,
+// run in program order on evolving statics, must give bit-identical
+// transcripts on the compiled engine and the interpreter oracle.
+func FuzzDSLCompile(f *testing.F) {
+	for _, sd := range embeddedDrivers() {
+		src, err := driver.Source(sd)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src, int32(512))
+	}
+
+	f.Fuzz(func(t *testing.T, src string, arg int32) {
+		prog, err := dsl.Compile(src, 1)
+		if errors.Is(err, bytecode.ErrVerify) {
+			t.Fatalf("the DSL compiler emitted bytecode Verify rejects: %v", err)
+		}
+		if err != nil {
+			return
+		}
+		mc, mi := enginePair(t, prog)
+		// Bound runaway loops well under the default so fuzz execs stay
+		// fast; fuel exhaustion itself is part of the compared transcript.
+		mc.Fuel, mi.Fuel = 2000, 2000
+		for _, h := range prog.Handlers {
+			args := make([]int32, h.NParams)
+			for i := range args {
+				args[i] = arg + int32(i)
+			}
+			runBoth(t, mc, mi, h.Name, args)
 		}
 	})
 }

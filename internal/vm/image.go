@@ -13,8 +13,7 @@ import (
 // goroutines — shares it; a Machine owns only its statics and scratch.
 type Image struct {
 	prog *bytecode.Program
-	// compiled holds the pre-decoded handlers in program order; nil when
-	// the program fell back to the interpreter.
+	// compiled holds the pre-decoded handlers in program order.
 	compiled []*compiledHandler
 	// code is the driver bytes the image was loaded from ("" when it was
 	// compiled from a Program). A string, so the bytes cannot change under
@@ -23,20 +22,18 @@ type Image struct {
 }
 
 // Compile verifies a driver program and compiles its handlers to the
-// direct-threaded form. Programs the compiler does not support fall back to
-// the interpreter silently — installation never fails for that.
+// direct-threaded form. A verified program that does not lower — possible
+// only for an opcode added to the ISA without a compiled form — is an
+// error naming the handler and byte PC, never a silent fallback.
 func Compile(prog *bytecode.Program) (*Image, error) {
 	if err := prog.Verify(); err != nil {
 		return nil, err
 	}
-	img := &Image{prog: prog}
-	if compiled, ok := compileProgram(prog); ok {
-		for _, ch := range compiled {
-			ch.setCosts(DefaultAVRTimeModel)
-		}
-		img.compiled = compiled
+	compiled, err := compileProgram(prog)
+	if err != nil {
+		return nil, err
 	}
-	return img, nil
+	return &Image{prog: prog, compiled: compiled}, nil
 }
 
 // Program returns the decoded driver. It is shared: do not modify it.
@@ -48,8 +45,7 @@ func (img *Image) Code() []byte { return []byte(img.code) }
 
 // Instantiate builds a Machine with fresh statics over the image.
 func (img *Image) Instantiate() *Machine {
-	m := &Machine{img: img, compiled: img.compiled, MaxStack: 64, Fuel: 100_000,
-		Time: DefaultAVRTimeModel, costModel: DefaultAVRTimeModel}
+	m := &Machine{img: img, Fuel: 100_000}
 	m.statics = make([][]int32, len(img.prog.Statics))
 	for i, s := range img.prog.Statics {
 		m.statics[i] = make([]int32, s.Size)

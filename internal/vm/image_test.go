@@ -8,15 +8,10 @@ import (
 	"time"
 )
 
-var customTime = AVRTimeModel{Base: 3 * time.Microsecond, PushCost: 500 * time.Nanosecond, PopCost: 700 * time.Nanosecond, Dispatch: time.Millisecond}
-
 // assertDefaultCosts checks that every instruction and block cost of an
-// image still follows DefaultAVRTimeModel: no machine wrote into it.
+// image follows DefaultAVRTimeModel: no machine wrote into it.
 func assertDefaultCosts(t *testing.T, img *Image) {
 	t.Helper()
-	if img.compiled == nil {
-		t.Fatal("image did not compile")
-	}
 	for _, ch := range img.compiled {
 		for i, in := range ch.ins {
 			if want := DefaultAVRTimeModel.InstructionCost(int(in.pushes), int(in.pops)); in.cost != want {
@@ -60,80 +55,23 @@ func TestImageMachinesKeepSeparateStatics(t *testing.T) {
 	}
 }
 
-// TestImageRecostCopyOnWrite reassigns one machine's time model and checks
-// it costs runs exactly like a fresh NewMachine under that model, while its
-// sibling and the shared image keep the default costs.
-func TestImageRecostCopyOnWrite(t *testing.T) {
-	prog := compile(t, arithDriver, 1)
-	run := func(m *Machine) time.Duration {
-		t.Helper()
-		res, err := m.Run("compute", []int32{10, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.EmulatedTime
-	}
-	fresh, err := NewMachine(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Time = customTime
-	wantCustom := run(fresh)
-	dflt, err := NewMachine(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDefault := run(dflt)
-	if wantCustom == wantDefault {
-		t.Fatal("the custom model must cost compute differently")
-	}
-
-	img := mustImage(t, prog)
-	custom, sibling := img.Instantiate(), img.Instantiate()
-	custom.Time = customTime
-	if got := run(custom); got != wantCustom {
-		t.Fatalf("recosted machine: %v, fresh machine under the same model: %v", got, wantCustom)
-	}
-	if got := run(sibling); got != wantDefault {
-		t.Fatalf("sibling of a recosted machine: %v, want the default %v", got, wantDefault)
-	}
-	assertDefaultCosts(t, img)
-	if sibling.compiled[0] == custom.compiled[0] {
-		t.Fatal("recosted machine still runs the image's handlers")
-	}
-
-	// Back to the default model: the machine returns to the shared handlers.
-	custom.Time = DefaultAVRTimeModel
-	if got := run(custom); got != wantDefault {
-		t.Fatalf("machine back on the default model: %v, want %v", got, wantDefault)
-	}
-	if custom.compiled[0] != img.compiled[0] {
-		t.Fatal("machine back on the default model did not return to the image's handlers")
-	}
-}
-
 // TestImageConcurrentMachines loads one driver from separate goroutines
-// through one table and runs a machine of the image in each, while one of
-// them flips its time model back and forth. Every goroutine must get the
-// same image and every run must read the costs of its own model; under the
-// race detector, a recost that wrote into the shared image is also a data
-// race.
+// through one table and runs a machine of the image in each. Every
+// goroutine must get the same image and every run the same transcript;
+// under the race detector, a run that wrote into the shared image is also a
+// data race.
 func TestImageConcurrentMachines(t *testing.T) {
 	const workers, iters = 8, 200
 	prog := compile(t, arithDriver, 1)
-	want := map[AVRTimeModel]time.Duration{}
-	for _, tm := range []AVRTimeModel{DefaultAVRTimeModel, customTime} {
-		m, err := NewMachine(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Time = tm
-		res, err := m.Run("compute", []int32{10, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[tm] = res.EmulatedTime
+	ref, err := NewMachine(prog)
+	if err != nil {
+		t.Fatal(err)
 	}
+	res, err := ref.Run("compute", []int32{10, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.EmulatedTime
 
 	code, err := prog.Encode()
 	if err != nil {
@@ -155,19 +93,13 @@ func TestImageConcurrentMachines(t *testing.T) {
 			images[w] = img
 			m := img.Instantiate()
 			for i := 0; i < iters; i++ {
-				if w == 0 {
-					m.Time = DefaultAVRTimeModel
-					if i%2 == 1 {
-						m.Time = customTime
-					}
-				}
 				res, err := m.Run("compute", []int32{10, 3})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if res.EmulatedTime != want[m.Time] {
-					errs <- fmt.Errorf("worker %d run %d: %v, want %v", w, i, res.EmulatedTime, want[m.Time])
+				if res.EmulatedTime != want {
+					errs <- fmt.Errorf("worker %d run %d: %v, want %v", w, i, res.EmulatedTime, want)
 					return
 				}
 				if got := m.Static(0)[0]; got != 24 {

@@ -78,7 +78,7 @@ func NewRuntime(img *Image, libs ...Library) (*Runtime, error) {
 	return rt, nil
 }
 
-// Machine exposes the underlying interpreter (diagnostics and tests).
+// Machine exposes the underlying machine (diagnostics and tests).
 func (rt *Runtime) Machine() *Machine { return rt.machine }
 
 // SetScheduler attaches an external clock. Call before Start.
@@ -190,12 +190,12 @@ func (rt *Runtime) RunUntilIdle(maxSteps int) int {
 // dispatch runs one event through the machine and processes its outcome.
 func (rt *Runtime) dispatch(e Event) {
 	rt.Dispatches++
-	rt.EmulatedTime += rt.machine.Time.Dispatch
+	rt.EmulatedTime += DefaultAVRTimeModel.Dispatch
 	wasError := rt.inErrorDispatch
 	rt.inErrorDispatch = e.IsError
 	res, err := rt.machine.Run(e.Name, e.payload())
 	rt.EmulatedTime += res.EmulatedTime
-	rt.now += res.EmulatedTime + rt.machine.Time.Dispatch
+	rt.now += res.EmulatedTime + DefaultAVRTimeModel.Dispatch
 
 	if err != nil {
 		rt.Traps++
@@ -240,7 +240,7 @@ func (rt *Runtime) routeSignal(s Signal) {
 	if !ok {
 		// Verified drivers only signal imported libraries; treat anything
 		// else as a driver bug surfaced through the error queue.
-		rt.PostError("badBytecode")
+		rt.PostError(string(TrapBadBytecode))
 		return
 	}
 	lib.Invoke(s.Event, s.Args)
