@@ -2,8 +2,10 @@ package bytecode
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -161,6 +163,57 @@ func TestVerifyRejectsBadOperands(t *testing.T) {
 		p.Handlers[0].Code = code
 		if err := p.Verify(); err == nil {
 			t.Errorf("%s: must fail verification", name)
+		}
+	}
+}
+
+// staticBomb is a well-formed driver whose statics claim all the wire
+// format allows: 255 statics of 65 535 cells, 66.8 MB for every Machine
+// that instantiates it, from 546 bytes on the wire.
+func staticBomb() *Program {
+	p := &Program{DeviceID: 1, Statics: make([]StaticDef, MaxStatics)}
+	for i := range p.Statics {
+		p.Statics[i].Size = 65535
+	}
+	ret := []byte{byte(OpReturnVoid)}
+	p.Handlers = []Handler{{Kind: KindEvent, Name: "init", Code: ret}, {Kind: KindEvent, Name: "destroy", Code: ret}}
+	return p
+}
+
+func TestVerifyBoundsStaticMemory(t *testing.T) {
+	bomb := staticBomb()
+	code, err := bomb.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(code) != 546 {
+		t.Fatalf("the static bomb encodes to %d bytes, want 546", len(code))
+	}
+	for _, tc := range []struct {
+		name  string
+		sizes []uint16
+		ok    bool
+	}{
+		{"bomb", nil, false},
+		{"one static at the cap", []uint16{MaxStaticSize}, true},
+		{"one static past the cap", []uint16{MaxStaticSize + 1}, false},
+		{"the whole budget", []uint16{MaxStaticSize, MaxStaticSize}, true},
+		{"one cell past the budget", []uint16{MaxStaticSize, MaxStaticSize, 1}, false},
+		{"many small statics past the budget", slices.Repeat([]uint16{64}, 129), false},
+	} {
+		p := staticBomb()
+		if tc.sizes != nil {
+			p.Statics = p.Statics[:0]
+			for _, n := range tc.sizes {
+				p.Statics = append(p.Statics, StaticDef{Size: n})
+			}
+		}
+		err := p.Verify()
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrVerify) {
+			t.Errorf("%s: Verify = %v, want a verification error", tc.name, err)
 		}
 	}
 }

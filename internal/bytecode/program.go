@@ -68,6 +68,16 @@ const (
 	MaxLocals   = 16
 )
 
+// Static memory limits, in 32-bit cells, checked by Verify: the wire format
+// would let one driver declare 255 statics of 65 535 cells (66.8 MB per
+// Machine). MaxStaticSize is the DSL's array length cap. MaxStaticCells
+// bounds a driver's statics together: twice that cap, about 480 times the
+// 17 cells of the largest embedded driver (bmp180), so 32 KiB per Machine.
+const (
+	MaxStaticSize  = 4096
+	MaxStaticCells = 2 * MaxStaticSize
+)
+
 // Handler returns the named handler, or nil.
 func (p *Program) Handler(name string) *Handler {
 	for i := range p.Handlers {

@@ -8,12 +8,25 @@ import (
 // ErrVerify reports bytecode that fails static verification.
 var ErrVerify = errors.New("bytecode: verification failed")
 
-// Verify statically checks a program before installation: opcode validity,
-// operand bounds (static slots, constant pool, locals), jump targets landing
-// on instruction boundaries, and that every code path terminates. Things run
-// this before activating an over-the-air driver (a malformed driver must
-// never take down the runtime).
+// Verify statically checks a program before installation: static memory
+// (each static at most MaxStaticSize cells, all of them at most
+// MaxStaticCells), opcode validity, operand bounds (static slots, constant
+// pool, locals), jump targets landing on instruction boundaries, and the
+// init and destroy handlers being present. It does not prove that code
+// terminates: the VM bounds every run with its fuel instead. Things run this
+// before activating an over-the-air driver (a malformed driver must never
+// take down the runtime).
 func (p *Program) Verify() error {
+	cells := 0
+	for i, s := range p.Statics {
+		if s.Size > MaxStaticSize {
+			return fmt.Errorf("%w: static %d has %d cells (max %d)", ErrVerify, i, s.Size, MaxStaticSize)
+		}
+		cells += int(s.Size)
+	}
+	if cells > MaxStaticCells {
+		return fmt.Errorf("%w: statics hold %d cells (max %d)", ErrVerify, cells, MaxStaticCells)
+	}
 	names := map[string]bool{}
 	for _, h := range p.Handlers {
 		if h.Name == "" {

@@ -3,6 +3,8 @@ package dsl
 import (
 	"errors"
 	"fmt"
+
+	"micropnp/internal/bytecode"
 )
 
 // Parse builds the AST for DSL source.
@@ -111,7 +113,7 @@ func (p *parser) parseVarDecls() ([]*VarDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			if n.Val <= 0 || n.Val > 4096 {
+			if n.Val <= 0 || n.Val > bytecode.MaxStaticSize {
 				return nil, fmt.Errorf("%s: array length %d out of range", n.Pos(), n.Val)
 			}
 			d.ArrayLen = int(n.Val)

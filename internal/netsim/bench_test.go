@@ -340,6 +340,47 @@ func BenchmarkScaleMulticast(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/send")
 	})
 
+	// The quiet fan-out: stream data (type 11) sent at 2% per-hop loss to
+	// 1 000 members whose bindings do not take it, as a Thing's peripheral
+	// group carries its peers' stream ticks. Every copy still pays its loss
+	// draws and its place in the arrival order, but no handler runs.
+	b.Run("quiet=1000", func(b *testing.B) {
+		const count = 1_000
+		n := New(Config{LossRate: 0.02})
+		nodes := benchTree(b, n, count)
+		group := MulticastAddr(PrefixFromAddr(nodes[0].Addr()), 0xad1cbe01)
+		calls := 0
+		for _, nd := range nodes[1:] {
+			nd.JoinGroup(group)
+			nd.BindTypes(func(Message) { calls++ }, TypesOf(1, 9))
+		}
+		tick := []byte{11, 0, 0, 0, 1, 0, 0, 0, 238}
+		nodes[0].Send(group, tick)
+		n.RunUntilIdle(0)
+		runtime.GC()
+		nodes[0].Send(group, tick)
+		n.RunUntilIdle(0)
+		before := n.Stats()
+		const batch = 8
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < batch; j++ {
+				nodes[0].Send(group, tick)
+				n.RunUntilIdle(0)
+			}
+		}
+		b.StopTimer()
+		after := n.Stats()
+		delivered, lost := after.Delivered-before.Delivered, after.Lost-before.Lost
+		if calls != 0 || delivered+lost != b.N*batch*(count-1) || lost == 0 {
+			b.Fatalf("%d handler calls, %d delivered and %d lost copies, want none and %d copies with some lost",
+				calls, delivered, lost, b.N*batch*(count-1))
+		}
+		b.ReportMetric(float64(count-1), "members")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/send")
+	})
+
 	// The parallel-speedup pair: the identical zone-partitioned fan-out —
 	// every zone root disseminating to its own zone-scoped group — run on the
 	// parallel sharded schedule (clock=sharded) and the sequential single-loop

@@ -43,6 +43,16 @@
 // the clock's own lock — and an arrival takes none of them (it loads the
 // receiver's handler atomically), so concurrent handlers do not serialize on
 // one lock.
+//
+// A node binds its handler with the set of datagram types it takes: payload
+// first bytes, which in µPnP are the message type (Node.BindTypes; Node.Bind
+// takes every type). A Thing's peripheral group carries its peers' stream
+// data, which the Thing ignores, so a multicast copy of a type outside its
+// receiver's set is quiet: the send tests one bit of the set, and the
+// delivery counts the copy in its place in the arrival order instead of
+// listing the node. The clock still hands the copy out as one executed event
+// and one Delivered, so every draw, event, step and clock reading is the one
+// a run that dispatched the copy would give; only the handler call goes.
 package netsim
 
 import (
@@ -109,6 +119,42 @@ type Message struct {
 // concurrent use when the network runs in realtime mode. Message.Payload is
 // only valid for the duration of the call.
 type Handler func(Message)
+
+// TypeSet is a set of datagram types: of payload first bytes, which in µPnP
+// are the message type. A node binds its handler with the set of types the
+// handler takes (see Node.BindTypes); a multicast copy of any other type
+// reaches the node quietly, counted but not dispatched.
+type TypeSet [4]uint64
+
+// allTypes is the set Bind uses: every first byte, and the empty payload.
+var allTypes = TypeSet{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+
+// TypesOf returns the set holding exactly the given types.
+func TypesOf(types ...byte) TypeSet {
+	var s TypeSet
+	for _, t := range types {
+		s[t>>6] |= 1 << (t & 63)
+	}
+	return s
+}
+
+// Takes reports whether a handler bound with s takes the payload: whether s
+// holds its first byte. An empty payload has no type, so only the set of
+// every type, Bind's, takes it.
+func (s *TypeSet) Takes(payload []byte) bool {
+	if len(payload) == 0 {
+		return *s == allTypes
+	}
+	t := payload[0]
+	return s[t>>6]&(1<<(t&63)) != 0
+}
+
+// binding is a node's handler together with the types it takes, stored
+// behind one atomic pointer so a send and an arrival read both at once.
+type binding struct {
+	h     Handler
+	types TypeSet
+}
 
 // Config tunes the simulated network.
 type Config struct {
@@ -470,11 +516,16 @@ type Node struct {
 	// the address's zone field modulo the zone count. Deliveries to the node
 	// and timers the node arms execute on this lane.
 	lane int32
-	// handler is the bound datagram handler (nil = none). It is atomic so
-	// an arrival reads it without any lock, and a realtime Unbind cannot
-	// race pool workers dispatching to the node.
-	handler atomic.Pointer[Handler]
-	groups  map[netip.Addr]bool
+	// handler is the bound datagram handler and its type set (nil = none).
+	// It is atomic so a send and an arrival read it without any lock, and a
+	// realtime Unbind cannot race pool workers dispatching to the node.
+	handler atomic.Pointer[binding]
+	// bind0 backs the node's first binding, so a node that binds once (every
+	// Thing) keeps its type set next to handler, on the cache lines a send's
+	// quiet check has just loaded. bound claims it.
+	bind0  binding
+	bound  atomic.Bool
+	groups map[netip.Addr]bool
 	// minDown[j] is the minimum depth offset of any lane-j node in this
 	// node's subtree (-1 = none), the per-node ingredient of the incremental
 	// lookahead matrix (see Lookahead). nil unless the matrix is maintained;
@@ -556,9 +607,32 @@ func (nd *Node) ScheduleExpiry(delay time.Duration, e Expirer, seq uint64, tok a
 	return n.rclock.scheduleExpiry(delay, e, seq, tok)
 }
 
-// Bind registers the node's datagram handler, replacing any earlier one.
-// Arrivals from then on dispatch to h.
-func (nd *Node) Bind(h Handler) { nd.handler.Store(&h) }
+// Bind registers the node's datagram handler for every datagram type,
+// replacing any earlier binding. Arrivals from then on dispatch to h.
+func (nd *Node) Bind(h Handler) { nd.BindTypes(h, allTypes) }
+
+// BindTypes registers the node's datagram handler for the types in set,
+// replacing any earlier binding. A multicast copy of another type that
+// survives its hops to the node is quiet: it still takes its place in the
+// arrival order, as one executed event and one Delivered, but h is not
+// called. The set is read when the copy is sent, so a copy sent quiet stays
+// quiet if the node rebinds before it arrives. Unicast datagrams reach h
+// whatever their type, so h must still drop what it does not take.
+func (nd *Node) BindTypes(h Handler, set TypeSet) {
+	b := &nd.bind0
+	if !nd.bound.CompareAndSwap(false, true) {
+		b = new(binding)
+	}
+	*b = binding{h: h, types: set}
+	nd.handler.Store(b)
+}
+
+// Takes reports whether the node's handler, as bound now, takes the payload
+// (false when no handler is bound).
+func (nd *Node) Takes(payload []byte) bool {
+	b := nd.handler.Load()
+	return b != nil && b.types.Takes(payload)
+}
 
 // Unbind removes the node's datagram handler; subsequent arrivals drop as
 // NoHandler. With LeaveAnycast this models a process crash: the node stays
@@ -964,6 +1038,12 @@ func (nd *Node) SendBuf(dst netip.Addr, pb *Buf) {
 // ordered between the receivers of one instant (nothing else pushes to a
 // lane between this send's pushes), so the receivers run exactly where their
 // separate events would have run.
+//
+// A survivor whose binding does not take the datagram's type is quiet: the
+// delivery counts it in its place in plan order instead of listing it, and
+// hands it out as a counted event with no handler call. The delivery itself
+// is queued as for any survivor, even when all its receivers are quiet, so
+// the lane clocks and queue positions are those of a dispatching run.
 func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 	plan := n.multicastPlan(src, msg.Dst)
 	if len(plan.targets) == 0 {
@@ -986,17 +1066,21 @@ func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 	for _, t := range plan.targets {
 		hops := max(int(t.hops), 1)
 		delay, ok := n.draw(&zr.r, hops, hopDelay)
-		switch d := batches[t.slot]; {
-		case !ok:
+		if !ok {
 			lost++
+			continue
+		}
+		b := t.node.handler.Load()
+		quiet := b != nil && !b.types.Takes(msg.Payload)
+		switch d := batches[t.slot]; {
 		case jitter:
 			pb.retain(1)
-			n.scheduleDelivery(src, delay, newDelivery(1, n, msg, hops, pb, t.node))
+			n.scheduleDelivery(src, delay, newDelivery(1, n, msg, hops, pb, t.node, quiet))
 		case d == nil:
-			batches[t.slot] = newDelivery(int(plan.slots[t.slot].size), n, msg, hops, pb, t.node)
+			batches[t.slot] = newDelivery(int(plan.slots[t.slot].size), n, msg, hops, pb, t.node, quiet)
 			queued++
 		default:
-			d.dsts = append(d.dsts, t.node)
+			d.add(t.node, quiet)
 		}
 	}
 	zr.mu.Unlock()
@@ -1020,37 +1104,72 @@ func (n *Network) sendMulticast(src *Node, msg Message, pb *Buf) {
 // for a unicast, and one for a multicast copy under jitter. Deliveries are
 // pooled with their receiver slices, so steady-state deliveries allocate
 // neither a closure nor an event.
+//
+// Quiet receivers (multicast copies whose type the node's binding does not
+// take, see Node.BindTypes) are not listed one by one: each entry of dsts
+// carries the run of quiet receivers that precede its node in plan order,
+// and a trailing run is a last entry with no node. So a delivery may list no
+// node at all, and it stores its lane itself.
 type delivery struct {
 	net *Network
 	msg Message
 	// buf backs msg.Payload; the delivery holds one reference to it for all
 	// its receivers together, released after the last one (see run).
 	buf  *Buf
-	dsts []*Node
-	// next counts the receivers the virtual clock has already handed out;
-	// the delivery stays queued until the last one (see
-	// shardLane.runWindow).
+	dsts []receiver
+	lane int32
+	// left counts the receivers, quiet ones included, not yet handed out;
+	// next indexes the first entry of dsts with any of them. The delivery
+	// stays queued until the last one (see shardLane.runWindow).
+	left int32
 	next int
+}
+
+// receiver is one entry of a delivery: quiet receivers, then node (nil only
+// for a trailing quiet run).
+type receiver struct {
+	node  *Node
+	quiet int32
 }
 
 // deliveryPools[k] holds recycled deliveries whose receiver slices have
 // capacity 1<<k. A batch is taken from the class that fits its plan slot's
-// target count, so it never grows a recycled slice.
+// target count, so it never grows a recycled slice: every entry but a
+// trailing run holds a distinct receiver.
 var deliveryPools [32]sync.Pool
 
 // newDelivery takes a pooled delivery for up to size receivers, of msg over
-// hops, with dst as its first receiver. The delivery consumes one payload
-// reference, whoever receives it.
-func newDelivery(size int, n *Network, msg Message, hops int, pb *Buf, dst *Node) *delivery {
+// hops, with dst as its first receiver (quiet or not). The delivery consumes
+// one payload reference, whoever receives it.
+func newDelivery(size int, n *Network, msg Message, hops int, pb *Buf, dst *Node, quiet bool) *delivery {
 	k := bits.Len(uint(size - 1))
 	d, _ := deliveryPools[k].Get().(*delivery)
 	if d == nil {
-		d = &delivery{dsts: make([]*Node, 0, 1<<k)}
+		d = &delivery{dsts: make([]receiver, 0, 1<<k)}
 	}
-	d.net, d.msg, d.buf = n, msg, pb
+	d.net, d.msg, d.buf, d.lane = n, msg, pb, dst.lane
 	d.msg.Hops = hops
-	d.dsts = append(d.dsts, dst)
+	d.add(dst, quiet)
 	return d
+}
+
+// add appends one receiver in plan order: dst itself, or, when quiet, one
+// more count on the run before the next listed node.
+func (d *delivery) add(dst *Node, quiet bool) {
+	d.left++
+	if last := len(d.dsts) - 1; last >= 0 && d.dsts[last].node == nil {
+		if quiet {
+			d.dsts[last].quiet++
+		} else {
+			d.dsts[last].node = dst
+		}
+		return
+	}
+	if quiet {
+		d.dsts = append(d.dsts, receiver{quiet: 1})
+	} else {
+		d.dsts = append(d.dsts, receiver{node: dst})
+	}
 }
 
 // run executes the arrival at every receiver the delivery has left (the
@@ -1059,8 +1178,14 @@ func newDelivery(size int, n *Network, msg Message, hops int, pb *Buf, dst *Node
 // recycles it. Only the firing that pops the delivery calls run, so the
 // reference drops once, after the batch's last receiver.
 func (d *delivery) run() {
-	for _, dst := range d.dsts[d.next:] {
-		d.net.arrive(dst, &d.msg)
+	n := d.net
+	for _, r := range d.dsts[d.next:] {
+		if r.quiet > 0 {
+			n.laneStats[d.lane].delivered.Add(int64(r.quiet))
+		}
+		if r.node != nil {
+			n.arrive(r.node, &d.msg)
+		}
 	}
 	d.buf.Release()
 	clear(d.dsts)
@@ -1075,10 +1200,10 @@ func (d *delivery) run() {
 // Message.Payload).
 func (n *Network) arrive(dst *Node, msg *Message) {
 	c := &n.laneStats[dst.lane]
-	if h := dst.handler.Load(); h == nil {
+	if b := dst.handler.Load(); b == nil {
 		c.noHandler.Add(1)
 	} else {
-		(*h)(*msg)
+		b.h(*msg)
 		c.delivered.Add(1)
 	}
 }
@@ -1099,7 +1224,7 @@ func (n *Network) deliver(src, dst *Node, msg Message, pb *Buf, hops int) {
 		pb.Release()
 		return
 	}
-	n.scheduleDelivery(src, delay, newDelivery(1, n, msg, hops, pb, dst))
+	n.scheduleDelivery(src, delay, newDelivery(1, n, msg, hops, pb, dst, false))
 }
 
 // draw samples one copy's fate from rng (its lane's stream, lock held): a
@@ -1122,7 +1247,7 @@ func (n *Network) draw(rng *lossStream, hops int, hopDelay time.Duration) (time.
 // the SOURCE's lane-local clock.
 func (n *Network) scheduleDelivery(src *Node, delay time.Duration, d *delivery) {
 	if n.sclock != nil {
-		n.sclock.scheduleDelivery(src.lane, d.dsts[0].lane, delay, d)
+		n.sclock.scheduleDelivery(src.lane, d.lane, delay, d)
 		return
 	}
 	n.rclock.scheduleDelivery(delay, d)

@@ -320,7 +320,7 @@ func New(cfg Config) (*Thing, error) {
 	if cfg.Zone != 0 {
 		node.JoinGroup(netsim.MulticastAddrZone(t.prefix, cfg.Zone, hw.DeviceIDAllPeripherals))
 	}
-	node.Bind(t.handle)
+	node.BindTypes(t.handle, served)
 	cfg.Board.OnInterrupt(t.interrupt)
 	return t, nil
 }
@@ -773,21 +773,18 @@ func (t *Thing) StopStream(id hw.DeviceID) {
 	t.send(group, &proto.Message{Type: proto.MsgClosed, Seq: seq, DeviceID: id})
 }
 
+// served is the set of message types handle's switch serves. The Thing
+// binds its node with it, so multicast copies of other types — mostly peers'
+// stream data on its peripheral groups — reach it quietly, counted by the
+// network but never dispatched.
+var served = netsim.TypesOf(byte(proto.MsgDiscovery), byte(proto.MsgDriverUpload),
+	byte(proto.MsgDriverDiscovery), byte(proto.MsgDriverRemovalReq),
+	byte(proto.MsgRead), byte(proto.MsgStream), byte(proto.MsgWrite))
+
 // handles reports whether handle serves a datagram, from its first byte
-// (the message type) alone: the types of handle's switch. Anything else a
-// Thing receives — mostly peers' stream data on its peripheral groups — is
-// dropped before it is decoded.
-func handles(payload []byte) bool {
-	if len(payload) == 0 {
-		return false
-	}
-	switch proto.MsgType(payload[0]) {
-	case proto.MsgDiscovery, proto.MsgDriverUpload, proto.MsgDriverDiscovery,
-		proto.MsgDriverRemovalReq, proto.MsgRead, proto.MsgStream, proto.MsgWrite:
-		return true
-	}
-	return false
-}
+// (the message type) alone. Anything else that still reaches handle — by
+// unicast — is dropped before it is decoded.
+func handles(payload []byte) bool { return served.Takes(payload) }
 
 // handle processes incoming protocol messages. Decoding borrows a pooled
 // Decoder: the decoded message is valid only within this call, so deferred

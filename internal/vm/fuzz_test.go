@@ -201,3 +201,53 @@ func FuzzDSLCompile(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDriverBytes fuzzes the over-the-air trust boundary at the byte level:
+// raw driver bytes through Images.Load (decode, Verify, lowering). Nothing
+// may panic; an accepted driver's statics fit MaxStaticCells, so no driver
+// can make a Thing allocate more per Machine; and every handler of an
+// accepted driver, run in program order on evolving statics, must give
+// bit-identical transcripts on the compiled engine and the interpreter
+// oracle. The committed corpus holds a 546-byte driver that declares 255
+// statics of 65 535 cells, which Verify must turn away.
+func FuzzDriverBytes(f *testing.F) {
+	for _, sd := range embeddedDrivers() {
+		src, err := driver.Source(sd)
+		if err != nil {
+			f.Fatal(err)
+		}
+		prog, err := dsl.Compile(src, uint32(sd.ID))
+		if err != nil {
+			f.Fatal(err)
+		}
+		code, err := prog.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(code, int32(512))
+	}
+
+	f.Fuzz(func(t *testing.T, code []byte, arg int32) {
+		img, err := NewImages().Load(code)
+		if err != nil {
+			return
+		}
+		prog := img.Program()
+		cells := 0
+		for _, s := range prog.Statics {
+			cells += int(s.Size)
+		}
+		if cells > bytecode.MaxStaticCells {
+			t.Fatalf("a loaded driver holds %d static cells (max %d)", cells, bytecode.MaxStaticCells)
+		}
+		mc, mi := enginePair(t, prog)
+		mc.Fuel, mi.Fuel = 2000, 2000
+		for _, h := range prog.Handlers {
+			args := make([]int32, h.NParams)
+			for i := range args {
+				args[i] = arg + int32(i)
+			}
+			runBoth(t, mc, mi, h.Name, args)
+		}
+	})
+}
