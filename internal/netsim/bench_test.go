@@ -299,87 +299,64 @@ func BenchmarkScaleMulticast(b *testing.B) {
 		})
 	}
 
-	// The lossy fan-out: the nodes=1000 send at the zoned-churn workload's 2%
-	// per-hop loss, so every copy pays its per-hop loss draws from the
-	// sender's stream and survivors reach their handlers. Stream sends take
-	// this path, so a regression here names the netsim draw layer.
-	b.Run("loss=2%", func(b *testing.B) {
-		const count = 1_000
-		n := New(Config{LossRate: 0.02})
-		nodes := benchTree(b, n, count)
-		group := MulticastAddr(PrefixFromAddr(nodes[0].Addr()), 0xad1cbe01)
-		for _, nd := range nodes[1:] {
-			nd.JoinGroup(group)
-			nd.Bind(func(Message) {})
-		}
-		// Warm as nodes= does: prime the plan, collect the set-up garbage,
-		// refill the pools.
-		nodes[0].Send(group, []byte("warm"))
-		n.RunUntilIdle(0)
-		runtime.GC()
-		nodes[0].Send(group, []byte("warm"))
-		n.RunUntilIdle(0)
-		before := n.Stats()
-		const batch = 8
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < batch; j++ {
-				nodes[0].Send(group, []byte("adv"))
-				n.RunUntilIdle(0)
+	// The lossy fan-outs, at the zoned-churn workload's 2% per-hop loss, so
+	// every copy pays its per-hop loss draws from the sender's stream.
+	// loss=2%: the nodes=1000 send, whose survivors reach their handlers.
+	// quiet=1000: stream data (type 11) to members whose bindings do not
+	// take it, as a Thing's peripheral group carries its peers' stream
+	// ticks; every survivor keeps its place in the arrival order, but no
+	// handler runs. Stream sends take these paths, so a regression here
+	// names the netsim draw layer.
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		types   TypeSet
+		calls   bool // whether survivors reach their handlers
+	}{
+		{"loss=2%", []byte("adv"), allTypes, true},
+		{"quiet=1000", []byte{11, 0, 0, 0, 1, 0, 0, 0, 238}, TypesOf(1, 9), false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			const count = 1_000
+			n := New(Config{LossRate: 0.02})
+			nodes := benchTree(b, n, count)
+			group := MulticastAddr(PrefixFromAddr(nodes[0].Addr()), 0xad1cbe01)
+			calls := 0
+			for _, nd := range nodes[1:] {
+				nd.JoinGroup(group)
+				nd.BindTypes(func(Message) { calls++ }, tc.types)
 			}
-		}
-		b.StopTimer()
-		after := n.Stats()
-		delivered, lost := after.Delivered-before.Delivered, after.Lost-before.Lost
-		if delivered+lost != b.N*batch*(count-1) || lost == 0 {
-			b.Fatalf("delivered %d and lost %d copies, want %d copies with some lost", delivered, lost, b.N*batch*(count-1))
-		}
-		b.ReportMetric(float64(count-1), "members")
-		b.ReportMetric(float64(lost)/float64(b.N*batch), "lost/send")
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/send")
-	})
-
-	// The quiet fan-out: stream data (type 11) sent at 2% per-hop loss to
-	// 1 000 members whose bindings do not take it, as a Thing's peripheral
-	// group carries its peers' stream ticks. Every copy still pays its loss
-	// draws and its place in the arrival order, but no handler runs.
-	b.Run("quiet=1000", func(b *testing.B) {
-		const count = 1_000
-		n := New(Config{LossRate: 0.02})
-		nodes := benchTree(b, n, count)
-		group := MulticastAddr(PrefixFromAddr(nodes[0].Addr()), 0xad1cbe01)
-		calls := 0
-		for _, nd := range nodes[1:] {
-			nd.JoinGroup(group)
-			nd.BindTypes(func(Message) { calls++ }, TypesOf(1, 9))
-		}
-		tick := []byte{11, 0, 0, 0, 1, 0, 0, 0, 238}
-		nodes[0].Send(group, tick)
-		n.RunUntilIdle(0)
-		runtime.GC()
-		nodes[0].Send(group, tick)
-		n.RunUntilIdle(0)
-		before := n.Stats()
-		const batch = 8
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < batch; j++ {
-				nodes[0].Send(group, tick)
-				n.RunUntilIdle(0)
+			// Warm as nodes= does: prime the plan, collect the set-up
+			// garbage, refill the pools.
+			nodes[0].Send(group, tc.payload)
+			n.RunUntilIdle(0)
+			runtime.GC()
+			nodes[0].Send(group, tc.payload)
+			n.RunUntilIdle(0)
+			before, beforeCalls := n.Stats(), calls
+			const batch = 8
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < batch; j++ {
+					nodes[0].Send(group, tc.payload)
+					n.RunUntilIdle(0)
+				}
 			}
-		}
-		b.StopTimer()
-		after := n.Stats()
-		delivered, lost := after.Delivered-before.Delivered, after.Lost-before.Lost
-		if calls != 0 || delivered+lost != b.N*batch*(count-1) || lost == 0 {
-			b.Fatalf("%d handler calls, %d delivered and %d lost copies, want none and %d copies with some lost",
-				calls, delivered, lost, b.N*batch*(count-1))
-		}
-		b.ReportMetric(float64(count-1), "members")
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/send")
-	})
+			b.StopTimer()
+			after := n.Stats()
+			delivered, lost := after.Delivered-before.Delivered, after.Lost-before.Lost
+			if delivered+lost != b.N*batch*(count-1) || lost == 0 {
+				b.Fatalf("delivered %d and lost %d copies, want %d copies with some lost", delivered, lost, b.N*batch*(count-1))
+			}
+			if called := calls - beforeCalls; tc.calls && called != delivered || !tc.calls && called != 0 {
+				b.Fatalf("%d handler calls for %d delivered copies", called, delivered)
+			}
+			b.ReportMetric(float64(count-1), "members")
+			b.ReportMetric(float64(lost)/float64(b.N*batch), "lost/send")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/send")
+		})
+	}
 
 	// The parallel-speedup pair: the identical zone-partitioned fan-out —
 	// every zone root disseminating to its own zone-scoped group — run on the

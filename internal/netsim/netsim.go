@@ -1157,18 +1157,13 @@ func newDelivery(size int, n *Network, msg Message, hops int, pb *Buf, dst *Node
 // more count on the run before the next listed node.
 func (d *delivery) add(dst *Node, quiet bool) {
 	d.left++
-	if last := len(d.dsts) - 1; last >= 0 && d.dsts[last].node == nil {
-		if quiet {
-			d.dsts[last].quiet++
-		} else {
-			d.dsts[last].node = dst
-		}
-		return
+	if len(d.dsts) == 0 || d.dsts[len(d.dsts)-1].node != nil {
+		d.dsts = append(d.dsts, receiver{})
 	}
-	if quiet {
-		d.dsts = append(d.dsts, receiver{quiet: 1})
+	if r := &d.dsts[len(d.dsts)-1]; quiet {
+		r.quiet++
 	} else {
-		d.dsts = append(d.dsts, receiver{node: dst})
+		r.node = dst
 	}
 }
 

@@ -527,7 +527,7 @@ func (sl *shardLane) handOut(d *delivery, maxEvents int) int {
 	for k < maxEvents && d.left > 1 {
 		r := &d.dsts[d.next]
 		if r.quiet > 0 {
-			q := min(r.quiet, d.left-1, int32(min(maxEvents-k, math.MaxInt32)))
+			q := int32(min(int(r.quiet), int(d.left)-1, maxEvents-k))
 			r.quiet -= q
 			d.left -= q
 			sl.ran += uint64(q)

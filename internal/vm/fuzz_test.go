@@ -188,18 +188,26 @@ func FuzzDSLCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		mc, mi := enginePair(t, prog)
-		// Bound runaway loops well under the default so fuzz execs stay
-		// fast; fuel exhaustion itself is part of the compared transcript.
-		mc.Fuel, mi.Fuel = 2000, 2000
-		for _, h := range prog.Handlers {
-			args := make([]int32, h.NParams)
-			for i := range args {
-				args[i] = arg + int32(i)
-			}
-			runBoth(t, mc, mi, h.Name, args)
-		}
+		runHandlersBoth(t, prog, arg)
 	})
+}
+
+// runHandlersBoth runs every handler of prog, in program order on evolving
+// statics, on the compiled engine and the interpreter oracle, with
+// arguments counting up from arg, and fails on any transcript divergence.
+func runHandlersBoth(t *testing.T, prog *bytecode.Program, arg int32) {
+	t.Helper()
+	mc, mi := enginePair(t, prog)
+	// Bound runaway loops well under the default so fuzz execs stay
+	// fast; fuel exhaustion itself is part of the compared transcript.
+	mc.Fuel, mi.Fuel = 2000, 2000
+	for _, h := range prog.Handlers {
+		args := make([]int32, h.NParams)
+		for i := range args {
+			args[i] = arg + int32(i)
+		}
+		runBoth(t, mc, mi, h.Name, args)
+	}
 }
 
 // FuzzDriverBytes fuzzes the over-the-air trust boundary at the byte level:
@@ -240,14 +248,6 @@ func FuzzDriverBytes(f *testing.F) {
 		if cells > bytecode.MaxStaticCells {
 			t.Fatalf("a loaded driver holds %d static cells (max %d)", cells, bytecode.MaxStaticCells)
 		}
-		mc, mi := enginePair(t, prog)
-		mc.Fuel, mi.Fuel = 2000, 2000
-		for _, h := range prog.Handlers {
-			args := make([]int32, h.NParams)
-			for i := range args {
-				args[i] = arg + int32(i)
-			}
-			runBoth(t, mc, mi, h.Name, args)
-		}
+		runHandlersBoth(t, prog, arg)
 	})
 }
