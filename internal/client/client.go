@@ -920,9 +920,10 @@ func (c *Client) handle(msg netsim.Message) {
 		}
 
 	case proto.MsgClosed:
-		// Close only the subscriptions served by the closing Thing: several
-		// Things may stream the same peripheral type over the shared group,
-		// and one closing must not tear down the others' handles.
+		// Close only the subscriptions served by the closing Thing. A
+		// stream's group is its Thing's own (netsim.StreamGroup), so an
+		// honest close comes only from that Thing; the source check is a
+		// defence against a close forged by another node on the group.
 		c.mu.Lock()
 		var subs []*Stream
 		for _, s := range c.streams[m.DeviceID] {
@@ -938,9 +939,11 @@ func (c *Client) handle(msg netsim.Message) {
 }
 
 // routeStreamData delivers group data to the live subscriptions of the
-// peripheral type served by the sending Thing. The group is shared per
-// device type, so data from other Things streaming the same type arrives
-// here too and must not be misattributed to this handle's Thing.
+// peripheral type served by the sending Thing. Each stream has a group of its
+// own (netsim.StreamGroup), so honest data comes only from the subscribed
+// Thing; the source and type checks are a defence against data forged by
+// another node on the group, which must not be attributed to this handle's
+// Thing.
 func (c *Client) routeStreamData(src netip.Addr, m *proto.Message) {
 	c.mu.Lock()
 	var subs []*Stream

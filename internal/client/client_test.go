@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func (f *fakeThing) handle(msg netsim.Message) {
 	case proto.MsgWrite:
 		f.send(msg.Src, &proto.Message{Type: proto.MsgWriteAck, Seq: m.Seq, DeviceID: m.DeviceID, Status: 0})
 	case proto.MsgStream:
-		group := netsim.MulticastAddr(netsim.PrefixFromAddr(f.node.Addr()), m.DeviceID)
+		group := netsim.StreamGroup(f.node.Addr(), 0)
 		est := &proto.Message{Type: proto.MsgEstablished, Seq: m.Seq, DeviceID: m.DeviceID}
 		copy(est.Group[:], group.AsSlice())
 		f.send(msg.Src, est)
@@ -382,7 +383,7 @@ func TestClientStream(t *testing.T) {
 		t.Fatal("closed callback must fire")
 	}
 	// After close, the client must have left the group.
-	group := netsim.MulticastAddr(netsim.PrefixFromAddr(ft.node.Addr()), 0xad1cbe01)
+	group := netsim.StreamGroup(ft.node.Addr(), 0)
 	if cl.Node().InGroup(group) {
 		t.Fatal("client must leave the stream group after close")
 	}
@@ -413,7 +414,7 @@ func TestClientStreamCloseHandle(t *testing.T) {
 	n.RunUntil(600 * time.Millisecond)
 	s.Close()
 	// Further group data must not reach the handler.
-	group := netsim.MulticastAddr(netsim.PrefixFromAddr(ft.node.Addr()), 0xad1cbe01)
+	group := netsim.StreamGroup(ft.node.Addr(), 0)
 	ft.send(group, &proto.Message{Type: proto.MsgData, Seq: 9, DeviceID: 0xad1cbe01, Data: proto.Values32([]int32{3})})
 	n.RunUntilIdle(0)
 	if got != 2 {
@@ -437,7 +438,7 @@ func TestClientTwoStreamsShareGroup(t *testing.T) {
 	}
 	// Closing one handle must keep the group joined for the other.
 	s1.Close()
-	group := netsim.MulticastAddr(netsim.PrefixFromAddr(ft.node.Addr()), 0xad1cbe01)
+	group := netsim.StreamGroup(ft.node.Addr(), 0)
 	if !cl.Node().InGroup(group) {
 		t.Fatal("group must stay joined while another handle is live")
 	}
@@ -473,8 +474,8 @@ func TestClientTwoSubscribersClosedOnce(t *testing.T) {
 	}
 }
 
-// TestClientStreamDataCannotCompleteRead: stream data is multicast on a
-// shared group with a sequence number chosen thing-side (by the last
+// TestClientStreamDataCannotCompleteRead: stream data is multicast on the
+// stream's group with a sequence number chosen thing-side (by the last
 // subscriber, possibly another client), so a colliding number must never
 // complete this client's pending unicast read.
 func TestClientStreamDataCannotCompleteRead(t *testing.T) {
@@ -493,7 +494,7 @@ func TestClientStreamDataCannotCompleteRead(t *testing.T) {
 	cl.Read(ft.node.Addr(), 0xad1cbe01, 300*time.Millisecond, func(v []int32, err error) {
 		vals, readErr = v, err
 	})
-	group := netsim.MulticastAddr(netsim.PrefixFromAddr(ft.node.Addr()), 0xad1cbe01)
+	group := netsim.StreamGroup(ft.node.Addr(), 0)
 	ft.send(group, &proto.Message{Type: proto.MsgData, Seq: 2, DeviceID: 0xad1cbe01,
 		Data: proto.Values32([]int32{999})})
 	n.RunUntilIdle(0)
@@ -509,9 +510,9 @@ func TestClientStreamDataCannotCompleteRead(t *testing.T) {
 	}
 }
 
-// TestClientStreamDataFiltersBySender: the group is shared per device
-// type, so data from another Thing streaming the same type must not be
-// delivered to (and misattributed by) this Thing's subscription.
+// TestClientStreamDataFiltersBySender: data that another Thing with the same
+// peripheral type sends to this stream's group must not be delivered to (and
+// misattributed by) this Thing's subscription.
 func TestClientStreamDataFiltersBySender(t *testing.T) {
 	n, cl, ft := setup(t)
 	other := newFakeThing(t, n, ft.node, addr("2001:db8::4"), 0xad1cbe01)
@@ -522,17 +523,49 @@ func TestClientStreamDataFiltersBySender(t *testing.T) {
 	n.RunUntil(150 * time.Millisecond) // established
 	base := streamed
 
-	group := netsim.MulticastAddr(netsim.PrefixFromAddr(ft.node.Addr()), 0xad1cbe01)
+	group := netsim.StreamGroup(ft.node.Addr(), 0)
 	other.send(group, &proto.Message{Type: proto.MsgData, Seq: 5, DeviceID: 0xad1cbe01,
 		Data: proto.Values32([]int32{404})})
 	n.RunUntil(250 * time.Millisecond)
 	if streamed != base {
 		t.Fatalf("another thing's stream data reached this subscription (%d)", streamed-base)
 	}
-	// The serving Thing's own data still flows.
+	// The serving Thing's own two data messages still flow, and nothing
+	// else does (the other Thing's datagram lands after 250 ms).
 	n.RunUntilIdle(0)
-	if streamed <= base {
-		t.Fatal("the serving thing's data must still be delivered")
+	if streamed != base+2 {
+		t.Fatalf("%d stream deliveries, want the serving thing's 2", streamed-base)
+	}
+}
+
+// TestClientDropsForgedStreamData: a node that serves no stream sends data
+// and a close to a subscribed stream's group, with the stream's type and
+// sequence number. Neither reaches the subscription: only the serving
+// Thing's own datagrams do.
+func TestClientDropsForgedStreamData(t *testing.T) {
+	n, cl, ft := setup(t)
+	forger, err := n.AddNode(addr("2001:db8::66"), ft.node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []int32
+	s := cl.Subscribe(ft.node.Addr(), 0xad1cbe01, SubscribeOptions{OnData: func(v []int32) { streamed = append(streamed, v...) }})
+	n.RunUntil(150 * time.Millisecond) // established
+	if !s.Established() {
+		t.Fatal("setup: stream must establish")
+	}
+	group := netsim.StreamGroup(ft.node.Addr(), 0)
+	for _, m := range []*proto.Message{
+		{Type: proto.MsgData, Seq: 1, DeviceID: 0xad1cbe01, Data: proto.Values32([]int32{666})},
+		{Type: proto.MsgClosed, Seq: 1, DeviceID: 0xad1cbe01},
+	} {
+		b, _ := m.Encode()
+		forger.Send(group, b)
+	}
+	// A forged close accepted would also cut off the Thing's own data.
+	n.RunUntilIdle(0)
+	if fmt.Sprint(streamed) != "[1 2]" || !s.Closed() {
+		t.Fatalf("stream data %v, closed %v; want only the serving Thing's [1 2], then its close", streamed, s.Closed())
 	}
 }
 
@@ -556,9 +589,9 @@ func TestClientStaleReplyCannotFeedStream(t *testing.T) {
 	}
 }
 
-// TestClientClosedFiltersBySender: several Things can stream the same
-// peripheral type over the shared group; one Thing closing its stream must
-// not tear down subscriptions served by the others.
+// TestClientClosedFiltersBySender: a close that another Thing with the same
+// peripheral type sends to this stream's group must not tear down the
+// subscription its own Thing serves.
 func TestClientClosedFiltersBySender(t *testing.T) {
 	n, cl, ft := setup(t)
 	other := newFakeThing(t, n, ft.node, addr("2001:db8::4"), 0xad1cbe01)
@@ -570,8 +603,8 @@ func TestClientClosedFiltersBySender(t *testing.T) {
 		t.Fatal("setup: stream must establish")
 	}
 
-	// A close from an unrelated Thing on the same group: no effect.
-	group := netsim.MulticastAddr(netsim.PrefixFromAddr(ft.node.Addr()), 0xad1cbe01)
+	// A close from an unrelated Thing on this stream's group: no effect.
+	group := netsim.StreamGroup(ft.node.Addr(), 0)
 	other.send(group, &proto.Message{Type: proto.MsgClosed, Seq: 9, DeviceID: 0xad1cbe01})
 	n.RunUntil(300 * time.Millisecond)
 	if s.Closed() {

@@ -3,9 +3,14 @@ package loadgen
 import (
 	"bytes"
 	"encoding/json"
+	"net/netip"
 	"runtime"
 	"testing"
 	"time"
+
+	"micropnp"
+	"micropnp/internal/hw"
+	"micropnp/internal/netsim"
 )
 
 // miniZonedCfg is the "zoned" preset shrunk to milliseconds of wall time:
@@ -82,5 +87,50 @@ func TestZonedPreset(t *testing.T) {
 	}
 	if bare.Zones <= 1 {
 		t.Fatalf("zones shape did not default a lane count: %d", bare.Zones)
+	}
+}
+
+// TestStreamGroupsDistinctInLargestZonedPreset: every (Thing, channel) of
+// the zoned preset with the most Things, over all its deployments, has a
+// stream group of its own, and none of them parses as a peripheral group.
+func TestStreamGroupsDistinctInLargestZonedPreset(t *testing.T) {
+	var cfg Config
+	for _, name := range Scenarios() {
+		if c, err := Preset(name); err == nil && c.Shape == ShapeZones && c.Things > cfg.Things {
+			cfg = c
+		}
+	}
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[netip.Addr]netip.Addr{}
+	sites := max(cfg.Deployments, 1)
+	for site := range sites {
+		d, err := micropnp.NewDeployment(deployOpts(cfg, cfg.Seed, site)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		c := cfg
+		c.Things = cfg.Things / sites
+		targets, _, err := buildTopology(d, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tg := range targets {
+			for ch := range hw.DefaultChannels {
+				g := netsim.StreamGroup(tg.addr, ch)
+				if prev, dup := seen[g]; dup {
+					t.Fatalf("%s: Things %v and %v share stream group %v", cfg.Scenario, prev, tg.addr, g)
+				}
+				if _, _, _, err := netsim.ParseMulticastZone(g); err == nil {
+					t.Fatalf("%s: stream group %v parses as a peripheral group", cfg.Scenario, g)
+				}
+				seen[g] = tg.addr
+			}
+		}
+	}
+	if want := (cfg.Things / sites) * sites * hw.DefaultChannels; len(seen) != want {
+		t.Fatalf("%s: %d stream groups, want %d", cfg.Scenario, len(seen), want)
 	}
 }

@@ -83,9 +83,13 @@ func ParseMulticast(a netip.Addr) (NetworkPrefix, hw.DeviceID, error) {
 }
 
 // ParseMulticastZone validates a µPnP multicast address (zone-scoped or
-// not) and extracts the network prefix, zone and peripheral identifier.
+// not) and extracts the network prefix, zone and peripheral identifier. A
+// stream group carries no peripheral identifier, so it does not parse.
 func ParseMulticastZone(a netip.Addr) (NetworkPrefix, uint16, hw.DeviceID, error) {
 	b := a.As16()
+	if IsStreamGroup(a) {
+		return NetworkPrefix{}, 0, 0, fmt.Errorf("netsim: %v is a stream group, not a peripheral group", a)
+	}
 	if [4]byte{b[0], b[1], b[2], b[3]} != SchemaPrefix {
 		return NetworkPrefix{}, 0, 0, fmt.Errorf("netsim: %v is not a µPnP multicast address", a)
 	}
@@ -94,6 +98,60 @@ func ParseMulticastZone(a netip.Addr) (NetworkPrefix, uint16, hw.DeviceID, error
 	zone := uint16(b[10])<<8 | uint16(b[11])
 	id := hw.DeviceID(b[12])<<24 | hw.DeviceID(b[13])<<16 | hw.DeviceID(b[14])<<8 | hw.DeviceID(b[15])
 	return p, zone, id, nil
+}
+
+// Stream groups extend the schema, like the Section 9 zone field, so that a
+// stream's data reaches only its subscribers. A Thing answers a stream
+// request (13) with the group of the one stream it serves, which only that
+// stream's subscribers join, and sends the stream's data and its close there:
+//
+//	| 16 bits | 8 bits  | 8 bits | 48 bits        | 16 bits | 32 bits |
+//	| ff3e    | channel | 0x31   | network prefix | zone    | host    |
+//
+// The discriminator byte 0x31 sets the group apart from every Figure 9, zone
+// and class group (0x30), so the Figure 9 parsers reject it. 128 bits cannot
+// hold both the Thing's 48-bit zone and host fields and a 32-bit peripheral
+// type, so the group names the peripheral compactly, by the board channel
+// that serves it, in the byte before the discriminator: channel 0 is
+// ff3e:0031. A Thing streams a peripheral type from the one channel that
+// serves it, so the group is unique per (Thing, peripheral) for every Thing
+// address of the UnicastAddr layout (bytes 6..9 zero), up to 2^32 hosts per
+// zone and 256 channels per board.
+
+// streamDiscriminator is the schema byte (byte 3) of a stream group.
+const streamDiscriminator = 0x31
+
+// MaxStreamChannels bounds the board channels a stream group can name.
+const MaxStreamChannels = 256
+
+// StreamGroup returns the group of the stream a Thing at address thing serves
+// from a board channel (0 <= channel < MaxStreamChannels).
+func StreamGroup(thing netip.Addr, channel int) netip.Addr {
+	u := thing.As16()
+	var b [16]byte
+	b[0], b[1], b[2], b[3] = SchemaPrefix[0], SchemaPrefix[1], byte(channel), streamDiscriminator
+	copy(b[4:10], u[0:6])
+	copy(b[10:16], u[10:16])
+	return netip.AddrFrom16(b)
+}
+
+// ParseStreamGroup validates a stream group and extracts the serving Thing's
+// address (in the UnicastAddr layout) and board channel.
+func ParseStreamGroup(a netip.Addr) (thing netip.Addr, channel int, err error) {
+	b := a.As16()
+	if !IsStreamGroup(a) {
+		return netip.Addr{}, 0, fmt.Errorf("netsim: %v is not a µPnP stream group", a)
+	}
+	var u [16]byte
+	copy(u[0:6], b[4:10])
+	copy(u[10:16], b[10:16])
+	return netip.AddrFrom16(u), int(b[2]), nil
+}
+
+// IsStreamGroup reports whether a is a stream group.
+func IsStreamGroup(a netip.Addr) bool {
+	b := a.As16()
+	return a.Is6() && b[0] == SchemaPrefix[0] && b[1] == SchemaPrefix[1] && b[3] == streamDiscriminator
 }
 
 // UnicastAddr builds a unicast host address inside a network prefix, with
@@ -129,7 +187,8 @@ func ClassGroup(prefix NetworkPrefix, class uint8) netip.Addr {
 	return MulticastAddr(prefix, hw.ClassWildcard(class))
 }
 
-// IsUPnPMulticast reports whether a follows the Figure 9 schema.
+// IsUPnPMulticast reports whether a follows the Figure 9 schema (a stream
+// group does not: see IsStreamGroup).
 func IsUPnPMulticast(a netip.Addr) bool {
 	_, _, err := ParseMulticast(a)
 	return err == nil

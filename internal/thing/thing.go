@@ -281,12 +281,15 @@ func New(cfg Config) (*Thing, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("thing: network required")
 	}
+	if cfg.Board == nil {
+		cfg.Board = hw.NewControlBoard(hw.BoardConfig{})
+	}
+	if cfg.Board.Channels() > netsim.MaxStreamChannels {
+		return nil, fmt.Errorf("thing: %d channels, a stream group names at most %d", cfg.Board.Channels(), netsim.MaxStreamChannels)
+	}
 	node, err := cfg.Network.AddNode(cfg.Addr, cfg.Parent)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Board == nil {
-		cfg.Board = hw.NewControlBoard(hw.BoardConfig{})
 	}
 	if cfg.Images == nil {
 		cfg.Images = vm.NewImages()
@@ -690,12 +693,21 @@ func (t *Thing) send(dst netip.Addr, m *proto.Message) {
 
 // slotForLocked returns the slot serving a device type (t.mu held).
 func (t *Thing) slotForLocked(id hw.DeviceID) *slotState {
-	for _, s := range t.slots {
-		if s.id == id && s.rt != nil {
-			return s
-		}
+	if ch := t.channelForLocked(id); ch >= 0 {
+		return t.slots[ch]
 	}
 	return nil
+}
+
+// channelForLocked returns the channel serving a device type, or -1 when
+// none does (t.mu held).
+func (t *Thing) channelForLocked(id hw.DeviceID) int {
+	for ch, s := range t.slots {
+		if s.id == id && s.rt != nil {
+			return ch
+		}
+	}
+	return -1
 }
 
 // driverReturned routes a driver return value: to the oldest pending read
@@ -975,20 +987,25 @@ func (t *Thing) ExpireEvent(seqgen uint64, tok any) {
 	}
 }
 
+// handleStream starts (or joins a new subscriber to) the stream of a served
+// peripheral. The stream has a group of its own, named after the channel
+// that serves it (netsim.StreamGroup), so its data and its close reach only
+// the clients that joined it, not every Thing with the peripheral.
 func (t *Thing) handleStream(msg netsim.Message, m *proto.Message) {
 	t.mu.Lock()
-	ok := t.slotForLocked(m.DeviceID) != nil
+	ch := t.channelForLocked(m.DeviceID)
 	t.mu.Unlock()
-	if !ok {
+	if ch < 0 {
 		return
 	}
-	group := netsim.MulticastAddr(t.prefix, m.DeviceID)
+	group := netsim.StreamGroup(t.node.Addr(), ch)
 	t.opsMu.Lock()
 	st, exists := t.streams[m.DeviceID]
 	if !exists {
-		st = &streamState{group: group}
+		st = &streamState{}
 		t.streams[m.DeviceID] = st
 	}
+	st.group = group
 	st.seq = m.Seq
 	wasActive := st.active
 	st.active = true
