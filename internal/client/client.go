@@ -117,8 +117,8 @@ type pending struct {
 	kind pendingKind
 	// thing and id identify the peer and peripheral a read or write was
 	// addressed to: a data message only completes the read when both match
-	// (stream data multicast on a shared group may carry a colliding
-	// sequence number chosen by another client). With typ and data (a
+	// (stream data multicast on a stream's group may carry a colliding
+	// sequence number chosen by another subscriber). With typ and data (a
 	// write's payload) they are also everything a retransmission resends.
 	thing      netip.Addr
 	id         hw.DeviceID
@@ -852,8 +852,8 @@ func (c *Client) handle(msg netsim.Message) {
 	case proto.MsgData:
 		// Read replies are unicast from the addressed Thing for the
 		// requested peripheral; anything else with a matching sequence
-		// number (stream data on a shared multicast group, where another
-		// client chose the number) must not complete a pending read.
+		// number (stream data on a stream's multicast group, where another
+		// subscriber chose the number) must not complete a pending read.
 		c.mu.Lock()
 		if p, ok := c.pending[m.Seq]; ok && p.kind == pendingRead &&
 			!msg.Dst.IsMulticast() && msg.Src == p.thing && m.DeviceID == p.id {

@@ -491,7 +491,7 @@ func (sl *shardLane) runWindow(w1 time.Duration, maxEvents int) int {
 		if at := int64(ev.at); at > sl.now.Load() {
 			sl.now.Store(at)
 		}
-		if d := ev.del; d != nil && d.left > 1 {
+		if d := ev.del; d != nil && d.next < len(d.dsts)-1 {
 			sl.mu.Unlock()
 			steps += sl.handOut(d, maxEvents-steps)
 			continue
@@ -515,31 +515,19 @@ func (sl *shardLane) runWindow(w1 time.Duration, maxEvents int) int {
 // overtake it meanwhile, since every event pushed later carries a larger
 // sequence number and a timestamp no earlier than the lane's clock. So the
 // receivers run one after the other without the lane lock, each one an
-// event of its own; a run of quiet receivers is counted in one go, as the
-// events and Delivered it stands for, since no handler runs between them. A
-// handler that drives the clock reentrantly runs the batch's next receiver,
-// as it would have run the next separately queued arrival, and may run its
-// last, whose firing pops and recycles d; ran shows that, and the hand-out
-// stops so the caller re-reads the heap. Only the firing that pops the batch
-// touches d after its last hand-out.
+// event of its own. A handler that drives the clock reentrantly runs the
+// batch's next receiver, as it would have run the next separately queued
+// arrival, and may run its last, whose firing pops and recycles d; ran
+// shows that, and the hand-out stops so the caller re-reads the heap. Only
+// the firing that pops the batch touches d after its last hand-out.
 func (sl *shardLane) handOut(d *delivery, maxEvents int) int {
 	n, k := d.net, 0
-	for k < maxEvents && d.left > 1 {
-		r := &d.dsts[d.next]
-		if r.quiet > 0 {
-			q := int32(min(int(r.quiet), int(d.left)-1, maxEvents-k))
-			r.quiet -= q
-			d.left -= q
-			sl.ran += uint64(q)
-			k += int(q)
-			n.laneStats[d.lane].delivered.Add(int64(q))
-			continue
-		}
+	for k < maxEvents && d.next < len(d.dsts)-1 {
+		dst := d.dsts[d.next]
 		d.next++
-		d.left--
 		sl.ran++
 		mark := sl.ran
-		n.arrive(r.node, &d.msg)
+		n.arrive(dst, &d.msg)
 		k++
 		if sl.ran != mark {
 			break

@@ -387,27 +387,6 @@ func TestThingHandlesOnlyServedTypes(t *testing.T) {
 	}
 }
 
-// TestThingBindsTheTypesItHandles: the type set a Thing binds its node with
-// is the one handles reads, so the network dispatches to the Thing exactly
-// the multicast copies its handler would not drop: for every first byte and
-// for the empty payload, the bound set and handles agree.
-func TestThingBindsTheTypesItHandles(t *testing.T) {
-	tb := newTestBed(t)
-	nd := tb.thing.Node()
-	if nd.Takes([]byte{byte(proto.MsgData)}) {
-		t.Fatal("the Thing's binding takes stream data")
-	}
-	for b := 0; b < 256; b++ {
-		p := []byte{byte(b)}
-		if got, want := nd.Takes(p), handles(p); got != want {
-			t.Errorf("type %d: binding takes it %v, handles %v", b, got, want)
-		}
-	}
-	if got, want := nd.Takes(nil), handles(nil); got != want {
-		t.Errorf("empty payload: binding takes it %v, handles %v", got, want)
-	}
-}
-
 // TestThingCorruptUploadNotInstalled uploads driver bytes that do not
 // decode, and bytes that decode but fail verification, while the Thing
 // awaits its driver. Neither activates nor is listed by driver discovery,
