@@ -84,12 +84,10 @@ func ParseMulticast(a netip.Addr) (NetworkPrefix, hw.DeviceID, error) {
 
 // ParseMulticastZone validates a µPnP multicast address (zone-scoped or
 // not) and extracts the network prefix, zone and peripheral identifier. A
-// stream group carries no peripheral identifier, so it does not parse.
+// stream group (see StreamGroup) carries no peripheral identifier; its
+// discriminator differs from SchemaPrefix, so it does not parse.
 func ParseMulticastZone(a netip.Addr) (NetworkPrefix, uint16, hw.DeviceID, error) {
 	b := a.As16()
-	if IsStreamGroup(a) {
-		return NetworkPrefix{}, 0, 0, fmt.Errorf("netsim: %v is a stream group, not a peripheral group", a)
-	}
 	if [4]byte{b[0], b[1], b[2], b[3]} != SchemaPrefix {
 		return NetworkPrefix{}, 0, 0, fmt.Errorf("netsim: %v is not a µPnP multicast address", a)
 	}
@@ -135,25 +133,6 @@ func StreamGroup(thing netip.Addr, channel int) netip.Addr {
 	return netip.AddrFrom16(b)
 }
 
-// ParseStreamGroup validates a stream group and extracts the serving Thing's
-// address (in the UnicastAddr layout) and board channel.
-func ParseStreamGroup(a netip.Addr) (thing netip.Addr, channel int, err error) {
-	b := a.As16()
-	if !IsStreamGroup(a) {
-		return netip.Addr{}, 0, fmt.Errorf("netsim: %v is not a µPnP stream group", a)
-	}
-	var u [16]byte
-	copy(u[0:6], b[4:10])
-	copy(u[10:16], b[10:16])
-	return netip.AddrFrom16(u), int(b[2]), nil
-}
-
-// IsStreamGroup reports whether a is a stream group.
-func IsStreamGroup(a netip.Addr) bool {
-	b := a.As16()
-	return a.Is6() && b[0] == SchemaPrefix[0] && b[1] == SchemaPrefix[1] && b[3] == streamDiscriminator
-}
-
 // UnicastAddr builds a unicast host address inside a network prefix, with
 // the same 16-bit field the multicast schema uses (bytes 10..11) carrying the
 // host's address zone. Zone 0 with a small host number reproduces the classic
@@ -188,7 +167,7 @@ func ClassGroup(prefix NetworkPrefix, class uint8) netip.Addr {
 }
 
 // IsUPnPMulticast reports whether a follows the Figure 9 schema (a stream
-// group does not: see IsStreamGroup).
+// group does not).
 func IsUPnPMulticast(a netip.Addr) bool {
 	_, _, err := ParseMulticast(a)
 	return err == nil
