@@ -37,10 +37,11 @@ func (c *Client) Adverts() []Advert { return advertsFrom(c.cl.Adverts()) }
 // (AllPeripherals matches any).
 func (c *Client) Things(id DeviceID) []netip.Addr { return c.cl.Things(hw.DeviceID(id)) }
 
-// InFlight returns the number of requests (reads, writes, discoveries) this
-// client currently has pending — a diagnostic for load tooling, and zero
-// once every call returned: cancelled calls retract their pending entry
-// immediately rather than letting it expire at its deadline.
+// InFlight returns the number of requests (reads, writes, discoveries, and
+// subscriptions awaiting establishment) this client currently has pending —
+// a diagnostic for load tooling, and zero once every call returned:
+// cancelled calls retract their pending entry immediately rather than
+// letting it expire at its deadline.
 func (c *Client) InFlight() int { return c.cl.Pending() }
 
 // AddAdvertHook registers an advertisement listener. Every registered hook
@@ -253,8 +254,9 @@ func (s *Subscription) Closed() bool {
 	return s.closed
 }
 
-// Close unsubscribes locally. The Thing keeps streaming for any other
-// subscribers until it closes the stream itself.
+// Close unsubscribes locally. The Thing is not told: the stream ends only
+// when the Thing closes it, and until then it keeps streaming to the
+// group.
 //
 // Close is idempotent and safe to call from any goroutine, concurrently
 // with other Closes and with in-flight deliveries: the node leaves the

@@ -101,6 +101,7 @@ const (
 	pendingRead pendingKind = iota
 	pendingWrite
 	pendingDiscover
+	pendingSubscribe
 )
 
 // pending is one in-flight request. Exactly one of the completion paths
@@ -115,11 +116,12 @@ const (
 // number (the identity check alone cannot catch that ABA).
 type pending struct {
 	kind pendingKind
-	// thing and id identify the peer and peripheral a read or write was
-	// addressed to: a data message only completes the read when both match
-	// (stream data multicast on a stream's group may carry a colliding
-	// sequence number chosen by another subscriber). With typ and data (a
-	// write's payload) they are also everything a retransmission resends.
+	// thing and id identify the peer and peripheral a read, write or
+	// subscription was addressed to: a data message only completes the read,
+	// and an establishment the subscription, when both match (stream data
+	// multicast on a stream's group may carry a colliding sequence number
+	// chosen by another subscriber). With typ and data (a write's payload)
+	// they are also everything a retransmission resends.
 	thing      netip.Addr
 	id         hw.DeviceID
 	typ        proto.MsgType
@@ -127,6 +129,8 @@ type pending struct {
 	onRead     func([]int32, error)
 	onWrite    func(error)
 	onDiscover func([]Advert)
+	// stream is the handle a subscription establishes.
+	stream *Stream
 	// adverts collects a discovery's solicited adverts, by value: an advert
 	// arriving later in the window rewrites the view entry, not what the
 	// discovery collected. The collector is taken from collectorPool with
@@ -183,7 +187,7 @@ func (c *Client) release(p *pending) {
 	c.mu.Unlock()
 	p.kind = 0
 	p.thing, p.id, p.typ, p.data = netip.Addr{}, 0, 0, nil
-	p.onRead, p.onWrite, p.onDiscover = nil, nil, nil
+	p.onRead, p.onWrite, p.onDiscover, p.stream = nil, nil, nil, nil
 	if p.adverts != nil {
 		clear(*p.adverts)
 		*p.adverts = (*p.adverts)[:0]
@@ -228,12 +232,12 @@ type Client struct {
 	timeout time.Duration
 	retry   RetryPolicy
 
-	mu             sync.Mutex
-	retryRng       *rand.Rand // backoff jitter; guarded by mu
-	seq            uint16
-	pending        map[uint16]*pending
-	streams        map[hw.DeviceID][]*Stream
-	pendingStreams map[uint16]*Stream
+	mu       sync.Mutex
+	retryRng *rand.Rand // backoff jitter; guarded by mu
+	seq      uint16
+	pending  map[uint16]*pending
+	// streams holds the established subscriptions per peripheral type.
+	streams map[hw.DeviceID][]*Stream
 	// view is the latest advert per (Thing, peripheral) in first-sighting
 	// order, bounded by Things × peripherals however many adverts arrive.
 	// slots locates each pair's advert in view and keeps the last units
@@ -287,16 +291,15 @@ func New(cfg Config) (*Client, error) {
 		jitterSeed = jitterSeed*131 + int64(b)
 	}
 	c := &Client{
-		net:            cfg.Network,
-		node:           node,
-		prefix:         netsim.PrefixFromAddr(cfg.Addr),
-		timeout:        timeout,
-		retry:          cfg.Retry,
-		retryRng:       rand.New(rand.NewSource(jitterSeed)),
-		pending:        map[uint16]*pending{},
-		streams:        map[hw.DeviceID][]*Stream{},
-		pendingStreams: map[uint16]*Stream{},
-		slots:          map[advertKey]slot{},
+		net:      cfg.Network,
+		node:     node,
+		prefix:   netsim.PrefixFromAddr(cfg.Addr),
+		timeout:  timeout,
+		retry:    cfg.Retry,
+		retryRng: rand.New(rand.NewSource(jitterSeed)),
+		pending:  map[uint16]*pending{},
+		streams:  map[hw.DeviceID][]*Stream{},
+		slots:    map[advertKey]slot{},
 	}
 	node.JoinGroup(netsim.AllClientsAddr(c.prefix))
 	node.Bind(c.handle)
@@ -357,8 +360,9 @@ func (c *Client) Things(id hw.DeviceID) []netip.Addr {
 }
 
 // nextSeqLocked allocates the next sequence number, skipping values still
-// bound to an in-flight request or a live stream (Things tag stream data
-// with the subscribe seq), so a 2^16 wrap cannot alias two requests.
+// bound to an in-flight request, so a 2^16 wrap cannot alias two requests.
+// An established stream holds none: its data and close are matched by
+// source and peripheral, never by sequence number.
 func (c *Client) nextSeqLocked() uint16 {
 	for {
 		c.seq++
@@ -368,30 +372,8 @@ func (c *Client) nextSeqLocked() uint16 {
 		if _, busy := c.pending[c.seq]; busy {
 			continue
 		}
-		if _, busy := c.pendingStreams[c.seq]; busy {
-			continue
-		}
-		if c.streamSeqBusyLocked(c.seq) {
-			continue
-		}
 		return c.seq
 	}
-}
-
-// streamSeqBusyLocked reports whether an established, still-open stream
-// holds the sequence number (c.mu held).
-func (c *Client) streamSeqBusyLocked(seq uint16) bool {
-	for _, list := range c.streams {
-		for _, s := range list {
-			s.mu.Lock()
-			busy := s.seq == seq && !s.closed
-			s.mu.Unlock()
-			if busy {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func (c *Client) timeoutOr(t time.Duration) time.Duration {
@@ -443,7 +425,7 @@ func (c *Client) arm(seq uint16, gen uint64, p *pending, timeout time.Duration) 
 		return
 	}
 	p.expiry = c.node.ScheduleExpiry(c.timeoutOr(timeout), c, uint64(seq)|gen<<cookieGenShift, p)
-	if p.kind != pendingDiscover {
+	if p.kind == pendingRead || p.kind == pendingWrite {
 		c.armRetransmitLocked(seq, gen, p)
 	}
 }
@@ -462,15 +444,9 @@ func (c *Client) armRetransmitLocked(seq uint16, gen uint64, p *pending) {
 	p.retx = c.node.ScheduleExpiry(delay, c, uint64(seq)|cookieRetx|gen<<cookieGenShift, p)
 }
 
-// ExpireEvent implements netsim.Expirer for the client's three timers: a
-// stream's establishment deadline (tok *Stream, cookie = the subscribe
-// sequence number), and a pending request's deadline or retransmission (tok
-// *pending, cookie as packed by arm).
+// ExpireEvent implements netsim.Expirer for a pending request's deadline or
+// retransmission (tok *pending, cookie as packed by arm).
 func (c *Client) ExpireEvent(cookie uint64, tok any) {
-	if s, ok := tok.(*Stream); ok {
-		c.expireStream(uint16(cookie), s)
-		return
-	}
 	p := tok.(*pending)
 	seq := uint16(cookie)
 	gen := cookie >> cookieGenShift
@@ -512,6 +488,8 @@ func (c *Client) ExpireEvent(cookie uint64, tok any) {
 		if p.onDiscover != nil {
 			p.onDiscover(*p.adverts)
 		}
+	case pendingSubscribe:
+		p.stream.expire()
 	}
 	c.release(p)
 }
@@ -531,10 +509,11 @@ func (c *Client) send(dst netip.Addr, m *proto.Message) {
 	c.node.SendBuf(dst, pb)
 }
 
-// Pending returns the number of in-flight requests (reads, writes and
-// discoveries awaiting completion), each counted from its registration,
-// just before its send, until a reply, its deadline or a retract removes
-// it. Streams pending establishment are not counted.
+// Pending returns the number of in-flight requests (reads, writes,
+// discoveries and subscriptions awaiting completion or establishment), each
+// counted from its registration, just before its send, until a reply, its
+// deadline, a retract or the subscription's Close removes it. An
+// established stream is not counted.
 func (c *Client) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -684,8 +663,8 @@ type Stream struct {
 	c     *Client
 	thing netip.Addr
 	id    hw.DeviceID
-	// seq is the subscribe sequence number; the Thing tags the stream's
-	// data messages with it, so it stays reserved while the stream lives.
+	// seq is the subscribe request's sequence number, which keys its
+	// pending entry while the subscription awaits establishment.
 	seq uint16
 
 	mu          sync.Mutex
@@ -697,9 +676,6 @@ type Stream struct {
 	// onEstablishedHook fires once on establishment or expiry; cleared
 	// afterwards.
 	onEstablishedHook func(error)
-	// expiry is the establishment deadline, retracted once established or
-	// closed. Guarded by Client.mu.
-	expiry netsim.ExpiryRef
 }
 
 // SubscribeOptions configures a stream subscription.
@@ -732,44 +708,33 @@ func (s *Stream) Closed() bool {
 	return s.closed
 }
 
-// Close unsubscribes locally: the handle stops receiving data and the node
-// leaves the stream's multicast group once no other handle needs it. The
-// Thing keeps streaming for other subscribers until it closes the stream.
+// Close unsubscribes locally: the handle stops receiving data, a
+// subscription still awaiting establishment leaves the pending table (a
+// late establishment then joins nothing), and the node leaves the stream's
+// multicast group once no other handle needs it. The Thing is not told: the
+// stream ends only when the Thing closes it.
 func (s *Stream) Close() {
 	s.c.closeStream(s, false)
 }
 
 // Subscribe requests a peripheral's value stream from a Thing. The Thing
 // replies with the multicast group to join; data then arrives on the group
-// until the Thing closes the stream or the handle is Closed.
+// until the Thing closes the stream or the handle is Closed. The request is
+// a pending entry like a read, but it is never retransmitted (RetryPolicy).
 func (c *Client) Subscribe(thing netip.Addr, id hw.DeviceID, opts SubscribeOptions) *Stream {
 	s := &Stream{c: c, thing: thing, id: id, onData: opts.OnData, onClosed: opts.OnClosed,
 		onEstablishedHook: opts.OnEstablished}
-	c.mu.Lock()
-	seq := c.nextSeqLocked()
+	p := pendingPool.Get().(*pending)
+	p.kind, p.thing, p.id, p.stream = pendingSubscribe, thing, id, s
+	seq, gen := c.register(p)
 	s.seq = seq
-	c.pendingStreams[seq] = s
-	c.mu.Unlock()
 	c.send(thing, &proto.Message{Type: proto.MsgStream, Seq: seq, DeviceID: id})
-	// Armed after the send and only while still pending, like a request's
-	// deadline (see arm).
-	c.mu.Lock()
-	if c.pendingStreams[seq] == s {
-		s.expiry = c.node.ScheduleExpiry(c.timeoutOr(opts.Timeout), c, uint64(seq), s)
-	}
-	c.mu.Unlock()
+	c.arm(seq, gen, p, opts.Timeout)
 	return s
 }
 
-// expireStream ends a subscription whose establishment deadline passed.
-func (c *Client) expireStream(seq uint16, s *Stream) {
-	c.mu.Lock()
-	if c.pendingStreams[seq] != s {
-		c.mu.Unlock()
-		return
-	}
-	delete(c.pendingStreams, seq)
-	c.mu.Unlock()
+// expire ends a subscription whose establishment deadline passed.
+func (s *Stream) expire() {
 	s.mu.Lock()
 	s.closed = true
 	onEst := s.onEstablishedHook
@@ -795,13 +760,13 @@ func (c *Client) closeStream(s *Stream, thingClosed bool) {
 	if idx >= 0 {
 		c.streams[s.id] = append(list[:idx:idx], list[idx+1:]...)
 	}
-	// Also drop a not-yet-established handle from the pending table.
-	for seq, x := range c.pendingStreams {
-		if x == s {
-			delete(c.pendingStreams, seq)
-		}
+	// A handle still awaiting establishment leaves the pending table, with
+	// no callback: the caller closing it no longer waits for one.
+	p, awaiting := c.pending[s.seq]
+	awaiting = awaiting && p.stream == s
+	if awaiting {
+		delete(c.pending, s.seq)
 	}
-	s.expiry.Cancel()
 	s.mu.Lock()
 	alreadyClosed := s.closed
 	s.closed = true
@@ -811,6 +776,10 @@ func (c *Client) closeStream(s *Stream, thingClosed bool) {
 	s.mu.Unlock()
 	leave := joined && group.IsValid() && !c.groupStillNeededLocked(group)
 	c.mu.Unlock()
+	if awaiting {
+		p.disarm()
+		c.release(p)
+	}
 	if leave {
 		c.node.LeaveGroup(group)
 	}
@@ -897,17 +866,24 @@ func (c *Client) handle(msg netsim.Message) {
 		if !okAddr {
 			return
 		}
+		// Only the subscribed Thing can establish the stream, and only for
+		// the subscribed peripheral: another node that guesses the pending
+		// sequence number must not make the client join its group.
 		c.mu.Lock()
-		s, ok := c.pendingStreams[m.Seq]
+		p, ok := c.pending[m.Seq]
+		ok = ok && p.kind == pendingSubscribe && msg.Src == p.thing && m.DeviceID == p.id
+		var s *Stream
 		if ok {
-			delete(c.pendingStreams, m.Seq)
+			delete(c.pending, m.Seq)
+			s = p.stream
 			c.streams[s.id] = append(c.streams[s.id], s)
-			s.expiry.Cancel()
 		}
 		c.mu.Unlock()
 		if !ok {
 			return
 		}
+		p.disarm()
+		c.release(p)
 		s.mu.Lock()
 		s.group = group
 		s.established = true

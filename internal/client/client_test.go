@@ -569,6 +569,83 @@ func TestClientDropsForgedStreamData(t *testing.T) {
 	}
 }
 
+// TestClientIgnoresForgedEstablishment: a node that is not the subscribed
+// Thing answers a pending subscription with its own group and the pending
+// sequence number. The client must not join that group, and the Thing's own
+// reply must still establish the stream.
+func TestClientIgnoresForgedEstablishment(t *testing.T) {
+	n, cl, ft := setup(t)
+	ft.mute = true // the Thing's reply is sent by hand below
+	forger, err := n.AddNode(addr("2001:db8::66"), ft.node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var estErr error
+	established := 0
+	s := cl.Subscribe(ft.node.Addr(), 0xad1cbe01, SubscribeOptions{
+		OnEstablished: func(err error) { established++; estErr = err },
+	})
+	forged := netsim.StreamGroup(forger.Addr(), 0)
+	for _, m := range []*proto.Message{
+		// From another node, for the subscribed peripheral.
+		{Type: proto.MsgEstablished, Seq: s.seq, DeviceID: 0xad1cbe01},
+		// From another node, for another peripheral.
+		{Type: proto.MsgEstablished, Seq: s.seq, DeviceID: 0x42},
+	} {
+		copy(m.Group[:], forged.AsSlice())
+		b, _ := m.Encode()
+		forger.Send(cl.Addr(), b)
+	}
+	n.RunUntil(100 * time.Millisecond)
+	if cl.Node().InGroup(forged) || s.Established() || established != 0 || cl.Pending() != 1 {
+		t.Fatalf("after the forgeries: joined %v, established %v (%d callbacks), %d pending; want none, false, 0, 1",
+			cl.Node().InGroup(forged), s.Established(), established, cl.Pending())
+	}
+
+	group := netsim.StreamGroup(ft.node.Addr(), 0)
+	est := &proto.Message{Type: proto.MsgEstablished, Seq: s.seq, DeviceID: 0xad1cbe01}
+	copy(est.Group[:], group.AsSlice())
+	ft.send(cl.Addr(), est)
+	n.RunUntilIdle(0)
+	if !s.Established() || established != 1 || estErr != nil || !cl.Node().InGroup(group) || cl.Node().InGroup(forged) {
+		t.Fatalf("the Thing's reply: established %v (%d callbacks, err %v), in its group %v, in the forged group %v",
+			s.Established(), established, estErr, cl.Node().InGroup(group), cl.Node().InGroup(forged))
+	}
+	if cl.Pending() != 0 {
+		t.Fatalf("%d pending after establishment, want 0", cl.Pending())
+	}
+}
+
+// TestClientCloseBeforeEstablishment: a subscription closed before the
+// Thing answers leaves the pending table at once, fires no callback, and
+// the Thing's late establishment joins nothing.
+func TestClientCloseBeforeEstablishment(t *testing.T) {
+	n, cl, ft := setup(t)
+	var calls, data int
+	s := cl.Subscribe(ft.node.Addr(), 0xad1cbe01, SubscribeOptions{
+		OnEstablished: func(error) { calls++ },
+		OnData:        func([]int32) { data++ },
+		OnClosed:      func() { calls++ },
+	})
+	if got := cl.Pending(); got != 1 {
+		t.Fatalf("%d pending while awaiting establishment, want 1", got)
+	}
+	s.Close()
+	if got := cl.Pending(); got != 0 {
+		t.Fatalf("%d pending after Close, want 0", got)
+	}
+	// The scripted Thing still answers, streams twice and closes.
+	n.RunUntilIdle(0)
+	group := netsim.StreamGroup(ft.node.Addr(), 0)
+	if cl.Node().InGroup(group) || s.Established() || !s.Closed() || calls != 0 || data != 0 {
+		t.Fatalf("late establishment: joined %v, established %v, closed %v, %d callbacks, %d data; want false, false, true, 0, 0",
+			cl.Node().InGroup(group), s.Established(), s.Closed(), calls, data)
+	}
+	if got := cl.Pending(); got != 0 {
+		t.Fatalf("%d pending at the end, want 0", got)
+	}
+}
+
 // TestClientStaleReplyCannotFeedStream is the reverse direction: a unicast
 // data reply that matches no pending read (e.g. landing after its expiry)
 // must be dropped, not delivered to stream handles as if it were group
