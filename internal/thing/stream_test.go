@@ -116,3 +116,93 @@ func TestStreamReachesOnlyItsSubscribers(t *testing.T) {
 		t.Fatalf("stream datagrams reached nodes that did not subscribe to them: %v", heard)
 	}
 }
+
+// TestDriverRemovalClosesStream: removing the driver of a streaming
+// peripheral ends its stream like StopStream does. The subscriber hears one
+// close on the stream group; once the driver is uploaded again, a new
+// stream request is served with data again.
+func TestDriverRemovalClosesStream(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	mgr, err := n.AddNode(addr("2001:db8::1"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := New(Config{Network: n, Addr: addr("2001:db8::10"), Parent: mgr,
+		Manager: mgr.Addr(), StreamPeriod: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := tmp36Source(t)
+	if err := th.InstallDriver(driver.IDTMP36, code); err != nil {
+		t.Fatal(err)
+	}
+	p, err := hw.NewPeripheral(hw.PeripheralSpec{ID: driver.IDTMP36, Bus: hw.BusADC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := th.Plug(0, p, &adcDevice{env: bus.NewEnvironment()}); err != nil {
+		t.Fatal(err)
+	}
+	n.RunUntilIdle(0)
+
+	group := netsim.StreamGroup(th.Addr(), 0)
+	sub, err := n.AddNode(addr("2001:db8::20"), mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// heard lists the stream datagrams the subscriber received, in order.
+	var heard []proto.MsgType
+	sub.Bind(func(m netsim.Message) {
+		pm, err := proto.Decode(m.Payload)
+		if err != nil {
+			t.Errorf("subscriber received undecodable message: %v", err)
+			return
+		}
+		switch {
+		case pm.Type == proto.MsgEstablished:
+			sub.JoinGroup(netip.AddrFrom16(pm.Group))
+		case m.Dst == group && (pm.Type == proto.MsgData || pm.Type == proto.MsgClosed):
+			heard = append(heard, pm.Type)
+		}
+	})
+	send := func(from *netsim.Node, m *proto.Message) {
+		b, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		from.Send(th.Addr(), b)
+	}
+	count := func(typ proto.MsgType, from int) int {
+		k := 0
+		for _, h := range heard[from:] {
+			if h == typ {
+				k++
+			}
+		}
+		return k
+	}
+
+	send(sub, &proto.Message{Type: proto.MsgStream, Seq: 7, DeviceID: driver.IDTMP36})
+	n.RunUntil(n.Now() + 3500*time.Millisecond)
+	if count(proto.MsgData, 0) == 0 {
+		t.Fatalf("heard %v before the removal, want stream data", heard)
+	}
+	send(mgr, &proto.Message{Type: proto.MsgDriverRemovalReq, Seq: 8, DeviceID: driver.IDTMP36})
+	// Past the next tick: a stream the removal left open would stop there.
+	n.RunUntil(n.Now() + 2*time.Second)
+	if len(heard) == 0 || heard[len(heard)-1] != proto.MsgClosed || count(proto.MsgClosed, 0) != 1 {
+		t.Fatalf("heard %v after the removal, want the data and then one close", heard)
+	}
+
+	send(mgr, &proto.Message{Type: proto.MsgDriverUpload, Seq: 9, DeviceID: driver.IDTMP36, Driver: code})
+	n.RunUntil(n.Now() + time.Second)
+	if th.Runtime(driver.IDTMP36) == nil {
+		t.Fatal("the re-uploaded driver must run")
+	}
+	closedAt := len(heard)
+	send(sub, &proto.Message{Type: proto.MsgStream, Seq: 10, DeviceID: driver.IDTMP36})
+	n.RunUntil(n.Now() + 5*time.Second)
+	if got := count(proto.MsgData, closedAt); got < 4 || count(proto.MsgClosed, closedAt) != 0 {
+		t.Fatalf("heard %v after re-subscribing, want about one datum per second and no close", heard[closedAt:])
+	}
+}

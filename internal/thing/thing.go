@@ -216,10 +216,11 @@ func (t *Thing) releasePendingRead(pr *pendingRead) {
 	t.opsMu.Unlock()
 }
 
+// streamState is one open stream: a stream is open exactly while it is in
+// the Thing's stream table.
 type streamState struct {
-	group  netip.Addr
-	seq    uint16
-	active bool
+	group netip.Addr
+	seq   uint16
 }
 
 // Thing is one simulated µPnP Thing.
@@ -265,7 +266,7 @@ type Thing struct {
 	opsMu     sync.Mutex
 	pending   map[hw.DeviceID][]*pendingRead
 	freeReads []*pendingRead
-	streams   map[hw.DeviceID]*streamState
+	streams   map[hw.DeviceID]streamState
 
 	vmMu sync.Mutex
 	// dataScratch is the reusable payload buffer driverReturned packs return
@@ -309,7 +310,7 @@ func New(cfg Config) (*Thing, error) {
 		installed: map[hw.DeviceID]*vm.Image{},
 		awaiting:  map[hw.DeviceID]*PluginTrace{},
 		pending:   map[hw.DeviceID][]*pendingRead{},
-		streams:   map[hw.DeviceID]*streamState{},
+		streams:   map[hw.DeviceID]streamState{},
 		// The first advert encodes the (empty) list.
 		advertDirty: true,
 	}
@@ -656,15 +657,7 @@ func (t *Thing) teardown(channel int) {
 		dev.Detach(ic)
 	}
 	if id != 0 {
-		t.opsMu.Lock()
-		st, ok := t.streams[id]
-		if ok && st.active {
-			st.active = false
-			t.opsMu.Unlock()
-			t.send(st.group, &proto.Message{Type: proto.MsgClosed, Seq: st.seq, DeviceID: id})
-		} else {
-			t.opsMu.Unlock()
-		}
+		t.StopStream(id)
 		t.leavePeripheralGroups(id)
 	}
 	if pb, _ := t.advertisement(proto.MsgUnsolicitedAdvert, t.nextSeq()); pb != nil {
@@ -711,7 +704,7 @@ func (t *Thing) channelForLocked(id hw.DeviceID) int {
 }
 
 // driverReturned routes a driver return value: to the oldest pending read
-// if one exists, otherwise to the active stream group. It must take only
+// if one exists, otherwise to the open stream's group. It must take only
 // opsMu — it can run while t.mu is held by a caller pumping the runtime.
 func (t *Thing) driverReturned(id hw.DeviceID, vals []int32) {
 	// Pack into the vmMu-guarded scratch: send copies the bytes into a pooled
@@ -738,16 +731,10 @@ func (t *Thing) driverReturned(id hw.DeviceID, vals []int32) {
 		t.releasePendingRead(pr)
 		return
 	}
-	st, ok := t.streams[id]
-	active := ok && st.active
-	var group netip.Addr
-	var seq uint16
-	if active {
-		group, seq = st.group, st.seq
-	}
+	st, open := t.streams[id]
 	t.opsMu.Unlock()
-	if active {
-		t.send(group, &proto.Message{Type: proto.MsgData, Seq: seq, DeviceID: id, Data: data})
+	if open {
+		t.send(st.group, &proto.Message{Type: proto.MsgData, Seq: st.seq, DeviceID: id, Data: data})
 	}
 }
 
@@ -770,19 +757,18 @@ func (t *Thing) Pump() {
 	}
 }
 
-// StopStream terminates an active stream, notifying subscribers with the
-// closed message (15).
+// StopStream ends a peripheral's open stream, if any: the stream leaves the
+// table and its subscribers get the closed message (15). It is the one close
+// path; unplugging the peripheral and removing its driver end the stream
+// through it.
 func (t *Thing) StopStream(id hw.DeviceID) {
 	t.opsMu.Lock()
-	st, ok := t.streams[id]
-	if !ok || !st.active {
-		t.opsMu.Unlock()
-		return
-	}
-	st.active = false
-	group, seq := st.group, st.seq
+	st, open := t.streams[id]
+	delete(t.streams, id)
 	t.opsMu.Unlock()
-	t.send(group, &proto.Message{Type: proto.MsgClosed, Seq: seq, DeviceID: id})
+	if open {
+		t.send(st.group, &proto.Message{Type: proto.MsgClosed, Seq: st.seq, DeviceID: id})
+	}
 }
 
 // handles reports whether handle serves a datagram, from its first byte
@@ -929,6 +915,7 @@ func (t *Thing) handleDriverRemoval(msg netsim.Message, m *proto.Message) {
 			rt.Stop()
 		}
 		t.vmMu.Unlock()
+		t.StopStream(m.DeviceID)
 	}
 	t.send(msg.Src, &proto.Message{Type: proto.MsgDriverRemovalAck, Seq: m.Seq, DeviceID: m.DeviceID, Status: status})
 }
@@ -1003,33 +990,26 @@ func (t *Thing) handleStream(msg netsim.Message, m *proto.Message) {
 	}
 	group := netsim.StreamGroup(t.node.Addr(), ch)
 	t.opsMu.Lock()
-	st, exists := t.streams[m.DeviceID]
-	if !exists {
-		st = &streamState{}
-		t.streams[m.DeviceID] = st
-	}
-	st.group = group
-	st.seq = m.Seq
-	wasActive := st.active
-	st.active = true
+	_, wasOpen := t.streams[m.DeviceID]
+	t.streams[m.DeviceID] = streamState{group: group, seq: m.Seq}
 	t.opsMu.Unlock()
 
 	reply := &proto.Message{Type: proto.MsgEstablished, Seq: m.Seq, DeviceID: m.DeviceID}
 	copy(reply.Group[:], group.AsSlice())
 	t.send(msg.Src, reply)
-	if !wasActive {
+	if !wasOpen {
 		t.scheduleStreamTick(m.DeviceID)
 	}
 }
 
-// scheduleStreamTick produces stream data periodically while active.
+// scheduleStreamTick produces stream data periodically while the stream is
+// open.
 func (t *Thing) scheduleStreamTick(id hw.DeviceID) {
 	t.node.Schedule(t.cfg.StreamPeriod, func() {
 		t.opsMu.Lock()
-		st, ok := t.streams[id]
-		active := ok && st.active
+		_, open := t.streams[id]
 		t.opsMu.Unlock()
-		if !active {
+		if !open {
 			return
 		}
 		t.mu.Lock()
