@@ -254,9 +254,10 @@ func (s *Subscription) Closed() bool {
 	return s.closed
 }
 
-// Close unsubscribes locally. The Thing is not told: the stream ends only
-// when the Thing closes it, and until then it keeps streaming to the
-// group.
+// Close unsubscribes locally: the client leaves the stream's group, and the
+// Thing is not told. At its next tick that finds the group empty the Thing
+// ends the stream, so a stream outlives its last Close by at most two
+// periods.
 //
 // Close is idempotent and safe to call from any goroutine, concurrently
 // with other Closes and with in-flight deliveries: the node leaves the

@@ -711,8 +711,8 @@ func (s *Stream) Closed() bool {
 // Close unsubscribes locally: the handle stops receiving data, a
 // subscription still awaiting establishment leaves the pending table (a
 // late establishment then joins nothing), and the node leaves the stream's
-// multicast group once no other handle needs it. The Thing is not told: the
-// stream ends only when the Thing closes it.
+// multicast group once no other handle needs it. The Thing is not told; it
+// ends the stream at a tick that finds the group empty.
 func (s *Stream) Close() {
 	s.c.closeStream(s, false)
 }
@@ -1000,10 +1000,15 @@ func (c *Client) handleAdvert(msg netsim.Message, m *proto.Message) {
 		a := &c.view[s.i]
 		a.decodeTLVs(p.TLVs)
 		a.Solicited, a.At = solicited, now
-		if a.Units != "" {
-			s.units = a.Units
+		// Most adverts repeat what the slot holds: store it back (one more
+		// hash of k) only when it is new or its units changed.
+		changed := !seen
+		if a.Units != "" && a.Units != s.units {
+			s.units, changed = a.Units, true
 		}
-		c.slots[k] = s
+		if changed {
+			c.slots[k] = s
+		}
 		if pd != nil {
 			*pd.adverts = append(*pd.adverts, *a)
 		}

@@ -36,13 +36,16 @@
 // per-(group,src) SMRF plans hold only their targets and are maintained
 // incrementally by group churn (JoinGroup/LeaveGroup splice one target in or
 // out) rather than invalidated, and a send's transmission count comes from
-// per-group subtree member counts in one O(depth) walk. Locks are
-// sharded by role — topology (RWMutex, read-mostly after setup, taken by
-// sends), the per-group plan stripes, per-lane loss/jitter streams, atomic
-// stats counters (arrivals count on their own lane's padded counters), and
-// the clock's own lock — and an arrival takes none of them (it loads the
-// receiver's handler atomically), so concurrent handlers do not serialize on
-// one lock.
+// per-group subtree member counts in one O(depth) walk. The same index
+// answers Node.GroupHasMembers, whether a multicast would reach anyone: a
+// Thing asks it before each stream tick and ends a stream nobody hears. On
+// a zoned network the index changes only at barriers, so the answer is the
+// same at every worker count. Locks are sharded by role — topology
+// (RWMutex, read-mostly after setup, taken by sends), the per-group plan
+// stripes, per-lane loss/jitter streams, atomic stats counters (arrivals
+// count on their own lane's padded counters), and the clock's own lock —
+// and an arrival takes none of them (it loads the receiver's handler
+// atomically), so concurrent handlers do not serialize on one lock.
 package netsim
 
 import (
@@ -704,6 +707,19 @@ func (nd *Node) InGroup(g netip.Addr) bool {
 	nd.net.topoMu.RLock()
 	defer nd.net.topoMu.RUnlock()
 	return nd.groups[g]
+}
+
+// GroupHasMembers reports whether a node other than nd is a member of g:
+// whether a multicast nd sends to g would reach anyone. It reads the
+// membership index SMRF's plans are built from, so on a zoned network it
+// sees a join or leave from the barrier that applied it (see JoinGroup),
+// and gives the same answer at every worker count.
+func (nd *Node) GroupHasMembers(g netip.Addr) bool {
+	n := nd.net
+	n.topoMu.RLock()
+	defer n.topoMu.RUnlock()
+	gm := n.members[g]
+	return gm != nil && (len(gm.set) > 1 || !nd.groups[g])
 }
 
 // JoinAnycast registers the node as a member of an anycast address

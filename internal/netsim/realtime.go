@@ -268,9 +268,9 @@ func (c *RealtimeClock) WaitIdle() { c.WaitIdleUntil(math.MaxInt64) }
 // WaitIdleUntil is WaitIdle with a horizon: it blocks until the runtime went
 // idle (reporting true) or until the virtual deadline passed on the (scaled)
 // wall clock (reporting false, with whatever is still scheduled left to run)
-// — the bounded drain for runtimes that can never go idle because active
-// streams reschedule themselves forever. A stopped clock reports false. A
-// deadline of math.MaxInt64 sets no horizon.
+// — the bounded drain for runtimes that can never go idle because streams
+// with subscribers reschedule themselves every period. A stopped clock
+// reports false. A deadline of math.MaxInt64 sets no horizon.
 func (c *RealtimeClock) WaitIdleUntil(deadline time.Duration) bool {
 	// Arm a wall-clock wakeup at the deadline: cond.Wait has no timeout, so
 	// the waiters below need an external broadcast when time runs out. No

@@ -28,11 +28,14 @@ func datagrams(tb testing.TB, msgs ...*proto.Message) []byte {
 
 // FuzzThingDatagrams delivers a sequence of datagrams, 100 ms apart, from
 // the manager's node to a Thing serving a TMP36, then drains the network
-// past PendingReadTimeout. Nothing may panic, no read may still be pending,
-// and every open stream's peripheral must still have a driver runtime. The
-// seeds hold every message type the Thing handles, and a stream whose
-// driver is then removed: that removal once left the stream open with no
-// runtime to serve it.
+// past PendingReadTimeout and two stream periods. Nothing may panic, no read
+// may still be pending, every open stream's peripheral must still have a
+// driver runtime, and no stream may be open without a member in its group:
+// the drain covers a request's grace tick and the tick after it, which ends
+// a stream nobody joined (the manager's node joins no stream group). The
+// seeds hold every message type the Thing handles, a stream whose driver is
+// then removed (that removal once left the stream open with no runtime to
+// serve it), and a repeated stream request nobody subscribes to.
 func FuzzThingDatagrams(f *testing.F) {
 	code := tmp36Source(f)
 	tmp := driver.IDTMP36
@@ -56,6 +59,10 @@ func FuzzThingDatagrams(f *testing.F) {
 			{Type: proto.MsgDriverUpload, Seq: 14, DeviceID: tmp, Driver: code},
 			{Type: proto.MsgStream, Seq: 15, DeviceID: tmp},
 		},
+		{
+			{Type: proto.MsgStream, Seq: 16, DeviceID: tmp},
+			{Type: proto.MsgStream, Seq: 17, DeviceID: tmp},
+		},
 	} {
 		f.Add(datagrams(f, seed...))
 	}
@@ -77,24 +84,28 @@ func FuzzThingDatagrams(f *testing.F) {
 			in = in[2+n:]
 			tb.net.RunUntil(tb.net.Now() + 100*time.Millisecond)
 		}
-		tb.net.RunUntil(tb.net.Now() + PendingReadTimeout + time.Second)
+		drain := max(PendingReadTimeout, 2*th.cfg.StreamPeriod) + time.Second
+		tb.net.RunUntil(tb.net.Now() + drain)
 
 		th.opsMu.Lock()
 		var reads int
 		for _, q := range th.pending {
 			reads += len(q)
 		}
-		open := make([]hw.DeviceID, 0, len(th.streams))
-		for id := range th.streams {
-			open = append(open, id)
+		open := make(map[hw.DeviceID]streamState, len(th.streams))
+		for id, st := range th.streams {
+			open[id] = st
 		}
 		th.opsMu.Unlock()
 		if reads != 0 {
-			t.Fatalf("%d reads still pending %v after the last datagram", reads, PendingReadTimeout+time.Second)
+			t.Fatalf("%d reads still pending %v after the last datagram", reads, drain)
 		}
-		for _, id := range open {
+		for id, st := range open {
 			if th.Runtime(id) == nil {
 				t.Fatalf("the stream of %v is open, but no driver runtime serves it", id)
+			}
+			if !th.node.GroupHasMembers(st.group) {
+				t.Fatalf("the stream of %v is open %v after the last datagram, but its group %v has no member", id, drain, st.group)
 			}
 		}
 	})

@@ -206,3 +206,139 @@ func TestDriverRemovalClosesStream(t *testing.T) {
 		t.Fatalf("heard %v after re-subscribing, want about one datum per second and no close", heard[closedAt:])
 	}
 }
+
+// streamBed is a Thing serving a TMP36 with a 1 s stream period, and a
+// subscriber node that joins and leaves the stream's group only when a test
+// says so, so a test controls the group's membership at every tick.
+type streamBed struct {
+	*testBed
+	sub   *netsim.Node
+	group netip.Addr
+	// data lists the arrival times of the stream data the subscriber heard.
+	data []time.Duration
+}
+
+func newStreamBed(t *testing.T) *streamBed {
+	t.Helper()
+	tb := newTestBed(t)
+	tb.thing.cfg.StreamPeriod = time.Second
+	if err := tb.thing.InstallDriver(driver.IDTMP36, tmp36Source(t)); err != nil {
+		t.Fatal(err)
+	}
+	plugTMP36(t, tb, 0)
+	tb.net.RunUntilIdle(0)
+	sub, err := tb.net.AddNode(addr("2001:db8::20"), tb.mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := &streamBed{testBed: tb, sub: sub, group: netsim.StreamGroup(tb.thing.Addr(), 0)}
+	sub.Bind(func(m netsim.Message) {
+		if m.Dst == sb.group && len(m.Payload) > 0 && proto.MsgType(m.Payload[0]) == proto.MsgData {
+			sb.data = append(sb.data, tb.net.Now())
+		}
+	})
+	return sb
+}
+
+// request sends a stream request for the TMP36 from the subscriber node.
+func (sb *streamBed) request(t *testing.T, seq uint16) {
+	t.Helper()
+	b, err := (&proto.Message{Type: proto.MsgStream, Seq: seq, DeviceID: driver.IDTMP36}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.sub.Send(sb.thing.Addr(), b)
+}
+
+// runFor advances the network by d and returns the stream data the
+// subscriber heard meanwhile.
+func (sb *streamBed) runFor(d time.Duration) int {
+	before := len(sb.data)
+	sb.net.RunUntil(sb.net.Now() + d)
+	return len(sb.data) - before
+}
+
+// open reports whether the Thing's TMP36 stream is in its stream table.
+func (sb *streamBed) open() bool {
+	sb.thing.opsMu.Lock()
+	defer sb.thing.opsMu.Unlock()
+	_, ok := sb.thing.streams[driver.IDTMP36]
+	return ok
+}
+
+// TestReopenedStreamRunsOneTickChain: a stream closed and re-opened within
+// one period runs one tick chain, not the old one beside a new one. The
+// subscriber stays in the group throughout, so every tick reaches it.
+func TestReopenedStreamRunsOneTickChain(t *testing.T) {
+	sb := newStreamBed(t)
+	sb.sub.JoinGroup(sb.group)
+	sb.request(t, 7)
+	if got := sb.runFor(2500 * time.Millisecond); got != 2 {
+		t.Fatalf("heard %d data in the first 2.5 s, want 2", got)
+	}
+	sb.thing.StopStream(driver.IDTMP36)
+	sb.request(t, 8)
+	// Ticks at 1 s … 10 s after the re-opening, each heard a few ms later.
+	if got := sb.runFor(10500 * time.Millisecond); got != 10 {
+		t.Fatalf("heard %d data in the 10.5 s after re-opening at a 1 s period, want 10 (one tick chain)", got)
+	}
+}
+
+// TestStreamTickNeedsAMemberAfterItsGraceTick: the first tick after a stream
+// request runs whatever the group's membership, so a subscriber that joins
+// late keeps its stream; a later tick that finds the group empty ends the
+// stream, and nothing more is sent for it.
+func TestStreamTickNeedsAMemberAfterItsGraceTick(t *testing.T) {
+	sb := newStreamBed(t)
+	sb.request(t, 7)
+	// The grace tick at 1 s runs with no member; the subscriber joins after it.
+	sb.runFor(1500 * time.Millisecond)
+	sb.sub.JoinGroup(sb.group)
+	if got := sb.runFor(3 * time.Second); got != 3 {
+		t.Fatalf("a subscriber that joined after the grace tick heard %d data in 3 s, want 3", got)
+	}
+
+	// Leave, then re-subscribe just before a tick and join after it: the
+	// request's grace tick keeps the stream for the late join.
+	sb.sub.LeaveGroup(sb.group)
+	sb.runFor(400 * time.Millisecond)
+	sb.request(t, 8)
+	sb.runFor(200 * time.Millisecond)
+	sb.sub.JoinGroup(sb.group)
+	if got := sb.runFor(3500 * time.Millisecond); got != 3 {
+		t.Fatalf("a re-subscriber that joined after a tick heard %d data in 3.5 s, want 3", got)
+	}
+
+	// The last member leaves: the next tick ends the stream.
+	sb.sub.LeaveGroup(sb.group)
+	sb.runFor(time.Second)
+	if sb.open() {
+		t.Fatal("the stream is still open a period after its group emptied")
+	}
+	sent := sb.net.Stats().MulticastSent
+	if !sb.net.RunUntilQuiesced(sb.net.Now() + time.Minute) {
+		t.Fatal("the network never went idle after the stream ended")
+	}
+	if got := sb.net.Stats().MulticastSent; got != sent {
+		t.Fatalf("%d multicasts after the stream ended, want none", got-sent)
+	}
+}
+
+// TestUnheardStreamEnds: a stream whose requester never joins its group —
+// its MsgEstablished was lost, so the client's subscription timed out —
+// runs its grace tick once and ends at the next one, instead of ticking
+// forever.
+func TestUnheardStreamEnds(t *testing.T) {
+	sb := newStreamBed(t)
+	sent := sb.net.Stats().MulticastSent
+	sb.request(t, 7)
+	if !sb.net.RunUntilQuiesced(sb.net.Now() + time.Minute) {
+		t.Fatal("a stream nobody joined kept the network busy for a minute")
+	}
+	if sb.open() {
+		t.Fatal("a stream nobody joined is still open")
+	}
+	if got := sb.net.Stats().MulticastSent - sent; got != 1 {
+		t.Fatalf("%d multicasts for a stream nobody joined, want 1 (the grace tick)", got)
+	}
+}

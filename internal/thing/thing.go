@@ -221,13 +221,21 @@ func (t *Thing) releasePendingRead(pr *pendingRead) {
 type streamState struct {
 	group netip.Addr
 	seq   uint16
+	// fresh marks a stream request since the last tick. That tick runs
+	// whatever the group's membership, so a subscriber whose join is still
+	// in flight keeps the stream; every later tick needs a member.
+	fresh bool
+	// chain names the tick chain serving this opening of the stream: a tick
+	// scheduled for an earlier opening (closed and re-opened within one
+	// period) carries another chain and stops.
+	chain uint32
 }
 
 // Thing is one simulated µPnP Thing.
 //
 // Locking: mu guards slots/installed/awaiting/traces and the cached advert;
 // opsMu guards the pending-read table with its free list, and the stream
-// table; vmMu serializes every driver-runtime execution (vm.Runtime is not
+// table with its chain counter; vmMu serializes every driver-runtime execution (vm.Runtime is not
 // itself safe for concurrent use — one MCU, one thread of control), which
 // matters when the network's realtime clock dispatches handlers from a
 // worker pool.
@@ -263,7 +271,11 @@ type Thing struct {
 	advert      []byte
 	advertDirty bool
 
-	opsMu     sync.Mutex
+	opsMu sync.Mutex
+	// chains counts stream openings; each names its tick chain. 32 bits
+	// fit the padding after opsMu, and a stale tick fires within one
+	// period, long before the count could wrap back to its chain.
+	chains    uint32
 	pending   map[hw.DeviceID][]*pendingRead
 	freeReads []*pendingRead
 	streams   map[hw.DeviceID]streamState
@@ -990,26 +1002,28 @@ func (t *Thing) handleStream(msg netsim.Message, m *proto.Message) {
 	}
 	group := netsim.StreamGroup(t.node.Addr(), ch)
 	t.opsMu.Lock()
-	_, wasOpen := t.streams[m.DeviceID]
-	t.streams[m.DeviceID] = streamState{group: group, seq: m.Seq}
+	st, wasOpen := t.streams[m.DeviceID]
+	if !wasOpen {
+		t.chains++
+		st.chain = t.chains
+	}
+	st.group, st.seq, st.fresh = group, m.Seq, true
+	t.streams[m.DeviceID] = st
 	t.opsMu.Unlock()
 
 	reply := &proto.Message{Type: proto.MsgEstablished, Seq: m.Seq, DeviceID: m.DeviceID}
 	copy(reply.Group[:], group.AsSlice())
 	t.send(msg.Src, reply)
 	if !wasOpen {
-		t.scheduleStreamTick(m.DeviceID)
+		t.scheduleStreamTick(m.DeviceID, st.chain)
 	}
 }
 
 // scheduleStreamTick produces stream data periodically while the stream is
-// open.
-func (t *Thing) scheduleStreamTick(id hw.DeviceID) {
+// open under chain and someone hears it.
+func (t *Thing) scheduleStreamTick(id hw.DeviceID, chain uint32) {
 	t.node.Schedule(t.cfg.StreamPeriod, func() {
-		t.opsMu.Lock()
-		_, open := t.streams[id]
-		t.opsMu.Unlock()
-		if !open {
+		if !t.streamHeard(id, chain) {
 			return
 		}
 		t.mu.Lock()
@@ -1026,8 +1040,39 @@ func (t *Thing) scheduleStreamTick(id hw.DeviceID) {
 		rt.Post("read")
 		rt.RunUntilIdle(0)
 		t.vmMu.Unlock()
-		t.scheduleStreamTick(id)
+		t.scheduleStreamTick(id, chain)
 	})
+}
+
+// streamHeard reports whether a tick of chain runs: the stream is still open
+// under that chain, and it was requested since the last tick or its group
+// has a member. The paper defines no unsubscribe, so a stream whose last
+// subscriber left its group ends here, silently: it leaves the table and
+// its chain stops.
+func (t *Thing) streamHeard(id hw.DeviceID, chain uint32) bool {
+	t.opsMu.Lock()
+	st, open := t.streams[id]
+	t.opsMu.Unlock()
+	if !open || st.chain != chain {
+		return false
+	}
+	// Asked outside opsMu: the query takes the topology lock every send
+	// takes. A request may land meanwhile, so the entry is read again.
+	heard := st.fresh || t.node.GroupHasMembers(st.group)
+	t.opsMu.Lock()
+	defer t.opsMu.Unlock()
+	st, open = t.streams[id]
+	switch {
+	case !open || st.chain != chain:
+		return false
+	case st.fresh:
+		st.fresh = false
+		t.streams[id] = st
+		return true
+	case !heard:
+		delete(t.streams, id)
+	}
+	return heard
 }
 
 func (t *Thing) handleWrite(msg netsim.Message, m *proto.Message) {

@@ -472,17 +472,19 @@ func (d *Deployment) newClient(zone uint16, parent *netsim.Node) (*Client, error
 // Run drives the network until idle — use it after plugging peripherals to
 // let the plug-in sequence (identification, driver install, advertisement)
 // play out. In real-time mode it blocks until the runtime has drained
-// (nothing scheduled, queued or running); do not call it while a stream is
-// active in that mode — active streams reschedule forever and never drain.
-// Use RunFor to let a fixed span elapse, or Quiesce to drain with a bound.
+// (nothing scheduled, queued or running); do not call it while a
+// subscription is open in that mode — a stream with a subscriber ticks
+// every period and never drains. Once its last subscriber has closed, the
+// Thing ends the stream within two periods and Run drains. Use RunFor to
+// let a fixed span elapse, or Quiesce to drain with a bound.
 func (d *Deployment) Run() {
 	d.drive(func() { d.net.RunUntilIdle(0) })
 }
 
 // RunFor lets a span of virtual time elapse: in virtual mode it drives the
 // network inline, in real-time mode it sleeps until the span has passed on
-// the (scaled) wall clock. Use it for streams, which reschedule themselves
-// and never go idle.
+// the (scaled) wall clock. Use it for streams, which tick while they have a
+// subscriber and never go idle.
 func (d *Deployment) RunFor(span time.Duration) {
 	d.drive(func() { d.net.RunUntil(d.net.Now() + span) })
 }
@@ -490,8 +492,8 @@ func (d *Deployment) RunFor(span time.Duration) {
 // Quiesce drives the network until idle or until horizon of virtual time has
 // elapsed, whichever comes first, and reports whether it went idle. It is
 // the bounded drain Run cannot provide while subscriptions are active:
-// streams reschedule themselves forever, so a deployment with live streams
-// never goes idle — Quiesce lets their traffic (and everything else in
+// streams tick while they have a subscriber, so a deployment with live
+// streams never goes idle — Quiesce lets their traffic (and everything else in
 // flight) play out for at most the horizon and then returns, leaving the
 // streams ticking. With no streams active it returns true as soon as the
 // in-flight cascade drained, which may be well before the horizon.
