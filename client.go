@@ -76,37 +76,8 @@ func (c *Client) units(thing netip.Addr, id DeviceID) string {
 // ErrNoPeripheral when the Thing serves no such device, and the context's
 // error on cancellation.
 func (c *Client) Read(ctx context.Context, thing netip.Addr, id DeviceID) (Reading, error) {
-	// The reply callback writes into the pooled completion's result slots —
-	// no per-call result cell on the heap, and the callback closure captures
-	// only the deployment alongside the completion it is handed. The Reading
-	// itself is assembled here after await hands the completion back; only
-	// the reply timestamp must be sampled inside the callback, while the
-	// simulator still stands at the delivery instant.
-	d := c.d
-	cpl, err := d.await(ctx, func(timeout time.Duration, cpl *completion) (retract func()) {
-		return c.cl.Read(thing, hw.DeviceID(id), timeout, func(vals []int32, err error) {
-			// Write the results before signalling completion: the awaiting
-			// goroutine reads them the moment complete() delivers the token.
-			cpl.vals, cpl.err = vals, err
-			cpl.at = d.Now()
-			cpl.complete()
-		})
-	})
-	if err != nil {
-		return Reading{}, err
-	}
-	vals, rerr, at := cpl.vals, cpl.err, cpl.at
-	cpl.recycle()
-	if rerr != nil {
-		return Reading{}, rerr
-	}
-	return Reading{
-		Thing:  thing,
-		Device: id,
-		Values: vals,
-		Units:  c.units(thing, id),
-		At:     at,
-	}, nil
+	// With no scratch the values are parsed into a fresh slice.
+	return c.ReadInto(ctx, thing, id, nil)
 }
 
 // ReadInto is Read with a caller-provided value buffer: the reply's values
@@ -127,9 +98,17 @@ func (c *Client) Read(ctx context.Context, thing netip.Addr, id DeviceID) (Readi
 // copy Values to retain them. Do not issue a second ReadInto with the same
 // scratch while one is still in flight.
 func (c *Client) ReadInto(ctx context.Context, thing netip.Addr, id DeviceID, scratch []int32) (Reading, error) {
+	// The reply callback writes into the pooled completion's result slots —
+	// no per-call result cell on the heap, and the callback closure captures
+	// only the deployment alongside the completion it is handed. The Reading
+	// itself is assembled here after await hands the completion back; only
+	// the reply timestamp must be sampled inside the callback, while the
+	// simulator still stands at the delivery instant.
 	d := c.d
 	cpl, err := d.await(ctx, func(timeout time.Duration, cpl *completion) (retract func()) {
 		return c.cl.ReadInto(thing, hw.DeviceID(id), scratch, timeout, func(vals []int32, err error) {
+			// Write the results before signalling completion: the awaiting
+			// goroutine reads them the moment complete() delivers the token.
 			cpl.vals, cpl.err = vals, err
 			cpl.at = d.Now()
 			cpl.complete()

@@ -117,15 +117,6 @@ func (o Op) OperandWidth() int {
 	}
 }
 
-// Terminates reports whether the instruction ends handler execution.
-func (o Op) Terminates() bool {
-	switch o {
-	case OpReturnVoid, OpReturnTop, OpReturnStatic, OpHalt:
-		return true
-	}
-	return false
-}
-
 var opNames = map[Op]string{
 	OpNop: "nop", OpPushI8: "push.i8", OpPushI16: "push.i16", OpPushI32: "push.i32",
 	OpDup: "dup", OpDrop: "drop",

@@ -88,16 +88,6 @@ func (p *Program) Handler(name string) *Handler {
 	return nil
 }
 
-// ConstIndex returns the pool index of s, or -1.
-func (p *Program) ConstIndex(s string) int {
-	for i, c := range p.Consts {
-		if c == s {
-			return i
-		}
-	}
-	return -1
-}
-
 // Encode serializes the program to the compact wire format distributed
 // over the air.
 func (p *Program) Encode() ([]byte, error) {

@@ -137,12 +137,11 @@ type pending struct {
 	// the request and given back on release, so onDiscover must copy what
 	// it keeps.
 	adverts *[]Advert
-	// scratch, when hasScratch is set, is the caller-provided value buffer a
-	// read reply is parsed into (appended to scratch[:0]) instead of a fresh
-	// allocation — see ReadInto. The callback's values then alias the scratch
-	// and are only valid until the next request reusing it.
-	scratch    []int32
-	hasScratch bool
+	// scratch is the caller-provided value buffer a read reply is parsed
+	// into (appended to scratch[:0]; nil parses into a fresh slice) — see
+	// ReadInto. The callback's values then alias the scratch and are only
+	// valid until the next request reusing it.
+	scratch []int32
 	// expiry retracts the typed deadline event once a reply completed the
 	// request, so finished requests leave no dead deadline in the queue.
 	// retx is the next retransmission (RetryPolicy), retracted when the
@@ -194,7 +193,7 @@ func (c *Client) release(p *pending) {
 		collectorPool.Put(p.adverts)
 		p.adverts = nil
 	}
-	p.scratch, p.hasScratch = nil, false
+	p.scratch = nil
 	p.expiry, p.retx, p.attempt = netsim.ExpiryRef{}, netsim.ExpiryRef{}, 0
 	pendingPool.Put(p)
 }
@@ -592,7 +591,7 @@ func (c *Client) discoverGroup(group netip.Addr, timeout time.Duration, done fun
 // are retransmitted with backoff inside the deadline. The returned retract
 // withdraws the request without firing cb (see retract).
 func (c *Client) Read(thing netip.Addr, id hw.DeviceID, timeout time.Duration, cb func([]int32, error)) (retract func()) {
-	return c.read(thing, id, nil, false, timeout, cb)
+	return c.ReadInto(thing, id, nil, timeout, cb)
 }
 
 // ReadInto is Read with a caller-provided scratch buffer: the reply's values
@@ -604,15 +603,12 @@ func (c *Client) Read(thing netip.Addr, id hw.DeviceID, timeout time.Duration, c
 // reuses it, and must be copied to be retained. One outstanding request per
 // scratch buffer — issuing a second ReadInto with the same scratch before
 // the first callback fired would let the two replies race on the buffer.
+// A nil scratch parses into a fresh slice, as Read does.
 func (c *Client) ReadInto(thing netip.Addr, id hw.DeviceID, scratch []int32, timeout time.Duration, cb func([]int32, error)) (retract func()) {
-	return c.read(thing, id, scratch, true, timeout, cb)
-}
-
-func (c *Client) read(thing netip.Addr, id hw.DeviceID, scratch []int32, hasScratch bool, timeout time.Duration, cb func([]int32, error)) (retract func()) {
 	var p *pending
 	if cb != nil {
 		p = pendingPool.Get().(*pending)
-		p.kind, p.onRead, p.scratch, p.hasScratch = pendingRead, cb, scratch, hasScratch
+		p.kind, p.onRead, p.scratch = pendingRead, cb, scratch
 	}
 	return c.unicast(p, proto.MsgRead, thing, id, nil, timeout)
 }
@@ -957,15 +953,7 @@ func (c *Client) completeRead(p *pending, m *proto.Message) {
 		p.onRead(nil, ErrNoPeripheral)
 		return
 	}
-	var (
-		vals []int32
-		err  error
-	)
-	if p.hasScratch {
-		vals, err = proto.AppendParseValues32(p.scratch[:0], m.Data)
-	} else {
-		vals, err = proto.ParseValues32(m.Data)
-	}
+	vals, err := proto.AppendParseValues32(p.scratch[:0], m.Data)
 	if err != nil {
 		p.onRead(nil, fmt.Errorf("micropnp: malformed data reply: %w", err))
 		return

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"micropnp/internal/bytecode"
 	"micropnp/internal/dsl"
 	"micropnp/internal/hw"
+	"micropnp/internal/netsim"
 	"micropnp/internal/vm"
 )
 
@@ -127,6 +129,31 @@ func TestUploadRejectsUnverifiableBytecode(t *testing.T) {
 	}
 }
 
+// readOnNode runs a driver image on a node of its own virtual network, as a
+// Thing runs its drivers on its node's clock: it starts the driver, posts
+// one read, drives the network until idle and returns the values read and
+// the runtime.
+func readOnNode(t *testing.T, img *vm.Image, libs ...vm.Library) ([]int32, *vm.Runtime) {
+	t.Helper()
+	n := netsim.New(netsim.Config{})
+	node, err := n.AddNode(netip.MustParseAddr("2001:db8::1"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := vm.NewRuntime(img, node, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int32
+	rt.OnReturn(func(v []int32) { got = v })
+	rt.Start()
+	n.RunUntilIdle(0)
+	rt.Post("read")
+	rt.RunUntilIdle(0)
+	n.RunUntilIdle(0)
+	return got, rt
+}
+
 // TestTMP36DriverEndToEnd runs the shipped TMP36 driver against the
 // simulated sensor and checks the temperature it reports.
 func TestTMP36DriverEndToEnd(t *testing.T) {
@@ -145,15 +172,7 @@ func TestTMP36DriverEndToEnd(t *testing.T) {
 	adc := bus.NewADC()
 	adc.Connect(&bus.TMP36{Env: env})
 
-	rt, err := vm.NewRuntime(img, &vm.ADCLib{ADC: adc}, &vm.TimerLib{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int32
-	rt.OnReturn(func(v []int32) { got = v })
-	rt.Start()
-	rt.Post("read")
-	rt.RunUntilIdle(0)
+	got, _ := readOnNode(t, img, &vm.ADCLib{ADC: adc}, &vm.TimerLib{})
 
 	if len(got) != 1 {
 		t.Fatalf("returned %v", got)
@@ -177,15 +196,7 @@ func TestHIH4030DriverEndToEnd(t *testing.T) {
 	adc := bus.NewADC()
 	adc.Connect(&bus.HIH4030{Env: env})
 
-	rt, err := vm.NewRuntime(img, &vm.ADCLib{ADC: adc}, &vm.TimerLib{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int32
-	rt.OnReturn(func(v []int32) { got = v })
-	rt.Start()
-	rt.Post("read")
-	rt.RunUntilIdle(0)
+	got, _ := readOnNode(t, img, &vm.ADCLib{ADC: adc}, &vm.TimerLib{})
 
 	if len(got) != 1 {
 		t.Fatalf("returned %v", got)
@@ -213,15 +224,8 @@ func TestBMP180DriverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt, err := vm.NewRuntime(img, &vm.I2CLib{Bus: i2c}, &vm.TimerLib{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int32
-	rt.OnReturn(func(v []int32) { got = v })
-	rt.Start() // reads all 11 calibration words
-	rt.Post("read")
-	rt.RunUntilIdle(0)
+	// Start reads all 11 calibration words.
+	got, rt := readOnNode(t, img, &vm.I2CLib{Bus: i2c}, &vm.TimerLib{})
 
 	if len(got) != 2 {
 		t.Fatalf("returned %v, want [temp, pressure]", got)

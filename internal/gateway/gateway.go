@@ -55,9 +55,9 @@ import (
 	"micropnp/internal/loadgen"
 )
 
-// DefaultStreamBuffer is the per-client SSE send-queue depth when
-// Config.StreamBuffer is zero.
-const DefaultStreamBuffer = 16
+// streamBuffer is the per-client SSE send-queue depth: a reading arriving
+// at a full queue is shed.
+const streamBuffer = 16
 
 // Backend is the SDK data-path surface the gateway fronts. Both
 // *micropnp.Client (one deployment) and *micropnp.Fleet (a federation,
@@ -85,19 +85,15 @@ type Config struct {
 	// the whole advert flow, or one catalog.AddFeed per fleet member — and
 	// the sweep goroutine; the gateway only reads it.
 	Catalog *catalog.Catalog
-	// StreamBuffer is the per-client SSE queue depth (0 = DefaultStreamBuffer).
-	// A reading arriving at a full queue is shed.
-	StreamBuffer int
 }
 
 // Server is the gateway's http.Handler. Create with New.
 type Server struct {
-	deps      []*micropnp.Deployment // fleet members, or the one deployment
-	be        Backend
-	fleet     *micropnp.Fleet // nil when fronting a single deployment
-	cat       *catalog.Catalog
-	mux       *http.ServeMux
-	streamBuf int
+	deps  []*micropnp.Deployment // fleet members, or the one deployment
+	be    Backend
+	fleet *micropnp.Fleet // nil when fronting a single deployment
+	cat   *catalog.Catalog
+	mux   *http.ServeMux
 
 	requests      atomic.Uint64
 	errs          atomic.Uint64
@@ -124,12 +120,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("gateway: Config.Catalog is required")
 	}
 	s := &Server{
-		cat:       cfg.Catalog,
-		mux:       http.NewServeMux(),
-		streamBuf: cfg.StreamBuffer,
-	}
-	if s.streamBuf <= 0 {
-		s.streamBuf = DefaultStreamBuffer
+		cat: cfg.Catalog,
+		mux: http.NewServeMux(),
 	}
 	switch {
 	case cfg.Fleet != nil:
@@ -587,7 +579,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	// Private buffered queue per client: the stream delivery goroutine
 	// must never block, so a full queue sheds the reading instead.
-	queue := make(chan micropnp.Reading, s.streamBuf)
+	queue := make(chan micropnp.Reading, streamBuffer)
 	sub, err := s.be.Subscribe(r.Context(), a, dev, func(rd micropnp.Reading) {
 		// Readings alias stream-delivery buffers; copy values before they
 		// cross into the writer goroutine.

@@ -62,10 +62,6 @@ type BoardConfig struct {
 	// Vibrator describes the timing circuit (default DefaultMultivibrator).
 	// Each board samples its own four timing capacitors once at build time.
 	Vibrator Multivibrator
-	// TimerResolution quantises pulse measurements (default 500 ns, a 16 MHz
-	// AVR timer with /8 prescaler). Zero uses the default; a negative value
-	// disables quantisation.
-	TimerResolution time.Duration
 	// MeasurementJitter is an extra relative timing error sampled per pulse
 	// (models trigger skew and comparator delay). Default 0.
 	MeasurementJitter float64
@@ -74,7 +70,8 @@ type BoardConfig struct {
 	Rng *rand.Rand
 }
 
-// DefaultTimerResolution quantises pulse-length measurement.
+// DefaultTimerResolution quantises pulse-length measurement: a 16 MHz AVR
+// timer with /8 prescaler.
 const DefaultTimerResolution = 500 * time.Nanosecond
 
 // ChannelReading is the outcome of identifying one channel.
@@ -142,9 +139,6 @@ func NewControlBoard(cfg BoardConfig) *ControlBoard {
 	}
 	if cfg.Vibrator.K == 0 {
 		cfg.Vibrator = DefaultMultivibrator
-	}
-	if cfg.TimerResolution == 0 {
-		cfg.TimerResolution = DefaultTimerResolution
 	}
 	b := &ControlBoard{cfg: cfg, slots: make([]*Peripheral, cfg.Channels)}
 	for i := range b.caps {
@@ -293,10 +287,8 @@ func (b *ControlBoard) pulse(r Ohm, i int) time.Duration {
 		secs *= 1 + dev
 	}
 	t := time.Duration(secs * float64(time.Second))
-	if res := b.cfg.TimerResolution; res > 0 {
-		t = (t + res/2) / res * res // round to the nearest timer tick
-	}
-	return t
+	const res = DefaultTimerResolution
+	return (t + res/2) / res * res // round to the nearest timer tick
 }
 
 // WorstCaseScanTime returns the longest possible identification process for

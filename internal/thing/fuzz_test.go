@@ -87,7 +87,7 @@ func FuzzThingDatagrams(f *testing.F) {
 		drain := max(PendingReadTimeout, 2*th.cfg.StreamPeriod) + time.Second
 		tb.net.RunUntil(tb.net.Now() + drain)
 
-		th.opsMu.Lock()
+		th.mu.Lock()
 		var reads int
 		for _, q := range th.pending {
 			reads += len(q)
@@ -96,7 +96,7 @@ func FuzzThingDatagrams(f *testing.F) {
 		for id, st := range th.streams {
 			open[id] = st
 		}
-		th.opsMu.Unlock()
+		th.mu.Unlock()
 		if reads != 0 {
 			t.Fatalf("%d reads still pending %v after the last datagram", reads, drain)
 		}

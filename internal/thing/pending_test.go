@@ -54,8 +54,8 @@ func pendRead(t *testing.T, th *Thing) (*pendingRead, uint64) {
 		t.Fatal(err)
 	}
 	th.handle(netsim.Message{Src: addr("2001:db8::99"), Dst: th.Addr(), Payload: req})
-	th.opsMu.Lock()
-	defer th.opsMu.Unlock()
+	th.mu.Lock()
+	defer th.mu.Unlock()
 	q := th.pending[driver.IDID20LA]
 	if len(q) != 1 {
 		t.Fatalf("%d pending reads, want 1", len(q))
@@ -65,7 +65,7 @@ func pendRead(t *testing.T, th *Thing) (*pendingRead, uint64) {
 
 // TestPendingReadEntriesStayWithTheirThing pins that a pending-read entry
 // one Thing released is never handed to another Thing. Its generation is
-// guarded by its own Thing's opsMu only, so a shared entry lets a late
+// guarded by its own Thing's mu only, so a shared entry lets a late
 // expiry on the first Thing read the generation the second Thing writes
 // under a different lock: a data race, and an entry that answers for the
 // wrong Thing. Here B's late expiry runs on another goroutine while A

@@ -260,8 +260,8 @@ func (sb *streamBed) runFor(d time.Duration) int {
 
 // open reports whether the Thing's TMP36 stream is in its stream table.
 func (sb *streamBed) open() bool {
-	sb.thing.opsMu.Lock()
-	defer sb.thing.opsMu.Unlock()
+	sb.thing.mu.Lock()
+	defer sb.thing.mu.Unlock()
 	_, ok := sb.thing.streams[driver.IDTMP36]
 	return ok
 }

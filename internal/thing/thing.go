@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"micropnp/internal/bus"
@@ -120,8 +119,6 @@ type Config struct {
 	Parent *netsim.Node
 	// Manager is the anycast address of the µPnP manager.
 	Manager netip.Addr
-	// Board is the µPnP control board (nil creates a default 3-channel one).
-	Board *hw.ControlBoard
 	// Images is the driver-image table the Thing loads installed drivers
 	// through (nil creates a private one). Things sharing a table share one
 	// verified, compiled image per distinct driver.
@@ -131,15 +128,14 @@ type Config struct {
 	// StreamPeriod is the data production period for streams (default 10 s,
 	// the communication rate of Section 6.1).
 	StreamPeriod time.Duration
-	// Zone places the Thing in a location zone (Section 9 extension): the
-	// Thing additionally joins zone-scoped multicast groups, so clients can
-	// discover peripherals by physical location. Zone 0 disables scoping.
+	// Zone places the Thing in a location zone and turns on the structured
+	// namespace (the Section 9 extensions). The Thing additionally joins
+	// zone-scoped multicast groups, so clients can discover peripherals by
+	// physical location; and peripherals whose identifiers decompose into a
+	// structured (vendor, class, product) form also join their
+	// class-wildcard group, making class-based discovery ("any temperature
+	// sensor") work. Zone 0 turns both off.
 	Zone uint16
-	// StructuredNamespace enables the Section 9 hierarchical-typing
-	// extension: peripherals whose identifiers decompose into a structured
-	// (vendor, class, product) form also join their class-wildcard group,
-	// making class-based discovery ("any temperature sensor") work.
-	StructuredNamespace bool
 	// Units maps peripheral types to the unit string of the values their
 	// drivers return; known units are advertised via the units TLV so
 	// clients can label readings without out-of-band knowledge.
@@ -153,18 +149,15 @@ type Config struct {
 	PendingReadTimeout time.Duration
 }
 
-// netScheduler adapts the network's clock to vm.Scheduler. Scheduled driver
-// callbacks fire on the clock (a pool worker under the realtime runtime), so
-// they are wrapped in the Thing's vmMu: driver runtimes are single-threaded
-// state machines — like the MCU they model — and every execution on this
-// Thing serializes through that one lock.
+// netScheduler runs a Thing's driver runtimes on the network's clock. A
+// driver timer is a Thing event like any other: it takes the Thing's mu.
 type netScheduler struct{ t *Thing }
 
 func (s netScheduler) Now() time.Duration { return s.t.node.Now() }
 func (s netScheduler) Schedule(d time.Duration, fn func()) {
 	s.t.node.Schedule(d, func() {
-		s.t.vmMu.Lock()
-		defer s.t.vmMu.Unlock()
+		s.t.mu.Lock()
+		defer s.t.mu.Unlock()
 		fn()
 	})
 }
@@ -182,7 +175,7 @@ type slotState struct {
 // release so a stale expiry event whose entry was answered and recycled
 // into a newer read fails its generation check (pointer identity alone
 // cannot catch that ABA). An entry never leaves its Thing, so every field
-// is guarded by that Thing's opsMu: a process-wide pool would hand an entry
+// is guarded by that Thing's mu: a process-wide pool would hand an entry
 // to another Thing while a late expiry of the first still reads it.
 type pendingRead struct {
 	seq    uint16
@@ -192,9 +185,9 @@ type pendingRead struct {
 	gen    uint64
 }
 
-// newPendingReadLocked takes an entry off the free list, or allocates one
-// when the list is empty (opsMu held).
-func (t *Thing) newPendingReadLocked() *pendingRead {
+// newPendingRead takes an entry off the free list, or allocates one when
+// the list is empty.
+func (t *Thing) newPendingRead() *pendingRead {
 	n := len(t.freeReads)
 	if n == 0 {
 		return new(pendingRead)
@@ -204,16 +197,13 @@ func (t *Thing) newPendingReadLocked() *pendingRead {
 	return pr
 }
 
-// releasePendingRead recycles an entry after it left the pending table; the
-// caller must hold the only live reference.
+// releasePendingRead recycles an entry after it left the pending table.
 func (t *Thing) releasePendingRead(pr *pendingRead) {
-	t.opsMu.Lock()
 	pr.gen++
 	pr.seq = 0
 	pr.client = netip.Addr{}
 	pr.expiry = netsim.ExpiryRef{}
 	t.freeReads = append(t.freeReads, pr)
-	t.opsMu.Unlock()
 }
 
 // streamState is one open stream: a stream is open exactly while it is in
@@ -233,27 +223,29 @@ type streamState struct {
 
 // Thing is one simulated µPnP Thing.
 //
-// Locking: mu guards slots/installed/awaiting/traces and the cached advert;
-// opsMu guards the pending-read table with its free list, and the stream
-// table with its chain counter; vmMu serializes every driver-runtime execution (vm.Runtime is not
-// itself safe for concurrent use — one MCU, one thread of control), which
-// matters when the network's realtime clock dispatches handlers from a
-// worker pool.
-// Driver runtimes may call back into driverReturned while vmMu is held, so
-// driverReturned takes only opsMu. mu and opsMu are never held while
-// acquiring vmMu's predecessors: the order is mu → opsMu, and both are
-// released before vmMu is taken. The images table has its own lock, shared
-// by every Thing of a deployment; a Thing loads through it before taking
-// mu, never while holding any of its own locks.
+// One thread of control: a Thing is one MCU, and mu guards all of its
+// state. Every event — a datagram handler, a clock callback (plug-in setup,
+// driver activation, the install retry, a stream tick, a driver timer), the
+// board interrupt or a pending-read expiry — takes mu once and runs to
+// completion, driver executions included, so no event sees another's half
+// done. The entry points — handle, interrupt, ExpireEvent, the scheduled
+// closures and the exported methods — take mu; every other method runs
+// with it held. Under mu a Thing may
+// send, schedule, join or leave a group and ask GroupHasMembers: the
+// network never calls a handler synchronously (deliveries and timers are
+// queued events), so the only lock order is mu → the network's locks.
+// Two things run before mu: loading a driver through the images table,
+// which has its own lock shared by every Thing of a deployment, and the
+// board's identification scan.
 type Thing struct {
 	cfg    Config
 	node   *netsim.Node
 	board  *hw.ControlBoard
 	prefix netsim.NetworkPrefix
-	seq    atomic.Uint32
 	images *vm.Images
 
 	mu    sync.Mutex
+	seq   uint16
 	slots []*slotState
 	// installed maps each locally installed device type to its driver
 	// image, shared through images with every Thing that installed the same
@@ -271,21 +263,18 @@ type Thing struct {
 	advert      []byte
 	advertDirty bool
 
-	opsMu sync.Mutex
-	// chains counts stream openings; each names its tick chain. 32 bits
-	// fit the padding after opsMu, and a stale tick fires within one
-	// period, long before the count could wrap back to its chain.
+	// chains counts stream openings; each names its tick chain. A stale
+	// tick fires within one period, long before the count could wrap back
+	// to its chain.
 	chains    uint32
 	pending   map[hw.DeviceID][]*pendingRead
 	freeReads []*pendingRead
 	streams   map[hw.DeviceID]streamState
 
-	vmMu sync.Mutex
 	// dataScratch is the reusable payload buffer driverReturned packs return
-	// values into. Guarded by vmMu: driver runtimes only execute (and hence
-	// only call back into driverReturned) while vmMu is held, and the packed
-	// bytes are copied into the outgoing pooled datagram before driverReturned
-	// returns, so one buffer per Thing suffices.
+	// values into: the packed bytes are copied into the outgoing pooled
+	// datagram before driverReturned returns, so one buffer per Thing
+	// suffices.
 	dataScratch []byte
 }
 
@@ -293,12 +282,6 @@ type Thing struct {
 func New(cfg Config) (*Thing, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("thing: network required")
-	}
-	if cfg.Board == nil {
-		cfg.Board = hw.NewControlBoard(hw.BoardConfig{})
-	}
-	if cfg.Board.Channels() > netsim.MaxStreamChannels {
-		return nil, fmt.Errorf("thing: %d channels, a stream group names at most %d", cfg.Board.Channels(), netsim.MaxStreamChannels)
 	}
 	node, err := cfg.Network.AddNode(cfg.Addr, cfg.Parent)
 	if err != nil {
@@ -313,10 +296,11 @@ func New(cfg Config) (*Thing, error) {
 	if cfg.PendingReadTimeout == 0 {
 		cfg.PendingReadTimeout = PendingReadTimeout
 	}
+	board := hw.NewControlBoard(hw.BoardConfig{})
 	t := &Thing{
 		cfg:       cfg,
 		node:      node,
-		board:     cfg.Board,
+		board:     board,
 		prefix:    netsim.PrefixFromAddr(cfg.Addr),
 		images:    cfg.Images,
 		installed: map[hw.DeviceID]*vm.Image{},
@@ -326,7 +310,7 @@ func New(cfg Config) (*Thing, error) {
 		// The first advert encodes the (empty) list.
 		advertDirty: true,
 	}
-	t.slots = make([]*slotState, cfg.Board.Channels())
+	t.slots = make([]*slotState, board.Channels())
 	for i := range t.slots {
 		t.slots[i] = &slotState{ic: NewInterconnects()}
 	}
@@ -337,7 +321,7 @@ func New(cfg Config) (*Thing, error) {
 		node.JoinGroup(netsim.MulticastAddrZone(t.prefix, cfg.Zone, hw.DeviceIDAllPeripherals))
 	}
 	node.Bind(t.handle)
-	cfg.Board.OnInterrupt(t.interrupt)
+	board.OnInterrupt(t.interrupt)
 	return t, nil
 }
 
@@ -401,7 +385,7 @@ func (t *Thing) InstallDriver(id hw.DeviceID, code []byte) error {
 func (t *Thing) Runtime(id hw.DeviceID) *vm.Runtime {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if slot := t.slotForLocked(id); slot != nil {
+	if slot := t.slotFor(id); slot != nil {
 		return slot.rt
 	}
 	return nil
@@ -431,6 +415,8 @@ func (t *Thing) Plug(channel int, p *hw.Peripheral, dev Device) error {
 	slot.periph = p
 	t.advertDirty = true
 	t.mu.Unlock()
+	// The board raises its interrupt synchronously, and the interrupt
+	// takes mu.
 	return t.board.Plug(channel, p)
 }
 
@@ -444,6 +430,8 @@ func (t *Thing) Unplug(channel int) error {
 // identification routine and kicks off (or tears down) the peripheral.
 func (t *Thing) interrupt(irq hw.Interrupt) {
 	res := t.board.Identify()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if !irq.Attached {
 		t.teardown(irq.Channel)
 		return
@@ -458,12 +446,10 @@ func (t *Thing) interrupt(irq hw.Interrupt) {
 		Identification: res.Duration,
 		Energy:         res.Energy,
 	}
-	t.mu.Lock()
 	slot := t.slots[irq.Channel]
 	slot.id = rd.ID
 	t.advertDirty = true
 	t.traces = append(t.traces, trace)
-	t.mu.Unlock()
 	t.setup(irq.Channel, trace)
 }
 
@@ -475,57 +461,48 @@ func (t *Thing) setup(channel int, trace *PluginTrace) {
 	trace.JoinGroup = CostJoinGroup
 	t.node.Schedule(CostGenerateAddr+CostJoinGroup, func() {
 		t.mu.Lock()
-		slot := t.slots[channel]
-		id := slot.id
+		defer t.mu.Unlock()
+		id := t.slots[channel].id
 		if id == 0 {
-			t.mu.Unlock()
 			return
 		}
-		t.joinPeripheralGroupsLocked(id)
+		t.joinPeripheralGroups(id)
 		img, have := t.installed[id]
 		if !have {
 			trace.requestSentAt = t.node.Now()
 			t.awaiting[id] = trace
-			t.mu.Unlock()
 			t.requestDriver(id, 1)
 			return
 		}
-		t.mu.Unlock()
 		t.activate(channel, img, trace)
 	})
 }
 
-// joinPeripheralGroupsLocked joins every group a connected peripheral makes
-// the Thing a member of: the exact type group, its zone-scoped variant, and
-// (with the structured namespace) the class-wildcard group.
-func (t *Thing) joinPeripheralGroupsLocked(id hw.DeviceID) {
+// joinPeripheralGroups joins every group a connected peripheral makes the
+// Thing a member of: the exact type group, and in a zone its zone-scoped
+// variant and the class-wildcard groups of the structured namespace.
+func (t *Thing) joinPeripheralGroups(id hw.DeviceID) {
 	t.node.JoinGroup(netsim.MulticastAddr(t.prefix, id))
-	if t.cfg.Zone != 0 {
-		t.node.JoinGroup(netsim.MulticastAddrZone(t.prefix, t.cfg.Zone, id))
+	if t.cfg.Zone == 0 {
+		return
 	}
-	if t.cfg.StructuredNamespace {
-		if s := id.Structured(); s.Class != 0 && s.Vendor != 0 {
-			t.node.JoinGroup(netsim.ClassGroup(t.prefix, s.Class))
-			if t.cfg.Zone != 0 {
-				t.node.JoinGroup(netsim.MulticastAddrZone(t.prefix, t.cfg.Zone, hw.ClassWildcard(s.Class)))
-			}
-		}
+	t.node.JoinGroup(netsim.MulticastAddrZone(t.prefix, t.cfg.Zone, id))
+	if s := id.Structured(); s.Class != 0 && s.Vendor != 0 {
+		t.node.JoinGroup(netsim.ClassGroup(t.prefix, s.Class))
+		t.node.JoinGroup(netsim.MulticastAddrZone(t.prefix, t.cfg.Zone, hw.ClassWildcard(s.Class)))
 	}
 }
 
-// leavePeripheralGroups undoes joinPeripheralGroupsLocked.
+// leavePeripheralGroups undoes joinPeripheralGroups.
 func (t *Thing) leavePeripheralGroups(id hw.DeviceID) {
 	t.node.LeaveGroup(netsim.MulticastAddr(t.prefix, id))
-	if t.cfg.Zone != 0 {
-		t.node.LeaveGroup(netsim.MulticastAddrZone(t.prefix, t.cfg.Zone, id))
+	if t.cfg.Zone == 0 {
+		return
 	}
-	if t.cfg.StructuredNamespace {
-		if s := id.Structured(); s.Class != 0 && s.Vendor != 0 {
-			t.node.LeaveGroup(netsim.ClassGroup(t.prefix, s.Class))
-			if t.cfg.Zone != 0 {
-				t.node.LeaveGroup(netsim.MulticastAddrZone(t.prefix, t.cfg.Zone, hw.ClassWildcard(s.Class)))
-			}
-		}
+	t.node.LeaveGroup(netsim.MulticastAddrZone(t.prefix, t.cfg.Zone, id))
+	if s := id.Structured(); s.Class != 0 && s.Vendor != 0 {
+		t.node.LeaveGroup(netsim.ClassGroup(t.prefix, s.Class))
+		t.node.LeaveGroup(netsim.MulticastAddrZone(t.prefix, t.cfg.Zone, hw.ClassWildcard(s.Class)))
 	}
 }
 
@@ -540,9 +517,8 @@ func (t *Thing) requestDriver(id hw.DeviceID, attempt int) {
 	}
 	t.node.Schedule(DriverRequestTimeout, func() {
 		t.mu.Lock()
-		_, stillWaiting := t.awaiting[id]
-		t.mu.Unlock()
-		if stillWaiting {
+		defer t.mu.Unlock()
+		if _, stillWaiting := t.awaiting[id]; stillWaiting {
 			t.requestDriver(id, attempt+1)
 		}
 	})
@@ -556,29 +532,23 @@ func (t *Thing) activate(channel int, img *vm.Image, trace *PluginTrace) {
 	installStart := t.node.Now()
 	t.node.Schedule(CostInstallDriver, func() {
 		t.mu.Lock()
+		defer t.mu.Unlock()
 		slot := t.slots[channel]
 		if slot.id == 0 || slot.rt != nil {
-			t.mu.Unlock()
 			return
 		}
 		libs := vm.LibrariesFor(slot.ic.UART, slot.ic.ADC, slot.ic.I2C, slot.ic.SPI)
-		rt, err := vm.NewRuntime(img, libs...)
-		if err != nil {
-			t.mu.Unlock()
-			return
-		}
 		// Drivers run on the network's clock so that timeouts, sensor
 		// conversions and protocol traffic advance coherently.
-		rt.SetScheduler(netScheduler{t: t})
+		rt, err := vm.NewRuntime(img, netScheduler{t: t}, libs...)
+		if err != nil {
+			return
+		}
 		id := slot.id
 		rt.OnReturn(func(vals []int32) { t.driverReturned(id, vals) })
 		slot.rt = rt
 		t.advertDirty = true
-		t.mu.Unlock()
-
-		t.vmMu.Lock()
 		rt.Start()
-		t.vmMu.Unlock()
 
 		if trace != nil {
 			trace.InstallDriver += t.node.Now() - installStart
@@ -600,10 +570,8 @@ func (t *Thing) activate(channel int, img *vm.Image, trace *PluginTrace) {
 // or Release it. It also returns the number of peripherals listed. The
 // buffer is nil when the list does not encode.
 func (t *Thing) advertisement(typ proto.MsgType, seq uint16) (*netsim.Buf, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.advertDirty {
-		t.encodeAdvertLocked()
+		t.encodeAdvert()
 	}
 	if t.advert == nil {
 		return nil, 0
@@ -614,10 +582,9 @@ func (t *Thing) advertisement(typ proto.MsgType, seq uint16) (*netsim.Buf, int) 
 	return pb, int(body[0]) // the body opens with the peripheral count
 }
 
-// encodeAdvertLocked rebuilds the cached advertisement from the slots
-// (t.mu held). It runs once per change of the active peripherals, not once
-// per advert.
-func (t *Thing) encodeAdvertLocked() {
+// encodeAdvert rebuilds the cached advertisement from the slots. It runs
+// once per change of the active peripherals, not once per advert.
+func (t *Thing) encodeAdvert() {
 	m := proto.Message{Type: proto.MsgUnsolicitedAdvert}
 	for ch, slot := range t.slots {
 		if slot.rt == nil {
@@ -647,29 +614,18 @@ func (t *Thing) encodeAdvertLocked() {
 // teardown handles peripheral removal: stop the driver, leave the group,
 // advertise the change.
 func (t *Thing) teardown(channel int) {
-	t.mu.Lock()
 	slot := t.slots[channel]
-	rt := slot.rt
-	dev := slot.dev
-	ic := slot.ic
+	if slot.rt != nil {
+		slot.rt.Stop()
+	}
+	if slot.dev != nil {
+		slot.dev.Detach(slot.ic)
+	}
 	id := slot.id
-	slot.rt = nil
-	slot.dev = nil
-	slot.periph = nil
-	slot.id = 0
+	slot.rt, slot.dev, slot.periph, slot.id = nil, nil, nil, 0
 	t.advertDirty = true
-	t.mu.Unlock()
-
-	if rt != nil {
-		t.vmMu.Lock()
-		rt.Stop()
-		t.vmMu.Unlock()
-	}
-	if dev != nil {
-		dev.Detach(ic)
-	}
 	if id != 0 {
-		t.StopStream(id)
+		t.stopStream(id)
 		t.leavePeripheralGroups(id)
 	}
 	if pb, _ := t.advertisement(proto.MsgUnsolicitedAdvert, t.nextSeq()); pb != nil {
@@ -678,7 +634,8 @@ func (t *Thing) teardown(channel int) {
 }
 
 func (t *Thing) nextSeq() uint16 {
-	return uint16(t.seq.Add(1))
+	t.seq++
+	return t.seq
 }
 
 // send encodes into a pooled buffer and hands it to the network (zero-copy,
@@ -696,17 +653,17 @@ func (t *Thing) send(dst netip.Addr, m *proto.Message) {
 	t.node.SendBuf(dst, pb)
 }
 
-// slotForLocked returns the slot serving a device type (t.mu held).
-func (t *Thing) slotForLocked(id hw.DeviceID) *slotState {
-	if ch := t.channelForLocked(id); ch >= 0 {
+// slotFor returns the slot serving a device type, or nil.
+func (t *Thing) slotFor(id hw.DeviceID) *slotState {
+	if ch := t.channelFor(id); ch >= 0 {
 		return t.slots[ch]
 	}
 	return nil
 }
 
-// channelForLocked returns the channel serving a device type, or -1 when
-// none does (t.mu held).
-func (t *Thing) channelForLocked(id hw.DeviceID) int {
+// channelFor returns the channel serving a device type, or -1 when none
+// does.
+func (t *Thing) channelFor(id hw.DeviceID) int {
 	for ch, s := range t.slots {
 		if s.id == id && s.rt != nil {
 			return ch
@@ -716,15 +673,13 @@ func (t *Thing) channelForLocked(id hw.DeviceID) int {
 }
 
 // driverReturned routes a driver return value: to the oldest pending read
-// if one exists, otherwise to the open stream's group. It must take only
-// opsMu — it can run while t.mu is held by a caller pumping the runtime.
+// if one exists, otherwise to the open stream's group.
 func (t *Thing) driverReturned(id hw.DeviceID, vals []int32) {
-	// Pack into the vmMu-guarded scratch: send copies the bytes into a pooled
+	// Pack into the Thing's scratch: send copies the bytes into a pooled
 	// network buffer synchronously, so nothing retains data past this call.
 	// This shaves one per-read (and per-stream-tick) heap allocation.
 	t.dataScratch = proto.AppendValues32(t.dataScratch[:0], vals)
 	data := t.dataScratch
-	t.opsMu.Lock()
 	if q := t.pending[id]; len(q) > 0 {
 		pr := q[0]
 		// Shift down instead of re-slicing: q[1:] would strand the backing
@@ -733,39 +688,13 @@ func (t *Thing) driverReturned(id hw.DeviceID, vals []int32) {
 		// the steady-state read path reuses one array forever.
 		copy(q, q[1:])
 		t.pending[id] = q[:len(q)-1]
-		// Capture everything while opsMu is held: the release below
-		// recycles the entry.
-		ref := pr.expiry
-		seq, dst := pr.seq, pr.client
-		t.opsMu.Unlock()
-		ref.Cancel()
-		t.send(dst, &proto.Message{Type: proto.MsgData, Seq: seq, DeviceID: id, Data: data})
+		pr.expiry.Cancel()
+		t.send(pr.client, &proto.Message{Type: proto.MsgData, Seq: pr.seq, DeviceID: id, Data: data})
 		t.releasePendingRead(pr)
 		return
 	}
-	st, open := t.streams[id]
-	t.opsMu.Unlock()
-	if open {
+	if st, open := t.streams[id]; open {
 		t.send(st.group, &proto.Message{Type: proto.MsgData, Seq: st.seq, DeviceID: id, Data: data})
-	}
-}
-
-// Pump drains all driver runtimes (delivers pending virtual-time events
-// such as UART bytes or conversion timers). Simulations call this after
-// stimulating device models directly.
-func (t *Thing) Pump() {
-	t.mu.Lock()
-	rts := make([]*vm.Runtime, 0, len(t.slots))
-	for _, s := range t.slots {
-		if s.rt != nil {
-			rts = append(rts, s.rt)
-		}
-	}
-	t.mu.Unlock()
-	t.vmMu.Lock()
-	defer t.vmMu.Unlock()
-	for _, rt := range rts {
-		rt.RunUntilIdle(0)
 	}
 }
 
@@ -774,11 +703,14 @@ func (t *Thing) Pump() {
 // path; unplugging the peripheral and removing its driver end the stream
 // through it.
 func (t *Thing) StopStream(id hw.DeviceID) {
-	t.opsMu.Lock()
-	st, open := t.streams[id]
-	delete(t.streams, id)
-	t.opsMu.Unlock()
-	if open {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.stopStream(id)
+}
+
+func (t *Thing) stopStream(id hw.DeviceID) {
+	if st, open := t.streams[id]; open {
+		delete(t.streams, id)
 		t.send(st.group, &proto.Message{Type: proto.MsgClosed, Seq: st.seq, DeviceID: id})
 	}
 }
@@ -813,18 +745,28 @@ func (t *Thing) handle(msg netsim.Message) {
 	if err != nil {
 		return
 	}
+	var img *vm.Image
+	if m.Type == proto.MsgDriverUpload {
+		// An upload that does not decode and verify is dropped like a lost
+		// one: nothing is installed, and the request's retransmission
+		// timer, still armed while the device awaits its driver, asks
+		// again.
+		if img, err = t.images.Load(m.Driver); err != nil {
+			return
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	switch m.Type {
 	case proto.MsgDiscovery:
 		t.handleDiscovery(msg, m)
 	case proto.MsgDriverUpload:
-		t.handleDriverUpload(msg, m)
+		t.handleDriverUpload(msg, m, img)
 	case proto.MsgDriverDiscovery:
-		t.mu.Lock()
 		reply := &proto.Message{Type: proto.MsgDriverAdvert, Seq: m.Seq}
 		for id := range t.installed {
 			reply.Drivers = append(reply.Drivers, id)
 		}
-		t.mu.Unlock()
 		t.send(msg.Src, reply)
 	case proto.MsgDriverRemovalReq:
 		t.handleDriverRemoval(msg, m)
@@ -844,9 +786,8 @@ func (t *Thing) handleDiscovery(msg netsim.Message, m *proto.Message) {
 	// discoveries for zones it joined. Class wildcards match any slot whose
 	// structured identifier carries the class.
 	if _, _, id, err := netsim.ParseMulticastZone(msg.Dst); err == nil && id != hw.DeviceIDAllPeripherals {
-		t.mu.Lock()
-		match := t.slotForLocked(id) != nil
-		if !match && t.cfg.StructuredNamespace {
+		match := t.slotFor(id) != nil
+		if !match && t.cfg.Zone != 0 {
 			if s := id.Structured(); s.IsClassWildcard() {
 				for _, slot := range t.slots {
 					if slot.rt != nil && slot.id.Structured().Class == s.Class {
@@ -856,7 +797,6 @@ func (t *Thing) handleDiscovery(msg netsim.Message, m *proto.Message) {
 				}
 			}
 		}
-		t.mu.Unlock()
 		if !match {
 			return
 		}
@@ -872,15 +812,9 @@ func (t *Thing) handleDiscovery(msg netsim.Message, m *proto.Message) {
 	t.node.SendBuf(msg.Src, pb)
 }
 
-func (t *Thing) handleDriverUpload(msg netsim.Message, m *proto.Message) {
-	// An upload that does not decode and verify is dropped like a lost one:
-	// nothing is installed, and the request's retransmission timer, still
-	// armed while the device awaits its driver, asks again.
-	img, err := t.images.Load(m.Driver)
-	if err != nil {
-		return
-	}
-	t.mu.Lock()
+// handleDriverUpload installs an uploaded driver, img, loaded from the
+// upload before the Thing took mu.
+func (t *Thing) handleDriverUpload(msg netsim.Message, m *proto.Message, img *vm.Image) {
 	trace := t.awaiting[m.DeviceID]
 	delete(t.awaiting, m.DeviceID)
 	uploadTransit := netsim.PacketDelay(len(msg.Payload), false)
@@ -892,73 +826,50 @@ func (t *Thing) handleDriverUpload(msg netsim.Message, m *proto.Message) {
 		trace.InstallDriver = uploadTransit
 	}
 	t.installed[m.DeviceID] = img
-	var channel = -1
 	for ch, slot := range t.slots {
 		if slot.id == m.DeviceID && slot.rt == nil {
-			channel = ch
-			break
+			t.activate(ch, img, trace)
+			return
 		}
-	}
-	t.mu.Unlock()
-	if channel >= 0 {
-		t.activate(channel, img, trace)
 	}
 }
 
 func (t *Thing) handleDriverRemoval(msg netsim.Message, m *proto.Message) {
-	t.mu.Lock()
 	status := uint8(1)
-	var stopped []*vm.Runtime
 	if _, ok := t.installed[m.DeviceID]; ok {
 		delete(t.installed, m.DeviceID)
+		stopped := false
 		for _, slot := range t.slots {
 			if slot.id == m.DeviceID && slot.rt != nil {
-				stopped = append(stopped, slot.rt)
+				slot.rt.Stop()
 				slot.rt = nil
 				t.advertDirty = true
+				stopped = true
 			}
 		}
-		status = 0
-	}
-	t.mu.Unlock()
-	if len(stopped) > 0 {
-		t.vmMu.Lock()
-		for _, rt := range stopped {
-			rt.Stop()
+		if stopped {
+			t.stopStream(m.DeviceID)
 		}
-		t.vmMu.Unlock()
-		t.StopStream(m.DeviceID)
+		status = 0
 	}
 	t.send(msg.Src, &proto.Message{Type: proto.MsgDriverRemovalAck, Seq: m.Seq, DeviceID: m.DeviceID, Status: status})
 }
 
 func (t *Thing) handleRead(msg netsim.Message, m *proto.Message) {
-	t.mu.Lock()
-	slot := t.slotForLocked(m.DeviceID)
-	var rt *vm.Runtime
-	if slot != nil {
-		rt = slot.rt
-	}
-	t.mu.Unlock()
-	if rt == nil {
+	slot := t.slotFor(m.DeviceID)
+	if slot == nil {
 		// No such peripheral: empty data reply signals the absence.
 		t.send(msg.Src, &proto.Message{Type: proto.MsgData, Seq: m.Seq, DeviceID: m.DeviceID})
 		return
 	}
 	// id is copied out: the expiry event outlives the borrowed decode.
 	id := m.DeviceID
-	// The deadline is armed with the entry queued, under opsMu: events never
-	// run under a clock lock, so opsMu → clock cannot deadlock.
-	t.opsMu.Lock()
-	pr := t.newPendingReadLocked()
+	pr := t.newPendingRead()
 	pr.seq, pr.client = m.Seq, msg.Src
 	t.pending[id] = append(t.pending[id], pr)
 	pr.expiry = t.node.ScheduleExpiry(t.cfg.PendingReadTimeout, t, uint64(uint32(id))|pr.gen<<32, pr)
-	t.opsMu.Unlock()
-	t.vmMu.Lock()
-	rt.Post("read")
-	rt.RunUntilIdle(0)
-	t.vmMu.Unlock()
+	slot.rt.Post("read")
+	slot.rt.RunUntilIdle(0)
 }
 
 // ExpireEvent implements netsim.Expirer: it drops a pending read the driver
@@ -968,24 +879,18 @@ func (t *Thing) handleRead(msg netsim.Message, m *proto.Message) {
 func (t *Thing) ExpireEvent(seqgen uint64, tok any) {
 	pr := tok.(*pendingRead)
 	id := hw.DeviceID(uint32(seqgen))
-	gen := seqgen >> 32
-	t.opsMu.Lock()
-	if pr.gen != gen {
-		t.opsMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if pr.gen != seqgen>>32 {
 		return
 	}
 	q := t.pending[id]
-	found := false
 	for i, e := range q {
 		if e == pr {
 			t.pending[id] = append(q[:i:i], q[i+1:]...)
-			found = true
-			break
+			t.releasePendingRead(pr)
+			return
 		}
-	}
-	t.opsMu.Unlock()
-	if found {
-		t.releasePendingRead(pr)
 	}
 }
 
@@ -994,14 +899,11 @@ func (t *Thing) ExpireEvent(seqgen uint64, tok any) {
 // that serves it (netsim.StreamGroup), so its data and its close reach only
 // the clients that joined it, not every Thing with the peripheral.
 func (t *Thing) handleStream(msg netsim.Message, m *proto.Message) {
-	t.mu.Lock()
-	ch := t.channelForLocked(m.DeviceID)
-	t.mu.Unlock()
+	ch := t.channelFor(m.DeviceID)
 	if ch < 0 {
 		return
 	}
 	group := netsim.StreamGroup(t.node.Addr(), ch)
-	t.opsMu.Lock()
 	st, wasOpen := t.streams[m.DeviceID]
 	if !wasOpen {
 		t.chains++
@@ -1009,7 +911,6 @@ func (t *Thing) handleStream(msg netsim.Message, m *proto.Message) {
 	}
 	st.group, st.seq, st.fresh = group, m.Seq, true
 	t.streams[m.DeviceID] = st
-	t.opsMu.Unlock()
 
 	reply := &proto.Message{Type: proto.MsgEstablished, Seq: m.Seq, DeviceID: m.DeviceID}
 	copy(reply.Group[:], group.AsSlice())
@@ -1023,23 +924,17 @@ func (t *Thing) handleStream(msg netsim.Message, m *proto.Message) {
 // open under chain and someone hears it.
 func (t *Thing) scheduleStreamTick(id hw.DeviceID, chain uint32) {
 	t.node.Schedule(t.cfg.StreamPeriod, func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
 		if !t.streamHeard(id, chain) {
 			return
 		}
-		t.mu.Lock()
-		slot := t.slotForLocked(id)
-		var rt *vm.Runtime
-		if slot != nil {
-			rt = slot.rt
-		}
-		t.mu.Unlock()
-		if rt == nil {
+		slot := t.slotFor(id)
+		if slot == nil {
 			return
 		}
-		t.vmMu.Lock()
-		rt.Post("read")
-		rt.RunUntilIdle(0)
-		t.vmMu.Unlock()
+		slot.rt.Post("read")
+		slot.rt.RunUntilIdle(0)
 		t.scheduleStreamTick(id, chain)
 	})
 }
@@ -1050,18 +945,7 @@ func (t *Thing) scheduleStreamTick(id hw.DeviceID, chain uint32) {
 // subscriber left its group ends here, silently: it leaves the table and
 // its chain stops.
 func (t *Thing) streamHeard(id hw.DeviceID, chain uint32) bool {
-	t.opsMu.Lock()
 	st, open := t.streams[id]
-	t.opsMu.Unlock()
-	if !open || st.chain != chain {
-		return false
-	}
-	// Asked outside opsMu: the query takes the topology lock every send
-	// takes. A request may land meanwhile, so the entry is read again.
-	heard := st.fresh || t.node.GroupHasMembers(st.group)
-	t.opsMu.Lock()
-	defer t.opsMu.Unlock()
-	st, open = t.streams[id]
 	switch {
 	case !open || st.chain != chain:
 		return false
@@ -1069,27 +953,19 @@ func (t *Thing) streamHeard(id hw.DeviceID, chain uint32) bool {
 		st.fresh = false
 		t.streams[id] = st
 		return true
-	case !heard:
+	case !t.node.GroupHasMembers(st.group):
 		delete(t.streams, id)
+		return false
 	}
-	return heard
+	return true
 }
 
 func (t *Thing) handleWrite(msg netsim.Message, m *proto.Message) {
-	t.mu.Lock()
-	slot := t.slotForLocked(m.DeviceID)
-	var rt *vm.Runtime
-	if slot != nil {
-		rt = slot.rt
-	}
-	t.mu.Unlock()
 	status := uint8(1)
-	if rt != nil {
+	if slot := t.slotFor(m.DeviceID); slot != nil {
 		if vals, err := proto.ParseValues32(m.Data); err == nil {
-			t.vmMu.Lock()
-			rt.Post("write", vals...)
-			rt.RunUntilIdle(0)
-			t.vmMu.Unlock()
+			slot.rt.Post("write", vals...)
+			slot.rt.RunUntilIdle(0)
 			status = 0
 		}
 	}

@@ -436,7 +436,7 @@ func TestRuntimeEnginesConverge(t *testing.T) {
 	}
 	for name, prog := range embeddedPrograms(t) {
 		t.Run(name, func(t *testing.T) {
-			rt, err := NewRuntime(mustImage(t, prog), stubLibsFor(prog)...)
+			rt, err := NewRuntime(mustImage(t, prog), &testClock{}, stubLibsFor(prog)...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -155,9 +155,6 @@ func (m *Machine) staticRef(i int) []int32 {
 // NumStatics returns the number of static slots.
 func (m *Machine) NumStatics() int { return len(m.statics) }
 
-// HasHandler reports whether the driver defines the named handler.
-func (m *Machine) HasHandler(name string) bool { return m.img.prog.Handler(name) != nil }
-
 // Run executes the named handler to completion with the given arguments.
 // A missing handler is not an error: the event is silently dropped (drivers
 // handle only the events they care about) and an empty result returned.

@@ -15,7 +15,7 @@ func driverRT(t *testing.T, src string, libs ...Library) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(mustImage(t, prog), libs...)
+	rt, err := NewRuntime(mustImage(t, prog), &testClock{}, libs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,56 +196,29 @@ event destroy():
 event timerFired():
     fired++;
 `
-	sched := &fakeScheduler{}
+	clock := &testClock{}
 	prog, err := dsl.Compile(src, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(mustImage(t, prog), &TimerLib{})
+	rt, err := NewRuntime(mustImage(t, prog), clock, &TimerLib{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.SetScheduler(sched)
 	rt.Start()
 
 	if rt.Machine().Static(0)[0] != 0 {
-		t.Fatal("timer must not fire before the external clock advances")
+		t.Fatal("timer must not fire before the clock advances")
 	}
-	if len(sched.entries) != 1 || sched.entries[0].at != 100*time.Millisecond {
-		t.Fatalf("scheduled = %+v", sched.entries)
+	if len(clock.timers) != 1 || clock.timers[0].at != 100*time.Millisecond {
+		t.Fatalf("scheduled = %+v", clock.timers)
 	}
-	sched.advanceAll()
+	settle(rt)
 	if rt.Machine().Static(0)[0] != 1 {
-		t.Fatal("timer must fire when the external clock reaches it")
+		t.Fatal("timer must fire when the clock reaches it")
 	}
 	if rt.Now() != 100*time.Millisecond {
-		t.Fatalf("Now() = %v, must follow the external clock", rt.Now())
-	}
-}
-
-type fakeScheduler struct {
-	now     time.Duration
-	entries []fakeEntry
-}
-
-type fakeEntry struct {
-	at time.Duration
-	fn func()
-}
-
-func (s *fakeScheduler) Now() time.Duration { return s.now }
-func (s *fakeScheduler) Schedule(d time.Duration, fn func()) {
-	s.entries = append(s.entries, fakeEntry{at: s.now + d, fn: fn})
-}
-
-func (s *fakeScheduler) advanceAll() {
-	for len(s.entries) > 0 {
-		e := s.entries[0]
-		s.entries = s.entries[1:]
-		if e.at > s.now {
-			s.now = e.at
-		}
-		e.fn()
+		t.Fatalf("Now() = %v, must follow the clock", rt.Now())
 	}
 }
 

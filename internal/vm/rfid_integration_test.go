@@ -56,7 +56,7 @@ func newRFIDRuntime(t *testing.T) (*Runtime, *bus.ID20LA, *bus.UART) {
 		t.Fatal(err)
 	}
 	port := bus.NewUART()
-	rt, err := NewRuntime(mustImage(t, prog), &UARTLib{Port: port}, &TimerLib{})
+	rt, err := NewRuntime(mustImage(t, prog), &testClock{}, &UARTLib{Port: port}, &TimerLib{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRFIDReadEndToEnd(t *testing.T) {
 	if err := reader.PresentCard("0415AB96C3"); err != nil {
 		t.Fatal(err)
 	}
-	rt.RunUntilIdle(0)
+	settle(rt)
 
 	if len(returned) != 1 {
 		t.Fatalf("returned %d values, want 1", len(returned))
@@ -108,7 +108,7 @@ func TestRFIDReadTimeout(t *testing.T) {
 	rt, _, _ := newRFIDRuntime(t)
 	rt.Start()
 	rt.Post("read")
-	rt.RunUntilIdle(0) // no card presented: virtual clock hits the timeout
+	settle(rt) // no card presented: virtual clock hits the timeout
 
 	// The timeOut error handler must have reset busy and idx.
 	if rt.Machine().Static(2)[0] != 0 {
@@ -126,7 +126,7 @@ func TestRFIDReadTimeout(t *testing.T) {
 	if err := reader.PresentCard("AA00FF1234"); err != nil {
 		t.Fatal(err)
 	}
-	rt.RunUntilIdle(0)
+	settle(rt)
 	if len(returned) != 1 {
 		t.Fatalf("read after timeout returned %d values", len(returned))
 	}
@@ -150,7 +150,7 @@ func TestRFIDBusyIgnoresConcurrentReads(t *testing.T) {
 	if err := reader.PresentCard("0415AB96C3"); err != nil {
 		t.Fatal(err)
 	}
-	rt.RunUntilIdle(0)
+	settle(rt)
 	if len(returned) != 1 {
 		t.Fatalf("returned %d values, want exactly 1", len(returned))
 	}
@@ -183,7 +183,7 @@ error invalidConfiguration():
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(mustImage(t, prog), &UARTLib{Port: bus.NewUART()})
+	rt, err := NewRuntime(mustImage(t, prog), &testClock{}, &UARTLib{Port: bus.NewUART()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ error uartInUse():
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(mustImage(t, prog), &UARTLib{Port: bus.NewUART()})
+	rt, err := NewRuntime(mustImage(t, prog), &testClock{}, &UARTLib{Port: bus.NewUART()})
 	if err != nil {
 		t.Fatal(err)
 	}

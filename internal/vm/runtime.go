@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -21,11 +20,9 @@ type Library interface {
 	Detach()
 }
 
-// Scheduler is an external virtual-clock source. When a Runtime is given a
-// Scheduler (SetScheduler), its timers run on that clock instead of the
-// internal one — a µPnP Thing wires its drivers to the network simulator's
-// clock so that driver timeouts, sensor conversions and protocol traffic
-// advance coherently.
+// Scheduler is the virtual clock a Runtime's timers run on. A µPnP Thing
+// runs its drivers on the network simulator's clock, so that driver
+// timeouts, sensor conversions and protocol traffic advance coherently.
 type Scheduler interface {
 	Now() time.Duration
 	Schedule(delay time.Duration, fn func())
@@ -38,10 +35,7 @@ type Runtime struct {
 	machine *Machine
 	router  *Router
 	libs    map[string]Library
-	sched   Scheduler // nil = internal clock
-
-	now    time.Duration
-	timers []timerEntry
+	sched   Scheduler
 
 	onReturn func([]int32)
 
@@ -56,15 +50,10 @@ type Runtime struct {
 	started         bool
 }
 
-type timerEntry struct {
-	at time.Duration
-	fn func()
-}
-
-// NewRuntime instantiates a driver image and binds its native libraries.
-// Every library the driver imports must be supplied.
-func NewRuntime(img *Image, libs ...Library) (*Runtime, error) {
-	rt := &Runtime{machine: img.Instantiate(), router: NewRouter(), libs: map[string]Library{}}
+// NewRuntime instantiates a driver image on the clock sched and binds its
+// native libraries. Every library the driver imports must be supplied.
+func NewRuntime(img *Image, sched Scheduler, libs ...Library) (*Runtime, error) {
+	rt := &Runtime{machine: img.Instantiate(), router: NewRouter(), libs: map[string]Library{}, sched: sched}
 	for _, l := range libs {
 		rt.libs[l.Name()] = l
 	}
@@ -81,16 +70,8 @@ func NewRuntime(img *Image, libs ...Library) (*Runtime, error) {
 // Machine exposes the underlying machine (diagnostics and tests).
 func (rt *Runtime) Machine() *Machine { return rt.machine }
 
-// SetScheduler attaches an external clock. Call before Start.
-func (rt *Runtime) SetScheduler(s Scheduler) { rt.sched = s }
-
 // Now returns the current virtual time.
-func (rt *Runtime) Now() time.Duration {
-	if rt.sched != nil {
-		return rt.sched.Now()
-	}
-	return rt.now
-}
+func (rt *Runtime) Now() time.Duration { return rt.sched.Now() }
 
 // OnReturn registers the callback receiving values produced by the driver's
 // return statements (delivered to the pending remote operation).
@@ -110,19 +91,13 @@ func (rt *Runtime) PostError(name string, args ...int32) {
 	rt.router.Post(e)
 }
 
-// Schedule runs fn at virtual time Now()+delay. With an external scheduler
-// the callback also drains the event queue afterwards, since no one else
-// steps the runtime.
+// Schedule runs fn at virtual time Now()+delay. The callback also drains
+// the event queue afterwards, since no one else steps the runtime.
 func (rt *Runtime) Schedule(delay time.Duration, fn func()) {
-	if rt.sched != nil {
-		rt.sched.Schedule(delay, func() {
-			fn()
-			rt.RunUntilIdle(0)
-		})
-		return
-	}
-	rt.timers = append(rt.timers, timerEntry{at: rt.now + delay, fn: fn})
-	sort.SliceStable(rt.timers, func(i, j int) bool { return rt.timers[i].at < rt.timers[j].at })
+	rt.sched.Schedule(delay, func() {
+		fn()
+		rt.RunUntilIdle(0)
+	})
 }
 
 // Start fires the driver's init event (called when the peripheral is plugged
@@ -151,31 +126,18 @@ func (rt *Runtime) Stop() {
 	rt.started = false
 }
 
-// Step dispatches one queued event, or — when the queues are empty and the
-// internal clock is in use — advances the clock to the next timer. It
-// reports whether any progress was made.
+// Step dispatches one queued event and reports whether there was one.
+// Timers fire through the Scheduler, not here.
 func (rt *Runtime) Step() bool {
-	if e, ok := rt.router.Next(); ok {
+	e, ok := rt.router.Next()
+	if ok {
 		rt.dispatch(e)
-		return true
 	}
-	if rt.sched != nil {
-		return false // external timers fire through the scheduler
-	}
-	if len(rt.timers) > 0 {
-		t := rt.timers[0]
-		rt.timers = rt.timers[1:]
-		if t.at > rt.now {
-			rt.now = t.at
-		}
-		t.fn()
-		return true
-	}
-	return false
+	return ok
 }
 
-// RunUntilIdle steps until no events or timers remain. maxSteps 0 means the
-// default bound (1e6). It returns the number of steps taken.
+// RunUntilIdle steps until no events remain. maxSteps 0 means the default
+// bound (1e6). It returns the number of steps taken.
 func (rt *Runtime) RunUntilIdle(maxSteps int) int {
 	if maxSteps <= 0 {
 		maxSteps = 1_000_000
@@ -195,7 +157,6 @@ func (rt *Runtime) dispatch(e Event) {
 	rt.inErrorDispatch = e.IsError
 	res, err := rt.machine.Run(e.Name, e.payload())
 	rt.EmulatedTime += res.EmulatedTime
-	rt.now += res.EmulatedTime + DefaultAVRTimeModel.Dispatch
 
 	if err != nil {
 		rt.Traps++

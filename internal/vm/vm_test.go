@@ -2,6 +2,7 @@ package vm
 
 import (
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -26,6 +27,40 @@ func mustImage(t testing.TB, prog *bytecode.Program) *Image {
 		t.Fatal(err)
 	}
 	return img
+}
+
+// testClock is the clock a runtime under test runs on: a timer queue
+// sorted by due time, stable among timers due at the same instant, that
+// settle fires.
+type testClock struct {
+	now    time.Duration
+	timers []testTimer
+}
+
+type testTimer struct {
+	at time.Duration
+	fn func()
+}
+
+func (c *testClock) Now() time.Duration { return c.now }
+
+func (c *testClock) Schedule(d time.Duration, fn func()) {
+	at := c.now + d
+	i := sort.Search(len(c.timers), func(i int) bool { return c.timers[i].at > at })
+	c.timers = slices.Insert(c.timers, i, testTimer{at: at, fn: fn})
+}
+
+// settle drains rt's event queue, then fires its testClock's timers in due
+// order, advancing the clock to each, until none remain.
+func settle(rt *Runtime) {
+	rt.RunUntilIdle(0)
+	c := rt.sched.(*testClock)
+	for len(c.timers) > 0 {
+		tm := c.timers[0]
+		c.timers = c.timers[1:]
+		c.now = max(c.now, tm.at)
+		tm.fn()
+	}
 }
 
 const arithDriver = `int32_t acc;
@@ -208,7 +243,7 @@ event boom():
 `
 
 func TestRuntimeLifecycleAndReturn(t *testing.T) {
-	rt, err := NewRuntime(mustImage(t, compile(t, counterDriver, 2)))
+	rt, err := NewRuntime(mustImage(t, compile(t, counterDriver, 2)), &testClock{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +266,7 @@ func TestRuntimeLifecycleAndReturn(t *testing.T) {
 }
 
 func TestRuntimeTrapBecomesErrorEvent(t *testing.T) {
-	rt, err := NewRuntime(mustImage(t, compile(t, counterDriver, 2)))
+	rt, err := NewRuntime(mustImage(t, compile(t, counterDriver, 2)), &testClock{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +291,7 @@ event init():
 event destroy():
     pass;
 `
-	if _, err := NewRuntime(mustImage(t, compile(t, src, 3))); err == nil {
+	if _, err := NewRuntime(mustImage(t, compile(t, src, 3)), &testClock{}); err == nil {
 		t.Fatal("missing library must fail")
 	}
 }
@@ -276,11 +311,12 @@ event destroy():
 event timerFired():
     fired = 1;
 `
-	rt, err := NewRuntime(mustImage(t, compile(t, src, 4)), &TimerLib{})
+	rt, err := NewRuntime(mustImage(t, compile(t, src, 4)), &testClock{}, &TimerLib{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.Start()
+	settle(rt)
 	if got := rt.Machine().Static(0)[0]; got != 1 {
 		t.Fatalf("fired = %d, want 1", got)
 	}

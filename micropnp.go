@@ -402,7 +402,9 @@ func (d *Deployment) AddThing(name string, opts ...ThingOption) (*Thing, error) 
 
 // AddZonedThing creates a Thing placed in a location zone with the
 // structured namespace enabled (the Section 9 extensions): clients can then
-// discover its peripherals by device class and by physical location.
+// discover its peripherals by device class and by physical location. Zones
+// are 1-based: zone 0 is the unscoped form, and places the Thing in no
+// location zone, with the structured namespace off.
 func (d *Deployment) AddZonedThing(name string, zone uint16) (*Thing, error) {
 	return d.newThing(name, zone, true, nil)
 }
@@ -430,7 +432,6 @@ func (d *Deployment) newThing(name string, zone uint16, located bool, parent *ne
 	}
 	if located {
 		cfg.Zone = zone
-		cfg.StructuredNamespace = true
 	}
 	th, err := thing.New(cfg)
 	if err != nil {
